@@ -20,6 +20,7 @@ from .errors import (
     DataFormatError,
     DivergenceError,
     InfeasibleStepsizeError,
+    InvariantError,
 )
 from .ops import Compressor, clip, clip_residual_norm, compress, node_mean
 from .optimizers import (
@@ -60,6 +61,7 @@ __all__ = [
     "Dataset",
     "DivergenceError",
     "InfeasibleStepsizeError",
+    "InvariantError",
     "IterationRecord",
     "KINDS",
     "LyapunovParams",

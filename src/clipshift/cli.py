@@ -6,7 +6,8 @@ the chosen method, and writes per-iteration telemetry as CSV plus a
 one-line summary on stdout.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O or data
-format error, 4 divergence.
+format error, 4 divergence, 5 an internal invariant failed (a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import heterogeneous_split, parse_libsvm, standard_scale
-from .errors import ConfigurationError, DataFormatError, DivergenceError
+from .errors import ConfigurationError, DataFormatError, DivergenceError, InvariantError
 from .ops import Compressor
 from .optimizers import METHODS, IterationRecord, MethodConfig, clip21_avg_run, run
 from .problems import Problem
@@ -131,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--presolve-iters",
         dest="presolve_iters",
-        help="GD presolve length for the f_inf estimate (default 100000)",
+        help="cap on the L-BFGS iterations of the f_inf presolve (default 100000); "
+        "f_inf is a certified lower bound for --reg l2 with --lambda > 0, an estimate otherwise",
     )
     parser.add_argument("--v-init", dest="v_init", help="shift start for clip21-avg: zeros | floats")
     return parser
@@ -437,7 +439,7 @@ def run_experiment(cfg: RunConfig) -> int:
     L = cfg.L_override if cfg.L_override is not None else info.L
     if L <= 0:
         raise ConfigurationError(f"need a positive smoothness constant, got {L}")
-    f_inf, _estimated = estimate_f_inf(problem, x0, iters=cfg.presolve_iters)
+    f_inf, _estimated = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
     grad0 = problem.local_grads(x0)
     norms = tuple(float(np.linalg.norm(g)) for g in grad0)
     F0 = max(0.0, problem.eval_global(x0) - f_inf)
@@ -560,6 +562,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 4
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

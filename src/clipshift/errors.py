@@ -33,3 +33,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""

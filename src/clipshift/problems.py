@@ -48,35 +48,6 @@ def _reg_grad(reg: str, x: np.ndarray) -> np.ndarray:
     return 2.0 * x / (denom * denom)
 
 
-def _spectral_norm_sq(A: np.ndarray) -> float:
-    """Largest eigenvalue of A^T A by power iteration.
-
-    Deterministic start vectors; at most 200 iterations to relative
-    tolerance 1e-8. A zero matrix returns 0 without iterating.
-    """
-    d = A.shape[1]
-    starts = (np.full(d, 1.0), np.arange(1.0, d + 1.0))
-    for attempt, v0 in enumerate(starts):
-        v = v0 / np.linalg.norm(v0)
-        lam = 0.0
-        degenerate = False
-        for _ in range(200):
-            w = A.T @ (A @ v)
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                # start vector in the null space; retry with the other one
-                degenerate = True
-                break
-            v = w / norm_w
-            lam_new = float(v @ (A.T @ (A @ v)))
-            if abs(lam_new - lam) <= 1e-8 * max(abs(lam_new), 1e-30):
-                return lam_new
-            lam = lam_new
-        if not degenerate:
-            return lam
-    return 0.0
-
-
 class Problem:
     """An evaluatable distributed objective f(x) = (1/n) sum_i f_i(x).
 
@@ -238,18 +209,8 @@ class Problem:
         """Mean of the local values, reduced in fixed node order."""
         return float(self._local_values(self._check_x(x)).sum()) / self.n
 
-    def grad_global_fast(self, x) -> np.ndarray:
-        """One-matvec global gradient A^T (w * slope) for long presolve loops.
-
-        The row weights w = 1/(n m_i) fold the node mean into the product,
-        so this agrees with grad_global to rounding error, not bitwise;
-        recorded telemetry uses the node mean of local_grads instead.
-        """
-        if self.kind == "quad_counterexample":
-            return self.grad_global(x)
-        x = self._check_x(x)
-        weighted = (self._w * self._row_slope(self._A @ x)).ravel()
-        return weighted @ self._A.reshape(-1, self.d) + self.lam * _reg_grad(self.reg, x)
+    # a second public name for grad_global
+    grad_global_fast = grad_global
 
     def eval_global_fast(self, x) -> float:
         """One-dot form of eval_global; agrees with it to rounding error."""
@@ -271,13 +232,19 @@ class Problem:
             return SmoothnessInfo(
                 L_i=(beta_q, alpha_q), L=beta_q - alpha_q, L_max=beta_q, mu=mu
             )
-        L_i = []
-        for s in self.shards:
-            spec_sq = _spectral_norm_sq(s.features)
-            if self.kind == "logistic":
-                c_reg = 1.0 if self.reg == "l2" else 2.0
-                L_i.append(spec_sq / (4.0 * s.m) + self.lam * c_reg)
-            else:
-                L_i.append(2.0 * spec_sq / s.m + 2.0 * self.lam)
-        L_i = tuple(L_i)
+        # top eigenvalue of the smaller Gram of each slab (A_i^T A_i or A_i A_i^T,
+        # unchanged by zero padding rows), 8 nodes at a time to keep Grams small
+        spec_sq = []
+        for start in range(0, self.n, 8):
+            block = self._A[start : start + 8]
+            block_t = block.swapaxes(1, 2)
+            gram = block @ block_t if block.shape[1] < self.d else block_t @ block
+            spec_sq.append(np.linalg.eigvalsh(gram)[:, -1])
+        spec_sq = np.concatenate(spec_sq)
+        if self.kind == "logistic":
+            c_reg = 1.0 if self.reg == "l2" else 2.0
+            L_i = spec_sq / (4.0 * self._m) + self.lam * c_reg
+        else:
+            L_i = 2.0 * spec_sq / self._m + 2.0 * self.lam
+        L_i = tuple(float(v) for v in L_i)
         return SmoothnessInfo(L_i=L_i, L=sum(L_i) / len(L_i), L_max=max(L_i), mu=mu)

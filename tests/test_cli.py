@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError
+from clipshift import ConfigurationError, InvariantError, Problem, cli
 from clipshift.cli import (
     CSV_HEADER,
     GRID_MULTIPLES,
@@ -244,3 +244,26 @@ def test_dp_auto_needs_mu(tmp_path, data_file):
     assert main(args) == 2
     args.extend(["--mu", "0.05"])
     assert main(args) == 0
+
+
+def test_one_smoothness_pass_per_run(tmp_path, data_file, monkeypatch):
+    calls = []
+    real = Problem.smoothness
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Problem, "smoothness", counted)
+    out = str(tmp_path / "x.csv")
+    assert main(_base_args(data_file, out, **{"--lambda": "0.01"})) == 0
+    assert len(calls) == 1
+
+
+def test_invariant_failure_exits_5(tmp_path, data_file, monkeypatch, capsys):
+    def broken_run(*args, **kwargs):
+        raise InvariantError("aggregate shift drifted from direct average")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    assert main(_base_args(data_file, str(tmp_path / "x.csv"))) == 5
+    assert "internal error" in capsys.readouterr().err

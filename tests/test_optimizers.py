@@ -7,7 +7,9 @@ from clipshift import (
     Compressor,
     ConfigurationError,
     DivergenceError,
+    InvariantError,
     MethodConfig,
+    NodeShard,
     Problem,
     clip21_avg_run,
     run,
@@ -267,3 +269,29 @@ def test_avg_validation():
         clip21_avg_run(np.array([[1.0]]), 1.0, iters=0)
     with pytest.raises(ValueError):
         clip21_avg_run(np.array([[1.0]]), 1.0, v_init=np.array([[1.0, 2.0]]))
+
+
+def _large_scale_linreg(seed):
+    # regression targets of scale 1e6, where an absolute drift tolerance
+    # mistook the rounding of the running aggregate for a broken invariant
+    rng = np.random.default_rng(seed)
+    shards = [NodeShard(i, rng.standard_normal((20, 5)), 1e6 * rng.standard_normal(20)) for i in range(4)]
+    return Problem("linreg_nonconvex", shards=shards, reg="l2", lam=0.0)
+
+
+@pytest.mark.parametrize("tau", [1e3, 1e5, 1e7])
+def test_shift_drift_check_is_relative_to_scale(tau):
+    for seed in range(5):
+        problem = _large_scale_linreg(seed)
+        _, records = run(_cfg(gamma=1e-3, tau=tau, iters=50), problem, np.zeros(5))
+        assert len(records) == 50
+
+
+def test_real_shift_drift_raises_invariant_error():
+    problem = _large_scale_linreg(0)
+    cfg = _cfg(gamma=1e-3, tau=1e5, iters=1)
+    state, _ = clip21_gd_step(OptimizerState.initial(np.zeros(5), problem.n), problem, cfg)
+    # a shift row changed without its message reaching the aggregate
+    state.v[2, 0] += 1e-3 * np.abs(state.v).max()
+    with pytest.raises(InvariantError, match="drifted"):
+        clip21_gd_step(state, problem, cfg)

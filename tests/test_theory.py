@@ -10,6 +10,7 @@ from clipshift import (
     InfeasibleStepsizeError,
     LyapunovParams,
     MethodConfig,
+    NodeShard,
     Problem,
     StepsizeInputs,
     dp_utility_bound,
@@ -227,3 +228,63 @@ def test_press_stepsize_requires_feasible_margin():
     )
     with pytest.raises(InfeasibleStepsizeError):
         stepsize_press(inputs)
+
+
+def _newton_minimum(problem):
+    """f(x*) of an l2 logistic problem by damped Newton on the shards,
+    written apart from Problem: the d x d Hessian is solved directly."""
+    shards, n, lam = problem.shards, problem.n, problem.lam
+
+    def value_grad_hess(x):
+        value, grad, hess = 0.5 * lam * x @ x, lam * x, lam * np.eye(x.size)
+        for s in shards:
+            z = -s.labels * (s.features @ x)
+            p = 0.5 * (1.0 + np.tanh(0.5 * z))  # sigmoid(z), overflow-free
+            value += np.logaddexp(0.0, z).sum() / (n * s.m)
+            grad += s.features.T @ (-s.labels * p) / (n * s.m)
+            hess += (s.features.T * (p * (1.0 - p))) @ s.features / (n * s.m)
+        return value, grad, hess
+
+    x = np.zeros(problem.d)
+    value, grad, hess = value_grad_hess(x)
+    for _ in range(100):
+        step, t = np.linalg.solve(hess, grad), 1.0
+        while value_grad_hess(x - t * step)[0] > value and t > 1e-12:
+            t *= 0.5
+        x = x - t * step
+        value, grad, hess = value_grad_hess(x)
+        if grad @ grad <= 1e-30:
+            break
+    assert grad @ grad <= 1e-28
+    return problem.eval_global(x)
+
+
+def test_f_inf_is_a_tight_certified_bound_for_l2(logistic_problem, logistic_x0, logistic_f_inf):
+    f_star = _newton_minimum(logistic_problem)
+    assert logistic_f_inf <= f_star
+    assert f_star - logistic_f_inf <= 1e-9
+    # one iteration is still a bound, only a looser one
+    short, is_estimate = estimate_f_inf(logistic_problem, logistic_x0, iters=1)
+    assert is_estimate
+    assert short <= f_star
+
+
+@pytest.mark.parametrize("reg,lam", [("l2", 0.0), ("nonconvex", 1e-3)])
+def test_f_inf_without_strong_convexity_is_best_minus_margin(reg, lam):
+    # separable shards: with lam = 0 the logistic loss has no minimizer
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal(4)
+    shards = []
+    for i in range(3):
+        feats = rng.standard_normal((15, 4))
+        shards.append(NodeShard(i, feats, np.where(feats @ w > 0.0, 1.0, -1.0)))
+    problem = Problem("logistic", shards=shards, reg=reg, lam=lam)
+    x0 = rng.standard_normal(4)
+    f0 = problem.evaluate(x0)[0]
+    # no iteration: the best value seen is f(x0)
+    assert estimate_f_inf(problem, x0, iters=0, margin=1e-6) == (f0 - 1e-6, True)
+    value, is_estimate = estimate_f_inf(problem, x0, iters=2000)
+    assert is_estimate
+    assert np.isfinite(value)
+    # every loss term and both regularizers are non-negative
+    assert -1e-9 <= value < f0 - 1e-9
