@@ -5,6 +5,12 @@ the stepsize (explicit, theory rule, or the six-point grid), executes
 the chosen method, and writes per-iteration telemetry as CSV plus a
 one-line summary on stdout.
 
+Each option is one row of OPTIONS (config-file key, default, converter,
+help); its flag is ``--`` plus the key with ``_`` written as ``-``. The
+parser, the defaults, the accepted config-file keys and the fields of
+RunConfig all come from that table. A run is a list of stepsizes, one
+value or the six grid points, and each goes through the same loop.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O or data
 format error, 4 divergence, 5 an internal invariant failed (a bug, not
 bad input).
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .errors import ConfigurationError, DataFormatError, DivergenceError, Invari
 from .ops import Compressor
 from .optimizers import METHODS, IterationRecord, MethodConfig, clip21_avg_run, run
 from .problems import Problem
-from .rng import gaussian_sample
+from .rng import gaussian_sample, stream_slot
 from .theory import (
     LyapunovParams,
     StepsizeInputs,
@@ -51,56 +57,63 @@ _PROBLEM_NAMES = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run description, after merging file and flags."""
-
-    method: str
-    problem: str
-    data: str | None
-    nodes: int
-    tau: float | None
-    gamma: str
-    sigma: float
-    nu: float
-    lam: float
-    reg: str
-    iters: int
-    seed: int
-    compressor: str | None
-    out: str
-    x0: str
-    mu: float | None
-    L_override: float | None
-    beta_q: float
-    alpha_q: float
-    presolve_iters: int
-    v_init: str
+_KINDS = {int: "an integer", float: "a number"}
 
 
-_DEFAULTS = {
-    "method": None,  # required
-    "problem": None,  # derived from --data when absent
-    "data": None,
-    "nodes": "10",
-    "tau": None,
-    "gamma": "auto",
-    "sigma": "0",
-    "nu": "0",
-    "lambda": "0",
-    "reg": "l2",
-    "iters": "1000",
-    "seed": "0",
-    "compressor": None,
-    "out": "run.csv",
-    "x0": None,  # zeros for data problems, 1.0 for the counterexample
-    "mu": None,
-    "L": None,
-    "beta_q": "2",
-    "alpha_q": "1",
-    "presolve_iters": "100000",
-    "v_init": "zeros",
-}
+def _as(convert, name: str, text: str):
+    """convert(text), with a failure reported against the option name."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(f"{name} must be {_KINDS[convert]}, got {text!r}") from None
+
+
+# One row per option: config-file key, default, converter, help. A None
+# default means unset; parse_config then derives problem from --data and
+# x0 from the problem.
+OPTIONS = (
+    ("method", None, str, "one of: " + ", ".join(m.replace("_", "-") for m in METHODS)),
+    ("problem", None, str, "logistic | linreg | counterexample"),
+    ("data", None, str, "LibSVM data file (required for data problems)"),
+    ("nodes", 10, int, "node count (default 10; counterexample forces 2)"),
+    ("tau", None, float, "clip threshold"),
+    ("gamma", "auto", str, "stepsize: a number, 'auto', or 'grid'"),
+    ("sigma", 0.0, float, "privacy noise std (default 0)"),
+    ("nu", 0.0, float, "privacy noise clip bound"),
+    ("lambda", 0.0, float, "regularization weight (default 0)"),
+    ("reg", "l2", str, "l2 | nonconvex (default l2)"),
+    ("iters", 1000, int, "iteration count K (default 1000)"),
+    ("seed", 0, int, "master seed (default 0)"),
+    ("compressor", None, str, "identity | topk:K"),
+    ("out", "run.csv", str, "output CSV path (default run.csv)"),
+    ("x0", None, str, "zeros | gaussian:SCALE | comma-separated floats"),
+    ("mu", None, float, "gradient-dominance constant (needed by dp auto stepsize)"),
+    ("L", None, float, "override the smoothness constant L"),
+    ("beta_q", 2.0, float, "counterexample curvature beta (default 2)"),
+    ("alpha_q", 1.0, float, "counterexample curvature alpha (default 1)"),
+    (
+        "presolve_iters",
+        100_000,
+        int,
+        "cap on the L-BFGS iterations of the f_inf presolve (default 100000); "
+        "f_inf is a certified lower bound for --reg l2 with --lambda > 0, an estimate otherwise",
+    ),
+    ("v_init", "zeros", str, "shift start for clip21-avg: zeros | floats"),
+)
+
+
+def option_flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def option_field(key: str) -> str:
+    """RunConfig field and argparse dest of an option: the key itself,
+    except lam for the keyword lambda and L_override for L."""
+    return {"lambda": "lam", "L": "L_override"}.get(key, key)
+
+
+# the fully resolved run description, after merging file and flags
+RunConfig = make_dataclass("RunConfig", [option_field(row[0]) for row in OPTIONS])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,32 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # every default is None so that a config file can fill unset flags
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--method", help="one of: " + ", ".join(m.replace("_", "-") for m in METHODS))
-    parser.add_argument("--problem", help="logistic | linreg | counterexample")
-    parser.add_argument("--data", help="LibSVM data file (required for data problems)")
-    parser.add_argument("--nodes", help="node count (default 10; counterexample forces 2)")
-    parser.add_argument("--tau", help="clip threshold")
-    parser.add_argument("--gamma", help="stepsize: a number, 'auto', or 'grid'")
-    parser.add_argument("--sigma", help="privacy noise std (default 0)")
-    parser.add_argument("--nu", help="privacy noise clip bound")
-    parser.add_argument("--lambda", dest="lam", help="regularization weight (default 0)")
-    parser.add_argument("--reg", help="l2 | nonconvex (default l2)")
-    parser.add_argument("--iters", help="iteration count K (default 1000)")
-    parser.add_argument("--seed", help="master seed (default 0)")
-    parser.add_argument("--compressor", help="identity | topk:K")
-    parser.add_argument("--out", help="output CSV path (default run.csv)")
-    parser.add_argument("--x0", help="zeros | gaussian:SCALE | comma-separated floats")
-    parser.add_argument("--mu", help="gradient-dominance constant (needed by dp auto stepsize)")
-    parser.add_argument("--L", dest="L_override", help="override the smoothness constant L")
-    parser.add_argument("--beta-q", dest="beta_q", help="counterexample curvature beta (default 2)")
-    parser.add_argument("--alpha-q", dest="alpha_q", help="counterexample curvature alpha (default 1)")
-    parser.add_argument(
-        "--presolve-iters",
-        dest="presolve_iters",
-        help="cap on the L-BFGS iterations of the f_inf presolve (default 100000); "
-        "f_inf is a certified lower bound for --reg l2 with --lambda > 0, an estimate otherwise",
-    )
-    parser.add_argument("--v-init", dest="v_init", help="shift start for clip21-avg: zeros | floats")
+    for key, _default, _convert, help_text in OPTIONS:
+        parser.add_argument(option_flag(key), dest=option_field(key), help=help_text)
     return parser
 
 
@@ -144,7 +133,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,115 +150,60 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _as_float(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be a number, got {text!r}") from None
-
-
-def _as_int(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be an integer, got {text!r}") from None
-
-
 def parse_config(argv) -> RunConfig:
     """Merge flags over an optional config file into a validated RunConfig."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_values = load_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - {k.replace("-", "_") for k in _DEFAULTS} - {"L"}
+    flags = vars(build_parser().parse_args(argv))
+    file_values = load_config_file(flags["config"]) if flags["config"] else {}
+    unknown = set(file_values) - {row[0] for row in OPTIONS}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    given = {}
+    for key, _default, convert, _help in OPTIONS:
+        text = flags[option_field(key)]
+        if text is None:
+            text = file_values.get(key)
+        if text is not None:
+            given[key] = _as(convert, option_flag(key), text)
+    cfg = RunConfig(**{option_field(k): given.get(k, default) for k, default, *_ in OPTIONS})
 
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        file_key = key.replace("-", "_")
-        if file_key in file_values:
-            return file_values[file_key]
-        return _DEFAULTS[key]
-
-    method_text = pick(args.method, "method")
-    if method_text is None:
+    if cfg.method is None:
         raise ConfigurationError("--method is required")
-    method = method_text.replace("-", "_")
-    if method not in METHODS:
+    method_text, cfg.method = cfg.method, cfg.method.replace("-", "_")
+    if cfg.method not in METHODS:
         raise ConfigurationError(f"unknown method {method_text!r}")
 
-    data = pick(args.data, "data")
-    problem_text = pick(args.problem, "problem")
-    if problem_text is None:
-        problem_text = "logistic" if data else "counterexample"
-    problem_text = problem_text.replace("-", "_")
+    if cfg.problem is None:
+        cfg.problem = "logistic" if cfg.data else "counterexample"
+    problem_text = cfg.problem.replace("-", "_")
     if problem_text not in _PROBLEM_NAMES:
         raise ConfigurationError(f"unknown problem {problem_text!r}")
-    problem = _PROBLEM_NAMES[problem_text]
-    if problem != "quad_counterexample" and not data:
+    cfg.problem = _PROBLEM_NAMES[problem_text]
+    if cfg.problem != "quad_counterexample" and not cfg.data:
         raise ConfigurationError(f"problem {problem_text!r} needs --data")
 
-    nodes = _as_int("--nodes", pick(args.nodes, "nodes"))
-    if problem == "quad_counterexample":
-        nodes_given = args.nodes is not None or "nodes" in file_values
-        if nodes_given and nodes != 2:
+    if cfg.problem == "quad_counterexample":
+        if "nodes" in given and cfg.nodes != 2:
             raise ConfigurationError("the counterexample problem has exactly 2 nodes")
-        nodes = 2
-    elif nodes < 1:
-        raise ConfigurationError(f"--nodes must be >= 1, got {nodes}")
+        cfg.nodes = 2
+    elif cfg.nodes < 1:
+        raise ConfigurationError(f"--nodes must be >= 1, got {cfg.nodes}")
 
-    tau_text = pick(args.tau, "tau")
-    tau = None if tau_text is None else _as_float("--tau", tau_text)
-    if method != "gd" and tau is None:
+    if cfg.method != "gd" and cfg.tau is None:
         raise ConfigurationError(f"method {method_text!r} needs --tau")
-
-    gamma = str(pick(args.gamma, "gamma")).strip()
-    if gamma not in ("auto", "grid"):
-        _as_float("--gamma", gamma)  # validate now, resolve later
-
-    reg = pick(args.reg, "reg")
-    if reg not in ("l2", "nonconvex"):
-        raise ConfigurationError(f"--reg must be l2 or nonconvex, got {reg!r}")
-
-    compressor = pick(args.compressor, "compressor")
-    if method == "press_clip21_gd" and compressor is None:
+    cfg.gamma = cfg.gamma.strip()
+    if cfg.gamma not in ("auto", "grid"):
+        _as(float, "--gamma", cfg.gamma)  # validate now, resolve later
+    if cfg.reg not in ("l2", "nonconvex"):
+        raise ConfigurationError(f"--reg must be l2 or nonconvex, got {cfg.reg!r}")
+    if cfg.method == "press_clip21_gd" and cfg.compressor is None:
         raise ConfigurationError("press-clip21-gd needs --compressor")
-
-    x0 = pick(args.x0, "x0")
-    if x0 is None:
-        x0 = "1.0" if problem == "quad_counterexample" else "zeros"
-
-    mu_text = pick(args.mu, "mu")
-    L_text = pick(args.L_override, "L")
-
-    cfg = RunConfig(
-        method=method,
-        problem=problem,
-        data=data,
-        nodes=nodes,
-        tau=tau,
-        gamma=gamma,
-        sigma=_as_float("--sigma", pick(args.sigma, "sigma")),
-        nu=_as_float("--nu", pick(args.nu, "nu")),
-        lam=_as_float("--lambda", pick(args.lam, "lambda")),
-        reg=reg,
-        iters=_as_int("--iters", pick(args.iters, "iters")),
-        seed=_as_int("--seed", pick(args.seed, "seed")),
-        compressor=compressor,
-        out=pick(args.out, "out"),
-        x0=x0,
-        mu=None if mu_text is None else _as_float("--mu", mu_text),
-        L_override=None if L_text is None else _as_float("--L", L_text),
-        beta_q=_as_float("--beta-q", pick(args.beta_q, "beta_q")),
-        alpha_q=_as_float("--alpha-q", pick(args.alpha_q, "alpha_q")),
-        presolve_iters=_as_int("--presolve-iters", pick(args.presolve_iters, "presolve_iters")),
-        v_init=pick(args.v_init, "v_init"),
-    )
+    if cfg.x0 is None:
+        cfg.x0 = "1.0" if cfg.problem == "quad_counterexample" else "zeros"
     if cfg.iters < 1:
         raise ConfigurationError(f"--iters must be >= 1, got {cfg.iters}")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"--seed must be non-negative, got {cfg.seed}")
+    for name, value in (("--seed", cfg.seed), ("--presolve-iters", cfg.presolve_iters)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be non-negative, got {value}")
     return cfg
 
 
@@ -278,7 +212,7 @@ def parse_compressor(text: str) -> Compressor:
         return Compressor("identity")
     head, sep, tail = text.partition(":")
     if head == "topk" and sep:
-        return Compressor("top_k", _as_int("--compressor topk", tail))
+        return Compressor("top_k", _as(int, "--compressor topk", tail))
     raise ConfigurationError(f"--compressor must be identity or topk:K, got {text!r}")
 
 
@@ -288,16 +222,14 @@ def build_problem(cfg: RunConfig) -> Problem:
     try:
         with open(cfg.data, encoding="utf-8") as handle:
             dataset = parse_libsvm(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read data file {cfg.data}: {exc}") from exc
     shards = [standard_scale(s) for s in heterogeneous_split(dataset, cfg.nodes)]
     return Problem(cfg.problem, shards=shards, reg=cfg.reg, lam=cfg.lam)
 
 
 def resolve_x0(cfg: RunConfig, problem: Problem) -> np.ndarray:
-    # stream slots 0..n-1 belong to per-node noise and slot n to the
-    # aggregate-noise baseline, so seeded vectors start at n + 1
-    return _parse_vector(cfg.x0, problem, slot=problem.n + 1, what="--x0", seed=cfg.seed)
+    return _parse_vector(cfg.x0, problem, stream_slot(problem.n, "x0"), "--x0", cfg.seed)
 
 
 def _parse_vector(text: str, problem: Problem, slot: int, what: str, seed: int) -> np.ndarray:
@@ -305,12 +237,14 @@ def _parse_vector(text: str, problem: Problem, slot: int, what: str, seed: int) 
     if text == "zeros":
         return np.zeros(d)
     if text.startswith("gaussian:"):
-        scale = _as_float(what, text.split(":", 1)[1])
+        scale = _as(float, what, text.split(":", 1)[1])
         if scale < 0:
             raise ConfigurationError(f"{what} gaussian scale must be non-negative")
         return gaussian_sample(seed, slot, 0, d, scale)
     parts = [p for p in text.split(",") if p.strip()]
-    values = [_as_float(what, p) for p in parts]
+    values = [_as(float, what, p) for p in parts]
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"{what} values must be finite, got {text!r}")
     if len(values) == 1 and d > 1:
         return np.full(d, values[0])
     if len(values) != d:
@@ -318,15 +252,27 @@ def _parse_vector(text: str, problem: Problem, slot: int, what: str, seed: int) 
     return np.asarray(values)
 
 
-def theory_gamma(cfg: RunConfig, problem: Problem, inputs: StepsizeInputs) -> float:
-    if cfg.method == "clip21_gd":
-        return stepsize_single(inputs) if problem.n == 1 else stepsize_multi(inputs)
-    if cfg.method == "dp_clip21_gd":
-        return stepsize_dp(inputs)
-    if cfg.method == "press_clip21_gd":
-        return stepsize_press(inputs)
+def method_theory(method: str, n: int, inputs: StepsizeInputs, eta: float):
+    """The per-method rules: (certified stepsize rule, Lyapunov weight).
+
+    rule(inputs) is the stepsize ``--gamma auto`` resolves to, and
+    weight(gamma) the coefficient A of the shift term in the Lyapunov
+    telemetry, 0 for the methods without a shift certificate.
+    """
+    if method == "clip21_gd":
+        rule = stepsize_single if n == 1 else stepsize_multi
+        return rule, lambda gamma: LyapunovParams.for_clip21(gamma, eta).A
+    if method == "dp_clip21_gd":
+        return stepsize_dp, lambda gamma: LyapunovParams.for_dp(gamma, eta).A
+    if method == "press_clip21_gd":
+        try:
+            beta = press_contraction_margin(inputs.alpha_press, eta)
+        except ConfigurationError:
+            # no certified margin; fall back to the plain gap
+            return stepsize_press, lambda gamma: 0.0
+        return stepsize_press, lambda gamma: LyapunovParams.for_press(gamma, eta, beta).A
     # no certified rule for the unshifted baselines; 1/L is the standard choice
-    return 1.0 / inputs.L
+    return (lambda inputs: 1.0 / inputs.L), lambda gamma: 0.0
 
 
 def _fmt(value: float) -> str:
@@ -350,15 +296,12 @@ def write_csv(records, path: str) -> None:
 
 def iters_to_all_inactive(records) -> int:
     """First index from which no node clips again; -1 if clipping persists."""
-    last_active = -1
-    for r in records:
-        if r.active_nodes > 0:
-            last_active = r.k
-    if last_active < 0:
+    active = [r.k for r in records if r.active_nodes > 0]
+    if not active:
         return 0
-    if last_active == records[-1].k:
+    if active[-1] == records[-1].k:
         return -1
-    return last_active + 1
+    return active[-1] + 1
 
 
 def _summary_line(method, final_f, final_gsq, inactive_at, gamma, horizon) -> str:
@@ -367,20 +310,6 @@ def _summary_line(method, final_f, final_gsq, inactive_at, gamma, horizon) -> st
         f"final_grad_norm_sq={_fmt(final_gsq)} iters_to_all_inactive={inactive_at} "
         f"gamma={_fmt(gamma)} k_star={horizon}"
     )
-
-
-def _lyapunov_coeff(cfg: RunConfig, gamma: float, eta: float, alpha: float | None) -> float:
-    if cfg.method == "clip21_gd":
-        return LyapunovParams.for_clip21(gamma, eta).A
-    if cfg.method == "dp_clip21_gd":
-        return LyapunovParams.for_dp(gamma, eta).A
-    if cfg.method == "press_clip21_gd":
-        try:
-            beta = press_contraction_margin(alpha, eta)
-        except ConfigurationError:
-            return 0.0  # no certified margin; fall back to the plain gap
-        return LyapunovParams.for_press(gamma, eta, beta).A
-    return 0.0
 
 
 def _grid_paths(out: str):
@@ -392,19 +321,19 @@ def _grid_paths(out: str):
 
 def _run_avg(cfg: RunConfig, problem: Problem, x0: np.ndarray) -> int:
     targets = problem.local_grads(x0)
-    v0_row = _parse_vector(cfg.v_init, problem, slot=problem.n + 2, what="--v-init", seed=cfg.seed)
+    v0_row = _parse_vector(cfg.v_init, problem, stream_slot(problem.n, "v_init"), "--v-init", cfg.seed)
     v_init = np.tile(v0_row, (problem.n, 1))
     trace = clip21_avg_run(targets, cfg.tau, v_init=v_init, iters=cfg.iters)
     f0 = problem.eval_global(x0)
     gsq0 = float(np.sum(problem.grad_global(x0) ** 2))
+
+    def residual_norms(v_rows):
+        return [float(np.linalg.norm(t - v)) for t, v in zip(targets, v_rows)]
+
     records = []
     prev = v_init
     for k, (v_rows, aggregate) in enumerate(trace):
-        still_clipping = sum(
-            1
-            for i in range(problem.n)
-            if float(np.linalg.norm(targets[i] - prev[i])) > cfg.tau
-        )
+        still_clipping = sum(r > cfg.tau for r in residual_norms(prev))
         tracking = float(np.sum((v_rows - targets) ** 2)) / problem.n
         records.append(
             IterationRecord(
@@ -420,10 +349,7 @@ def _run_avg(cfg: RunConfig, problem: Problem, x0: np.ndarray) -> int:
         )
         prev = v_rows
     write_csv(records, cfg.out)
-    horizon = max(
-        max(0, int(np.ceil(float(np.linalg.norm(targets[i] - v_init[i])) / cfg.tau - 1.0)))
-        for i in range(problem.n)
-    )
+    horizon = max(max(0, int(np.ceil(r / cfg.tau - 1.0))) for r in residual_norms(v_init))
     print(_summary_line(cfg.method, f0, gsq0, iters_to_all_inactive(records), 0.0, horizon))
     return 0
 
@@ -458,48 +384,19 @@ def run_experiment(cfg: RunConfig) -> int:
         nu=cfg.nu,
     )
     eta = eta_of(inputs.tau, norms)
-    if cfg.tau is not None:
-        horizon = max(k_star(g, cfg.tau) for g in norms)
+    horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
+    rule, weight = method_theory(cfg.method, problem.n, inputs, eta)
+
+    # one stepsize writes --out itself; the grid writes one trace per child
+    # and copies the best child's to --out
+    grid = cfg.gamma == "grid"
+    if grid:
+        gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
     else:
-        horizon = 0
-
-    if cfg.gamma == "grid":
-        return _run_grid(cfg, problem, x0, L, f_inf, eta, alpha, horizon)
-
-    gamma = theory_gamma(cfg, problem, inputs) if cfg.gamma == "auto" else float(cfg.gamma)
-    method_cfg = MethodConfig(
-        method=cfg.method,
-        gamma=gamma,
-        iters=cfg.iters,
-        tau=cfg.tau,
-        sigma=cfg.sigma,
-        nu=cfg.nu,
-        compressor=compressor,
-        seed=cfg.seed,
-    )
-    coeff = _lyapunov_coeff(cfg, gamma, eta, alpha)
-    collected = []
-    try:
-        state, records = run(
-            method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=coeff, hook=collected.append
-        )
-    except DivergenceError as exc:
-        if collected:
-            write_csv(collected, cfg.out)
-        print(f"diverged: {exc}", file=sys.stderr)
-        return 4
-    write_csv(records, cfg.out)
-    final_f = problem.eval_global(state.x)
-    final_gsq = float(np.sum(problem.grad_global(state.x) ** 2))
-    print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(records), gamma, horizon))
-    return 0
-
-
-def _run_grid(cfg, problem, x0, L, f_inf, eta, alpha, horizon) -> int:
-    paths = _grid_paths(cfg.out)
-    results = []
-    for idx, multiple in enumerate(GRID_MULTIPLES):
-        gamma = multiple / L
+        gammas = [rule(inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
+        paths = [cfg.out]
+    finished = []  # (final grad_norm_sq, child index, gamma, final f, records)
+    for idx, (gamma, path) in enumerate(zip(gammas, paths)):
         method_cfg = MethodConfig(
             method=cfg.method,
             gamma=gamma,
@@ -507,45 +404,36 @@ def _run_grid(cfg, problem, x0, L, f_inf, eta, alpha, horizon) -> int:
             tau=cfg.tau,
             sigma=cfg.sigma,
             nu=cfg.nu,
-            compressor=parse_compressor(cfg.compressor) if cfg.compressor else None,
+            compressor=compressor,
             seed=cfg.seed,
         )
-        coeff = _lyapunov_coeff(cfg, gamma, eta, alpha)
         collected = []
         try:
             state, records = run(
-                method_cfg,
-                problem,
-                x0,
-                f_inf=f_inf,
-                lyapunov_coeff=coeff,
-                hook=collected.append,
+                method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=weight(gamma), hook=collected.append
             )
         except DivergenceError as exc:
+            # the partial trace stays behind for inspection
             if collected:
-                write_csv(collected, paths[idx])
+                write_csv(collected, path)
+            if not grid:
+                print(f"diverged: {exc}", file=sys.stderr)
+                return 4
             print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({exc})")
-            results.append((idx, gamma, None, None))
             continue
-        write_csv(records, paths[idx])
+        write_csv(records, path)
         final_gsq = float(np.sum(problem.grad_global(state.x) ** 2))
-        final_f = problem.eval_global(state.x)
-        print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-        results.append((idx, gamma, final_gsq, (final_f, records)))
-    finished = [r for r in results if r[2] is not None]
+        if grid:
+            print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
+        finished.append((final_gsq, idx, gamma, problem.eval_global(state.x), records))
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4
-    best_idx, best_gamma, best_gsq, (best_f, best_records) = min(
-        finished, key=lambda r: r[2]
-    )
-    write_csv(best_records, cfg.out)
-    print(f"grid best: child {best_idx} (gamma={_fmt(best_gamma)})")
-    print(
-        _summary_line(
-            cfg.method, best_f, best_gsq, iters_to_all_inactive(best_records), best_gamma, horizon
-        )
-    )
+    final_gsq, idx, gamma, final_f, records = min(finished, key=lambda r: r[0])
+    if grid:
+        write_csv(records, cfg.out)
+        print(f"grid best: child {idx} (gamma={_fmt(gamma)})")
+    print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(records), gamma, horizon))
     return 0
 
 
@@ -553,7 +441,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
         return run_experiment(cfg)
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigurationError as exc:
@@ -565,9 +453,6 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InvariantError
 from .ops import Compressor, check_vector, clip, clip_rows, compress_rows, node_mean
-from .rng import gaussian_block, gaussian_sample
+from .rng import gaussian_block, gaussian_sample, stream_slot
 
 __all__ = [
     "METHODS",
@@ -191,8 +191,8 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
 
     The unshifted methods move along the mean of the clipped local
     gradients (gd clips nothing); dp_clip_gd adds one clipped Gaussian
-    vector per step, drawn from the stream slot just past the node ids so
-    it can never collide with per-node noise. The shifted methods send
+    vector per step, drawn from the "aggregate" stream slot so it can
+    never collide with per-node noise. The shifted methods send
     clipped residuals against the shifts, with per-node clipped noise
     (dp_clip21_gd) or compression (press_clip21_gd) applied to each
     message, and move along the mean of the new shifts.
@@ -230,7 +230,8 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
             clipped, active = clip_rows(grads, cfg.tau)
         direction = node_mean(clipped)
         if cfg.method == "dp_clip_gd":
-            zeta = gaussian_sample(cfg.seed, n, state.k, problem.d, cfg.sigma)
+            slot = stream_slot(n, "aggregate")
+            zeta = gaussian_sample(cfg.seed, slot, state.k, problem.d, cfg.sigma)
             direction = direction + clip(zeta, cfg.nu)
         v, v_bar, shift_sq = state.v, state.v_bar, 0.0
     gbar = node_mean(grads)

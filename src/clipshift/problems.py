@@ -180,8 +180,9 @@ class Problem:
     def evaluate(self, x) -> tuple[float, np.ndarray]:
         """f(x) and the (n, d) local gradients, both from one product A @ x.
 
-        The value is the eval_global_fast form; the gradients are exactly
-        local_grads(x).
+        The value is one dot of the row losses with their weights, which
+        agrees with eval_global to rounding error; the gradients are
+        exactly local_grads(x).
         """
         x = self._check_x(x)
         z = self._margins(x)
@@ -208,14 +209,6 @@ class Problem:
     def eval_global(self, x) -> float:
         """Mean of the local values, reduced in fixed node order."""
         return float(self._local_values(self._check_x(x)).sum()) / self.n
-
-    # a second public name for grad_global
-    grad_global_fast = grad_global
-
-    def eval_global_fast(self, x) -> float:
-        """One-dot form of eval_global; agrees with it to rounding error."""
-        x = self._check_x(x)
-        return self._value(x, self._margins(x))
 
     def smoothness(self, mu=None) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["gaussian_sample", "gaussian_block", "NoiseStream"]
+__all__ = ["gaussian_sample", "gaussian_block", "NoiseStream", "stream_slot"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,6 +50,23 @@ def _node_keys(seed: int, first: int, count: int) -> np.ndarray:
     keys = _mix(_mix(_word(seed + _GOLDEN)) ^ _mix(nodes * _GOLDEN_U))
     keys.flags.writeable = False  # shared by every caller of the cache
     return keys
+
+
+# offsets past the n node ids of the draws that belong to no single node
+_SLOT_OFFSETS = {"aggregate": 0, "x0": 1, "v_init": 2}
+
+
+def stream_slot(n: int, use: str) -> int:
+    """Stream slot (the ``node`` argument of gaussian_sample) of a draw
+    that belongs to no single node. With n nodes every slot is allotted
+    here, once, so no two uses share a stream:
+
+    - 0..n-1: node i's own noise (dp-clip21-gd), in slot i;
+    - n, "aggregate": dp-clip-gd's one aggregate noise vector per step;
+    - n + 1, "x0": the start point of ``--x0 gaussian:SCALE`` (step 0);
+    - n + 2, "v_init": the shift start of ``--v-init gaussian:SCALE`` (step 0).
+    """
+    return n + _SLOT_OFFSETS[use]
 
 
 def _check_draw(seed: int, node: int, step: int, d: int, sigma: float):

@@ -440,7 +440,8 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
     f, grads = problem.evaluate(x)
     g = node_mean(grads)
     pairs = []  # the last 10 (s, y, 1/s.y), oldest first
-    # a trial that overflows fails the Armijo test like any other
+    # a trial whose value overflows fails the Armijo test like any other;
+    # one whose point overflows fails unevaluated, as evaluate rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(int(iters)):
             gg = float(g @ g)
@@ -452,6 +453,8 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
                 pairs, d, slope = [], -g / L, -gg / L
             for t in 0.5 ** np.arange(40.0):
                 x_new = x + t * d
+                if not np.isfinite(x_new).all():
+                    continue
                 f_new, grads = problem.evaluate(x_new)
                 # a non-finite f_new fails this, and so does a step that no
                 # longer lowers f: the search ends at the rounding floor

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError, InvariantError, Problem, cli
+from clipshift import ConfigurationError, InvariantError, Problem, cli, gaussian_sample
 from clipshift.cli import (
     CSV_HEADER,
     GRID_MULTIPLES,
@@ -267,3 +267,126 @@ def test_invariant_failure_exits_5(tmp_path, data_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", broken_run)
     assert main(_base_args(data_file, str(tmp_path / "x.csv"))) == 5
     assert "internal error" in capsys.readouterr().err
+
+
+def test_grid_child_divergence_keeps_partial_trace(tmp_path, capsys):
+    # on the counterexample L = 1, so child 5 runs gd at gamma = 8 and blows up
+    out = str(tmp_path / "grid.csv")
+    assert main(["--method", "gd", "--gamma", "grid", "--iters", "400", "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[5].startswith("grid child 5: gamma=8 diverged (")
+    assert printed[6] == "grid best: child 3 (gamma=2)"
+    assert printed[7].startswith("summary method=gd ")
+    partial = _read_rows(str(tmp_path / "grid_grid5.csv"))
+    assert 0 < len(partial) < 400
+    assert open(out).read() == open(tmp_path / "grid_grid3.csv").read()
+
+
+def test_grid_where_every_child_diverges_exits_4(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    args = ["--method", "gd", "--gamma", "grid", "--iters", "400", "--L", "0.001", "--out", str(out)]
+    assert main(args) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "diverged: every grid stepsize diverged\n"
+    assert len([l for l in captured.out.splitlines() if l.endswith(")")]) == len(GRID_MULTIPLES)
+    assert not out.exists()
+
+
+# the 21 options by config key, each with a sample value as written and as
+# parsed, and the default the README and --help document ("derived" where
+# other options decide it); the flag is "--" + key with "_" written as "-"
+OPTION_CASES = {
+    "method": ("clip_gd", "clip_gd", None),
+    "problem": ("linreg_nonconvex", "linreg_nonconvex", "derived"),
+    "data": ("DATA", "DATA", None),
+    "nodes": ("3", 3, 10),
+    "tau": ("0.25", 0.25, None),
+    "gamma": ("grid", "grid", "auto"),
+    "sigma": ("0.5", 0.5, 0.0),
+    "nu": ("2", 2.0, 0.0),
+    "lambda": ("0.01", 0.01, 0.0),
+    "reg": ("nonconvex", "nonconvex", "l2"),
+    "iters": ("7", 7, 1000),
+    "seed": ("5", 5, 0),
+    "compressor": ("topk:2", "topk:2", None),
+    "out": ("x.csv", "x.csv", "run.csv"),
+    "x0": ("0.5", "0.5", "derived"),
+    "mu": ("0.1", 0.1, None),
+    "L": ("3", 3.0, None),
+    "beta_q": ("4", 4.0, 2.0),
+    "alpha_q": ("0.5", 0.5, 1.0),
+    "presolve_iters": ("0", 0, 100000),
+    "v_init": ("0.25", "0.25", "zeros"),
+}
+_REQUIRED = {"method": "clip21-gd", "tau": "1", "data": "DATA"}
+
+
+def test_option_table_keeps_the_documented_keys():
+    assert [row[0] for row in cli.OPTIONS] == list(OPTION_CASES)
+
+
+@pytest.mark.parametrize("key", [row[0] for row in cli.OPTIONS])
+def test_flag_and_config_key_parse_alike(key, tmp_path, data_file):
+    text, parsed, default = OPTION_CASES[key]
+    text, parsed = (data_file, data_file) if key == "data" else (text, parsed)
+    base = []
+    for other, value in _REQUIRED.items():
+        if other != key:
+            base += ["--" + other, data_file if value == "DATA" else value]
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(f"{key} = {text}\n")
+    flag_cfg = parse_config(base + ["--" + key.replace("_", "-"), text])
+    assert flag_cfg == parse_config(base + ["--config", str(cfg_path)])
+    assert getattr(flag_cfg, cli.option_field(key)) == parsed
+    # an empty config file leaves every other option at its documented default
+    cfg_path.write_text("")
+    defaults = parse_config(base + ["--" + key.replace("_", "-"), text, "--config", str(cfg_path)])
+    for other, (_, _, documented) in OPTION_CASES.items():
+        if other != key and other not in _REQUIRED and documented != "derived":
+            assert getattr(defaults, cli.option_field(other)) == documented, other
+
+
+@pytest.mark.parametrize("flag, value", [("--x0", "inf"), ("--x0", "nan"), ("--v-init", "inf")])
+def test_non_finite_vectors_are_configuration_errors(tmp_path, data_file, capsys, flag, value):
+    args = _base_args(data_file, str(tmp_path / "x.csv"), **{"--method": "clip21-avg", flag: value})
+    assert main(args) == 2
+    assert f"error: {flag} values must be finite" in capsys.readouterr().err
+
+
+def test_non_utf8_data_file_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.svm"
+    bad.write_bytes(b"+1 1:0.5\n\xff\xfe 2:1\n")
+    assert main(["--method", "gd", "--data", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
+    assert "cannot read data file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_is_a_configuration_error(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"method = gd\n\xff = 1\n")
+    with pytest.raises(ConfigurationError, match="cannot read config file"):
+        load_config_file(str(bad))
+    assert main(["--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_negative_presolve_iters_rejected():
+    with pytest.raises(ConfigurationError, match="--presolve-iters must be non-negative, got -3"):
+        parse_config(["--method", "gd", "--presolve-iters", "-3"])
+    assert parse_config(["--method", "gd", "--presolve-iters", "0"]).presolve_iters == 0
+
+
+def test_overflowing_start_points_exit_with_typed_codes(tmp_path, data_file):
+    # 1e308 overflows the presolve's first trial point and the gradient
+    # norms; 1e200 overflows the objective, which the run reports as divergence
+    out = str(tmp_path / "x.csv")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(_base_args(data_file, out, **{"--x0": "1e308"})) == 2
+        assert main(_base_args(data_file, out, **{"--x0": "1e200"})) == 4
+
+
+def test_gaussian_x0_draws_from_the_slot_after_aggregate_noise(data_file):
+    cfg = parse_config(
+        ["--method", "gd", "--data", data_file, "--nodes", "4", "--seed", "9", "--x0", "gaussian:0.7"]
+    )
+    problem = cli.build_problem(cfg)
+    expected = gaussian_sample(9, 4 + 1, 0, problem.d, 0.7)
+    assert np.array_equal(cli.resolve_x0(cfg, problem), expected)

@@ -114,8 +114,8 @@ def test_fast_paths_agree_with_reference():
         p = Problem(kind, shards=shards, reg="l2", lam=0.01)
         for _ in range(10):
             x = rng.standard_normal(6)
-            assert p.eval_global_fast(x) == pytest.approx(p.eval_global(x), rel=1e-12)
-            assert _rel_err(p.grad_global_fast(x), p.grad_global(x)) <= 1e-12
+            assert p.evaluate(x)[0] == pytest.approx(p.eval_global(x), rel=1e-12)
+            assert _rel_err(p.grad_global(x), p.grad_global(x)) <= 1e-12
 
 
 def test_local_grads_stacks_in_node_order():
@@ -157,9 +157,9 @@ def test_unequal_shards_match_per_shard_reference():
                 assert p.eval_local(i, x) == pytest.approx(value, rel=1e-12)
                 assert _rel_err(p.grad_local(i, x), grad + lam * x) <= 1e-12
             assert p.eval_global(x) == pytest.approx(np.mean(values), rel=1e-12)
-            assert p.eval_global_fast(x) == pytest.approx(np.mean(values), rel=1e-12)
+            assert p.evaluate(x)[0] == pytest.approx(np.mean(values), rel=1e-12)
             value, grads = p.evaluate(x)
-            assert value == p.eval_global_fast(x)
+            assert value == p.evaluate(x)[0]
             assert np.array_equal(grads, p.local_grads(x))
 
 

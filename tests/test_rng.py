@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clipshift import ConfigurationError, NoiseStream, gaussian_block, gaussian_sample
+from clipshift.rng import stream_slot
 
 
 def test_same_coordinates_same_draw():
@@ -74,3 +75,8 @@ def test_noise_stream_wraps_the_same_draws():
     stream = NoiseStream(seed=9, sigma=0.25)
     assert np.array_equal(stream.node_noise(2, 5, 8), gaussian_sample(9, 2, 5, 8, 0.25))
     assert np.array_equal(stream.block(5, 3, 8), gaussian_block(9, 5, 3, 8, 0.25))
+
+
+def test_stream_slots_follow_the_node_ids():
+    for n in (1, 2, 10):
+        assert [stream_slot(n, use) for use in ("aggregate", "x0", "v_init")] == [n, n + 1, n + 2]

@@ -288,3 +288,12 @@ def test_f_inf_without_strong_convexity_is_best_minus_margin(reg, lam):
     assert np.isfinite(value)
     # every loss term and both regularizers are non-negative
     assert -1e-9 <= value < f0 - 1e-9
+
+
+def test_f_inf_presolve_survives_an_overflowing_start(logistic_problem):
+    # every trial point from 1e308 overflows; each fails the line search
+    # instead of reaching Problem.evaluate's input check
+    x0 = np.full(logistic_problem.d, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, _ = estimate_f_inf(logistic_problem, x0, iters=50)
+    assert isinstance(value, float)
