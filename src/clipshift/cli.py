@@ -98,7 +98,7 @@ OPTIONS = (
         "cap on the L-BFGS iterations of the f_inf presolve (default 100000); "
         "f_inf is a certified lower bound for --reg l2 with --lambda > 0, an estimate otherwise",
     ),
-    ("v_init", "zeros", str, "shift start for clip21-avg: zeros | floats"),
+    ("v_init", "zeros", str, "shift start for clip21-avg: zeros | gaussian:SCALE | floats"),
 )
 
 
@@ -221,10 +221,11 @@ def build_problem(cfg: RunConfig) -> Problem:
         return Problem("quad_counterexample", quad_params=(cfg.beta_q, cfg.alpha_q))
     try:
         with open(cfg.data, encoding="utf-8") as handle:
-            dataset = parse_libsvm(handle)
+            # the parsed Dataset is freed once the split has sorted its own copy
+            shards = heterogeneous_split(parse_libsvm(handle), cfg.nodes)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read data file {cfg.data}: {exc}") from exc
-    shards = [standard_scale(s) for s in heterogeneous_split(dataset, cfg.nodes)]
+    shards = [standard_scale(s) for s in shards]  # frees that copy once scaled
     return Problem(cfg.problem, shards=shards, reg=cfg.reg, lam=cfg.lam)
 
 
@@ -366,9 +367,12 @@ def run_experiment(cfg: RunConfig) -> int:
     if L <= 0:
         raise ConfigurationError(f"need a positive smoothness constant, got {L}")
     f_inf, _estimated = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
-    grad0 = problem.local_grads(x0)
-    norms = tuple(float(np.linalg.norm(g)) for g in grad0)
-    F0 = max(0.0, problem.eval_global(x0) - f_inf)
+    norms = tuple(float(np.linalg.norm(g)) for g in problem.local_grads(x0))
+    if not np.isfinite(norms).all():
+        raise ConfigurationError("gradient norms must be finite and non-negative")
+    gap = problem.eval_global(x0) - f_inf
+    if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
+        raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
     compressor = parse_compressor(cfg.compressor) if cfg.compressor else None
     alpha = compressor.alpha(problem.d) if compressor is not None else None
     # tau is absent for gd; the theory inputs then never reach a clip rule
@@ -377,7 +381,7 @@ def run_experiment(cfg: RunConfig) -> int:
         L_max=info.L_max,
         tau=cfg.tau if cfg.tau is not None else 1.0,
         grad0_norms=norms,
-        F0=F0,
+        F0=max(0.0, gap),
         alpha_press=alpha,
         mu=cfg.mu,
         sigma=cfg.sigma,

@@ -8,6 +8,7 @@ is; target problems are desk-scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,36 @@ def _iter_lines(source):
     return [line.rstrip("\r\n") for line in source]
 
 
+def _parse_entries(tokens, line_number: int, indices: list, values: list) -> int:
+    """Check one line's idx:val tokens in order and append their indices
+    and values; returns the line's last index, 0 when it has none."""
+    prev_index = 0
+    for token in tokens:
+        idx_text, sep, val_text = token.partition(":")
+        if not sep:
+            raise DataFormatError(f"expected idx:val, got {token!r}", line_number)
+        try:
+            index = int(idx_text)
+        except ValueError:
+            raise DataFormatError(f"bad feature index {idx_text!r}", line_number) from None
+        if index < 1:
+            raise DataFormatError(f"feature index must be >= 1, got {index}", line_number)
+        if index <= prev_index:
+            raise DataFormatError(
+                f"feature index {index} not ascending after {prev_index}", line_number
+            )
+        try:
+            value = float(val_text)
+        except ValueError:
+            raise DataFormatError(f"bad feature value {val_text!r}", line_number) from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"non-finite feature value {val_text!r}", line_number)
+        indices.append(index)
+        values.append(value)
+        prev_index = index
+    return prev_index
+
+
 def parse_libsvm(source) -> Dataset:
     """Parse LibSVM text: one `<label> <idx>:<val> ...` sample per line.
 
@@ -112,54 +143,24 @@ def parse_libsvm(source) -> Dataset:
     feature count is the largest index seen anywhere. Accepts a string,
     bytes, or an iterable of lines (CRLF input is fine).
     """
-    rows = []
+    # one pass collects every entry flat; one scatter fills the dense matrix
+    labels, counts, indices, values = [], [], [], []
     max_index = 0
-    line_number = 0
-    for raw in _iter_lines(source):
-        line_number += 1
+    for line_number, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line:
             raise DataFormatError("blank line", line_number)
         tokens = line.split()
-        label = _parse_label(tokens[0], line_number)
-        entries = []
-        prev_index = 0
-        for token in tokens[1:]:
-            idx_text, sep, val_text = token.partition(":")
-            if not sep:
-                raise DataFormatError(f"expected idx:val, got {token!r}", line_number)
-            try:
-                index = int(idx_text)
-            except ValueError:
-                raise DataFormatError(f"bad feature index {idx_text!r}", line_number) from None
-            if index < 1:
-                raise DataFormatError(f"feature index must be >= 1, got {index}", line_number)
-            if index <= prev_index:
-                raise DataFormatError(
-                    f"feature index {index} not ascending after {prev_index}", line_number
-                )
-            try:
-                value = float(val_text)
-            except ValueError:
-                raise DataFormatError(f"bad feature value {val_text!r}", line_number) from None
-            if not np.isfinite(value):
-                raise DataFormatError(f"non-finite feature value {val_text!r}", line_number)
-            entries.append((index, value))
-            prev_index = index
-        rows.append((label, entries))
-        if prev_index > max_index:
-            max_index = prev_index
-    if not rows:
+        labels.append(_parse_label(tokens[0], line_number))
+        max_index = max(max_index, _parse_entries(tokens[1:], line_number, indices, values))
+        counts.append(len(tokens) - 1)
+    if not labels:
         raise DataFormatError("empty input", 1)
     if max_index == 0:
         raise DataFormatError("no feature indices found", 1)
-    features = np.zeros((len(rows), max_index))
-    labels = np.empty(len(rows))
-    for r, (label, entries) in enumerate(rows):
-        labels[r] = label
-        for index, value in entries:
-            features[r, index - 1] = value
-    return Dataset(features, labels)
+    features = np.zeros((len(labels), max_index))
+    features[np.repeat(np.arange(len(labels)), counts), np.array(indices) - 1] = values
+    return Dataset(features, np.array(labels))
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -185,7 +186,9 @@ def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
 
     Shard sizes differ by at most one; the first (m mod n) shards take the
     extra sample. The sort puts the -1 block before the +1 block, which is
-    what makes the shards heterogeneous.
+    what makes the shards heterogeneous. The shards are row slices (views)
+    of one private sorted copy, so they never alias the caller's Dataset,
+    and the Dataset can be released while they live.
     """
     n = int(n)
     if n < 1:
@@ -203,8 +206,8 @@ def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
         shards.append(
             NodeShard(
                 node_id=i,
-                features=feats[start : start + size].copy(),
-                labels=labs[start : start + size].copy(),
+                features=feats[start : start + size],
+                labels=labs[start : start + size],
             )
         )
         start += size

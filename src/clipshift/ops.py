@@ -110,15 +110,23 @@ def compress(c: Compressor, x) -> np.ndarray:
 
 
 def compress_rows(c: Compressor, rows: np.ndarray) -> np.ndarray:
-    """compress applied to every row of an (n, d) array at once."""
+    """compress applied to every row of an (n, d) array at once.
+
+    Top-k selects rather than sorts: a row keeps every entry whose
+    magnitude exceeds its k-th largest, then the lowest-index entries tied
+    with it until k are kept, exactly what a stable sort on -|x| keeps.
+    A NaN would not rank as that sort ranks it, so rows must hold none.
+    """
     if c.kind == "identity" or c.k >= rows.shape[1]:
         return rows.copy()
-    # stable sort on -|x|: equal magnitudes stay in index order
-    keep = np.argsort(-np.abs(rows), axis=1, kind="stable")[:, : c.k]
-    node = np.arange(rows.shape[0])[:, None]
-    out = np.zeros_like(rows)
-    out[node, keep] = rows[node, keep]
-    return out
+    mags = np.abs(rows)
+    kth = rows.shape[1] - c.k
+    cut = np.partition(mags, kth, axis=1)[:, kth, None]
+    above = mags > cut
+    tied = mags == cut
+    room = c.k - above.sum(axis=1, keepdims=True)
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return np.where(keep, rows, 0.0)
 
 
 def node_mean(rows: np.ndarray) -> np.ndarray:

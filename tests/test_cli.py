@@ -383,6 +383,27 @@ def test_overflowing_start_points_exit_with_typed_codes(tmp_path, data_file):
         assert main(_base_args(data_file, out, **{"--x0": "1e200"})) == 4
 
 
+@pytest.mark.parametrize(
+    "x0, code, message",
+    [("1e308", 2, "gradient norms"), ("1e200", 4, "f(x0) - f_inf")],
+    ids=["1e308", "1e200"],
+)
+def test_overflowing_start_point_stops_before_any_run(
+    tmp_path, data_file, monkeypatch, capsys, x0, code, message
+):
+    # F0 = max(0, nan) would silently read 0; the start point is rejected instead
+    def no_run(*args, **kwargs):
+        raise AssertionError("an optimizer run started from an overflowing x0")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "x.csv"
+    for gamma in ("auto", "grid"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(_base_args(data_file, str(out), **{"--x0": x0, "--gamma": gamma})) == code
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_gaussian_x0_draws_from_the_slot_after_aggregate_noise(data_file):
     cfg = parse_config(
         ["--method", "gd", "--data", data_file, "--nodes", "4", "--seed", "9", "--x0", "gaussian:0.7"]

@@ -73,6 +73,50 @@ def test_parse_errors_carry_line_numbers():
     assert _line_of(err) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line_number, message",
+    [
+        ("+1 1:1\n\n-1 1:2\n", 2, "blank line"),
+        ("+1 1:1\n+7 1:2\n", 2, "unrecognized label '+7'"),
+        ("+1 1:1\n-1 junk\n", 2, "expected idx:val, got 'junk'"),
+        ("+1 1:2:3\n", 1, "bad feature value '2:3'"),
+        ("-1 2:1 x:1\n", 1, "bad feature index 'x'"),
+        ("+1 0:1\n", 1, "feature index must be >= 1, got 0"),
+        ("+1 1:1\n-1 3:1 2:5\n", 2, "feature index 2 not ascending after 3"),
+        ("+1 1:1\n-1 2:1 2:1\n", 2, "feature index 2 not ascending after 2"),
+        ("+1 1:x\n", 1, "bad feature value 'x'"),
+        ("+1 1:1 2:-inf\n", 1, "non-finite feature value '-inf'"),
+        ("+1 1:nan\n", 1, "non-finite feature value 'nan'"),
+        ("", 1, "empty input"),
+        ("+1\n-1\n", 1, "no feature indices found"),
+        ("+1 1:1\n-1 3:x 2:1\n", 2, "bad feature value 'x'"),
+        ("+1 1:1\n+7 0:1\n", 2, "unrecognized label '+7'"),
+    ],
+    ids=[
+        "blank-line",
+        "bad-label",
+        "missing-colon",
+        "second-colon",
+        "bad-index",
+        "index-below-one",
+        "descending-index",
+        "repeated-index",
+        "bad-value",
+        "infinite-value",
+        "nan-value",
+        "empty-input",
+        "featureless-input",
+        "first-of-two-token-errors",
+        "label-before-token-error",
+    ],
+)
+def test_parse_errors_pin_message_and_line(text, line_number, message):
+    with pytest.raises(DataFormatError) as err:
+        parse_libsvm(text)
+    assert err.value.line_number == line_number
+    assert str(err.value) == f"line {line_number}: {message}"
+
+
 def test_parse_rejects_empty_and_featureless_input():
     with pytest.raises(DataFormatError):
         parse_libsvm("")
@@ -82,14 +126,16 @@ def test_parse_rejects_empty_and_featureless_input():
 
 def test_round_trip_preserves_everything():
     rng = np.random.default_rng(5)
-    features = np.round(rng.standard_normal((6, 4)), 6)
-    features[rng.random((6, 4)) < 0.4] = 0.0
-    labels = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-    ds = Dataset(features, labels)
-    back = parse_libsvm(write_libsvm(ds))
-    assert back.d == ds.d
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
+    # a small dense case, then a 2000 x 60 one with about 90% zeros
+    for m, d, zero_share in ((6, 4, 0.4), (2000, 60, 0.9)):
+        features = np.round(rng.standard_normal((m, d)), 6)
+        features[rng.random((m, d)) < zero_share] = 0.0
+        labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        ds = Dataset(features, labels)
+        back = parse_libsvm(write_libsvm(ds))
+        assert back.d == ds.d
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
 
 
 def test_round_trip_with_zero_first_row_keeps_dimension():
@@ -112,6 +158,17 @@ def test_split_sorts_by_label_then_chunks():
     assert np.array_equal(shards[0].labels, [-1.0, -1.0, 1.0])
     assert np.array_equal(shards[1].features, features[[2, 4]])
     assert np.array_equal(shards[1].labels, [1.0, 1.0])
+
+
+def test_split_shards_view_a_private_sorted_copy():
+    features = np.arange(12.0).reshape(6, 2)
+    ds = Dataset(features, np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
+    shards = heterogeneous_split(ds, 3)
+    for shard in shards:
+        assert not np.shares_memory(shard.features, ds.features)
+        assert not np.shares_memory(shard.labels, ds.labels)
+    # one sorted copy backs every shard
+    assert shards[0].features.base is shards[2].features.base is not None
 
 
 def test_split_remainder_goes_to_leading_shards():

@@ -191,6 +191,33 @@ def test_row_forms_match_a_per_row_loop():
         assert np.array_equal(kept[i], expect)
 
 
+def _stable_sort_top_k(row, k):
+    # the reference: a stable sort on -|x| ranks ties by index
+    keep = np.argsort(-np.abs(row), kind="stable")[:k]
+    out = np.zeros_like(row)
+    out[keep] = row[keep]
+    return out
+
+
+@pytest.mark.parametrize("case", ["gaussian", "heavy-ties", "all-equal", "zeros", "signed-zeros", "infinities"])
+def test_top_k_rows_match_a_stable_sort(case):
+    rng = np.random.default_rng(6021)
+    d = 9
+    rows = {
+        "gaussian": rng.standard_normal((30, d)),
+        "heavy-ties": rng.integers(-2, 3, size=(30, d)).astype(float),
+        "all-equal": np.where(rng.random((30, d)) < 0.5, -1.5, 1.5),
+        "zeros": np.zeros((3, d)),
+        "signed-zeros": rng.choice([0.0, -0.0, 0.25, -0.25], size=(30, d)),
+        "infinities": rng.choice([np.inf, -np.inf, 1.0, -0.0], size=(30, d)),
+    }[case]
+    for k in (1, 2, d // 2, d - 1):
+        kept = compress_rows(Compressor("top_k", k), rows)
+        for i, row in enumerate(rows):
+            # bytes, so that the sign of a kept -0.0 counts
+            assert kept[i].tobytes() == _stable_sort_top_k(row, k).tobytes()
+
+
 def test_node_mean_basics():
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(node_mean(rows), [2.0, 3.0])
