@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleStepsizeError,
     InvariantError,
 )
-from .ops import Compressor, clip, clip_residual_norm, compress, node_mean
+from .ops import Compressor, clip, compress, node_mean
 from .optimizers import (
     METHODS,
     IterationRecord,
@@ -33,7 +33,7 @@ from .optimizers import (
     run,
 )
 from .problems import KINDS, REGULARIZERS, Problem, SmoothnessInfo
-from .rng import NoiseStream, gaussian_block, gaussian_sample
+from .rng import gaussian_block, gaussian_sample
 from .theory import (
     LyapunovParams,
     SigmaFloor,
@@ -42,7 +42,6 @@ from .theory import (
     estimate_f_inf,
     eta_of,
     k_star,
-    lyapunov,
     press_contraction_margin,
     rate_envelope,
     sigma_min,
@@ -68,7 +67,6 @@ __all__ = [
     "METHODS",
     "MethodConfig",
     "NodeShard",
-    "NoiseStream",
     "OptimizerState",
     "Problem",
     "REGULARIZERS",
@@ -78,7 +76,6 @@ __all__ = [
     "StepsizeInputs",
     "clip",
     "clip21_avg_run",
-    "clip_residual_norm",
     "compress",
     "dp_utility_bound",
     "estimate_f_inf",
@@ -87,7 +84,6 @@ __all__ = [
     "gaussian_sample",
     "heterogeneous_split",
     "k_star",
-    "lyapunov",
     "node_mean",
     "parse_libsvm",
     "press_contraction_margin",

@@ -13,9 +13,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
+    "check_threshold",
     "check_vector",
     "clip",
-    "clip_residual_norm",
     "clip_rows",
     "Compressor",
     "compress",
@@ -34,7 +34,8 @@ def check_vector(x) -> np.ndarray:
     return arr
 
 
-def _check_threshold(tau) -> float:
+def check_threshold(tau) -> float:
+    """tau as a float, rejecting anything but a finite positive real."""
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
         raise ConfigurationError(f"clip threshold must be a positive real, got {tau}")
@@ -48,7 +49,7 @@ def clip(x, tau) -> np.ndarray:
     is scaled by exactly 1 and comes back as a bit-identical copy; the
     zero vector never reaches a division by its norm.
     """
-    return clip_rows(check_vector(x)[None, :], _check_threshold(tau))[0][0]
+    return clip_rows(check_vector(x)[None, :], check_threshold(tau))[0][0]
 
 
 def clip_rows(rows: np.ndarray, tau: float):
@@ -61,13 +62,6 @@ def clip_rows(rows: np.ndarray, tau: float):
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     scale = tau / np.maximum(norms, tau)
     return rows * scale[:, None], norms > tau
-
-
-def clip_residual_norm(x, tau) -> float:
-    """Distance the clip moves x: max(0, ||x|| - tau), no vector formed."""
-    arr = check_vector(x)
-    tau = _check_threshold(tau)
-    return max(0.0, float(np.linalg.norm(arr)) - tau)
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,7 @@ def compress(c: Compressor, x) -> np.ndarray:
     """Apply the compressor. Top-k keeps the k largest magnitudes; ties keep
     the lower index, which makes the output platform-independent."""
     arr = check_vector(x)
-    if c.kind == "top_k" and c.k > arr.size:
-        raise ConfigurationError(f"top_k with k={c.k} exceeds dimension {arr.size}")
+    c.alpha(arr.size)  # rejects k > d
     return compress_rows(c, arr[None, :])[0]
 
 

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InvariantError
-from .ops import Compressor, check_vector, clip, clip_rows, compress_rows, node_mean
+from .ops import Compressor, check_threshold, check_vector, clip, clip_rows, compress_rows, node_mean
 from .rng import gaussian_block, gaussian_sample, stream_slot
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "StepStats",
     "IterationRecord",
     "clip21_avg_run",
-    "clip_gd_step",
-    "clip21_gd_step",
     "run",
     "step",
 ]
@@ -248,11 +246,6 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
     return new, stats
 
 
-# per-method names for the one kernel; cfg.method selects the method
-clip_gd_step = clip21_gd_step = step
-_STEP_FUNCS = dict.fromkeys((m for m in METHODS if m != "clip21_avg"), step)
-
-
 def run(cfg: MethodConfig, problem, x0, *, f_inf=0.0, lyapunov_coeff=0.0, hook=None):
     """Execute cfg.iters steps from x0.
 
@@ -304,17 +297,17 @@ def run(cfg: MethodConfig, problem, x0, *, f_inf=0.0, lyapunov_coeff=0.0, hook=N
     return state, records
 
 
-def clip21_avg_run(a, tau, v_init=None, iters=1):
+def clip21_avg_run(a, tau, v_init=None, iters=1, hook=None):
     """Shifted clipping toward fixed targets a^i.
 
-    Each step does v^i += clip(a^i - v^i, tau) for every node. Returns a
-    list with one (shift rows, aggregate) pair per step; shifts start at
-    v_init (zeros when omitted). Once a residual fits inside the clip
-    ball the shift lands exactly on the target.
+    Each step does v^i += clip(a^i - v^i, tau) for every node. Shifts
+    start at v_init (zeros when omitted); the hook, if given, sees each
+    step's new (n, d) shift rows and the mask of the nodes that clipped on
+    that step. Returns the final shift rows, so memory stays O(n d) for
+    any iteration count. Once a residual fits inside the clip ball the
+    shift lands exactly on the target.
     """
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ConfigurationError(f"clip threshold must be a positive real, got {tau}")
+    tau = check_threshold(tau)
     rows = [check_vector(ai) for ai in a]
     if not rows:
         raise ConfigurationError("need at least one target vector")
@@ -333,8 +326,8 @@ def clip21_avg_run(a, tau, v_init=None, iters=1):
     iters = int(iters)
     if iters < 1:
         raise ConfigurationError(f"iteration count must be >= 1, got {iters}")
-    trace = []
     for _ in range(iters):
-        v = _shift_update(targets, v, tau)[0]
-        trace.append((v, node_mean(v)))
-    return trace
+        v, _messages, active = _shift_update(targets, v, tau)
+        if hook is not None:
+            hook(v, active)
+    return v

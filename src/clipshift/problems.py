@@ -3,7 +3,9 @@
 Three kinds share one interface: full-batch logistic regression,
 nonconvex-regularized linear regression, and a two-node one-dimensional
 quadratic whose local gradients point in opposite directions. The global
-objective is always the arithmetic mean of the local ones.
+objective is always the arithmetic mean of the local ones, and
+Problem.evaluate is the one way to evaluate it: f(x) together with all n
+local gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from scipy.special import expit
 
 from .data import NodeShard
 from .errors import ConfigurationError
-from .ops import check_vector, node_mean
+from .ops import check_vector
 
 __all__ = ["Problem", "SmoothnessInfo", "KINDS", "REGULARIZERS"]
 
@@ -123,18 +125,6 @@ class Problem:
     def d(self) -> int:
         return 1 if self.kind == "quad_counterexample" else self.shards[0].d
 
-    def _check_x(self, x) -> np.ndarray:
-        arr = check_vector(x)
-        if arr.shape[0] != self.d:
-            raise ValueError(f"x has dimension {arr.shape[0]}, problem has {self.d}")
-        return arr
-
-    def _check_node(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise ValueError(f"node index {i} out of range for n={self.n}")
-        return i
-
     def _row_loss(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "logistic":
             # stable softplus: max(t, 0) + log1p(exp(-|t|)) never overflows
@@ -149,10 +139,6 @@ class Problem:
             return self._neg_b * expit(self._neg_b * z)
         return 2.0 * (z - self._b)
 
-    def _margins(self, x: np.ndarray):
-        # the one product A @ x per point, (n, m_max); the quadratic has no rows
-        return None if self.kind == "quad_counterexample" else self._A @ x
-
     def _grads(self, x: np.ndarray, z) -> np.ndarray:
         """(n, d) local gradients: slope-weighted row sums, one product per slab."""
         if z is None:
@@ -165,50 +151,25 @@ class Problem:
     def _value(self, x: np.ndarray, z) -> float:
         """f(x) as one dot of the row losses with the weights 1/(n m_i)."""
         if z is None:  # the quadratic: the mean of its two local values
-            return float(self._local_values(x).sum()) / self.n
-        return float(np.vdot(self._w, self._row_loss(z))) + self.lam * _reg_value(self.reg, x)
-
-    def _local_values(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "quad_counterexample":
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence
             x0 = float(x[0])
-            return 0.5 * self._coeffs * x0 * x0
-        local = np.einsum("ij,ij->i", self._w, self._row_loss(self._A @ x)) * self.n
-        return local + self.lam * _reg_value(self.reg, x)
+            return float((0.5 * self._coeffs * x0 * x0).sum()) / self.n
+        return float(np.vdot(self._w, self._row_loss(z))) + self.lam * _reg_value(self.reg, x)
 
     def evaluate(self, x) -> tuple[float, np.ndarray]:
         """f(x) and the (n, d) local gradients, both from one product A @ x.
 
-        The value is one dot of the row losses with their weights, which
-        agrees with eval_global to rounding error; the gradients are
-        exactly local_grads(x).
+        The value is one dot of the row losses with their weights 1/(n m_i),
+        plus the regularizer. Row i of the gradients is node i's gradient,
+        and their node_mean is the gradient of f.
         """
-        x = self._check_x(x)
-        z = self._margins(x)
+        x = check_vector(x)
+        if x.shape[0] != self.d:
+            raise ValueError(f"x has dimension {x.shape[0]}, problem has {self.d}")
+        # the one product A @ x per point, (n, m_max); the quadratic has no rows
+        z = None if self.kind == "quad_counterexample" else self._A @ x
         return self._value(x, z), self._grads(x, z)
-
-    def eval_local(self, i: int, x) -> float:
-        i = self._check_node(i)
-        return float(self._local_values(self._check_x(x))[i])
-
-    def grad_local(self, i: int, x) -> np.ndarray:
-        """Row i of local_grads(x), bit for bit."""
-        i = self._check_node(i)
-        return self.local_grads(x)[i]
-
-    def local_grads(self, x) -> np.ndarray:
-        """All n local gradients stacked as an (n, d) array."""
-        x = self._check_x(x)
-        return self._grads(x, self._margins(x))
-
-    def grad_global(self, x) -> np.ndarray:
-        """Mean of the local gradients, reduced in fixed node order."""
-        return node_mean(self.local_grads(x))
-
-    def eval_global(self, x) -> float:
-        """Mean of the local values, reduced in fixed node order."""
-        return float(self._local_values(self._check_x(x)).sum()) / self.n
 
     def smoothness(self, mu=None) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.

@@ -12,14 +12,13 @@ chain separates them before the counter is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["gaussian_sample", "gaussian_block", "NoiseStream", "stream_slot"]
+__all__ = ["gaussian_sample", "gaussian_block", "stream_slot"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -125,20 +124,3 @@ def gaussian_block(seed: int, step: int, n: int, d: int, sigma: float) -> np.nda
         return np.zeros((n, d))
     return sigma * _normal_rows(seed, 0, n, step, d)
 
-
-@dataclass(frozen=True)
-class NoiseStream:
-    """Seeded handle on the counter-based noise source.
-
-    sigma is the per-coordinate standard deviation of the raw draws; the
-    caller applies any clipping on top.
-    """
-
-    seed: int
-    sigma: float
-
-    def node_noise(self, node: int, step: int, d: int) -> np.ndarray:
-        return gaussian_sample(self.seed, node, step, d, self.sigma)
-
-    def block(self, step: int, n: int, d: int) -> np.ndarray:
-        return gaussian_block(self.seed, step, n, d, self.sigma)

@@ -29,7 +29,6 @@ __all__ = [
     "stepsize_dp",
     "stepsize_press",
     "press_contraction_margin",
-    "lyapunov",
     "k_star",
     "rate_envelope",
     "sigma_min",
@@ -285,11 +284,6 @@ class LyapunovParams:
             raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
         return cls(gamma=gamma, eta=eta, A=gamma / beta)
 
-    @classmethod
-    def plain(cls, gamma: float) -> "LyapunovParams":
-        """A = 0: the Lyapunov value collapses to f - f_inf."""
-        return cls(gamma=float(gamma), eta=1.0, A=0.0)
-
 
 def _check_gamma_eta(gamma, eta):
     gamma = float(gamma)
@@ -298,13 +292,6 @@ def _check_gamma_eta(gamma, eta):
     eta = float(eta)
     if not 0.0 < eta <= 1.0:
         raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
-
-
-def lyapunov(problem, state, params: LyapunovParams, f_inf: float = 0.0) -> float:
-    """phi = f(x) - f_inf + (A/n) sum_i ||grad_i(x) - v^i||^2."""
-    grads = problem.local_grads(state.x)
-    shift_sq = float(np.sum((grads - state.v) ** 2)) / problem.n
-    return problem.eval_global(state.x) - float(f_inf) + params.A * shift_sq
 
 
 def k_star(grad0_norm: float, tau: float) -> int:
@@ -437,12 +424,14 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
         L = problem.smoothness().L
     lam = problem.lam if problem.reg == "l2" else 0.0
     x = np.array(x0, dtype=np.float64)
-    f, grads = problem.evaluate(x)
-    g = node_mean(grads)
     pairs = []  # the last 10 (s, y, 1/s.y), oldest first
-    # a trial whose value overflows fails the Armijo test like any other;
-    # one whose point overflows fails unevaluated, as evaluate rejects it
+    # a start point that overflows gives a non-finite bound, which the
+    # caller checks; a trial whose value overflows fails the Armijo test
+    # like any other; one whose point overflows fails unevaluated, as
+    # evaluate rejects it
     with np.errstate(over="ignore", invalid="ignore"):
+        f, grads = problem.evaluate(x)
+        g = node_mean(grads)
         for _ in range(int(iters)):
             gg = float(g @ g)
             if gg == 0.0 or (lam > 0.0 and gg / (2.0 * lam) <= 1e-3 * margin):
@@ -467,6 +456,6 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
             if s @ y > 0.0:
                 pairs = pairs[-9:] + [(s, y, 1.0 / float(s @ y))]
             x, f, g = x_new, f_new, g_new
-    if lam > 0.0:
-        return f - float(g @ g) / (2.0 * lam), True
-    return f - margin, True
+        if lam > 0.0:
+            return f - float(g @ g) / (2.0 * lam), True
+        return f - margin, True

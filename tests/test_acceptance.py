@@ -24,6 +24,7 @@ from clipshift import (
     dp_utility_bound,
     eta_of,
     k_star,
+    node_mean,
     rate_envelope,
     run,
     sigma_min,
@@ -34,19 +35,20 @@ from clipshift import (
 )
 from clipshift.data import NodeShard
 from clipshift.errors import DivergenceError
-from clipshift.optimizers import OptimizerState, clip21_gd_step, clip_gd_step
+from clipshift.optimizers import OptimizerState, step
 from clipshift.theory import LyapunovParams
 
 
 def _final_grad_sq(problem, state):
-    g = problem.grad_global(state.x)
+    g = node_mean(problem.evaluate(state.x)[1])
     return float(g @ g)
 
 
 def _multi_inputs(problem, x0, f_inf, tau):
     info = problem.smoothness()
-    norms = tuple(float(np.linalg.norm(g)) for g in problem.local_grads(x0))
-    F0 = max(0.0, problem.eval_global(x0) - f_inf)
+    f0, grads = problem.evaluate(x0)
+    norms = tuple(float(np.linalg.norm(g)) for g in grads)
+    F0 = max(0.0, f0 - f_inf)
     return StepsizeInputs(L=info.L, L_max=info.L_max, tau=tau, grad0_norms=norms, F0=F0)
 
 
@@ -63,12 +65,13 @@ def test_criterion_01_averaging_contraction_and_recovery():
         horizon = max(
             max(0, int(np.ceil(np.linalg.norm(a[i]) / tau - 1.0))) for i in range(n)
         )
-        trace = clip21_avg_run(a, tau, iters=horizon + 1)
-        for k, (v, _) in enumerate(trace):
+        shifts = []
+        clip21_avg_run(a, tau, iters=horizon + 1, hook=lambda v, _active: shifts.append(v))
+        for k, v in enumerate(shifts):
             gaps = np.linalg.norm(v - a, axis=1)
             allowed = np.maximum(0.0, np.linalg.norm(a, axis=1) - (k + 1) * tau)
             assert (gaps <= allowed + 1e-12).all()
-        assert np.abs(trace[horizon][0] - a).max() <= 1e-12
+        assert np.abs(shifts[horizon] - a).max() <= 1e-12
     assert time.perf_counter() - started < 1.0
 
 
@@ -83,7 +86,7 @@ def test_criterion_02_stuck_point_escape():
     cfg = MethodConfig(method="clip_gd", gamma=0.05, iters=10_000, tau=tau)
     state = OptimizerState.initial(x0, problem.n)
     for _ in range(cfg.iters):
-        state, _ = clip_gd_step(state, problem, cfg)
+        state, _ = step(state, problem, cfg)
         assert state.x[0] == 1.0  # bit-identical every step
 
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=tau, grad0_norms=(2.0, 1.0), F0=0.25)
@@ -148,7 +151,7 @@ def test_criterion_04_clipping_horizon_certified():
         # exact minimizer of the averaged quadratic, for F0
         b_rows = np.stack([s.labels for s in problem.shards])
         x_star = b_rows.mean(axis=0)
-        f_inf = problem.eval_global(x_star)
+        f_inf = problem.evaluate(x_star)[0]
         inputs = _multi_inputs(problem, x0, f_inf, tau)
         gamma = stepsize_multi(inputs)
         horizons = [k_star(g, tau) for g in inputs.grad0_norms]
@@ -156,7 +159,7 @@ def test_criterion_04_clipping_horizon_certified():
         state = OptimizerState.initial(x0, problem.n)
         last_active = [-1] * problem.n
         for k in range(60):
-            state, _ = clip21_gd_step(state, problem, cfg)
+            state, _ = step(state, problem, cfg)
             xs.append(state.x.copy())
             for i in range(problem.n):
                 if state.active[i]:
@@ -168,7 +171,7 @@ def test_criterion_04_clipping_horizon_certified():
             )
         cutoff = max(last_active)
         for k in range(cutoff + 1, 60):
-            gd_next = xs[k] - gamma * problem.grad_global(xs[k])
+            gd_next = xs[k] - gamma * node_mean(problem.evaluate(xs[k])[1])
             assert np.linalg.norm(xs[k + 1] - gd_next) <= 1e-12
     assert time.perf_counter() - started < 1.0
 
@@ -180,14 +183,10 @@ def test_criterion_05_reductions(logistic_problem, logistic_x0):
     def pair_deviation(cfg_a, cfg_b):
         state_a = OptimizerState.initial(logistic_x0, logistic_problem.n)
         state_b = OptimizerState.initial(logistic_x0, logistic_problem.n)
-        from clipshift.optimizers import _STEP_FUNCS
-
-        step_a = _STEP_FUNCS[cfg_a.method]
-        step_b = _STEP_FUNCS[cfg_b.method]
         worst = 0.0
         for _ in range(iters):
-            state_a, _ = step_a(state_a, logistic_problem, cfg_a)
-            state_b, _ = step_b(state_b, logistic_problem, cfg_b)
+            state_a, _ = step(state_a, logistic_problem, cfg_a)
+            state_b, _ = step(state_b, logistic_problem, cfg_b)
             worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
         return worst
 
@@ -249,7 +248,7 @@ def _diagonal_strongly_convex(n=5, d=8):
     mu = float(hess.min())
     # exact per-coordinate minimizer and floor value
     x_star = (scales * targets).sum(axis=0) / (scales**2).sum(axis=0)
-    f_inf = problem.eval_global(x_star)
+    f_inf = problem.evaluate(x_star)[0]
     return problem, mu, f_inf
 
 
@@ -259,8 +258,9 @@ def test_criterion_07_noisy_utility_bound():
     x0 = np.zeros(problem.d)
     tau, sigma, nu, K = 1.0, 0.05, 0.05, 500
     info = problem.smoothness()
-    norms = tuple(float(np.linalg.norm(g)) for g in problem.local_grads(x0))
-    F0 = max(0.0, problem.eval_global(x0) - f_inf)
+    f0, grads = problem.evaluate(x0)
+    norms = tuple(float(np.linalg.norm(g)) for g in grads)
+    F0 = max(0.0, f0 - f_inf)
     inputs = StepsizeInputs(
         L=info.L, L_max=info.L_max, tau=tau, grad0_norms=norms, F0=F0, mu=mu, nu=nu
     )
@@ -438,8 +438,8 @@ def test_criterion_10_primitive_identities(logistic_problem):
     for problem in problems:
         for _ in range(20):
             x = rng.standard_normal(problem.d)
-            approx = fd(problem.eval_global, x)
-            exact = problem.grad_global(x)
+            approx = fd(lambda y: problem.evaluate(y)[0], x)
+            exact = node_mean(problem.evaluate(x)[1])
             rel = np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), 1e-8)
             assert rel <= 1e-5
 

@@ -1,5 +1,7 @@
 """Flag parsing, config files, CSV output, and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -374,32 +376,43 @@ def test_negative_presolve_iters_rejected():
     assert parse_config(["--method", "gd", "--presolve-iters", "0"]).presolve_iters == 0
 
 
-def test_overflowing_start_points_exit_with_typed_codes(tmp_path, data_file):
-    # 1e308 overflows the presolve's first trial point and the gradient
-    # norms; 1e200 overflows the objective, which the run reports as divergence
+def test_overflowing_start_points_exit_with_typed_codes(tmp_path, data_file, capsys):
+    # 1e308 overflows the gradient norms; 1e200 overflows the objective,
+    # which is reported as divergence. Either way the one line on stderr is
+    # the typed error: numpy's overflow warnings would raise here.
     out = str(tmp_path / "x.csv")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(_base_args(data_file, out, **{"--x0": "1e308"})) == 2
-        assert main(_base_args(data_file, out, **{"--x0": "1e200"})) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for method in ("clip21-gd", "clip21-avg"):
+            for x0, code in (("1e308", 2), ("1e200", 4)):
+                assert main(_base_args(data_file, out, **{"--method": method, "--x0": x0})) == code
+                assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
-    "x0, code, message",
-    [("1e308", 2, "gradient norms"), ("1e200", 4, "f(x0) - f_inf")],
-    ids=["1e308", "1e200"],
+    "method, x0, code, message",
+    [
+        ("clip21-gd", "1e308", 2, "gradient norms"),
+        ("clip21-gd", "1e200", 4, "f(x0) - f_inf"),
+        ("clip21-avg", "1e308", 2, "gradient norms"),
+        ("clip21-avg", "1e200", 4, "f(x0) is nan"),
+    ],
+    ids=["1e308", "1e200", "avg-1e308", "avg-1e200"],
 )
 def test_overflowing_start_point_stops_before_any_run(
-    tmp_path, data_file, monkeypatch, capsys, x0, code, message
+    tmp_path, data_file, monkeypatch, capsys, method, x0, code, message
 ):
     # F0 = max(0, nan) would silently read 0; the start point is rejected instead
     def no_run(*args, **kwargs):
         raise AssertionError("an optimizer run started from an overflowing x0")
 
     monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "clip21_avg_run", no_run)
     out = tmp_path / "x.csv"
     for gamma in ("auto", "grid"):
+        args = _base_args(data_file, str(out), **{"--method": method, "--x0": x0, "--gamma": gamma})
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(_base_args(data_file, str(out), **{"--x0": x0, "--gamma": gamma})) == code
+            assert main(args) == code
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

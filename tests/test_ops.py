@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipshift import Compressor, ConfigurationError, clip, clip_residual_norm, compress, node_mean
+from clipshift import Compressor, ConfigurationError, clip, compress, node_mean
 from clipshift.ops import clip_rows, compress_rows
 
 
@@ -46,11 +46,6 @@ def test_clip_rejects_bad_vectors():
         clip(np.array([1.0, np.nan]), 1.0)
 
 
-def test_residual_norm_pinned():
-    assert clip_residual_norm(np.array([3.0, 4.0]), 1.0) == pytest.approx(4.0)
-    assert clip_residual_norm(np.array([0.5]), 1.0) == 0.0
-
-
 def _random_triples(count):
     rng = np.random.default_rng(7011)
     for _ in range(count):
@@ -81,7 +76,6 @@ def test_clip_error_norm_identity(count):
         err = np.linalg.norm(clip(x, tau) - x)
         expect = max(0.0, np.linalg.norm(x) - tau)
         worst = max(worst, abs(err - expect) / max(expect, 1e-12))
-        assert clip_residual_norm(x, tau) == expect
     assert worst <= 1e-10
 
 

@@ -12,9 +12,10 @@ from clipshift import (
     NodeShard,
     Problem,
     clip21_avg_run,
+    node_mean,
     run,
 )
-from clipshift.optimizers import OptimizerState, clip21_gd_step
+from clipshift.optimizers import OptimizerState, step
 
 
 def _cfg(method="clip21_gd", **kw):
@@ -97,11 +98,11 @@ def test_clip21_escapes_the_bad_point(quad_problem):
 def test_shift_lands_on_gradient_bitwise(quad_problem):
     cfg = _cfg(gamma=0.005, iters=6)
     state, _ = run(cfg, quad_problem, np.array([1.0]))
-    grads = quad_problem.local_grads(state.x)
+    grads = quad_problem.evaluate(state.x)[1]
     # once no clip is active the shifts must equal the local gradients
     # from the step that produced them; re-deriving them at the final x
     # after one more step keeps them exact as well
-    state2, stats = clip21_gd_step(state, quad_problem, cfg)
+    state2, stats = step(state, quad_problem, cfg)
     assert not stats.active_count
     assert np.array_equal(state2.v, grads)
 
@@ -230,16 +231,26 @@ def test_lyapunov_column_uses_coefficient(quad_problem):
     assert weighted[0].lyapunov == pytest.approx(0.25 + 0.5 * 0.5)
 
 
+def _avg_trace(a, tau, **kwargs):
+    """Each step's shift rows and clip mask, as the hook sees them."""
+    trace = []
+    final = clip21_avg_run(a, tau, hook=lambda v, active: trace.append((v, active)), **kwargs)
+    assert np.array_equal(final, trace[-1][0])
+    return trace
+
+
 def test_avg_hand_trace_single_node():
-    trace = clip21_avg_run(np.array([[5.0]]), 1.0, iters=6)
+    trace = _avg_trace(np.array([[5.0]]), 1.0, iters=6)
     values = [float(v[0, 0]) for v, _ in trace]
     assert values == [1.0, 2.0, 3.0, 4.0, 5.0, 5.0]
-    aggregates = [float(a[0]) for _, a in trace]
+    aggregates = [float(node_mean(v)[0]) for v, _ in trace]
     assert aggregates == values
+    # the residual 1 at step 4 sits on the ball and is not clipped
+    assert [bool(active[0]) for _, active in trace] == [True] * 4 + [False] * 2
 
 
 def test_avg_respects_v_init():
-    trace = clip21_avg_run(np.array([[5.0]]), 1.0, v_init=np.array([[3.5]]), iters=3)
+    trace = _avg_trace(np.array([[5.0]]), 1.0, v_init=np.array([[3.5]]), iters=3)
     values = [float(v[0, 0]) for v, _ in trace]
     assert values == [4.5, 5.0, 5.0]
 
@@ -248,7 +259,7 @@ def test_avg_contraction_bound_random():
     rng = np.random.default_rng(1234)
     a = rng.standard_normal((6, 9)) * 3.0
     tau = 0.7
-    trace = clip21_avg_run(a, tau, iters=30)
+    trace = _avg_trace(a, tau, iters=30)
     for k, (v, _) in enumerate(trace):
         for i in range(a.shape[0]):
             gap = float(np.linalg.norm(v[i] - a[i]))
@@ -258,8 +269,8 @@ def test_avg_contraction_bound_random():
 
 def test_avg_exact_recovery_once_inside_ball():
     a = np.array([[0.3, -0.4]])
-    trace = clip21_avg_run(a, 1.0, iters=1)
-    assert np.array_equal(trace[0][0][0], a[0])
+    final = clip21_avg_run(a, 1.0, iters=1)
+    assert np.array_equal(final[0], a[0])
 
 
 def test_avg_validation():
@@ -290,8 +301,8 @@ def test_shift_drift_check_is_relative_to_scale(tau):
 def test_real_shift_drift_raises_invariant_error():
     problem = _large_scale_linreg(0)
     cfg = _cfg(gamma=1e-3, tau=1e5, iters=1)
-    state, _ = clip21_gd_step(OptimizerState.initial(np.zeros(5), problem.n), problem, cfg)
+    state, _ = step(OptimizerState.initial(np.zeros(5), problem.n), problem, cfg)
     # a shift row changed without its message reaching the aggregate
     state.v[2, 0] += 1e-3 * np.abs(state.v).max()
     with pytest.raises(InvariantError, match="drifted"):
-        clip21_gd_step(state, problem, cfg)
+        step(state, problem, cfg)

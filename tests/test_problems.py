@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError, Dataset, Problem, heterogeneous_split, standard_scale
+from clipshift import ConfigurationError, Dataset, Problem, heterogeneous_split, node_mean, standard_scale
 from clipshift.data import NodeShard
 
 
@@ -43,34 +43,38 @@ def test_fd_gradients_data_problems(kind, reg):
     rng = np.random.default_rng(99)
     shards = _random_shards(rng, 3, 5, 8, regression=kind != "logistic")
     p = Problem(kind, shards=shards, reg=reg, lam=0.1)
+    # f_i is the value of the one-shard problem on shard i
+    nodes = [Problem(kind, shards=[s], reg=reg, lam=0.1) for s in shards]
     for _ in range(5):
         x = rng.standard_normal(5)
+        grads = p.evaluate(x)[1]
         for i in range(p.n):
-            fd = _fd_gradient(lambda y, i=i: p.eval_local(i, y), x)
-            assert _rel_err(fd, p.grad_local(i, x)) <= 1e-5
-        fd = _fd_gradient(p.eval_global, x)
-        assert _rel_err(fd, p.grad_global(x)) <= 1e-5
+            fd = _fd_gradient(lambda y, i=i: nodes[i].evaluate(y)[0], x)
+            assert _rel_err(fd, grads[i]) <= 1e-5
+        fd = _fd_gradient(lambda y: p.evaluate(y)[0], x)
+        assert _rel_err(fd, node_mean(grads)) <= 1e-5
 
 
 def test_fd_gradient_counterexample():
     p = Problem("quad_counterexample", quad_params=(3.0, 0.5))
+    coeffs = (3.0, -0.5)  # f_1 = (beta/2) x^2 and f_2 = -(alpha/2) x^2
     for x0 in (0.7, -1.3, 2.0):
         x = np.array([x0])
+        grads = p.evaluate(x)[1]
         for i in range(2):
-            fd = _fd_gradient(lambda y, i=i: p.eval_local(i, y), x)
-            assert _rel_err(fd, p.grad_local(i, x)) <= 1e-5
+            fd = _fd_gradient(lambda y, i=i: 0.5 * coeffs[i] * float(y @ y), x)
+            assert _rel_err(fd, grads[i]) <= 1e-5
 
 
 def test_counterexample_pinned_values():
     p = Problem("quad_counterexample")  # defaults to curvatures (2, 1)
     x = np.array([1.0])
     # node objectives x^2 and -x^2/2 average to x^2/4
-    assert p.eval_local(0, x) == 1.0
-    assert p.eval_local(1, x) == -0.5
-    assert p.eval_global(x) == 0.25
-    assert np.array_equal(p.grad_local(0, x), [2.0])
-    assert np.array_equal(p.grad_local(1, x), [-1.0])
-    assert np.array_equal(p.grad_global(x), [0.5])
+    value, grads = p.evaluate(x)
+    assert value == 0.25
+    assert np.array_equal(grads[0], [2.0])
+    assert np.array_equal(grads[1], [-1.0])
+    assert np.array_equal(node_mean(grads), [0.5])
     info = p.smoothness()
     assert info.L_i == (2.0, 1.0)
     assert info.L == 1.0
@@ -81,19 +85,19 @@ def test_counterexample_pinned_values():
 def test_logistic_pinned_at_origin():
     shards = [NodeShard(0, np.array([[1.0, -1.0]]), np.array([1.0]))]
     p = Problem("logistic", shards=shards, reg="l2", lam=0.5)
-    x = np.zeros(2)
-    assert p.eval_global(x) == pytest.approx(np.log(2.0))
+    value, grads = p.evaluate(np.zeros(2))
+    assert value == pytest.approx(np.log(2.0))
     # gradient at 0: -0.5 * label * features / m, reg gradient vanishes
-    assert np.allclose(p.grad_global(x), [-0.5, 0.5])
+    assert np.allclose(node_mean(grads), [-0.5, 0.5])
 
 
 def test_linreg_pinned_single_sample():
     shards = [NodeShard(0, np.array([[1.0]]), np.array([2.0]))]
     p = Problem("linreg_nonconvex", shards=shards, lam=0.0)
-    x = np.zeros(1)
+    value, grads = p.evaluate(np.zeros(1))
     # squared residual without the conventional 1/2
-    assert p.eval_global(x) == 4.0
-    assert np.array_equal(p.grad_global(x), [-4.0])
+    assert value == 4.0
+    assert np.array_equal(node_mean(grads), [-4.0])
 
 
 def test_regularizer_gradients():
@@ -101,32 +105,21 @@ def test_regularizer_gradients():
     x = np.array([0.5, -1.5, 2.0])
     for reg in ("l2", "nonconvex"):
         p = Problem("logistic", shards=shards, reg=reg, lam=2.0)
-        fd = _fd_gradient(p.eval_global, x)
-        assert _rel_err(fd, p.grad_global(x)) <= 1e-5
+        fd = _fd_gradient(lambda y: p.evaluate(y)[0], x)
+        assert _rel_err(fd, node_mean(p.evaluate(x)[1])) <= 1e-5
     p_l2 = Problem("logistic", shards=shards, reg="l2", lam=2.0)
-    assert np.allclose(p_l2.grad_global(x), 2.0 * x + np.array([-0.0, 0.0, 0.0]))
+    assert np.allclose(node_mean(p_l2.evaluate(x)[1]), 2.0 * x + np.array([-0.0, 0.0, 0.0]))
 
 
-def test_fast_paths_agree_with_reference():
-    rng = np.random.default_rng(3)
-    for kind in ("logistic", "linreg_nonconvex"):
-        shards = _random_shards(rng, 4, 6, 9, regression=kind != "logistic")
-        p = Problem(kind, shards=shards, reg="l2", lam=0.01)
-        for _ in range(10):
-            x = rng.standard_normal(6)
-            assert p.evaluate(x)[0] == pytest.approx(p.eval_global(x), rel=1e-12)
-            assert _rel_err(p.grad_global(x), p.grad_global(x)) <= 1e-12
-
-
-def test_local_grads_stacks_in_node_order():
+def test_evaluate_stacks_gradients_in_node_order():
     rng = np.random.default_rng(8)
     shards = _random_shards(rng, 3, 4, 5)
     p = Problem("logistic", shards=shards)
     x = rng.standard_normal(4)
-    stacked = p.local_grads(x)
+    stacked = p.evaluate(x)[1]
     assert stacked.shape == (3, 4)
     for i in range(3):
-        assert np.array_equal(stacked[i], p.grad_local(i, x))
+        assert np.array_equal(stacked[i], Problem("logistic", shards=[shards[i]]).evaluate(x)[1][0])
 
 
 def test_unequal_shards_match_per_shard_reference():
@@ -143,6 +136,7 @@ def test_unequal_shards_match_per_shard_reference():
         p = Problem(kind, shards=shards, reg="l2", lam=lam)
         for _ in range(5):
             x = rng.standard_normal(4)
+            f, grads = p.evaluate(x)
             values = []
             for i, s in enumerate(shards):
                 z = s.features @ x
@@ -154,13 +148,11 @@ def test_unequal_shards_match_per_shard_reference():
                     grad = 2.0 * (s.features.T @ (z - s.labels)) / s.m
                 value += lam * 0.5 * float(x @ x)
                 values.append(value)
-                assert p.eval_local(i, x) == pytest.approx(value, rel=1e-12)
-                assert _rel_err(p.grad_local(i, x), grad + lam * x) <= 1e-12
-            assert p.eval_global(x) == pytest.approx(np.mean(values), rel=1e-12)
-            assert p.evaluate(x)[0] == pytest.approx(np.mean(values), rel=1e-12)
-            value, grads = p.evaluate(x)
-            assert value == p.evaluate(x)[0]
-            assert np.array_equal(grads, p.local_grads(x))
+                node = Problem(kind, shards=[s], reg="l2", lam=lam)
+                assert node.evaluate(x)[0] == pytest.approx(value, rel=1e-12)
+                assert _rel_err(grads[i], grad + lam * x) <= 1e-12
+            assert f == pytest.approx(np.mean(values), rel=1e-12)
+            assert f == p.evaluate(x)[0]
 
 
 def test_smoothness_bounds_gradient_lipschitz():
@@ -175,8 +167,9 @@ def test_smoothness_bounds_gradient_lipschitz():
             x = rng.standard_normal(5) * 2.0
             y = rng.standard_normal(5) * 2.0
             gap = np.linalg.norm(x - y)
+            gx, gy = p.evaluate(x)[1], p.evaluate(y)[1]
             for i in range(p.n):
-                lhs = np.linalg.norm(p.grad_local(i, x) - p.grad_local(i, y))
+                lhs = np.linalg.norm(gx[i] - gy[i])
                 assert lhs <= (info.L_i[i] + 1e-6) * gap
 
 

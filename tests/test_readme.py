@@ -1,0 +1,19 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_snippet_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library") :]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    records, grad = scope["records"], scope["grad"]
+    assert len(records) == 1000
+    # the shifted method escapes x0 = 1 and descends
+    assert scope["f"] < records[0].f
+    assert float(grad @ grad) < records[0].grad_norm_sq

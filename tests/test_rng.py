@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError, NoiseStream, gaussian_block, gaussian_sample
+from clipshift import ConfigurationError, gaussian_block, gaussian_sample
 from clipshift.rng import stream_slot
 
 
@@ -69,12 +69,6 @@ def test_invalid_arguments_rejected():
         gaussian_sample(0, 0, 0, 4, -1.0)
     with pytest.raises(ConfigurationError):
         gaussian_block(0, 0, 0, 4, 1.0)
-
-
-def test_noise_stream_wraps_the_same_draws():
-    stream = NoiseStream(seed=9, sigma=0.25)
-    assert np.array_equal(stream.node_noise(2, 5, 8), gaussian_sample(9, 2, 5, 8, 0.25))
-    assert np.array_equal(stream.block(5, 3, 8), gaussian_block(9, 5, 3, 8, 0.25))
 
 
 def test_stream_slots_follow_the_node_ids():
