@@ -416,6 +416,12 @@ def run_experiment(cfg: RunConfig) -> int:
             state, records = run(
                 method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=weight(gamma), hook=collected.append
             )
+            # x_K is finite, but f or the gradient may still overflow there
+            with np.errstate(over="ignore", invalid="ignore"):
+                final_f, final_grads = problem.evaluate(state.x)
+                final_gsq = float(np.sum(node_mean(final_grads) ** 2))
+            if not (np.isfinite(final_f) and np.isfinite(final_gsq)):
+                raise DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
         except DivergenceError as exc:
             # the partial trace stays behind for inspection
             if collected:
@@ -426,8 +432,6 @@ def run_experiment(cfg: RunConfig) -> int:
             print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({exc})")
             continue
         write_csv(records, path)
-        final_f, final_grads = problem.evaluate(state.x)
-        final_gsq = float(np.sum(node_mean(final_grads) ** 2))
         if grid:
             print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
         finished.append((final_gsq, idx, gamma, final_f, records))

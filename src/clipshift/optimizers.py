@@ -48,7 +48,7 @@ METHODS = (
 _DP_METHODS = ("dp_clip_gd", "dp_clip21_gd")
 _SHIFTED = ("clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 
-# allowed shift drift per step: 16 ulps of the largest shift row
+# allowed shift drift per step: 16 ulps of the scale of the shift rows
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
 
@@ -109,7 +109,9 @@ class OptimizerState:
     """Iterate plus per-node shift bookkeeping.
 
     v_bar is maintained incrementally across steps and re-checked against
-    the direct average of the shift rows after each one.
+    the direct average of the shift rows after each one. drift_scale is the
+    running sum of the root-mean-square shift row over the steps so far,
+    the scale of the rounding v_bar may have accumulated.
     """
 
     k: int
@@ -117,6 +119,7 @@ class OptimizerState:
     v: np.ndarray  # (n, d), row i is node i's shift
     v_bar: np.ndarray
     active: np.ndarray  # (n,) bool, clip activity observed at the last step
+    drift_scale: float = 0.0
 
     @classmethod
     def initial(cls, x0: np.ndarray, n: int) -> "OptimizerState":
@@ -209,11 +212,13 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
         v_bar = state.v_bar + node_mean(messages)
         direction = node_mean(v)
         # rounding lets the running aggregate drift by about eps per step at
-        # the scale of the largest shift row; the root-mean-square row norm
-        # never exceeds it and is cheap, so it screens first
+        # the scale of that step's shift rows, so the allowance grows with the
+        # running sum of their root-mean-square norm: rows that have shrunk
+        # since do not shrink the rounding v_bar already holds. A drift must
+        # also exceed the per-step allowance at the largest current row
+        drift_scale = state.drift_scale + math.sqrt(np.vdot(v, v) / n)
         drift = _norm(v_bar - direction)
-        tol = _DRIFT_TOL * (state.k + 1)
-        if drift > tol * math.sqrt(np.vdot(v, v) / n) and drift > tol * math.sqrt(
+        if drift > _DRIFT_TOL * drift_scale and drift > _DRIFT_TOL * (state.k + 1) * math.sqrt(
             np.einsum("ij,ij->i", v, v).max()
         ):
             raise InvariantError(
@@ -231,7 +236,7 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
             slot = stream_slot(n, "aggregate")
             zeta = gaussian_sample(cfg.seed, slot, state.k, problem.d, cfg.sigma)
             direction = direction + clip(zeta, cfg.nu)
-        v, v_bar, shift_sq = state.v, state.v_bar, 0.0
+        v, v_bar, shift_sq, drift_scale = state.v, state.v_bar, 0.0, 0.0
     gbar = node_mean(grads)
     stats = StepStats(
         f=f,
@@ -241,7 +246,8 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
         active_count=int(np.count_nonzero(active)),
     )
     new = OptimizerState(
-        k=state.k + 1, x=state.x - cfg.gamma * direction, v=v, v_bar=v_bar, active=active
+        k=state.k + 1, x=state.x - cfg.gamma * direction, v=v, v_bar=v_bar, active=active,
+        drift_scale=drift_scale,
     )
     return new, stats
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import NodeShard
 from .errors import ConfigurationError
@@ -125,51 +124,43 @@ class Problem:
     def d(self) -> int:
         return 1 if self.kind == "quad_counterexample" else self.shards[0].d
 
-    def _row_loss(self, z: np.ndarray) -> np.ndarray:
+    def _rows(self, z: np.ndarray):
+        """Each row's loss and its slope, the loss's derivative with respect
+        to the row's margin z = a.x."""
         if self.kind == "logistic":
-            # stable softplus: max(t, 0) + log1p(exp(-|t|)) never overflows
+            # stable softplus of t = -b z: max(t, 0) + log1p(e) with e = exp(-|t|)
+            # never overflows; its slope -b sigmoid(t) reuses e, as -b e / (1 + e)
+            # for t < 0 and -b / (1 + e) otherwise, so padding rows (b = 0) get 0.
+            # Since e <= 1, max(e, [t >= 0]) picks that numerator; np.where
+            # would branch per element, slow on a random sign pattern
             t = self._neg_b * z
-            return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+            e = np.exp(-np.abs(t))
+            slope = self._neg_b * np.maximum(e, t >= 0) / (1.0 + e)
+            return np.maximum(t, 0.0) + np.log1p(e), slope
         resid = z - self._b
-        return resid * resid
-
-    def _row_slope(self, z: np.ndarray) -> np.ndarray:
-        """Derivative of each row's loss with respect to its margin z = a.x."""
-        if self.kind == "logistic":
-            return self._neg_b * expit(self._neg_b * z)
-        return 2.0 * (z - self._b)
-
-    def _grads(self, x: np.ndarray, z) -> np.ndarray:
-        """(n, d) local gradients: slope-weighted row sums, one product per slab."""
-        if z is None:
-            return self._coeffs[:, None] * x
-        sums = np.matmul(self._row_slope(z)[:, None, :], self._A)[:, 0, :]
-        grads = sums / self._m[:, None]
-        grads += self.lam * _reg_grad(self.reg, x)
-        return grads
-
-    def _value(self, x: np.ndarray, z) -> float:
-        """f(x) as one dot of the row losses with the weights 1/(n m_i)."""
-        if z is None:  # the quadratic: the mean of its two local values
-            # plain multiplication overflows to inf instead of raising,
-            # which lets the run loop report divergence
-            x0 = float(x[0])
-            return float((0.5 * self._coeffs * x0 * x0).sum()) / self.n
-        return float(np.vdot(self._w, self._row_loss(z))) + self.lam * _reg_value(self.reg, x)
+        return resid * resid, 2.0 * resid
 
     def evaluate(self, x) -> tuple[float, np.ndarray]:
         """f(x) and the (n, d) local gradients, both from one product A @ x.
 
         The value is one dot of the row losses with their weights 1/(n m_i),
         plus the regularizer. Row i of the gradients is node i's gradient,
-        and their node_mean is the gradient of f.
+        the slope-weighted sum of its rows, and their node_mean is the
+        gradient of f.
         """
         x = check_vector(x)
         if x.shape[0] != self.d:
             raise ValueError(f"x has dimension {x.shape[0]}, problem has {self.d}")
-        # the one product A @ x per point, (n, m_max); the quadratic has no rows
-        z = None if self.kind == "quad_counterexample" else self._A @ x
-        return self._value(x, z), self._grads(x, z)
+        if self.kind == "quad_counterexample":  # the mean of its two local values
+            # plain multiplication overflows to inf instead of raising,
+            # which lets the run loop report divergence
+            x0 = float(x[0])
+            return float((0.5 * self._coeffs * x0 * x0).sum()) / self.n, self._coeffs[:, None] * x
+        loss, slope = self._rows(self._A @ x)  # the one product A @ x, (n, m_max)
+        value = float(np.vdot(self._w, loss)) + self.lam * _reg_value(self.reg, x)
+        grads = np.matmul(slope[:, None, :], self._A)[:, 0, :] / self._m[:, None]
+        grads += self.lam * _reg_grad(self.reg, x)
+        return value, grads
 
     def smoothness(self, mu=None) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.

@@ -284,6 +284,35 @@ def test_grid_child_divergence_keeps_partial_trace(tmp_path, capsys):
     assert open(out).read() == open(tmp_path / "grid_grid3.csv").read()
 
 
+def test_overflowing_final_objective_is_divergence(tmp_path, capsys):
+    # gd at gamma 10 maps x to -4x on the counterexample: x_256 = 2^512 is
+    # finite, but f(x_256) = x^2/4 overflows, and so does the summary's final_f
+    out = tmp_path / "x.csv"
+    args = ["--method", "gd", "--gamma", "10", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args + ["--iters", "256"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "diverged: non-finite objective at iteration 256\n"
+        assert captured.out == ""
+        assert len(_read_rows(str(out))) == 256  # the whole trace stays written
+        assert main(args + ["--iters", "255"]) == 0
+    assert "final_f=2.8088955232223686e+306 " in capsys.readouterr().out
+
+
+def test_grid_child_with_overflowing_final_objective_diverges(tmp_path, capsys):
+    # child 5 runs gd at gamma 8, x -> -3x: f stays finite up to x_323 and
+    # overflows at x_324, so the child diverges and is never a best candidate
+    out = str(tmp_path / "grid.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--method", "gd", "--gamma", "grid", "--iters", "324", "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[5] == "grid child 5: gamma=8 diverged (non-finite objective at iteration 324)"
+    assert printed[6] == "grid best: child 3 (gamma=2)"
+    assert len(_read_rows(str(tmp_path / "grid_grid5.csv"))) == 324
+
+
 def test_grid_where_every_child_diverges_exits_4(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     args = ["--method", "gd", "--gamma", "grid", "--iters", "400", "--L", "0.001", "--out", str(out)]

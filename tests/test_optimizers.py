@@ -1,7 +1,11 @@
 """Method steps, shift tracking, reductions, and the averaging iteration."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clipshift import (
     Compressor,
@@ -306,3 +310,63 @@ def test_real_shift_drift_raises_invariant_error():
     state.v[2, 0] += 1e-3 * np.abs(state.v).max()
     with pytest.raises(InvariantError, match="drifted"):
         step(state, problem, cfg)
+
+
+@pytest.mark.parametrize("x0", [1.7, 1.0])
+def test_converging_run_passes_the_shift_drift_check(quad_problem, x0):
+    # the aggregate took its rounding while the shifts were large; once they
+    # have shrunk, an allowance at their current scale called it a drift
+    # (at step 188 from 1.7, 203 from 1.0)
+    _, records = run(_cfg(gamma=0.1, tau=0.3, iters=400), quad_problem, np.array([x0]))
+    assert len(records) == 400
+    assert records[-1].grad_norm_sq < 1e-16
+
+
+@given(j=st.integers(-8, 8))
+@settings(max_examples=17, deadline=None)
+def test_avg_is_scale_equivariant(j):
+    # scaling by a power of two is exact, so targets, tau and v_init scaled
+    # by c scale every shift by c bit for bit and leave the clip masks alone
+    c = 2.0**j
+    rng = np.random.default_rng(31)
+    a, v_init, tau = 3.0 * rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), 0.4
+    base = _avg_trace(a, tau, v_init=v_init, iters=25)
+    scaled = _avg_trace(c * a, c * tau, v_init=c * v_init, iters=25)
+    for (v, active), (v_c, active_c) in zip(base, scaled):
+        assert np.array_equal(v_c, c * v)
+        assert np.array_equal(active_c, active)
+
+
+_EQUIVARIANT = {
+    "gd": {},
+    "clip_gd": dict(tau=0.3),
+    "clip21_gd": dict(tau=0.3),
+    "dp_clip21_gd": dict(tau=0.3, sigma=0.04, nu=0.04),
+}
+
+
+def _counterexample_trace(method, x0, c):
+    scales = {k: c * v for k, v in _EQUIVARIANT[method].items()}
+    cfg = MethodConfig(method=method, gamma=0.1, iters=250, seed=4, **scales)
+    return run(cfg, Problem("quad_counterexample"), np.array([c * x0]))[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_trace(method, x0):
+    return _counterexample_trace(method, x0, 1.0)
+
+
+@given(j=st.integers(-8, 8), x0=st.sampled_from([1.7, 1.0, -0.6]))
+@settings(max_examples=20, deadline=None)
+def test_counterexample_runs_are_scale_equivariant(j, x0):
+    # the quadratic's gradients are linear in x, so x0, tau, sigma and nu
+    # scaled by c = 2^j scale f and grad_norm_sq by c^2 and v_norm by c;
+    # 250 steps run past step 188, where the drift check once misfired
+    c = 2.0**j
+    for method in _EQUIVARIANT:
+        scaled = _counterexample_trace(method, x0, c)
+        for r, r_c in zip(_unscaled_trace(method, x0), scaled, strict=True):
+            assert r_c.f == c * c * r.f, (method, r.k)
+            assert r_c.grad_norm_sq == c * c * r.grad_norm_sq, (method, r.k)
+            assert r_c.v_norm == c * r.v_norm, (method, r.k)
+            assert r_c.active_nodes == r.active_nodes, (method, r.k)

@@ -1,5 +1,6 @@
 """Objective values, gradients, and smoothness constants."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,38 @@ def test_unequal_shards_match_per_shard_reference():
                 assert _rel_err(grads[i], grad + lam * x) <= 1e-12
             assert f == pytest.approx(np.mean(values), rel=1e-12)
             assert f == p.evaluate(x)[0]
+
+
+# margins where softplus and its slope change regime: 36 and 37 bracket
+# exp(-|t|) < eps, 709 and 710 the overflow of exp(|t|), 800 and 1e300 lie past it
+ORACLE_MARGINS = (0.0, 1e-300, 1.0, 36.0, 37.0, 709.0, 710.0, 800.0, 1e300)
+
+
+def test_logistic_rows_match_a_50_digit_oracle():
+    # one row per signed margin and label; x = 1 carries each margin in the
+    # feature, so the l2 term stays 1/2. Node 1 has one row, so the rest of
+    # its slab is padding.
+    margins = np.array([s * m for m in ORACLE_MARGINS for s in (1.0, -1.0)])
+    margins = np.concatenate([margins, margins])
+    labels = np.repeat([1.0, -1.0], margins.size // 2)
+    shards = [NodeShard(0, margins[:, None], labels), NodeShard(1, np.ones((1, 1)), np.ones(1))]
+    p = Problem("logistic", shards=shards, reg="l2", lam=1.0)
+    x = np.ones(1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        loss, slope = p._rows(p._A @ x)
+        value, grads = p.evaluate(x)
+    assert np.isfinite(value) and np.isfinite(grads).all()
+    assert np.all(slope[1, 1:] == 0.0)  # padding rows add nothing to a gradient
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(50):
+        for z, b, got_loss, got_slope in zip(margins, labels, loss[0], slope[0]):
+            t = -mpmath.mpf(b) * mpmath.mpf(z)
+            want_loss = float(mpmath.log1p(mpmath.exp(t)))
+            want_slope = float(-b / (1 + mpmath.exp(-t)))
+            # each reference is the 50-digit value rounded to a float, so one that
+            # rounds to 0 or to a subnormal leaves no slack: it must be met exactly
+            assert abs(got_slope - want_slope) <= 4 * eps * abs(want_slope), (z, b)
+            assert abs(got_loss - want_loss) <= 4 * eps * abs(want_loss), (z, b)
 
 
 def test_smoothness_bounds_gradient_lipschitz():
