@@ -35,13 +35,13 @@ from .optimizers import (
 from .problems import KINDS, REGULARIZERS, Problem, SmoothnessInfo
 from .rng import gaussian_block, gaussian_sample
 from .theory import (
-    LyapunovParams,
-    SigmaFloor,
     StepsizeInputs,
+    certified_stepsize,
     dp_utility_bound,
     estimate_f_inf,
     eta_of,
     k_star,
+    lyapunov_weight,
     press_contraction_margin,
     rate_envelope,
     sigma_min,
@@ -63,17 +63,16 @@ __all__ = [
     "InvariantError",
     "IterationRecord",
     "KINDS",
-    "LyapunovParams",
     "METHODS",
     "MethodConfig",
     "NodeShard",
     "OptimizerState",
     "Problem",
     "REGULARIZERS",
-    "SigmaFloor",
     "SmoothnessInfo",
     "StepStats",
     "StepsizeInputs",
+    "certified_stepsize",
     "clip",
     "clip21_avg_run",
     "compress",
@@ -84,6 +83,7 @@ __all__ = [
     "gaussian_sample",
     "heterogeneous_split",
     "k_star",
+    "lyapunov_weight",
     "node_mean",
     "parse_libsvm",
     "press_contraction_margin",

@@ -30,18 +30,7 @@ from .ops import Compressor, node_mean
 from .optimizers import METHODS, IterationRecord, MethodConfig, clip21_avg_run, run
 from .problems import Problem
 from .rng import gaussian_sample, stream_slot
-from .theory import (
-    LyapunovParams,
-    StepsizeInputs,
-    estimate_f_inf,
-    eta_of,
-    k_star,
-    press_contraction_margin,
-    stepsize_dp,
-    stepsize_multi,
-    stepsize_press,
-    stepsize_single,
-)
+from .theory import StepsizeInputs, certified_stepsize, estimate_f_inf, k_star, lyapunov_weight
 
 CSV_HEADER = "k,f,grad_norm_sq,lyapunov,active_nodes,v_norm,gamma,wall_micros"
 
@@ -253,29 +242,6 @@ def _parse_vector(text: str, problem: Problem, slot: int, what: str, seed: int) 
     return np.asarray(values)
 
 
-def method_theory(method: str, n: int, inputs: StepsizeInputs, eta: float):
-    """The per-method rules: (certified stepsize rule, Lyapunov weight).
-
-    rule(inputs) is the stepsize ``--gamma auto`` resolves to, and
-    weight(gamma) the coefficient A of the shift term in the Lyapunov
-    telemetry, 0 for the methods without a shift certificate.
-    """
-    if method == "clip21_gd":
-        rule = stepsize_single if n == 1 else stepsize_multi
-        return rule, lambda gamma: LyapunovParams.for_clip21(gamma, eta).A
-    if method == "dp_clip21_gd":
-        return stepsize_dp, lambda gamma: LyapunovParams.for_dp(gamma, eta).A
-    if method == "press_clip21_gd":
-        try:
-            beta = press_contraction_margin(inputs.alpha_press, eta)
-        except ConfigurationError:
-            # no certified margin; fall back to the plain gap
-            return stepsize_press, lambda gamma: 0.0
-        return stepsize_press, lambda gamma: LyapunovParams.for_press(gamma, eta, beta).A
-    # no certified rule for the unshifted baselines; 1/L is the standard choice
-    return (lambda inputs: 1.0 / inputs.L), lambda gamma: 0.0
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -365,11 +331,13 @@ def run_experiment(cfg: RunConfig) -> int:
     if cfg.method == "clip21_avg":
         return _run_avg(cfg, problem, f0, grads)
 
-    info = problem.smoothness(mu=cfg.mu)
+    if cfg.mu is not None and not (np.isfinite(cfg.mu) and cfg.mu >= 0.0):
+        raise ConfigurationError(f"mu must be a finite non-negative real, got {cfg.mu}")
+    info = problem.smoothness()
     L = cfg.L_override if cfg.L_override is not None else info.L
     if L <= 0:
         raise ConfigurationError(f"need a positive smoothness constant, got {L}")
-    f_inf, _estimated = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
+    f_inf = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
     gap = f0 - f_inf
     if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
         raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
@@ -384,12 +352,9 @@ def run_experiment(cfg: RunConfig) -> int:
         F0=max(0.0, gap),
         alpha_press=alpha,
         mu=cfg.mu,
-        sigma=cfg.sigma,
         nu=cfg.nu,
     )
-    eta = eta_of(inputs.tau, norms)
     horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
-    rule, weight = method_theory(cfg.method, problem.n, inputs, eta)
 
     # one stepsize writes --out itself; the grid writes one trace per child
     # and copies the best child's to --out
@@ -397,7 +362,7 @@ def run_experiment(cfg: RunConfig) -> int:
     if grid:
         gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
     else:
-        gammas = [rule(inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
+        gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
         paths = [cfg.out]
     finished = []  # (final grad_norm_sq, child index, gamma, final f, records)
     for idx, (gamma, path) in enumerate(zip(gammas, paths)):
@@ -413,9 +378,8 @@ def run_experiment(cfg: RunConfig) -> int:
         )
         collected = []
         try:
-            state, records = run(
-                method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=weight(gamma), hook=collected.append
-            )
+            coeff = lyapunov_weight(cfg.method, gamma, inputs)
+            state, records = run(method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=coeff, hook=collected.append)
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
                 final_f, final_grads = problem.evaluate(state.x)

@@ -62,14 +62,12 @@ class NodeShard:
     """One node's slice of a dataset.
 
     Unlike Dataset, labels here may be arbitrary reals so that synthetic
-    regression targets can be used directly. ``scaler`` holds the
-    (mean, std) arrays applied by standard_scale, or None.
+    regression targets can be used directly.
     """
 
     node_id: int
     features: np.ndarray
     labels: np.ndarray
-    scaler: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -229,9 +227,4 @@ def standard_scale(shard: NodeShard) -> NodeShard:
     nonzero = std > 0.0
     scaled[:, nonzero] /= std[nonzero]
     scaled[:, ~nonzero] = 0.0
-    return NodeShard(
-        node_id=shard.node_id,
-        features=scaled,
-        labels=shard.labels.copy(),
-        scaler=(mean, std),
-    )
+    return NodeShard(node_id=shard.node_id, features=scaled, labels=shard.labels.copy())

@@ -94,11 +94,13 @@ class MethodConfig:
                 )
             object.__setattr__(self, "nu", nu)
             if not (self.tau >= 6.0 * nu and nu >= sigma):
+                # stacklevel 3 skips this method and the generated __init__,
+                # so the warning names the code that built the config
                 warnings.warn(
                     "privacy calibration expects tau >= 6*nu >= 6*sigma, got "
                     f"tau={self.tau}, nu={nu}, sigma={sigma}",
                     UserWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         if self.method == "press_clip21_gd" and self.compressor is None:
             raise ConfigurationError("press_clip21_gd needs a compressor")

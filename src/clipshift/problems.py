@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NodeShard
 from .errors import ConfigurationError
 from .ops import check_vector
 
@@ -26,13 +25,11 @@ REGULARIZERS = ("l2", "nonconvex")
 
 @dataclass(frozen=True)
 class SmoothnessInfo:
-    """Per-node and aggregate Lipschitz constants, plus an optional
-    user-supplied gradient-dominance constant mu (never estimated)."""
+    """Per-node and aggregate Lipschitz constants."""
 
     L_i: tuple[float, ...]
     L: float
     L_max: float
-    mu: float | None = None
 
 
 def _reg_value(reg: str, x: np.ndarray) -> float:
@@ -60,9 +57,9 @@ class Problem:
     The regularizer term is lam * r(x) with r either 0.5||x||^2 ("l2") or
     sum_j x_j^2/(1+x_j^2) ("nonconvex").
 
-    Data problems keep every shard stacked into one (n, m_max, d) block A,
-    so all n local gradients come from one product A @ x and one batched
-    product of the row slopes with A.
+    Data problems copy every shard into one (n, m_max, d) block A and keep
+    no other copy of the data, so all n local gradients come from one
+    product A @ x and one batched product of the row slopes with A.
     """
 
     def __init__(self, kind, shards=(), reg="l2", lam=0.0, quad_params=None):
@@ -86,6 +83,7 @@ class Problem:
                 )
             self.quad_params = (beta_q, alpha_q)
             self._coeffs = np.array([beta_q, -alpha_q])
+            self.n, self.d = 2, 1
         else:
             if quad_params is not None:
                 raise ConfigurationError("quad_params only apply to quad_counterexample")
@@ -102,7 +100,8 @@ class Problem:
             # zero features, label 0 and weight 0, so their slope is exactly
             # zero and their loss never reaches a sum
             n, m_max = len(shards), max(s.m for s in shards)
-            self._A = np.zeros((n, m_max, shards[0].d))
+            self.n, self.d = n, shards[0].d
+            self._A = np.zeros((n, m_max, self.d))
             self._b = np.zeros((n, m_max))
             self._w = np.zeros((n, m_max))  # 1/(n m_i): a row sum becomes the node mean
             for i, s in enumerate(shards):
@@ -112,17 +111,8 @@ class Problem:
             self._neg_b = -self._b
             self._m = np.array([float(s.m) for s in shards])
         self.kind = kind
-        self.shards = shards
         self.reg = reg
         self.lam = lam
-
-    @property
-    def n(self) -> int:
-        return 2 if self.kind == "quad_counterexample" else len(self.shards)
-
-    @property
-    def d(self) -> int:
-        return 1 if self.kind == "quad_counterexample" else self.shards[0].d
 
     def _rows(self, z: np.ndarray):
         """Each row's loss and its slope, the loss's derivative with respect
@@ -162,21 +152,15 @@ class Problem:
         grads += self.lam * _reg_grad(self.reg, x)
         return value, grads
 
-    def smoothness(self, mu=None) -> SmoothnessInfo:
+    def smoothness(self) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.
 
         For data problems L defaults to the mean of the L_i, which upper
-        bounds the true global constant. mu is passed through untouched.
+        bounds the true global constant.
         """
-        if mu is not None:
-            mu = float(mu)
-            if not np.isfinite(mu) or mu < 0.0:
-                raise ConfigurationError(f"mu must be a finite non-negative real, got {mu}")
         if self.kind == "quad_counterexample":
             beta_q, alpha_q = self.quad_params
-            return SmoothnessInfo(
-                L_i=(beta_q, alpha_q), L=beta_q - alpha_q, L_max=beta_q, mu=mu
-            )
+            return SmoothnessInfo(L_i=(beta_q, alpha_q), L=beta_q - alpha_q, L_max=beta_q)
         # top eigenvalue of the smaller Gram of each slab (A_i^T A_i or A_i A_i^T,
         # unchanged by zero padding rows), 8 nodes at a time to keep Grams small
         spec_sq = []
@@ -192,4 +176,4 @@ class Problem:
         else:
             L_i = 2.0 * spec_sq / self._m + 2.0 * self.lam
         L_i = tuple(float(v) for v in L_i)
-        return SmoothnessInfo(L_i=L_i, L=sum(L_i) / len(L_i), L_max=max(L_i), mu=mu)
+        return SmoothnessInfo(L_i=L_i, L=sum(L_i) / len(L_i), L_max=max(L_i))

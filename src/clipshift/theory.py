@@ -1,6 +1,7 @@
 """Executable constants and bounds: stepsize rules for each method
-family, Lyapunov bookkeeping, the no-more-clipping horizon, the O(1/K)
-rate envelope, and the privacy variance floor with its utility bound.
+family, the per-method certificate (certified stepsize and Lyapunov
+weight), the no-more-clipping horizon, the O(1/K) rate envelope, and the
+privacy variance floor with its utility bound.
 
 Each stepsize rule is a minimum over printed branch expressions. One
 branch in the multi-node, noisy, and compressed rules has the form
@@ -21,8 +22,8 @@ from .ops import node_mean
 
 __all__ = [
     "StepsizeInputs",
-    "LyapunovParams",
-    "SigmaFloor",
+    "certified_stepsize",
+    "lyapunov_weight",
     "eta_of",
     "stepsize_single",
     "stepsize_multi",
@@ -43,9 +44,9 @@ _THETA_GRID = tuple(10.0 ** (-3.0 + 4.0 * j / 12.0) for j in range(13))
 class StepsizeInputs:
     """Problem measurements the stepsize rules consume.
 
-    grad0_norms are the per-node gradient norms at the start point; n is
-    inferred from them when omitted. The optional scalars are only needed
-    by the rules that use them.
+    grad0_norms are the per-node gradient norms at the start point, one
+    per node. The optional scalars are only needed by the rules that use
+    them.
     """
 
     L: float
@@ -53,13 +54,9 @@ class StepsizeInputs:
     tau: float
     grad0_norms: tuple
     F0: float
-    n: int | None = None
     alpha_press: float | None = None
     mu: float | None = None
-    sigma: float | None = None
     nu: float | None = None
-    eps: float | None = None
-    delta: float | None = None
 
     def __post_init__(self):
         for name in ("L", "L_max"):
@@ -81,12 +78,10 @@ class StepsizeInputs:
         if not np.isfinite(F0) or F0 < 0.0:
             raise ConfigurationError(f"F0 must be a finite non-negative real, got {F0}")
         object.__setattr__(self, "F0", F0)
-        n = len(norms) if self.n is None else int(self.n)
-        if n != len(norms):
-            raise ConfigurationError(
-                f"n={n} disagrees with {len(norms)} gradient norms"
-            )
-        object.__setattr__(self, "n", n)
+
+    @property
+    def n(self) -> int:
+        return len(self.grad0_norms)
 
 
 def eta_of(tau, grad0_norms) -> float:
@@ -258,40 +253,44 @@ def stepsize_press(inp: StepsizeInputs) -> float:
     return min(first, implicit, third, fourth)
 
 
-@dataclass(frozen=True)
-class LyapunovParams:
-    """Shift-penalty coefficient A with the inputs it came from."""
+def certified_stepsize(method: str, inputs: StepsizeInputs) -> float:
+    """The stepsize ``--gamma auto`` resolves to for method.
 
-    gamma: float
-    eta: float
-    A: float
-
-    @classmethod
-    def for_clip21(cls, gamma: float, eta: float) -> "LyapunovParams":
-        _check_gamma_eta(gamma, eta)
-        return cls(gamma=gamma, eta=eta, A=gamma / (2.0 * _shift_gap(eta)))
-
-    @classmethod
-    def for_dp(cls, gamma: float, eta: float) -> "LyapunovParams":
-        _check_gamma_eta(gamma, eta)
-        return cls(gamma=gamma, eta=eta, A=2.0 * gamma / eta)
-
-    @classmethod
-    def for_press(cls, gamma: float, eta: float, beta: float) -> "LyapunovParams":
-        _check_gamma_eta(gamma, eta)
-        beta = float(beta)
-        if not 0.0 < beta <= 1.0:
-            raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
-        return cls(gamma=gamma, eta=eta, A=gamma / beta)
+    The shifted methods take their certified rule, the single-node one
+    when n = 1; the unshifted baselines have no certified rule and take
+    the standard 1/L.
+    """
+    if method == "clip21_gd":
+        return stepsize_single(inputs) if inputs.n == 1 else stepsize_multi(inputs)
+    if method == "dp_clip21_gd":
+        return stepsize_dp(inputs)
+    if method == "press_clip21_gd":
+        return stepsize_press(inputs)
+    return 1.0 / inputs.L
 
 
-def _check_gamma_eta(gamma, eta):
+def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
+    """Coefficient A of the shift term in the Lyapunov function at gamma.
+
+    gamma/(2(1 - (1-eta)(1-eta/2))) for clip21_gd, 2 gamma/eta for
+    dp_clip21_gd and gamma/beta for press_clip21_gd, with beta its
+    contraction margin. 0 for the methods without a shift certificate,
+    and for press_clip21_gd when no positive margin exists.
+    """
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ConfigurationError(f"gamma must be a positive real, got {gamma}")
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
+    eta = eta_of(inputs.tau, inputs.grad0_norms)
+    if method == "clip21_gd":
+        return gamma / (2.0 * _shift_gap(eta))
+    if method == "dp_clip21_gd":
+        return 2.0 * gamma / eta
+    if method == "press_clip21_gd":
+        try:
+            return gamma / press_contraction_margin(inputs.alpha_press, eta)
+        except ConfigurationError:
+            return 0.0
+    return 0.0
 
 
 def k_star(grad0_norm: float, tau: float) -> int:
@@ -323,20 +322,11 @@ def rate_envelope(phi0: float, gamma: float, K: int) -> float:
     return 2.0 * phi0 / (gamma * K)
 
 
-@dataclass(frozen=True)
-class SigmaFloor:
-    """Variance floor plus the caveat that travels with it."""
-
-    value: float
-    caveat: str
-
-
-def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -> SigmaFloor:
+def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -> float:
     """Closed-form floor on min(nu^2, sigma^2) for the privacy target.
 
-    Only the closed form is evaluated; the separate normalization-based
-    feasibility condition on delta is not checked here, and the returned
-    caveat says so.
+    Only the closed form is evaluated: the separate normalization-constant
+    feasibility condition on delta is not checked here.
     """
     tau = float(tau)
     if tau <= 0.0:
@@ -353,15 +343,8 @@ def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -
     alpha_frac = float(alpha_frac)
     if not 0.0 < alpha_frac < 1.0:
         raise ConfigurationError(f"alpha_frac must lie in (0, 1), got {alpha_frac}")
-    value = 12.0 * tau**2 * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
+    return 12.0 * tau**2 * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
         (1.0 - alpha_frac) * eps
-    )
-    return SigmaFloor(
-        value=value,
-        caveat=(
-            "closed-form floor only; the normalization-constant feasibility "
-            "condition on delta is not evaluated"
-        ),
     )
 
 
@@ -407,19 +390,20 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
 def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
     """Lower bound on inf f for the suboptimality and Lyapunov telemetry.
 
-    Returns (value, not exact). The two-node quadratic gives (0.0, False).
-    Data problems run at most iters L-BFGS iterations: 10 pairs, Armijo
-    backtracking, one Problem.evaluate per trial, and the gradient step
-    1/L (L from problem.smoothness() when not given) as the first
-    direction and in place of any that does not descend. For reg="l2"
-    with lam > 0, f is lam-strongly convex, so at every x
-    inf f >= f(x) - ||grad f(x)||^2 / (2 lam): the search stops once that
-    gap is at most 1e-3 * margin and returns the bound, certified. Other
-    problems stop on the cap or a failed line search and return the best
-    value seen minus margin, an estimate.
+    The two-node quadratic gives its exact minimum 0.0. Data problems run
+    at most iters L-BFGS iterations: 10 pairs, Armijo backtracking, one
+    Problem.evaluate per trial, and the gradient step 1/L (L from
+    problem.smoothness() when not given) as the first direction and in
+    place of any that does not descend. For reg="l2" with lam > 0, f is
+    lam-strongly convex, so at every x inf f >= f(x) - ||grad f(x)||^2 /
+    (2 lam): the search stops once that gap is at most 1e-3 * margin and
+    returns the bound, certified. Other problems stop on the cap or a
+    failed line search and return the best value seen minus margin, an
+    estimate. So the value is certified exactly for the quadratic and for
+    reg="l2" with lam > 0.
     """
     if problem.kind == "quad_counterexample":
-        return 0.0, False
+        return 0.0
     if L is None:
         L = problem.smoothness().L
     lam = problem.lam if problem.reg == "l2" else 0.0
@@ -457,5 +441,5 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
                 pairs = pairs[-9:] + [(s, y, 1.0 / float(s @ y))]
             x, f, g = x_new, f_new, g_new
         if lam > 0.0:
-            return f - float(g @ g) / (2.0 * lam), True
-        return f - margin, True
+            return f - float(g @ g) / (2.0 * lam)
+        return f - margin

@@ -18,12 +18,14 @@ from clipshift import (
     MethodConfig,
     Problem,
     StepsizeInputs,
+    certified_stepsize,
     clip,
     clip21_avg_run,
     compress,
     dp_utility_bound,
     eta_of,
     k_star,
+    lyapunov_weight,
     node_mean,
     rate_envelope,
     run,
@@ -36,7 +38,6 @@ from clipshift import (
 from clipshift.data import NodeShard
 from clipshift.errors import DivergenceError
 from clipshift.optimizers import OptimizerState, step
-from clipshift.theory import LyapunovParams
 
 
 def _final_grad_sq(problem, state):
@@ -90,7 +91,7 @@ def test_criterion_02_stuck_point_escape():
         assert state.x[0] == 1.0  # bit-identical every step
 
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=tau, grad0_norms=(2.0, 1.0), F0=0.25)
-    gamma = stepsize_multi(inputs)
+    gamma = certified_stepsize("clip21_gd", inputs)
     # no node clips from step k* on (criterion 04), and from there the
     # shifted method is exactly GD on f = x^2/4, which shrinks the squared
     # gradient norm, 0.25 at the start, by (1 - gamma/2)^2 per step; the
@@ -116,9 +117,8 @@ def test_criterion_03_certified_descent(logistic_problem, logistic_x0, logistic_
     started = time.perf_counter()
     for tau in (0.01, 0.1, 1.0):
         inputs = _multi_inputs(logistic_problem, logistic_x0, logistic_f_inf, tau)
-        gamma = stepsize_multi(inputs)
-        eta = eta_of(tau, inputs.grad0_norms)
-        coeff = LyapunovParams.for_clip21(gamma, eta).A
+        gamma = certified_stepsize("clip21_gd", inputs)
+        coeff = lyapunov_weight("clip21_gd", gamma, inputs)
         cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=5001, tau=tau)
         _, records = run(
             cfg, logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeff=coeff
@@ -138,18 +138,18 @@ def _identity_quad(norm_targets, tau, d=4):
         direction /= np.linalg.norm(direction)
         b = direction * (target * tau * d / 2.0)
         shards.append(NodeShard(i, np.eye(d), b))
-    return Problem("linreg_nonconvex", shards=shards, lam=0.0)
+    return Problem("linreg_nonconvex", shards=shards, lam=0.0), shards
 
 
 def test_criterion_04_clipping_horizon_certified():
     started = time.perf_counter()
     tau = 0.5
     for norm_targets in ((2.0,), (5.0,), (2.0, 5.0, 2.0, 5.0)):
-        problem = _identity_quad(norm_targets, tau)
+        problem, shards = _identity_quad(norm_targets, tau)
         x0 = np.zeros(problem.d)
         xs = [x0.copy()]
         # exact minimizer of the averaged quadratic, for F0
-        b_rows = np.stack([s.labels for s in problem.shards])
+        b_rows = np.stack([s.labels for s in shards])
         x_star = b_rows.mean(axis=0)
         f_inf = problem.evaluate(x_star)[0]
         inputs = _multi_inputs(problem, x0, f_inf, tau)
@@ -222,9 +222,8 @@ def test_criterion_06_rate_envelope(logistic_problem, logistic_x0, logistic_f_in
     started = time.perf_counter()
     tau = 0.1
     inputs = _multi_inputs(logistic_problem, logistic_x0, logistic_f_inf, tau)
-    gamma = stepsize_multi(inputs)
-    eta = eta_of(tau, inputs.grad0_norms)
-    coeff = LyapunovParams.for_clip21(gamma, eta).A
+    gamma = certified_stepsize("clip21_gd", inputs)
+    coeff = lyapunov_weight("clip21_gd", gamma, inputs)
     cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=1000, tau=tau)
     _, records = run(
         cfg, logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeff=coeff
@@ -264,9 +263,9 @@ def test_criterion_07_noisy_utility_bound():
     inputs = StepsizeInputs(
         L=info.L, L_max=info.L_max, tau=tau, grad0_norms=norms, F0=F0, mu=mu, nu=nu
     )
-    gamma = stepsize_dp(inputs)
-    eta = eta_of(tau, norms)
-    coeff = LyapunovParams.for_dp(gamma, eta).A
+    gamma = certified_stepsize("dp_clip21_gd", inputs)
+    coeff = lyapunov_weight("dp_clip21_gd", gamma, inputs)
+    eta = eta_of(tau, norms)  # the utility bound's own input
     noise_sq = min(nu**2, sigma**2)
     for seed in range(20):
         cfg = MethodConfig(
@@ -398,7 +397,7 @@ def test_criterion_09_rules_match_oracle():
         )
 
         floor = sigma_min(tau, K, eps, delta, alpha_frac)
-        assert gap(floor.value, oracle.sigma_floor(tau, K, eps, delta, alpha_frac)) <= 1e-12
+        assert gap(floor, oracle.sigma_floor(tau, K, eps, delta, alpha_frac)) <= 1e-12
 
         phi0 = rnd.uniform(0.1, 5.0)
         gamma = rnd.uniform(0.01, 0.9) / mu * 0.1

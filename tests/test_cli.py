@@ -248,6 +248,42 @@ def test_dp_auto_needs_mu(tmp_path, data_file):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize(
+    "args,gamma",
+    [
+        (["--method", "clip21-gd", "--tau", "0.3"], "0.0010555574633835415"),
+        (["--method", "press-clip21-gd", "--tau", "0.3", "--compressor", "identity"], "0.0009516487933093424"),
+        (
+            ["--method", "dp-clip21-gd", "--tau", "1", "--nu", "0.1", "--sigma", "0.05", "--mu", "0.05"],
+            "0.0028669062407234063",
+        ),
+        (["--method", "gd"], "1"),
+    ],
+)
+def test_auto_stepsize_on_the_counterexample_is_pinned(tmp_path, capsys, args, gamma):
+    out = str(tmp_path / "auto.csv")
+    assert main(args + ["--gamma", "auto", "--iters", "5", "--out", out]) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert f" gamma={gamma} " in summary
+
+
+@pytest.mark.parametrize("mu", ["-1", "nan"])
+def test_mu_must_be_finite_and_non_negative(tmp_path, capsys, mu):
+    out = tmp_path / "x.csv"
+    assert main(["--method", "clip21-gd", "--tau", "1", "--mu", mu, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: mu must be a finite non-negative real, got {float(mu)}\n"
+    assert not out.exists()
+
+
+def test_mu_checks_around_the_shifted_runs(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["--method", "dp-clip21-gd", "--tau", "1", "--nu", "0.1", "--gamma", "auto", "--out", str(out)]
+    assert main(args + ["--mu", "0"]) == 2
+    assert "mu must be a positive real, got 0.0" in capsys.readouterr().err
+    # clip21-avg runs no stepsize rule and never reads mu
+    assert main(["--method", "clip21-avg", "--tau", "1", "--mu", "-1", "--iters", "3", "--out", str(out)]) == 0
+
+
 def test_one_smoothness_pass_per_run(tmp_path, data_file, monkeypatch):
     calls = []
     real = Problem.smoothness

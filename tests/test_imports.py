@@ -1,10 +1,15 @@
-"""The package runs on numpy and the standard library alone."""
+"""The package runs on numpy and the standard library alone, and exports
+only names that exist."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import clipshift
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,3 +40,13 @@ def test_cli_imports_nothing_but_numpy_and_the_standard_library():
         and name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_every_exported_name_resolves():
+    assert len(clipshift.__all__) == len(set(clipshift.__all__))
+    modules = [clipshift] + [
+        importlib.import_module(f"clipshift.{info.name}") for info in pkgutil.iter_modules(clipshift.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names {missing}"

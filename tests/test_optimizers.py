@@ -51,8 +51,11 @@ def test_method_config_validation():
 
 
 def test_privacy_calibration_warning():
-    with pytest.warns(UserWarning, match="privacy calibration"):
+    with pytest.warns(UserWarning, match="privacy calibration") as caught:
         _cfg(method="dp_clip21_gd", tau=1.0, sigma=0.5, nu=0.5)
+    # attributed to the code that built the config, not to the dataclass's
+    # generated __init__
+    assert caught[0].filename == __file__
     import warnings
 
     with warnings.catch_warnings():

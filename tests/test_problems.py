@@ -1,5 +1,8 @@
 """Objective values, gradients, and smoothness constants."""
 
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -32,6 +35,20 @@ def _random_shards(rng, n, d, m, regression=False):
             labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
         shards.append(NodeShard(i, feats, labels))
     return shards
+
+
+def test_problem_keeps_one_copy_of_the_data():
+    shards = _random_shards(np.random.default_rng(5), 3, 4, 6)
+    first = weakref.ref(shards[0].features)
+    problem = Problem("logistic", shards=shards, reg="l2", lam=0.1)
+    expected = problem.evaluate(np.ones(4))
+    del shards
+    gc.collect()
+    # the padded block is the only copy; the shards' arrays are released
+    assert first() is None
+    assert (problem.n, problem.d) == (3, 4)
+    value, grads = problem.evaluate(np.ones(4))
+    assert value == expected[0] and np.array_equal(grads, expected[1])
 
 
 @pytest.mark.parametrize("kind,reg", [
@@ -223,12 +240,6 @@ def test_smoothness_reg_curvature_scales_with_kind():
     nc = Problem("logistic", shards=shards, reg="nonconvex", lam=lam).smoothness()
     # the bounded regularizer has curvature up to 2 per unit weight
     assert nc.L_i[0] - l2.L_i[0] == pytest.approx(lam)
-
-
-def test_smoothness_carries_mu_through():
-    p = Problem("quad_counterexample")
-    assert p.smoothness().mu is None
-    assert p.smoothness(mu=0.25).mu == 0.25
 
 
 def test_validation_errors():

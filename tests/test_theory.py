@@ -8,15 +8,16 @@ from clipshift import (
     Compressor,
     ConfigurationError,
     InfeasibleStepsizeError,
-    LyapunovParams,
     MethodConfig,
     NodeShard,
     Problem,
     StepsizeInputs,
+    certified_stepsize,
     dp_utility_bound,
     estimate_f_inf,
     eta_of,
     k_star,
+    lyapunov_weight,
     press_contraction_margin,
     rate_envelope,
     run,
@@ -67,8 +68,8 @@ def test_press_infeasible_margin_carries_best():
 
 def test_sigma_floor_pinned():
     floor = sigma_min(1.0, 100, 0.5, 1e-5, 0.5)
-    assert floor.value == pytest.approx(2303.292437850279, rel=1e-12)
-    assert "feasibility" in floor.caveat
+    assert floor == pytest.approx(2303.292437850279, rel=1e-12)
+    assert "feasibility" in sigma_min.__doc__
 
 
 def test_dp_utility_pinned():
@@ -127,7 +128,7 @@ def test_rules_match_oracle_spot_checks():
 
     assert _rel_gap(press_contraction_margin(0.95, 0.4), oracle.press_beta(0.95, 0.4)) <= 1e-12
     assert (
-        _rel_gap(sigma_min(0.7, 500, 0.3, 1e-6, 0.25).value, oracle.sigma_floor(0.7, 500, 0.3, 1e-6, 0.25))
+        _rel_gap(sigma_min(0.7, 500, 0.3, 1e-6, 0.25), oracle.sigma_floor(0.7, 500, 0.3, 1e-6, 0.25))
         <= 1e-12
     )
     assert (
@@ -186,18 +187,63 @@ def test_rate_envelope_formula():
         rate_envelope(1.0, 0.1, 0)
 
 
-def test_lyapunov_params_coefficients():
-    p = LyapunovParams.for_clip21(0.1, 0.5)
-    gap = 1.0 - 0.5 * 0.75  # 1 - (1-eta)(1-eta/2)
-    assert p.A == pytest.approx(0.1 / (2.0 * gap))
-    assert LyapunovParams.for_dp(0.1, 0.5).A == pytest.approx(2.0 * 0.1 / 0.5)
-    assert LyapunovParams.for_press(0.1, 0.5, 0.8).A == pytest.approx(0.1 / 0.8)
+# tau = 1 against a largest start norm of 2, so eta = 0.5 in every case
+_ETA = 0.5
+
+
+def _shift_weight(gamma):
+    return gamma / (2.0 * (1.0 - (1.0 - _ETA) * (1.0 - 0.5 * _ETA)))
+
+
+def _inverse_L(inputs):
+    return 1.0 / inputs.L
+
+
+def _no_weight(gamma):
+    return 0.0
+
+
+@pytest.mark.parametrize(
+    "method,extra,rule,weight",
+    [
+        ("clip21_gd", dict(grad0_norms=(2.0,)), stepsize_single, _shift_weight),
+        ("clip21_gd", {}, stepsize_multi, _shift_weight),
+        ("dp_clip21_gd", dict(mu=0.1, nu=0.05), stepsize_dp, lambda gamma: 2.0 * gamma / _ETA),
+        (
+            "press_clip21_gd",
+            dict(alpha_press=0.9),
+            stepsize_press,
+            lambda gamma: gamma / press_contraction_margin(0.9, _ETA),
+        ),
+        # no positive contraction margin at alpha = 0.5: no certified
+        # stepsize, and the shift term drops out of the telemetry
+        ("press_clip21_gd", dict(alpha_press=0.5), None, _no_weight),
+        ("gd", {}, _inverse_L, _no_weight),
+        ("clip_gd", {}, _inverse_L, _no_weight),
+        ("dp_clip_gd", {}, _inverse_L, _no_weight),
+    ],
+    ids=["clip21-single", "clip21-multi", "dp", "press", "press-no-margin", "gd", "clip-gd", "dp-clip-gd"],
+)
+def test_certificate_matches_the_per_method_rules(method, extra, rule, weight):
+    base = dict(L=1.0, L_max=2.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=0.25)
+    inputs = StepsizeInputs(**{**base, **extra})
+    if rule is None:
+        with pytest.raises(InfeasibleStepsizeError):
+            certified_stepsize(method, inputs)
+        gamma = 0.1
+    else:
+        gamma = certified_stepsize(method, inputs)
+        assert gamma == rule(inputs)
+    for g in (gamma, 0.1):
+        assert lyapunov_weight(method, g, inputs) == weight(g)
+    with pytest.raises(ConfigurationError, match="gamma must be a positive real, got 0.0"):
+        lyapunov_weight(method, 0.0, inputs)
+    with pytest.raises(ConfigurationError, match="gamma must be a positive real, got nan"):
+        lyapunov_weight(method, float("nan"), inputs)
 
 
 def test_f_inf_counterexample_is_exact(quad_problem):
-    value, is_estimate = estimate_f_inf(quad_problem, np.array([3.0]))
-    assert value == 0.0
-    assert not is_estimate
+    assert estimate_f_inf(quad_problem, np.array([3.0])) == 0.0
 
 
 def test_f_inf_estimate_lower_bounds_descent(logistic_problem, logistic_x0, logistic_f_inf):
@@ -216,10 +262,10 @@ def test_press_stepsize_requires_feasible_margin():
         stepsize_press(inputs)
 
 
-def _newton_minimum(problem):
-    """f(x*) of an l2 logistic problem by damped Newton on the shards,
+def _newton_minimum(problem, shards):
+    """f(x*) of an l2 logistic problem by damped Newton on its shards,
     written apart from Problem: the d x d Hessian is solved directly."""
-    shards, n, lam = problem.shards, problem.n, problem.lam
+    n, lam = problem.n, problem.lam
 
     def value_grad_hess(x):
         value, grad, hess = 0.5 * lam * x @ x, lam * x, lam * np.eye(x.size)
@@ -245,13 +291,14 @@ def _newton_minimum(problem):
     return problem.evaluate(x)[0]
 
 
-def test_f_inf_is_a_tight_certified_bound_for_l2(logistic_problem, logistic_x0, logistic_f_inf):
-    f_star = _newton_minimum(logistic_problem)
+def test_f_inf_is_a_tight_certified_bound_for_l2(
+    logistic_problem, logistic_shards, logistic_x0, logistic_f_inf
+):
+    f_star = _newton_minimum(logistic_problem, logistic_shards)
     assert logistic_f_inf <= f_star
     assert f_star - logistic_f_inf <= 1e-9
     # one iteration is still a bound, only a looser one
-    short, is_estimate = estimate_f_inf(logistic_problem, logistic_x0, iters=1)
-    assert is_estimate
+    short = estimate_f_inf(logistic_problem, logistic_x0, iters=1)
     assert short <= f_star
 
 
@@ -268,9 +315,8 @@ def test_f_inf_without_strong_convexity_is_best_minus_margin(reg, lam):
     x0 = rng.standard_normal(4)
     f0 = problem.evaluate(x0)[0]
     # no iteration: the best value seen is f(x0)
-    assert estimate_f_inf(problem, x0, iters=0, margin=1e-6) == (f0 - 1e-6, True)
-    value, is_estimate = estimate_f_inf(problem, x0, iters=2000)
-    assert is_estimate
+    assert estimate_f_inf(problem, x0, iters=0, margin=1e-6) == f0 - 1e-6
+    value = estimate_f_inf(problem, x0, iters=2000)
     assert np.isfinite(value)
     # every loss term and both regularizers are non-negative
     assert -1e-9 <= value < f0 - 1e-9
@@ -281,5 +327,5 @@ def test_f_inf_presolve_survives_an_overflowing_start(logistic_problem):
     # instead of reaching Problem.evaluate's input check
     x0 = np.full(logistic_problem.d, 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, _ = estimate_f_inf(logistic_problem, x0, iters=50)
+        value = estimate_f_inf(logistic_problem, x0, iters=50)
     assert isinstance(value, float)
