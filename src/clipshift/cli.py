@@ -19,6 +19,7 @@ bad input).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import make_dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .data import heterogeneous_split, parse_libsvm, standard_scale
 from .errors import ConfigurationError, DataFormatError, DivergenceError, InvariantError
-from .ops import Compressor, node_mean
+from .ops import Compressor, check_count, check_real, node_mean
 from .optimizers import METHODS, IterationRecord, MethodConfig, clip21_avg_run, run
 from .problems import Problem
 from .rng import gaussian_sample, stream_slot
@@ -174,8 +175,8 @@ def parse_config(argv) -> RunConfig:
         if "nodes" in given and cfg.nodes != 2:
             raise ConfigurationError("the counterexample problem has exactly 2 nodes")
         cfg.nodes = 2
-    elif cfg.nodes < 1:
-        raise ConfigurationError(f"--nodes must be >= 1, got {cfg.nodes}")
+    else:
+        check_count("--nodes", cfg.nodes)
 
     if cfg.method != "gd" and cfg.tau is None:
         raise ConfigurationError(f"method {method_text!r} needs --tau")
@@ -188,11 +189,9 @@ def parse_config(argv) -> RunConfig:
         raise ConfigurationError("press-clip21-gd needs --compressor")
     if cfg.x0 is None:
         cfg.x0 = "1.0" if cfg.problem == "quad_counterexample" else "zeros"
-    if cfg.iters < 1:
-        raise ConfigurationError(f"--iters must be >= 1, got {cfg.iters}")
-    for name, value in (("--seed", cfg.seed), ("--presolve-iters", cfg.presolve_iters)):
-        if value < 0:
-            raise ConfigurationError(f"{name} must be non-negative, got {value}")
+    check_count("--iters", cfg.iters)
+    check_count("--seed", cfg.seed, 0)
+    check_count("--presolve-iters", cfg.presolve_iters, 0)
     return cfg
 
 
@@ -228,9 +227,7 @@ def _parse_vector(text: str, problem: Problem, slot: int, what: str, seed: int) 
         return np.zeros(d)
     if text.startswith("gaussian:"):
         scale = _as(float, what, text.split(":", 1)[1])
-        if scale < 0:
-            raise ConfigurationError(f"{what} gaussian scale must be non-negative")
-        return gaussian_sample(seed, slot, 0, d, scale)
+        return gaussian_sample(seed, slot, 0, d, check_real(f"{what} gaussian scale", scale, "non-negative"))
     parts = [p for p in text.split(",") if p.strip()]
     values = [_as(float, what, p) for p in parts]
     if not np.isfinite(values).all():
@@ -309,10 +306,14 @@ def _run_avg(cfg: RunConfig, problem: Problem, f0: float, targets: np.ndarray) -
             )
         )
 
-    clip21_avg_run(targets, cfg.tau, v_init=v_init, iters=cfg.iters, hook=record)
+    # the horizon comes first, so a tau too small for one writes no CSV
+    tau = check_real("clip threshold", cfg.tau)
+    steps = max(float(np.linalg.norm(t - v)) for t, v in zip(targets, v_init)) / tau - 1.0
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"no finite no-more-clipping horizon at tau={tau}")
+    horizon = max(0, math.ceil(steps))
+    clip21_avg_run(targets, tau, v_init=v_init, iters=cfg.iters, hook=record)
     write_csv(records, cfg.out)
-    residuals = [float(np.linalg.norm(t - v)) for t, v in zip(targets, v_init)]
-    horizon = max(max(0, int(np.ceil(r / cfg.tau - 1.0))) for r in residuals)
     print(_summary_line(cfg.method, f0, gsq0, iters_to_all_inactive(records), 0.0, horizon))
     return 0
 
@@ -331,8 +332,8 @@ def run_experiment(cfg: RunConfig) -> int:
     if cfg.method == "clip21_avg":
         return _run_avg(cfg, problem, f0, grads)
 
-    if cfg.mu is not None and not (np.isfinite(cfg.mu) and cfg.mu >= 0.0):
-        raise ConfigurationError(f"mu must be a finite non-negative real, got {cfg.mu}")
+    if cfg.mu is not None:
+        check_real("mu", cfg.mu, "non-negative")
     info = problem.smoothness()
     L = cfg.L_override if cfg.L_override is not None else info.L
     if L <= 0:

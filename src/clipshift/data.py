@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
+from .ops import check_count
 
 __all__ = [
     "Dataset",
@@ -188,9 +189,7 @@ def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
     of one private sorted copy, so they never alias the caller's Dataset,
     and the Dataset can be released while they live.
     """
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError(f"node count must be >= 1, got {n}")
+    n = check_count("node count", n)
     if n > ds.m:
         raise ConfigurationError(f"cannot split {ds.m} samples across {n} nodes")
     order = np.argsort(ds.labels, kind="stable")

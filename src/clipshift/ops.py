@@ -6,6 +6,7 @@ Everything here is float64 and pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "check_threshold",
+    "check_count",
+    "check_real",
     "check_vector",
     "clip",
     "clip_rows",
@@ -34,12 +36,34 @@ def check_vector(x) -> np.ndarray:
     return arr
 
 
-def check_threshold(tau) -> float:
-    """tau as a float, rejecting anything but a finite positive real."""
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ConfigurationError(f"clip threshold must be a positive real, got {tau}")
-    return tau
+# kind: (what the value must do, the test it must pass); NaN fails every test
+_REAL_KINDS = {
+    "positive": ("be a positive real", lambda v: 0.0 < v < math.inf),
+    "non-negative": ("be a finite non-negative real", lambda v: 0.0 <= v < math.inf),
+    "(0, 1]": ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "(0, 1)": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def check_real(name: str, value, kind: str = "positive") -> float:
+    """value as a float in the range kind names, rejecting NaN and +-inf."""
+    wording, ok = _REAL_KINDS[kind]
+    v = float(value)
+    if not ok(v):
+        raise ConfigurationError(f"{name} must {wording}, got {v}")
+    return v
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int >= least. Integral floats such as 10.0 and numpy
+    ints pass; fractions, NaN and +-inf do not."""
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value}")
+    n = int(value)
+    if n < least:
+        bound = "be non-negative" if least == 0 else f"be >= {least}"
+        raise ConfigurationError(f"{name} must {bound}, got {value}")
+    return n
 
 
 def clip(x, tau) -> np.ndarray:
@@ -49,7 +73,7 @@ def clip(x, tau) -> np.ndarray:
     is scaled by exactly 1 and comes back as a bit-identical copy; the
     zero vector never reaches a division by its norm.
     """
-    return clip_rows(check_vector(x)[None, :], check_threshold(tau))[0][0]
+    return clip_rows(check_vector(x)[None, :], check_real("clip threshold", tau))[0][0]
 
 
 def clip_rows(rows: np.ndarray, tau: float):
@@ -80,9 +104,10 @@ class Compressor:
             if self.k is not None:
                 raise ConfigurationError("identity compressor takes no k")
         elif self.kind == "top_k":
-            if self.k is None or int(self.k) < 1:
-                raise ConfigurationError("top_k compressor needs a positive integer k")
-            object.__setattr__(self, "k", int(self.k))
+            try:
+                object.__setattr__(self, "k", check_count("k", self.k))
+            except (TypeError, ValueError):
+                raise ConfigurationError("top_k compressor needs a positive integer k") from None
         else:
             raise ConfigurationError(f"unknown compressor kind {self.kind!r}")
 

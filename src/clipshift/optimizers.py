@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InvariantError
-from .ops import Compressor, check_threshold, check_vector, clip, clip_rows, compress_rows, node_mean
+from .ops import Compressor, check_count, check_real, check_vector, clip, clip_rows, compress_rows, node_mean
 from .rng import gaussian_block, gaussian_sample, stream_slot
 
 __all__ = [
@@ -52,6 +52,14 @@ _SHIFTED = ("clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
 
+def _required(method: str, what: str, value) -> float:
+    """value as a positive real; the error names the method that needs it."""
+    try:
+        return check_real(what, value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"method {method} needs a positive {what}, got {value}") from None
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     method: str
@@ -66,32 +74,15 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        gamma = float(self.gamma)
-        if not np.isfinite(gamma) or gamma <= 0.0:
-            raise ConfigurationError(f"gamma must be a positive real, got {self.gamma}")
-        object.__setattr__(self, "gamma", gamma)
-        if int(self.iters) < 1:
-            raise ConfigurationError(f"iteration count must be >= 1, got {self.iters}")
-        object.__setattr__(self, "iters", int(self.iters))
-        if int(self.seed) < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma))
+        object.__setattr__(self, "iters", check_count("iteration count", self.iters))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if self.method != "gd":
-            if self.tau is None or not np.isfinite(float(self.tau)) or float(self.tau) <= 0.0:
-                raise ConfigurationError(
-                    f"method {self.method} needs a positive clip threshold, got {self.tau}"
-                )
-            object.__setattr__(self, "tau", float(self.tau))
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise ConfigurationError(f"sigma must be a finite non-negative real, got {self.sigma}")
+            object.__setattr__(self, "tau", _required(self.method, "clip threshold", self.tau))
+        sigma = check_real("sigma", self.sigma, "non-negative")
         object.__setattr__(self, "sigma", sigma)
         if self.method in _DP_METHODS:
-            nu = float(self.nu)
-            if not np.isfinite(nu) or nu <= 0.0:
-                raise ConfigurationError(
-                    f"method {self.method} needs a positive noise clip bound nu, got {self.nu}"
-                )
+            nu = _required(self.method, "noise clip bound nu", self.nu)
             object.__setattr__(self, "nu", nu)
             if not (self.tau >= 6.0 * nu and nu >= sigma):
                 # stacklevel 3 skips this method and the generated __init__,
@@ -315,7 +306,7 @@ def clip21_avg_run(a, tau, v_init=None, iters=1, hook=None):
     any iteration count. Once a residual fits inside the clip ball the
     shift lands exactly on the target.
     """
-    tau = check_threshold(tau)
+    tau = check_real("clip threshold", tau)
     rows = [check_vector(ai) for ai in a]
     if not rows:
         raise ConfigurationError("need at least one target vector")
@@ -331,10 +322,7 @@ def clip21_avg_run(a, tau, v_init=None, iters=1, hook=None):
         if len(init_rows) != n or any(r.shape[0] != d for r in init_rows):
             raise ValueError("v_init shape must match the targets")
         v = np.stack(init_rows)
-    iters = int(iters)
-    if iters < 1:
-        raise ConfigurationError(f"iteration count must be >= 1, got {iters}")
-    for _ in range(iters):
+    for _ in range(check_count("iteration count", iters)):
         v, _messages, active = _shift_update(targets, v, tau)
         if hook is not None:
             hook(v, active)

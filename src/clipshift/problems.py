@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ops import check_vector
+from .ops import check_real, check_vector
 
 __all__ = ["Problem", "SmoothnessInfo", "KINDS", "REGULARIZERS"]
 
@@ -67,9 +67,7 @@ class Problem:
             raise ConfigurationError(f"unknown problem kind {kind!r}")
         if reg not in REGULARIZERS:
             raise ConfigurationError(f"unknown regularizer {reg!r}")
-        lam = float(lam)
-        if not np.isfinite(lam) or lam < 0.0:
-            raise ConfigurationError(f"lambda must be a finite non-negative real, got {lam}")
+        lam = check_real("lambda", lam, "non-negative")
         shards = tuple(shards)
         if kind == "quad_counterexample":
             if shards:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .ops import check_count, check_real
 
 __all__ = ["gaussian_sample", "gaussian_block", "stream_slot"]
 
@@ -69,15 +69,14 @@ def stream_slot(n: int, use: str) -> int:
 
 
 def _check_draw(seed: int, node: int, step: int, d: int, sigma: float):
-    seed, node, step, d = int(seed), int(node), int(step), int(d)
-    if seed < 0 or node < 0 or step < 0:
-        raise ConfigurationError("seed, node, and step must be non-negative integers")
-    if d < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {d}")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ConfigurationError(f"sigma must be a finite non-negative real, got {sigma}")
-    return seed, node, step, d, sigma
+    # plain calls, not a loop: this runs once per noisy step
+    return (
+        check_count("seed", seed, 0),
+        check_count("node", node, 0),
+        check_count("step", step, 0),
+        check_count("dimension", d),
+        check_real("sigma", sigma, "non-negative"),
+    )
 
 
 def _normal_rows(seed: int, first: int, count: int, step: int, d: int) -> np.ndarray:
@@ -116,9 +115,7 @@ def gaussian_sample(seed: int, node: int, step: int, d: int, sigma: float) -> np
 def gaussian_block(seed: int, step: int, n: int, d: int, sigma: float) -> np.ndarray:
     """(n, d) block for one step; row i is bit-identical to
     gaussian_sample(seed, i, step, d, sigma)."""
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError(f"node count must be >= 1, got {n}")
+    n = check_count("node count", n)
     seed, _, step, d, sigma = _check_draw(seed, 0, step, d, sigma)
     if sigma == 0.0:
         return np.zeros((n, d))

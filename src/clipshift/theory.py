@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleStepsizeError
-from .ops import node_mean
+from .ops import check_count, check_real, node_mean
 
 __all__ = [
     "StepsizeInputs",
@@ -59,25 +59,15 @@ class StepsizeInputs:
     nu: float | None = None
 
     def __post_init__(self):
-        for name in ("L", "L_max"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise ConfigurationError(f"{name} must be a positive real, got {value}")
-            object.__setattr__(self, name, value)
-        tau = float(self.tau)
-        if not np.isfinite(tau) or tau <= 0.0:
-            raise ConfigurationError(f"tau must be a positive real, got {tau}")
-        object.__setattr__(self, "tau", tau)
+        for name in ("L", "L_max", "tau"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         norms = tuple(float(g) for g in self.grad0_norms)
         if not norms:
             raise ConfigurationError("grad0_norms must contain at least one entry")
         if any(not np.isfinite(g) or g < 0.0 for g in norms):
             raise ConfigurationError("gradient norms must be finite and non-negative")
         object.__setattr__(self, "grad0_norms", norms)
-        F0 = float(self.F0)
-        if not np.isfinite(F0) or F0 < 0.0:
-            raise ConfigurationError(f"F0 must be a finite non-negative real, got {F0}")
-        object.__setattr__(self, "F0", F0)
+        object.__setattr__(self, "F0", check_real("F0", self.F0, "non-negative"))
 
     @property
     def n(self) -> int:
@@ -86,9 +76,7 @@ class StepsizeInputs:
 
 def eta_of(tau, grad0_norms) -> float:
     """min(1, tau / max_i ||grad_i(x0)||); 1 when every norm is zero."""
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ConfigurationError(f"tau must be a positive real, got {tau}")
+    tau = check_real("tau", tau)
     top = max(float(g) for g in grad0_norms)
     if top <= 0.0:
         return 1.0
@@ -162,12 +150,8 @@ def stepsize_dp(inp: StepsizeInputs) -> float:
     """
     if inp.mu is None:
         raise ConfigurationError("the noisy stepsize rule needs mu")
-    mu = float(inp.mu)
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise ConfigurationError(f"mu must be a positive real, got {mu}")
-    nu = 0.0 if inp.nu is None else float(inp.nu)
-    if not np.isfinite(nu) or nu < 0.0:
-        raise ConfigurationError(f"nu must be a finite non-negative real, got {nu}")
+    mu = check_real("mu", inp.mu)
+    nu = 0.0 if inp.nu is None else check_real("nu", inp.nu, "non-negative")
     norms = np.asarray(inp.grad0_norms)
     eta = eta_of(inp.tau, inp.grad0_norms)
     B = float(norms.max())
@@ -195,12 +179,8 @@ def press_contraction_margin(alpha: float, eta: float) -> float:
     log-spaced points in [1e-3, 10], first maximum winning. Raises when
     no grid point gives a positive margin.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(f"contraction alpha must lie in (0, 1], got {alpha}")
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
+    alpha = check_real("contraction alpha", alpha, "(0, 1]")
+    eta = check_real("eta", eta, "(0, 1]")
     one_minus = 1.0 - alpha
     miss_sq = (1.0 - eta) ** 2
     best = -math.inf
@@ -224,9 +204,7 @@ def stepsize_press(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the compressed shifted method."""
     if inp.alpha_press is None:
         raise ConfigurationError("the compressed stepsize rule needs alpha_press")
-    alpha = float(inp.alpha_press)
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(f"alpha_press must lie in (0, 1], got {alpha}")
+    alpha = check_real("alpha_press", inp.alpha_press, "(0, 1]")
     norms = np.asarray(inp.grad0_norms)
     eta = eta_of(inp.tau, inp.grad0_norms)
     beta = press_contraction_margin(alpha, eta)
@@ -277,9 +255,7 @@ def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
     contraction margin. 0 for the methods without a shift certificate,
     and for press_clip21_gd when no positive margin exists.
     """
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ConfigurationError(f"gamma must be a positive real, got {gamma}")
+    gamma = check_real("gamma", gamma)
     eta = eta_of(inputs.tau, inputs.grad0_norms)
     if method == "clip21_gd":
         return gamma / (2.0 * _shift_gap(eta))
@@ -295,31 +271,20 @@ def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
 
 def k_star(grad0_norm: float, tau: float) -> int:
     """First iteration index from which clipping stays inactive."""
-    grad0_norm = float(grad0_norm)
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    if not np.isfinite(grad0_norm) or grad0_norm < 0.0:
-        raise ConfigurationError(
-            f"gradient norm must be a finite non-negative real, got {grad0_norm}"
-        )
+    tau = check_real("tau", tau)
+    grad0_norm = check_real("gradient norm", grad0_norm, "non-negative")
     if grad0_norm <= tau:
         return 0
-    return math.ceil((2.0 / tau) * (grad0_norm - tau) + 1.0)
+    steps = (2.0 / tau) * (grad0_norm - tau) + 1.0
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"no finite no-more-clipping horizon at tau={tau}")
+    return math.ceil(steps)
 
 
 def rate_envelope(phi0: float, gamma: float, K: int) -> float:
     """Certified bound 2*phi0/(gamma*K) on the best squared gradient norm."""
-    phi0 = float(phi0)
-    if phi0 < 0.0:
-        raise ConfigurationError(f"phi0 must be non-negative, got {phi0}")
-    gamma = float(gamma)
-    if gamma <= 0.0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    K = int(K)
-    if K < 1:
-        raise ConfigurationError(f"K must be >= 1, got {K}")
-    return 2.0 * phi0 / (gamma * K)
+    phi0 = check_real("phi0", phi0, "non-negative")
+    return 2.0 * phi0 / (check_real("gamma", gamma) * check_count("K", K))
 
 
 def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -> float:
@@ -328,21 +293,11 @@ def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -
     Only the closed form is evaluated: the separate normalization-constant
     feasibility condition on delta is not checked here.
     """
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    K = int(K)
-    if K < 1:
-        raise ConfigurationError(f"K must be >= 1, got {K}")
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise ConfigurationError(f"eps must lie in (0, 1), got {eps}")
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    alpha_frac = float(alpha_frac)
-    if not 0.0 < alpha_frac < 1.0:
-        raise ConfigurationError(f"alpha_frac must lie in (0, 1), got {alpha_frac}")
+    tau = check_real("tau", tau)
+    K = check_count("K", K)
+    eps = check_real("eps", eps, "(0, 1)")
+    delta = check_real("delta", delta, "(0, 1)")
+    alpha_frac = check_real("alpha_frac", alpha_frac, "(0, 1)")
     return 12.0 * tau**2 * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
         (1.0 - alpha_frac) * eps
     )
@@ -350,26 +305,15 @@ def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -
 
 def dp_utility_bound(phi0, gamma, mu, K, sigma2_min, eta) -> float:
     """(1 - gamma*mu)^K * phi0 + [2(1 + 2/eta)/(eta*mu)] * sigma2_min."""
-    phi0 = float(phi0)
-    if phi0 < 0.0:
-        raise ConfigurationError(f"phi0 must be non-negative, got {phi0}")
-    gamma = float(gamma)
-    mu = float(mu)
-    if gamma <= 0.0 or mu <= 0.0:
-        raise ConfigurationError("gamma and mu must be positive")
+    phi0 = check_real("phi0", phi0, "non-negative")
+    gamma, mu = check_real("gamma", gamma), check_real("mu", mu)
     if gamma * mu >= 1.0:
         raise ConfigurationError(
             f"need gamma*mu < 1 for the geometric decay, got {gamma * mu}"
         )
-    K = int(K)
-    if K < 1:
-        raise ConfigurationError(f"K must be >= 1, got {K}")
-    sigma2_min = float(sigma2_min)
-    if sigma2_min < 0.0:
-        raise ConfigurationError(f"sigma2_min must be non-negative, got {sigma2_min}")
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
+    K = check_count("K", K)
+    sigma2_min = check_real("sigma2_min", sigma2_min, "non-negative")
+    eta = check_real("eta", eta, "(0, 1]")
     noise_amp = 2.0 * (1.0 + 2.0 / eta) / (eta * mu)
     return (1.0 - gamma * mu) ** K * phi0 + noise_amp * sigma2_min
 
@@ -416,7 +360,7 @@ def estimate_f_inf(problem, x0, iters=100_000, margin=1e-9, L=None):
     with np.errstate(over="ignore", invalid="ignore"):
         f, grads = problem.evaluate(x)
         g = node_mean(grads)
-        for _ in range(int(iters)):
+        for _ in range(check_count("iters", iters, 0)):
             gg = float(g @ g)
             if gg == 0.0 or (lam > 0.0 and gg / (2.0 * lam) <= 1e-3 * margin):
                 break

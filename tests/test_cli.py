@@ -489,3 +489,66 @@ def test_gaussian_x0_draws_from_the_slot_after_aggregate_noise(data_file):
     problem = cli.build_problem(cfg)
     expected = gaussian_sample(9, 4 + 1, 0, problem.d, 0.7)
     assert np.array_equal(cli.resolve_x0(cfg, problem), expected)
+
+
+_TINY_TAU = "error: no finite no-more-clipping horizon at tau=1e-310\n"
+
+
+# (flag overrides on _base_args, or a full argv for the counterexample; exit
+# code; exact stderr). Every row writes nothing and prints nothing on stdout.
+@pytest.mark.parametrize(
+    "overrides, code, stderr",
+    [
+        ({"--tau": "-1"}, 2, "error: tau must be a positive real, got -1.0\n"),
+        ({"--tau": "nan"}, 2, "error: tau must be a positive real, got nan\n"),
+        ({"--method": "clip21-avg", "--tau": "0"}, 2, "error: clip threshold must be a positive real, got 0.0\n"),
+        ({"--gamma": "-0.1"}, 2, "error: gamma must be a positive real, got -0.1\n"),
+        ({"--gamma": "nan"}, 2, "error: gamma must be a positive real, got nan\n"),
+        ({"--gamma": "big"}, 2, "error: --gamma must be a number, got 'big'\n"),
+        ({"--method": "dp-clip-gd", "--sigma": "-1", "--nu": "0.05"}, 2,
+         "error: sigma must be a finite non-negative real, got -1.0\n"),
+        ({"--method": "dp-clip21-gd", "--nu": "0"}, 2,
+         "error: method dp_clip21_gd needs a positive noise clip bound nu, got 0.0\n"),
+        ({"--method": "dp-clip-gd", "--nu": "nan"}, 2,
+         "error: method dp_clip_gd needs a positive noise clip bound nu, got nan\n"),
+        ({"--method": "dp-clip21-gd", "--gamma": "auto", "--nu": "-1", "--mu": "0.01"}, 2,
+         "error: nu must be a finite non-negative real, got -1.0\n"),
+        ({"--method": "dp-clip21-gd", "--gamma": "auto", "--nu": "0.05", "--mu": "-1"}, 2,
+         "error: mu must be a finite non-negative real, got -1.0\n"),
+        ({"--method": "dp-clip21-gd", "--gamma": "auto", "--nu": "0.05", "--mu": "0"}, 2,
+         "error: mu must be a positive real, got 0.0\n"),
+        ({"--method": "dp-clip21-gd", "--gamma": "auto", "--nu": "0.05"}, 2, "error: the noisy stepsize rule needs mu\n"),
+        ({"--iters": "0"}, 2, "error: --iters must be >= 1, got 0\n"),
+        ({"--iters": "2.5"}, 2, "error: --iters must be an integer, got '2.5'\n"),
+        ({"--seed": "-1"}, 2, "error: --seed must be non-negative, got -1\n"),
+        ({"--presolve-iters": "-3"}, 2, "error: --presolve-iters must be non-negative, got -3\n"),
+        ({"--nodes": "0"}, 2, "error: --nodes must be >= 1, got 0\n"),
+        ({"--lambda": "-1"}, 2, "error: lambda must be a finite non-negative real, got -1.0\n"),
+        ({"--lambda": "nan"}, 2, "error: lambda must be a finite non-negative real, got nan\n"),
+        ({"--method": "clip-gd", "--L": "-1"}, 2, "error: need a positive smoothness constant, got -1.0\n"),
+        ({"--method": "press-clip21-gd", "--compressor": "topk:0"}, 2,
+         "error: top_k compressor needs a positive integer k\n"),
+        ({"--method": "press-clip21-gd", "--compressor": "topk:99"}, 2, "error: top_k with k=99 exceeds dimension 5\n"),
+        (["--method", "clip21-gd", "--tau", "1", "--beta-q", "0.5"], 2,
+         "error: quad_counterexample requires beta_q > alpha_q > 0, got (0.5, 1.0)\n"),
+        ({"--reg": "l1"}, 2, "error: --reg must be l2 or nonconvex, got 'l1'\n"),
+        (["--method", "clip21-gd", "--tau", "1e-310", "--gamma", "0.1", "--iters", "3"], 2, _TINY_TAU),
+        (["--method", "clip21-avg", "--tau", "1e-310", "--iters", "3"], 2, _TINY_TAU),
+    ]
+    + [
+        ({"--method": method, flag: f"gaussian:{scale}"}, 2,
+         f"error: {flag} gaussian scale must be a finite non-negative real, got {float(scale)}\n")
+        for flag, method in (("--x0", "clip21-gd"), ("--v-init", "clip21-avg"))
+        for scale in ("nan", "inf", "-1")
+    ],
+)
+def test_invalid_invocations_exit_with_one_error_line(tmp_path, data_file, capsys, overrides, code, stderr):
+    out = str(tmp_path / "x.csv")
+    if isinstance(overrides, dict):
+        args = _base_args(data_file, out, **overrides)
+    else:
+        args = overrides + ["--out", out]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+    assert list(tmp_path.iterdir()) == []
