@@ -25,10 +25,10 @@ from .errors import (
 from .ops import Compressor, clip, compress, node_mean
 from .optimizers import (
     METHODS,
+    Batch,
     IterationRecord,
     MethodConfig,
     OptimizerState,
-    StepStats,
     clip21_avg_run,
     run,
 )
@@ -54,6 +54,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Batch",
     "Compressor",
     "ConfigurationError",
     "DataFormatError",
@@ -70,7 +71,6 @@ __all__ = [
     "Problem",
     "REGULARIZERS",
     "SmoothnessInfo",
-    "StepStats",
     "StepsizeInputs",
     "certified_stepsize",
     "clip",

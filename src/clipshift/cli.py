@@ -9,7 +9,7 @@ Each option is one row of OPTIONS (config-file key, default, converter,
 help); its flag is ``--`` plus the key with ``_`` written as ``-``. The
 parser, the defaults, the accepted config-file keys and the fields of
 RunConfig all come from that table. A run is a list of stepsizes, one
-value or the six grid points, and each goes through the same loop.
+value or the six grid points, stepped together as one batch.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O or data
 format error, 4 divergence, 5 an internal invariant failed (a bug, not
@@ -206,7 +206,8 @@ def parse_compressor(text: str) -> Compressor:
 
 def build_problem(cfg: RunConfig) -> Problem:
     if cfg.problem == "quad_counterexample":
-        return Problem("quad_counterexample", quad_params=(cfg.beta_q, cfg.alpha_q))
+        curvatures = (check_real(option_flag(k), getattr(cfg, k), "finite") for k in ("beta_q", "alpha_q"))
+        return Problem("quad_counterexample", quad_params=tuple(curvatures))
     try:
         with open(cfg.data, encoding="utf-8") as handle:
             # the parsed Dataset is freed once the split has sorted its own copy
@@ -357,17 +358,17 @@ def run_experiment(cfg: RunConfig) -> int:
     )
     horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
 
-    # one stepsize writes --out itself; the grid writes one trace per child
-    # and copies the best child's to --out
+    # one stepsize writes --out itself; the grid steps its six children as
+    # one batch, writes one trace per child and copies the best child's
+    # to --out
     grid = cfg.gamma == "grid"
     if grid:
         gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
     else:
         gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
         paths = [cfg.out]
-    finished = []  # (final grad_norm_sq, child index, gamma, final f, records)
-    for idx, (gamma, path) in enumerate(zip(gammas, paths)):
-        method_cfg = MethodConfig(
+    method_cfgs = [
+        MethodConfig(
             method=cfg.method,
             gamma=gamma,
             iters=cfg.iters,
@@ -377,29 +378,35 @@ def run_experiment(cfg: RunConfig) -> int:
             compressor=compressor,
             seed=cfg.seed,
         )
-        collected = []
-        try:
-            coeff = lyapunov_weight(cfg.method, gamma, inputs)
-            state, records = run(method_cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=coeff, hook=collected.append)
+        for gamma in gammas
+    ]
+    coeffs = [lyapunov_weight(cfg.method, gamma, inputs) for gamma in gammas]
+    finals, records = run(method_cfgs, problem, x0, f_inf=f_inf, lyapunov_coeffs=coeffs)
+    traces = [[] for _ in gammas]
+    for record in records:
+        traces[record.run].append(record)
+    finished = []  # (final grad_norm_sq, child index, gamma, final f, records)
+    for idx, (gamma, path, final, trace) in enumerate(zip(gammas, paths, finals, traces)):
+        if not isinstance(final, DivergenceError):
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
-                final_f, final_grads = problem.evaluate(state.x)
+                final_f, final_grads = problem.evaluate(final.x)
                 final_gsq = float(np.sum(node_mean(final_grads) ** 2))
             if not (np.isfinite(final_f) and np.isfinite(final_gsq)):
-                raise DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
-        except DivergenceError as exc:
+                final = DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
+        if isinstance(final, DivergenceError):
             # the partial trace stays behind for inspection
-            if collected:
-                write_csv(collected, path)
+            if trace:
+                write_csv(trace, path)
             if not grid:
-                print(f"diverged: {exc}", file=sys.stderr)
+                print(f"diverged: {final}", file=sys.stderr)
                 return 4
-            print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({exc})")
+            print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({final})")
             continue
-        write_csv(records, path)
+        write_csv(trace, path)
         if grid:
             print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-        finished.append((final_gsq, idx, gamma, final_f, records))
+        finished.append((final_gsq, idx, gamma, final_f, trace))
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4

@@ -42,6 +42,7 @@ _REAL_KINDS = {
     "non-negative": ("be a finite non-negative real", lambda v: 0.0 <= v < math.inf),
     "(0, 1]": ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "(0, 1)": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "finite": ("be a finite real", lambda v: -math.inf < v < math.inf),
 }
 
 
@@ -77,15 +78,17 @@ def clip(x, tau) -> np.ndarray:
 
 
 def clip_rows(rows: np.ndarray, tau: float):
-    """clip applied to every row of an (n, d) array at once.
+    """clip applied to every row (last axis) of an (..., d) array at once.
 
     Returns the clipped rows and the mask of rows that were scaled. A row
     inside the ball is scaled by tau/tau, exactly 1, so it comes back
-    bit-identical. tau is trusted here: finite and positive.
+    bit-identical. Each row's norm is the same einsum whatever the leading
+    shape, so a row clips to the same bits alone or in a stack. tau is
+    trusted here: finite and positive.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms = np.sqrt(np.einsum("...j,...j->...", rows, rows))
     scale = tau / np.maximum(norms, tau)
-    return rows * scale[:, None], norms > tau
+    return rows * scale[..., None], norms > tau
 
 
 @dataclass(frozen=True)
@@ -128,33 +131,36 @@ def compress(c: Compressor, x) -> np.ndarray:
 
 
 def compress_rows(c: Compressor, rows: np.ndarray) -> np.ndarray:
-    """compress applied to every row of an (n, d) array at once.
+    """compress applied to every row (last axis) of an (..., d) array at once.
 
     Top-k selects rather than sorts: a row keeps every entry whose
     magnitude exceeds its k-th largest, then the lowest-index entries tied
     with it until k are kept, exactly what a stable sort on -|x| keeps.
     A NaN would not rank as that sort ranks it, so rows must hold none.
     """
-    if c.kind == "identity" or c.k >= rows.shape[1]:
+    if c.kind == "identity" or c.k >= rows.shape[-1]:
         return rows.copy()
     mags = np.abs(rows)
-    kth = rows.shape[1] - c.k
-    cut = np.partition(mags, kth, axis=1)[:, kth, None]
+    kth = rows.shape[-1] - c.k
+    cut = np.partition(mags, kth, axis=-1)[..., kth, None]
     above = mags > cut
     tied = mags == cut
-    room = c.k - above.sum(axis=1, keepdims=True)
-    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    room = c.k - above.sum(axis=-1, keepdims=True)
+    keep = above | (tied & (np.cumsum(tied, axis=-1) <= room))
     return np.where(keep, rows, 0.0)
 
 
 def node_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over the node axis of an (n, d) array.
+    """Mean over the node axis of an (n, d) array, or of each (n, d) block
+    of an (R, n, d) stack.
 
     Every aggregation in the package goes through this one reduction so
-    that objective gradients and optimizer averages agree bitwise.
+    that objective gradients and optimizer averages agree bitwise. The
+    node axis is summed in order, one row after another, so a block's
+    mean has the same bits alone or in a stack.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError(f"expected an (n, d) array, got shape {rows.shape}")
-    # the same sum-then-divide as rows.mean(axis=0), without its overhead
-    return np.add.reduce(rows, axis=0) / rows.shape[0]
+    if rows.ndim not in (2, 3):
+        raise ValueError(f"expected an (n, d) or (R, n, d) array, got shape {rows.shape}")
+    # the same sum-then-divide as rows.mean(axis=-2), without its overhead
+    return np.add.reduce(rows, axis=-2) / rows.shape[-2]

@@ -3,7 +3,10 @@
 Plain GD, clipped GD with and without privacy noise, the shifted
 clipping iteration for fixed targets, shifted clipping for optimization,
 its noisy variant, and its compressed variant all run through one loop
-that emits per-iteration telemetry.
+that emits per-iteration telemetry. The loop steps a batch: runs that
+share the problem and the method but differ in gamma, sigma and seed
+(a stepsize grid, a noise sweep) take each step together, and each run
+is bit-identical to its solo run.
 
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
@@ -17,18 +20,19 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InvariantError
-from .ops import Compressor, check_count, check_real, check_vector, clip, clip_rows, compress_rows, node_mean
+from .ops import Compressor, check_count, check_real, check_vector, clip_rows, compress_rows, node_mean
 from .rng import gaussian_block, gaussian_sample, stream_slot
 
 __all__ = [
     "METHODS",
+    "Batch",
     "MethodConfig",
     "OptimizerState",
-    "StepStats",
     "IterationRecord",
     "clip21_avg_run",
     "run",
@@ -97,53 +101,26 @@ class MethodConfig:
             raise ConfigurationError("press_clip21_gd needs a compressor")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerState:
-    """Iterate plus per-node shift bookkeeping.
-
-    v_bar is maintained incrementally across steps and re-checked against
-    the direct average of the shift rows after each one. drift_scale is the
-    running sum of the root-mean-square shift row over the steps so far,
-    the scale of the rounding v_bar may have accumulated.
-    """
+    """One run's state after its last step: the iterate x_K, the (n, d)
+    shifts (row i is node i's), their running aggregate v_bar and the clip
+    mask of the last step."""
 
     k: int
     x: np.ndarray
-    v: np.ndarray  # (n, d), row i is node i's shift
+    v: np.ndarray
     v_bar: np.ndarray
-    active: np.ndarray  # (n,) bool, clip activity observed at the last step
-    drift_scale: float = 0.0
-
-    @classmethod
-    def initial(cls, x0: np.ndarray, n: int) -> "OptimizerState":
-        x0 = check_vector(x0)
-        d = x0.shape[0]
-        return cls(
-            k=0,
-            x=x0.copy(),
-            v=np.zeros((n, d)),
-            v_bar=np.zeros(d),
-            active=np.zeros(n, dtype=bool),
-        )
+    active: np.ndarray
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """Telemetry measured at x_k while stepping to x_{k+1}.
+class IterationRecord(NamedTuple):
+    """Telemetry measured at x_k while stepping to x_{k+1}: lyapunov is
+    f - f_inf + (A/n) sum_i ||grad_i(x_k) - v_k^i||^2 with the post-update
+    shifts, v_norm the norm of the pre-gamma update direction. run is the
+    index of the config in the batch that produced the record. A named
+    tuple, since a batch makes one per run and step."""
 
-    shift_mean_sq is (1/n) sum_i ||grad_i(x_k) - v_k^i||^2 with the
-    post-update shifts; direction_norm is the pre-gamma update direction.
-    """
-
-    f: float
-    grad_norm_sq: float
-    shift_mean_sq: float
-    direction_norm: float
-    active_count: int
-
-
-@dataclass(frozen=True)
-class IterationRecord:
     k: int
     f: float
     grad_norm_sq: float
@@ -152,11 +129,100 @@ class IterationRecord:
     v_norm: float
     gamma: float
     wall_micros: int
+    run: int = 0
 
 
-def _norm(x: np.ndarray) -> float:
-    # the same sqrt of a dot that np.linalg.norm computes for a 1-d vector
-    return math.sqrt(x @ x)
+class Batch:
+    """R runs of one method on one problem, stepped together.
+
+    The runs share the method, the iteration count, tau, nu and the
+    compressor; each has its own gamma, sigma and seed. Each array holds
+    one row per run, along a leading axis of length R: x (R, d), the
+    shifts v (R, n, d) (row i of a run's block is node i's shift), their
+    running aggregates v_bar (R, d), the clip masks active (R, n) and
+    drift_scale (R,). Row r belongs to the config ids[r]. A lone run
+    (R = 1) keeps the shapes of an unbatched one, without the leading
+    axis, so it pays none of numpy's overhead for a longer shape; lead is
+    (R,) or ().
+
+    v_bar is maintained incrementally across steps and re-checked against
+    the direct average of the shift rows after each one; drift_scale is
+    the running sum of the root-mean-square shift row over the steps so
+    far, the scale of the rounding v_bar may have accumulated. A run that
+    leaves (it diverged) is dropped from every array, and the others go on
+    unchanged.
+    """
+
+    def __init__(self, cfgs, problem, x0):
+        cfgs = tuple(cfgs)
+        if not cfgs:
+            raise ConfigurationError("need at least one method config")
+        cfg = cfgs[0]
+        shared = lambda c: (c.method, c.iters, c.tau, c.nu, c.compressor)
+        if any(shared(c) != shared(cfg) for c in cfgs):
+            raise ConfigurationError("the configs of one batch may differ only in gamma, sigma and seed")
+        if cfg.method == "clip21_avg":
+            raise ConfigurationError("clip21_avg targets fixed vectors; use clip21_avg_run")
+        if cfg.method == "press_clip21_gd":
+            cfg.compressor.alpha(problem.d)  # surfaces k > d now, not mid-run
+        x0 = check_vector(x0)
+        if x0.shape[0] != problem.d:
+            raise ConfigurationError(f"x0 has dimension {x0.shape[0]}, problem has {problem.d}")
+        R, n, d = len(cfgs), problem.n, problem.d
+        self.cfg, self.problem, self.k = cfg, problem, 0
+        self.lead = (R,) if R > 1 else ()
+        self.ids = np.arange(R)
+        self.sigma = np.array([c.sigma for c in cfgs])
+        self.seed = np.array([c.seed for c in cfgs])
+        self.gamma = np.array([[c.gamma] for c in cfgs]) if self.lead else cfg.gamma
+        self.x = np.tile(x0, self.lead + (1,))
+        self.v = np.zeros(self.lead + (n, d))
+        self.v_bar = np.zeros(self.lead + (d,))
+        self.active = np.zeros(self.lead + (n,), dtype=bool)
+        self.drift_scale = np.zeros(self.lead)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the runs whose entry of the mask rows, one per run,
+        is True. A lone run that leaves empties the batch."""
+        self.ids = self.ids[rows]
+        if self.lead:
+            for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
+                setattr(self, name, getattr(self, name)[rows])
+            self.lead = (self.ids.size,)
+
+    def state(self, row: int) -> OptimizerState:
+        """The final state of the run in row row."""
+        pick = (lambda a: a[row]) if self.lead else (lambda a: a)
+        return OptimizerState(
+            k=self.k, x=pick(self.x), v=pick(self.v), v_bar=pick(self.v_bar), active=pick(self.active)
+        )
+
+    def noise(self, draw) -> np.ndarray:
+        """Each run's draw(seed, sigma), stacked along the leading axis.
+
+        Runs that share a seed and have a positive sigma share one unit
+        draw, scaled per run: sigma * unit is the product draw forms
+        itself, so every run keeps the bits of its solo draw. A zero sigma
+        draws alone, exact zeros as in a solo run.
+        """
+        seeds, sigmas = self.seed.tolist(), self.sigma.tolist()
+        if not self.lead:
+            return draw(seeds[0], sigmas[0])
+        groups = {}
+        for row, (seed, sigma) in enumerate(zip(seeds, sigmas)):
+            groups.setdefault((seed, row if sigma == 0.0 else -1), []).append(row)
+        out = None
+        for (seed, _), rows in groups.items():
+            if len(rows) == 1:
+                part = draw(seed, sigmas[rows[0]])[None]
+            else:
+                part = np.multiply.outer(self.sigma[rows], draw(seed, 1.0))
+            if len(rows) == len(seeds):
+                return part  # one group holds every run, in order
+            if out is None:
+                out = np.empty((len(seeds),) + part.shape[1:])
+            out[rows] = part
+        return out
 
 
 def _shift_update(targets, v, tau, transmit=None):
@@ -166,8 +232,9 @@ def _shift_update(targets, v, tau, transmit=None):
     residual itself when transmit is None) and moves its shift to
     v^i + m^i, except that an inactive clip whose message is exactly the
     raw residual lands the shift on the target bit-for-bit rather than on
-    v + (t - v), which can differ in the last ulp. Returns the new shifts,
-    the messages and the clip-activity mask.
+    v + (t - v), which can differ in the last ulp. The arrays are (n, d)
+    or (R, n, d). Returns the new shifts, the messages and the
+    clip-activity mask.
     """
     resid = targets - v
     clipped, active = clip_rows(resid, tau)
@@ -176,12 +243,12 @@ def _shift_update(targets, v, tau, transmit=None):
         messages, landed = clipped, ~active
     else:
         messages = transmit(clipped)
-        landed = ~active & (messages == resid).all(axis=1)
-    return np.where(landed[:, None], targets, v + messages), messages, active
+        landed = ~active & (messages == resid).all(axis=-1)
+    return np.where(landed[..., None], targets, v + messages), messages, active
 
 
-def step(state: OptimizerState, problem, cfg: MethodConfig):
-    """One step of any method but clip21_avg, for all nodes at once.
+def step(batch: Batch):
+    """One step of every run in the batch, in place.
 
     The unshifted methods move along the mean of the clipped local
     gradients (gd clips nothing); dp_clip_gd adds one clipped Gaussian
@@ -190,110 +257,138 @@ def step(state: OptimizerState, problem, cfg: MethodConfig):
     clipped residuals against the shifts, with per-node clipped noise
     (dp_clip21_gd) or compression (press_clip21_gd) applied to each
     message, and move along the mean of the new shifts.
+
+    Elementwise and row-wise work runs on the whole stack; every dot and
+    matrix product is one BLAS call per run, the call a run alone makes,
+    so each run's numbers are bit-identical to its solo run. Returns, one
+    entry per run (scalars for a lone run): f and ||grad f||^2 at x_k,
+    the shift term (1/n) sum_i ||grad_i(x_k) - v_k^i||^2, the norm of the
+    pre-gamma direction and the mask of the nodes that clipped.
     """
+    cfg, problem, lead = batch.cfg, batch.problem, batch.lead
     n = problem.n
-    f, grads = problem.evaluate(state.x)
+    f, grads = problem.evaluate(batch.x)
     if cfg.method in _SHIFTED:
         transmit = None
         if cfg.method == "dp_clip21_gd":
-            block = gaussian_block(cfg.seed, state.k, n, problem.d, cfg.sigma)
+            block = batch.noise(lambda seed, sigma: gaussian_block(seed, batch.k, n, problem.d, sigma))
             noise = clip_rows(block, cfg.nu)[0]
             transmit = lambda clipped: clipped + noise
         elif cfg.method == "press_clip21_gd":
             transmit = partial(compress_rows, cfg.compressor)
-        v, messages, active = _shift_update(grads, state.v, cfg.tau, transmit)
-        v_bar = state.v_bar + node_mean(messages)
+        v, messages, active = _shift_update(grads, batch.v, cfg.tau, transmit)
+        v_bar = batch.v_bar + node_mean(messages)
         direction = node_mean(v)
         # rounding lets the running aggregate drift by about eps per step at
         # the scale of that step's shift rows, so the allowance grows with the
         # running sum of their root-mean-square norm: rows that have shrunk
         # since do not shrink the rounding v_bar already holds. A drift must
         # also exceed the per-step allowance at the largest current row
-        drift_scale = state.drift_scale + math.sqrt(np.vdot(v, v) / n)
-        drift = _norm(v_bar - direction)
-        if drift > _DRIFT_TOL * drift_scale and drift > _DRIFT_TOL * (state.k + 1) * math.sqrt(
-            np.einsum("ij,ij->i", v, v).max()
-        ):
-            raise InvariantError(
-                f"aggregate shift drifted from direct average by {drift:.3e} at step {state.k}"
-            )
-        gap = grads - v
-        shift_sq = float(np.vdot(gap, gap)) / n
+        flat_v = v.reshape(lead + (-1,))
+        drift_scale = batch.drift_scale + np.sqrt(np.vecdot(flat_v, flat_v) / n)
+        off = v_bar - direction
+        drift = np.sqrt(np.vecdot(off, off))
+        suspect = drift > _DRIFT_TOL * drift_scale
+        if suspect.any():
+            largest = np.sqrt(np.einsum("...ij,...ij->...i", v, v).max(axis=-1))
+            drifted = suspect & (drift > _DRIFT_TOL * (batch.k + 1) * largest)
+            if drifted.any():
+                raise InvariantError(
+                    f"aggregate shift drifted from direct average by {np.extract(drifted, drift)[0]:.3e} "
+                    f"at step {batch.k}"
+                )
+        gap = (grads - v).reshape(lead + (-1,))
+        shift_sq = np.vecdot(gap, gap) / n
+        batch.v, batch.v_bar, batch.drift_scale = v, v_bar, drift_scale
     else:
         if cfg.method == "gd":
-            clipped, active = grads, np.zeros(n, dtype=bool)
+            clipped, active = grads, np.zeros(lead + (n,), dtype=bool)
         else:
             clipped, active = clip_rows(grads, cfg.tau)
         direction = node_mean(clipped)
         if cfg.method == "dp_clip_gd":
             slot = stream_slot(n, "aggregate")
-            zeta = gaussian_sample(cfg.seed, slot, state.k, problem.d, cfg.sigma)
-            direction = direction + clip(zeta, cfg.nu)
-        v, v_bar, shift_sq, drift_scale = state.v, state.v_bar, 0.0, 0.0
+            zeta = batch.noise(lambda seed, sigma: gaussian_sample(seed, slot, batch.k, problem.d, sigma))
+            direction = direction + clip_rows(zeta, cfg.nu)[0]
+        shift_sq = np.zeros(lead)
     gbar = node_mean(grads)
-    stats = StepStats(
-        f=f,
-        grad_norm_sq=float(gbar @ gbar),
-        shift_mean_sq=shift_sq,
-        direction_norm=_norm(direction),
-        active_count=int(np.count_nonzero(active)),
-    )
-    new = OptimizerState(
-        k=state.k + 1, x=state.x - cfg.gamma * direction, v=v, v_bar=v_bar, active=active,
-        drift_scale=drift_scale,
-    )
-    return new, stats
+    batch.x = batch.x - batch.gamma * direction
+    batch.active = active
+    batch.k += 1
+    return f, np.vecdot(gbar, gbar), shift_sq, np.sqrt(np.vecdot(direction, direction)), active
 
 
-def run(cfg: MethodConfig, problem, x0, *, f_inf=0.0, lyapunov_coeff=0.0, hook=None):
-    """Execute cfg.iters steps from x0.
+def run(cfgs, problem, x0, *, f_inf=0.0, lyapunov_coeffs=None):
+    """Execute iters steps from x0 for each config of cfgs, as one batch.
 
-    Returns (final state, list of IterationRecord). Record k describes the
-    iterate x_k; the final state holds x_K. lyapunov_coeff is the shift
-    weight A in phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2, zero for
-    plain suboptimality telemetry. The hook, if given, sees each record as
-    it is produced. Raises DivergenceError the moment an iterate or
-    objective value stops being finite.
+    The configs may differ only in gamma, sigma and seed. Returns (finals,
+    records): finals[r] is config r's final OptimizerState, holding x_K,
+    or the DivergenceError that stopped it the moment its iterate or
+    objective value stopped being finite; records is the flat list of
+    every IterationRecord produced, one per run-step executed, in step
+    order and, within a step, in config order. Record k of run r describes
+    r's iterate x_k. lyapunov_coeffs[r] is the shift weight A of run r in
+    phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2; omitted, every
+    weight is zero, plain suboptimality telemetry. A batch step's time is
+    split evenly over its runs' wall_micros. An InvariantError in any run
+    stops the whole batch.
     """
-    if cfg.method == "clip21_avg":
-        raise ConfigurationError("clip21_avg targets fixed vectors; use clip21_avg_run")
-    if cfg.method == "press_clip21_gd":
-        cfg.compressor.alpha(problem.d)  # surfaces k > d now, not mid-run
-    x0 = check_vector(x0)
-    if x0.shape[0] != problem.d:
-        raise ConfigurationError(
-            f"x0 has dimension {x0.shape[0]}, problem has {problem.d}"
-        )
-    state = OptimizerState.initial(x0, problem.n)
+    cfgs = tuple(cfgs)
+    batch = Batch(cfgs, problem, x0)
+    iters = batch.cfg.iters
+    gammas = [c.gamma for c in cfgs]
+    weights = np.zeros(len(cfgs)) if lyapunov_coeffs is None else np.array(lyapunov_coeffs, dtype=np.float64)
+    if weights.shape != (len(cfgs),):
+        raise ConfigurationError(f"need one Lyapunov weight per config, got shape {weights.shape}")
+    if not batch.lead:
+        weights = weights[0]
+    finals = [None] * len(cfgs)
     records = []
-    for k in range(cfg.iters):
-        started = time.perf_counter_ns()
-        if not np.isfinite(state.x).all():
-            raise DivergenceError(f"non-finite iterate at iteration {k}", step=k)
-        # blowups surface as inf through the finiteness checks below,
-        # so numpy's overflow warnings would only add noise here
-        with np.errstate(over="ignore", invalid="ignore"):
-            state, stats = step(state, problem, cfg)
-        if not (math.isfinite(stats.f) and math.isfinite(stats.grad_norm_sq)):
-            raise DivergenceError(f"non-finite objective at iteration {k}", step=k)
-        record = IterationRecord(
-            k=k,
-            f=stats.f,
-            grad_norm_sq=stats.grad_norm_sq,
-            lyapunov=(stats.f - f_inf) + lyapunov_coeff * stats.shift_mean_sq,
-            active_nodes=stats.active_count,
-            v_norm=stats.direction_norm,
-            gamma=cfg.gamma,
-            wall_micros=(time.perf_counter_ns() - started) // 1000,
-        )
-        records.append(record)
-        if hook is not None:
-            hook(record)
-    if not np.isfinite(state.x).all():
-        raise DivergenceError(
-            f"non-finite iterate at iteration {cfg.iters}", step=cfg.iters
-        )
-    return state, records
+    ids = batch.ids.tolist()
+
+    def leave(stay, message, k):
+        # the runs where the mask stay is False end here, with their trace so far
+        nonlocal weights, ids
+        stay = np.reshape(stay, -1)
+        for r in batch.ids[~stay].tolist():
+            finals[r] = DivergenceError(message, step=k)
+        if batch.lead:
+            weights = weights[stay]
+        batch.keep(stay)
+        ids = batch.ids.tolist()
+
+    # blowups surface as inf through the finiteness checks, so numpy's
+    # overflow warnings would only add noise here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            started = time.perf_counter_ns()
+            if not np.isfinite(batch.x).all():
+                leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {k}", k)
+                if not ids:
+                    break
+            f, grad_sq, shift_sq, v_norm, active = step(batch)
+            lyapunov = (f - f_inf) + weights * shift_sq
+            if batch.lead:
+                counts = active.sum(axis=-1)
+                rows = zip(ids, f.tolist(), grad_sq.tolist(), lyapunov.tolist(), counts.tolist(), v_norm.tolist())
+            else:
+                count = int(np.count_nonzero(active))
+                rows = [(ids[0], float(f), float(grad_sq), float(lyapunov), count, float(v_norm))]
+            wall = (time.perf_counter_ns() - started) // (1000 * len(ids))
+            stay = []
+            for r, f_r, grad_sq_r, *rest in rows:
+                stay.append(math.isfinite(f_r) and math.isfinite(grad_sq_r))
+                if stay[-1]:
+                    records.append(IterationRecord(k, f_r, grad_sq_r, *rest, gammas[r], wall, r))
+            if not all(stay):
+                leave(stay, f"non-finite objective at iteration {k}", k)
+                if not ids:
+                    break
+    if ids and not np.isfinite(batch.x).all():
+        leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {iters}", iters)
+    for row, r in enumerate(ids):
+        finals[r] = batch.state(row)
+    return finals, records
 
 
 def clip21_avg_run(a, tau, v_init=None, iters=1, hook=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ops import check_real, check_vector
+from .ops import check_real
 
 __all__ = ["Problem", "SmoothnessInfo", "KINDS", "REGULARIZERS"]
 
@@ -32,16 +32,17 @@ class SmoothnessInfo:
     L_max: float
 
 
-def _reg_value(reg: str, x: np.ndarray) -> float:
+def _reg_value(reg: str, x: np.ndarray):
+    """r at x, or at each row of an (R, d) stack of points."""
     if reg == "l2":
-        return 0.5 * float(x @ x)
+        return 0.5 * np.vecdot(x, x)
     sq = x * x
-    return float(np.sum(sq / (1.0 + sq)))
+    return np.sum(sq / (1.0 + sq), axis=-1)
 
 
 def _reg_grad(reg: str, x: np.ndarray) -> np.ndarray:
     if reg == "l2":
-        return x.copy()
+        return x
     denom = 1.0 + x * x
     return 2.0 * x / (denom * denom)
 
@@ -74,7 +75,7 @@ class Problem:
                 raise ConfigurationError("quad_counterexample takes no shards")
             if quad_params is None:
                 quad_params = (2.0, 1.0)
-            beta_q, alpha_q = (float(v) for v in quad_params)
+            beta_q, alpha_q = (check_real(k, v, "finite") for k, v in zip(("beta_q", "alpha_q"), quad_params))
             if not (beta_q > alpha_q > 0.0):
                 raise ConfigurationError(
                     f"quad_counterexample requires beta_q > alpha_q > 0, got ({beta_q}, {alpha_q})"
@@ -107,6 +108,7 @@ class Problem:
                 self._b[i, : s.m] = s.labels
                 self._w[i, : s.m] = 1.0 / (n * s.m)
             self._neg_b = -self._b
+            self._w = self._w.reshape(-1)  # the value's one dot with the flat losses
             self._m = np.array([float(s.m) for s in shards])
         self.kind = kind
         self.reg = reg
@@ -128,27 +130,41 @@ class Problem:
         resid = z - self._b
         return resid * resid, 2.0 * resid
 
-    def evaluate(self, x) -> tuple[float, np.ndarray]:
+    def evaluate(self, x):
         """f(x) and the (n, d) local gradients, both from one product A @ x.
 
         The value is one dot of the row losses with their weights 1/(n m_i),
         plus the regularizer. Row i of the gradients is node i's gradient,
         the slope-weighted sum of its rows, and their node_mean is the
         gradient of f.
+
+        x may also be an (R, d) stack of points: then f is an (R,) array
+        and the gradients an (R, n, d) one. Each point gets the BLAS calls
+        it gets alone (one matrix-vector product per node, one dot for the
+        value) and the same elementwise work, so its entries are
+        bit-identical to evaluate(x[r]).
         """
-        x = check_vector(x)
-        if x.shape[0] != self.d:
-            raise ValueError(f"x has dimension {x.shape[0]}, problem has {self.d}")
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"expected a point or an (R, d) stack of points, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("vector has non-finite components")
+        if x.shape[-1] != self.d:
+            raise ValueError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
         if self.kind == "quad_counterexample":  # the mean of its two local values
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence
-            x0 = float(x[0])
-            return float((0.5 * self._coeffs * x0 * x0).sum()) / self.n, self._coeffs[:, None] * x
-        loss, slope = self._rows(self._A @ x)  # the one product A @ x, (n, m_max)
-        value = float(np.vdot(self._w, loss)) + self.lam * _reg_value(self.reg, x)
-        grads = np.matmul(slope[:, None, :], self._A)[:, 0, :] / self._m[:, None]
-        grads += self.lam * _reg_grad(self.reg, x)
-        return value, grads
+            x0 = x[..., :1]
+            value = (0.5 * self._coeffs * x0 * x0).sum(axis=-1) / self.n
+            grads = self._coeffs[:, None] * x[..., None, :]
+        else:
+            # one matrix-vector product per point and node, (..., n, m_max)
+            loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None])[..., 0])
+            flat = loss.reshape(loss.shape[:-2] + (-1,))
+            value = np.vecdot(flat, self._w) + self.lam * _reg_value(self.reg, x)
+            grads = np.matmul(slope[..., None, :], self._A)[..., 0, :] / self._m[:, None]
+            grads += self.lam * _reg_grad(self.reg, x)[..., None, :]
+        return (float(value) if x.ndim == 1 else value), grads
 
     def smoothness(self) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.

@@ -102,6 +102,31 @@ def _implicit_branch(F0: float, B: float, threshold: float, slope: float) -> flo
     return F0 / coeff
 
 
+def _square(v: float) -> float:
+    """v**2, saturating to +inf where Python's float power raises
+    OverflowError; a finite square keeps its bits."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _tau_branch(numerator: float, denom: float) -> float:
+    """A rule's branch numerator / denom, the numerator tau^2 times a
+    constant. It is +inf, which cannot bind the minimum, when the
+    denominator is 0 or the numerator saturated: for a huge tau the
+    denominator overflows too, and the quotient would be inf/inf."""
+    if denom == 0.0 or numerator == math.inf:
+        return math.inf
+    return numerator / denom
+
+
+def _rms(values: np.ndarray) -> float:
+    """Root mean square; a square that overflows saturates to +inf."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.mean(values**2)))
+
+
 def _sqrt_sum_sq(F0: float, beta2: float) -> float:
     return (math.sqrt(F0) + math.sqrt(beta2)) ** 2
 
@@ -118,7 +143,7 @@ def stepsize_single(inp: StepsizeInputs) -> float:
     beta2 = inp.F0 + inp.tau * G0 / (math.sqrt(2.0 * eta) * inp.L)
     first = (1.0 - 1.0 / math.sqrt(2.0)) / (1.0 + math.sqrt(1.0 + 2.0 * beta1)) / inp.L
     denom = 4.0 * inp.L**2 * _sqrt_sum_sq(inp.F0, beta2)
-    second = math.inf if denom == 0.0 else inp.tau**2 / denom
+    second = _tau_branch(_square(inp.tau), denom)
     return min(first, second)
 
 
@@ -132,13 +157,13 @@ def stepsize_multi(inp: StepsizeInputs) -> float:
     beta1 = 2.0 * (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap * ratio_sq
     # signed differences, exactly as printed; entries below tau only
     # inflate beta2, which keeps the bound conservative
-    G0 = math.sqrt(float(np.mean((norms - inp.tau) ** 2)))
+    G0 = _rms(norms - inp.tau)
     beta2 = inp.F0 + G0 * inp.tau / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     slope = float(np.mean(np.maximum(0.0, norms - inp.tau) ** 2)) / (2.0 * gap)
     implicit = _implicit_branch(inp.F0, B, inp.tau, slope)
     second = (1.0 - 1.0 / math.sqrt(2.0)) / inp.L / (1.0 + math.sqrt(1.0 + 2.0 * beta1))
     denom = 16.0 * _sqrt_sum_sq(inp.F0, beta2)
-    third = math.inf if denom == 0.0 else (inp.tau**2 / inp.L_max**2) / denom
+    third = _tau_branch(_square(inp.tau) / inp.L_max**2, denom)
     return min(implicit, second, third)
 
 
@@ -157,7 +182,7 @@ def stepsize_dp(inp: StepsizeInputs) -> float:
     B = float(norms.max())
     ratio_sq = (inp.L_max / inp.L) ** 2
     beta1 = (1.0 + 2.0 / eta) * (1.0 - eta) * (1.0 - 0.5 * eta) / eta * ratio_sq
-    G0 = math.sqrt(float(np.mean((np.abs(norms - inp.tau) + nu) ** 2)))
+    G0 = _rms(np.abs(norms - inp.tau) + nu)
     beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     first = eta / (4.0 * mu)
     second = 2.0 * mu / inp.L_max**2
@@ -167,7 +192,7 @@ def stepsize_dp(inp: StepsizeInputs) -> float:
         inp.L * (1.0 + math.sqrt(1.0 + 8.0 * beta1))
     )
     denom = 64.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fifth = math.inf if denom == 0.0 else inp.tau**2 / denom
+    fifth = _tau_branch(_square(inp.tau), denom)
     return min(first, second, implicit, fourth, fifth)
 
 
@@ -218,7 +243,7 @@ def stepsize_press(inp: StepsizeInputs) -> float:
         / beta
         * ratio_sq
     )
-    G0 = math.sqrt(float(np.mean((np.maximum(0.0, norms - inp.tau) + root * inp.tau) ** 2)))
+    G0 = _rms(np.maximum(0.0, norms - inp.tau) + root * inp.tau)
     beta2 = inp.F0 + G0 * shrink * inp.tau / (math.sqrt(2.0 * beta) * inp.L_max)
     first = math.inf if root == 0.0 else shrink / (2.0 * root * inp.L_max)
     slope = G0**2 / beta
@@ -227,7 +252,7 @@ def stepsize_press(inp: StepsizeInputs) -> float:
         inp.L * (1.0 + math.sqrt(1.0 + 2.0 * beta1))
     )
     denom = 16.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fourth = math.inf if denom == 0.0 else shrink**2 * inp.tau**2 / denom
+    fourth = _tau_branch(shrink**2 * _square(inp.tau), denom)
     return min(first, implicit, third, fourth)
 
 
@@ -291,16 +316,21 @@ def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -
     """Closed-form floor on min(nu^2, sigma^2) for the privacy target.
 
     Only the closed form is evaluated: the separate normalization-constant
-    feasibility condition on delta is not checked here.
+    feasibility condition on delta is not checked here. A floor that is
+    not a finite number (tau so large that tau^2 overflows) raises
+    ConfigurationError.
     """
     tau = check_real("tau", tau)
     K = check_count("K", K)
     eps = check_real("eps", eps, "(0, 1)")
     delta = check_real("delta", delta, "(0, 1)")
     alpha_frac = check_real("alpha_frac", alpha_frac, "(0, 1)")
-    return 12.0 * tau**2 * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
+    floor = 12.0 * _square(tau) * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
         (1.0 - alpha_frac) * eps
     )
+    if not math.isfinite(floor):
+        raise ConfigurationError(f"no finite noise floor at tau={tau}")
+    return floor
 
 
 def dp_utility_bound(phi0, gamma, mu, K, sigma2_min, eta) -> float:

@@ -37,7 +37,7 @@ from clipshift import (
 )
 from clipshift.data import NodeShard
 from clipshift.errors import DivergenceError
-from clipshift.optimizers import OptimizerState, step
+from clipshift.optimizers import Batch, step
 
 
 def _final_grad_sq(problem, state):
@@ -85,10 +85,10 @@ def test_criterion_02_stuck_point_escape():
     # clipped GD without shifts freezes: the clipped node gradients are
     # exactly +1 and -1, so the update direction is exactly zero
     cfg = MethodConfig(method="clip_gd", gamma=0.05, iters=10_000, tau=tau)
-    state = OptimizerState.initial(x0, problem.n)
+    batch = Batch([cfg], problem, x0)
     for _ in range(cfg.iters):
-        state, _ = step(state, problem, cfg)
-        assert state.x[0] == 1.0  # bit-identical every step
+        step(batch)
+        assert batch.x[0] == 1.0  # bit-identical every step
 
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=tau, grad0_norms=(2.0, 1.0), F0=0.25)
     gamma = certified_stepsize("clip21_gd", inputs)
@@ -102,7 +102,7 @@ def test_criterion_02_stuck_point_escape():
     budget = horizon + math.ceil(math.log(0.25 / target) / (-2.0 * math.log(rate)))
     bound = 0.25 * rate ** (2 * (budget - horizon))
     shifted = MethodConfig(method="clip21_gd", gamma=gamma, iters=budget, tau=tau)
-    final, _ = run(shifted, problem, x0)
+    [final], _ = run([shifted], problem, x0)
     final_gsq = _final_grad_sq(problem, final)
     assert time.perf_counter() - started < 1.0
     assert final_gsq < target, (
@@ -121,7 +121,7 @@ def test_criterion_03_certified_descent(logistic_problem, logistic_x0, logistic_
         coeff = lyapunov_weight("clip21_gd", gamma, inputs)
         cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=5001, tau=tau)
         _, records = run(
-            cfg, logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeff=coeff
+            [cfg], logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeffs=[coeff]
         )
         for prev, cur in zip(records, records[1:]):
             drop = (gamma / 2.0) * prev.grad_norm_sq
@@ -156,13 +156,13 @@ def test_criterion_04_clipping_horizon_certified():
         gamma = stepsize_multi(inputs)
         horizons = [k_star(g, tau) for g in inputs.grad0_norms]
         cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=1, tau=tau)
-        state = OptimizerState.initial(x0, problem.n)
+        batch = Batch([cfg], problem, x0)
         last_active = [-1] * problem.n
         for k in range(60):
-            state, _ = step(state, problem, cfg)
-            xs.append(state.x.copy())
+            step(batch)
+            xs.append(batch.x.copy())
             for i in range(problem.n):
-                if state.active[i]:
+                if batch.active[i]:
                     last_active[i] = k
         for i in range(problem.n):
             assert last_active[i] <= horizons[i], (
@@ -181,13 +181,13 @@ def test_criterion_05_reductions(logistic_problem, logistic_x0):
     iters = 1000
 
     def pair_deviation(cfg_a, cfg_b):
-        state_a = OptimizerState.initial(logistic_x0, logistic_problem.n)
-        state_b = OptimizerState.initial(logistic_x0, logistic_problem.n)
+        batch_a = Batch([cfg_a], logistic_problem, logistic_x0)
+        batch_b = Batch([cfg_b], logistic_problem, logistic_x0)
         worst = 0.0
         for _ in range(iters):
-            state_a, _ = step(state_a, logistic_problem, cfg_a)
-            state_b, _ = step(state_b, logistic_problem, cfg_b)
-            worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
+            step(batch_a)
+            step(batch_b)
+            worst = max(worst, float(np.abs(batch_a.x - batch_b.x).max()))
         return worst
 
     base = dict(gamma=0.4, iters=iters)
@@ -226,7 +226,7 @@ def test_criterion_06_rate_envelope(logistic_problem, logistic_x0, logistic_f_in
     coeff = lyapunov_weight("clip21_gd", gamma, inputs)
     cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=1000, tau=tau)
     _, records = run(
-        cfg, logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeff=coeff
+        [cfg], logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeffs=[coeff]
     )
     phi0 = records[0].lyapunov
     for K in (10, 100, 1000):
@@ -267,8 +267,8 @@ def test_criterion_07_noisy_utility_bound():
     coeff = lyapunov_weight("dp_clip21_gd", gamma, inputs)
     eta = eta_of(tau, norms)  # the utility bound's own input
     noise_sq = min(nu**2, sigma**2)
-    for seed in range(20):
-        cfg = MethodConfig(
+    cfgs = [
+        MethodConfig(
             method="dp_clip21_gd",
             gamma=gamma,
             iters=K + 1,
@@ -277,23 +277,28 @@ def test_criterion_07_noisy_utility_bound():
             nu=nu,
             seed=seed,
         )
-        _, records = run(cfg, problem, x0, f_inf=f_inf, lyapunov_coeff=coeff)
-        phi0 = records[0].lyapunov
-        phiK = records[K].lyapunov
+        for seed in range(20)
+    ]
+    finals, records = run(cfgs, problem, x0, f_inf=f_inf, lyapunov_coeffs=[coeff] * len(cfgs))
+    for seed, final in enumerate(finals):
+        assert not isinstance(final, DivergenceError), f"seed {seed}: {final}"
+        trace = [r for r in records if r.run == seed]
+        phi0 = trace[0].lyapunov
+        phiK = trace[K].lyapunov
         bound = dp_utility_bound(phi0, gamma, mu, K, noise_sq, eta)
         assert phiK <= bound, f"seed {seed}: phi_K={phiK:.6e} above bound {bound:.6e}"
     assert time.perf_counter() - started < 5.0
 
 
 def _grid_best_final(problem, x0, method, tau, L, iters, **extra):
-    finals = []
-    for multiple in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        cfg = MethodConfig(method=method, gamma=multiple / L, iters=iters, tau=tau, **extra)
-        try:
-            state, _ = run(cfg, problem, x0)
-        except DivergenceError:
-            continue
-        finals.append(_final_grad_sq(problem, state))
+    cfgs = [
+        MethodConfig(method=method, gamma=multiple / L, iters=iters, tau=tau, **extra)
+        for multiple in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    ]
+    states, _ = run(cfgs, problem, x0)
+    finals = [
+        _final_grad_sq(problem, state) for state in states if not isinstance(state, DivergenceError)
+    ]
     assert finals, "every grid stepsize diverged"
     return min(finals)
 
@@ -319,14 +324,14 @@ def test_criterion_08_error_feedback_beats_plain_clipping(
     gamma = 0.02 / L
     sweep = {}
     for method in ("dp_clip21_gd", "dp_clip_gd"):
-        finals = []
-        for sigma in (0.1, 0.05, 0.01):
-            cfg = MethodConfig(
+        cfgs = [
+            MethodConfig(
                 method=method, gamma=gamma, iters=iters, tau=tau, sigma=sigma, nu=1.0, seed=0
             )
-            state, _ = run(cfg, logistic_problem, logistic_x0)
-            finals.append(_final_grad_sq(logistic_problem, state))
-        sweep[method] = finals
+            for sigma in (0.1, 0.05, 0.01)
+        ]
+        states, _ = run(cfgs, logistic_problem, logistic_x0)
+        sweep[method] = [_final_grad_sq(logistic_problem, state) for state in states]
     shifted_sweep = sweep["dp_clip21_gd"]
     assert shifted_sweep[0] > shifted_sweep[1] > shifted_sweep[2], (
         f"shifted noisy floors {shifted_sweep} are not monotone in the noise level"

@@ -106,6 +106,12 @@ CALLS = {
         ("seed", "step", "n", "d"),
     ),
     "Problem": (lambda **kw: Problem("logistic", shards=_SHARDS, **kw), dict(lam=0.1), ("lam",), ()),
+    "Problem-quad": (
+        lambda beta_q, alpha_q: Problem("quad_counterexample", quad_params=(beta_q, alpha_q)),
+        dict(beta_q=2.0, alpha_q=1.0),
+        ("beta_q", "alpha_q"),
+        (),
+    ),
     "heterogeneous_split": (lambda **kw: heterogeneous_split(_DATA, **kw), dict(n=2), (), ("n",)),
     "clip": (lambda **kw: clip(np.ones(2), **kw), dict(tau=0.5), ("tau",), ()),
     "Compressor": (lambda **kw: Compressor("top_k", **kw), dict(k=1), (), ("k",)),
@@ -150,6 +156,7 @@ def test_integral_counts_are_accepted():
         ("non-negative", (0.0, 1.0, 1e308), (-1e-310,)),
         ("(0, 1]", (1e-310, 1.0), (0.0, 1.0 + 2**-52)),
         ("(0, 1)", (1e-310, 1.0 - 2**-53), (0.0, 1.0)),
+        ("finite", (-1e308, 0.0, 1e308), ()),
     ],
 )
 def test_check_real_bounds(kind, good, bad):

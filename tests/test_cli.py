@@ -307,6 +307,40 @@ def test_invariant_failure_exits_5(tmp_path, data_file, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_grid_steps_its_children_in_one_run_call(tmp_path, data_file, monkeypatch):
+    calls = []
+    real = cli.run
+
+    def counted(cfgs, *args, **kwargs):
+        calls.append([cfg.gamma for cfg in cfgs])
+        return real(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted)
+    out = str(tmp_path / "grid.csv")
+    assert main(_base_args(data_file, out, **{"--gamma": "grid", "--iters": "5"})) == 0
+    assert len(calls) == 1 and len(calls[0]) == 6
+
+
+# the certified stepsize at a tau so large that tau^2 overflows: the tau^2
+# branches saturate to +inf and another branch binds
+@pytest.mark.parametrize(
+    "method, extra, gamma",
+    [
+        ("clip21-gd", [], "0.14644660940672627"),
+        ("dp-clip21-gd", ["--nu", "0.1", "--mu", "0.05"], "0.025000000000000001"),
+        ("press-clip21-gd", ["--compressor", "identity"], "0.14644660940672627"),
+    ],
+)
+def test_huge_tau_saturates_the_tau_squared_branches(tmp_path, capsys, method, extra, gamma):
+    out = tmp_path / "x.csv"
+    args = ["--method", method, "--tau", "1e200", "--gamma", "auto", "--iters", "3", "--out", str(out)]
+    assert main(args + extra) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f" gamma={gamma} k_star=0\n" in captured.out
+    assert len(_read_rows(str(out))) == 3
+
+
 def test_grid_child_divergence_keeps_partial_trace(tmp_path, capsys):
     # on the counterexample L = 1, so child 5 runs gd at gamma = 8 and blows up
     out = str(tmp_path / "grid.csv")
@@ -531,6 +565,8 @@ _TINY_TAU = "error: no finite no-more-clipping horizon at tau=1e-310\n"
         ({"--method": "press-clip21-gd", "--compressor": "topk:99"}, 2, "error: top_k with k=99 exceeds dimension 5\n"),
         (["--method", "clip21-gd", "--tau", "1", "--beta-q", "0.5"], 2,
          "error: quad_counterexample requires beta_q > alpha_q > 0, got (0.5, 1.0)\n"),
+        (["--method", "clip21-gd", "--tau", "1", "--beta-q", "inf"], 2, "error: --beta-q must be a finite real, got inf\n"),
+        (["--method", "clip21-gd", "--tau", "1", "--alpha-q", "nan"], 2, "error: --alpha-q must be a finite real, got nan\n"),
         ({"--reg": "l1"}, 2, "error: --reg must be l2 or nonconvex, got 'l1'\n"),
         (["--method", "clip21-gd", "--tau", "1e-310", "--gamma", "0.1", "--iters", "3"], 2, _TINY_TAU),
         (["--method", "clip21-avg", "--tau", "1e-310", "--iters", "3"], 2, _TINY_TAU),

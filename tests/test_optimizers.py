@@ -19,7 +19,7 @@ from clipshift import (
     node_mean,
     run,
 )
-from clipshift.optimizers import OptimizerState, step
+from clipshift.optimizers import Batch, step
 
 
 def _cfg(method="clip21_gd", **kw):
@@ -66,7 +66,7 @@ def test_privacy_calibration_warning():
 def test_gd_contraction_on_counterexample(quad_problem):
     # mean gradient is x/2 for curvatures (2, 1), so the map is x -> (1 - gamma/2) x
     cfg = MethodConfig(method="gd", gamma=0.5, iters=8)
-    state, records = run(cfg, quad_problem, np.array([1.0]))
+    [state], records = run([cfg], quad_problem, np.array([1.0]))
     assert state.x[0] == pytest.approx(0.75**8, rel=1e-15)
     fs = [r.f for r in records]
     assert fs[0] == 0.25
@@ -77,7 +77,7 @@ def test_gd_contraction_on_counterexample(quad_problem):
 def test_clip_gd_sticks_at_the_bad_point(quad_problem):
     # at x=1 with tau=1 the clipped gradients cancel exactly
     cfg = _cfg(method="clip_gd", gamma=0.3, iters=50)
-    state, records = run(cfg, quad_problem, np.array([1.0]))
+    [state], records = run([cfg], quad_problem, np.array([1.0]))
     assert state.x[0] == 1.0  # bit-identical, not just close
     assert all(r.f == 0.25 for r in records)
     assert all(r.active_nodes == 1 for r in records)
@@ -87,7 +87,7 @@ def test_clip_gd_sticks_at_the_bad_point(quad_problem):
 def test_clip21_escapes_the_bad_point(quad_problem):
     gamma = 0.011747606429224308
     cfg = _cfg(gamma=gamma, iters=3)
-    state, records = run(cfg, quad_problem, np.array([1.0]))
+    [state], records = run([cfg], quad_problem, np.array([1.0]))
     # step 0: node gradients (2, -1); only the first clips
     assert records[0].active_nodes == 1
     assert records[0].v_norm == 0.0  # messages 1 and -1 cancel
@@ -104,19 +104,21 @@ def test_clip21_escapes_the_bad_point(quad_problem):
 
 def test_shift_lands_on_gradient_bitwise(quad_problem):
     cfg = _cfg(gamma=0.005, iters=6)
-    state, _ = run(cfg, quad_problem, np.array([1.0]))
-    grads = quad_problem.evaluate(state.x)[1]
+    batch = Batch([cfg], quad_problem, np.array([1.0]))
+    for _ in range(cfg.iters):
+        step(batch)
+    grads = quad_problem.evaluate(batch.x)[1]
     # once no clip is active the shifts must equal the local gradients
     # from the step that produced them; re-deriving them at the final x
     # after one more step keeps them exact as well
-    state2, stats = step(state, quad_problem, cfg)
-    assert not stats.active_count
-    assert np.array_equal(state2.v, grads)
+    active = step(batch)[4]
+    assert not np.count_nonzero(active)
+    assert np.array_equal(batch.v, grads)
 
 
 def test_aggregate_tracks_direct_mean(logistic_problem, logistic_x0):
     cfg = _cfg(gamma=0.05, tau=0.2, iters=120)
-    state, _ = run(cfg, logistic_problem, logistic_x0)
+    [state], _ = run([cfg], logistic_problem, logistic_x0)
     assert np.linalg.norm(state.v_bar - state.v.mean(axis=0)) <= 1e-12
 
 
@@ -126,7 +128,7 @@ def test_deactivation_is_permanent_at_theory_stepsize(quad_problem):
     norms = tuple(float(abs(g)) for g in (2.0, 1.0))
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=1.0, grad0_norms=norms, F0=0.25)
     cfg = _cfg(gamma=stepsize_multi(inputs), iters=400)
-    _, records = run(cfg, quad_problem, np.array([1.0]))
+    _, records = run([cfg], quad_problem, np.array([1.0]))
     last_active = max((r.k for r in records if r.active_nodes), default=-1)
     assert last_active >= 0
     assert all(r.active_nodes == 0 for r in records if r.k > last_active)
@@ -134,9 +136,9 @@ def test_deactivation_is_permanent_at_theory_stepsize(quad_problem):
 
 def test_huge_threshold_reduces_to_gd(logistic_problem, logistic_x0):
     shared = dict(gamma=0.4, iters=200)
-    _, plain = run(MethodConfig(method="gd", **shared), logistic_problem, logistic_x0)
+    _, plain = run([MethodConfig(method="gd", **shared)], logistic_problem, logistic_x0)
     _, shifted = run(
-        MethodConfig(method="clip21_gd", tau=1e12, **shared), logistic_problem, logistic_x0
+        [MethodConfig(method="clip21_gd", tau=1e12, **shared)], logistic_problem, logistic_x0
     )
     for a, b in zip(plain, shifted):
         assert a.f == b.f  # identical trajectories step for step
@@ -144,14 +146,14 @@ def test_huge_threshold_reduces_to_gd(logistic_problem, logistic_x0):
 
 def test_zero_noise_reduces_to_clip21(logistic_problem, logistic_x0):
     shared = dict(gamma=0.3, tau=0.15, iters=150)
-    _, base = run(MethodConfig(method="clip21_gd", **shared), logistic_problem, logistic_x0)
+    _, base = run([MethodConfig(method="clip21_gd", **shared)], logistic_problem, logistic_x0)
     _, dp = run(
-        MethodConfig(method="dp_clip21_gd", sigma=0.0, nu=0.02, **shared),
+        [MethodConfig(method="dp_clip21_gd", sigma=0.0, nu=0.02, **shared)],
         logistic_problem,
         logistic_x0,
     )
     _, press = run(
-        MethodConfig(method="press_clip21_gd", compressor=Compressor("identity"), **shared),
+        [MethodConfig(method="press_clip21_gd", compressor=Compressor("identity"), **shared)],
         logistic_problem,
         logistic_x0,
     )
@@ -165,13 +167,13 @@ def test_zero_noise_reduces_to_clip21(logistic_problem, logistic_x0):
 def test_dp_noise_is_seed_deterministic(logistic_problem, logistic_x0):
     shared = dict(gamma=0.2, tau=0.15, iters=40, sigma=0.05, nu=0.2)
     _, first = run(
-        MethodConfig(method="dp_clip21_gd", seed=9, **shared), logistic_problem, logistic_x0
+        [MethodConfig(method="dp_clip21_gd", seed=9, **shared)], logistic_problem, logistic_x0
     )
     _, second = run(
-        MethodConfig(method="dp_clip21_gd", seed=9, **shared), logistic_problem, logistic_x0
+        [MethodConfig(method="dp_clip21_gd", seed=9, **shared)], logistic_problem, logistic_x0
     )
     _, other = run(
-        MethodConfig(method="dp_clip21_gd", seed=10, **shared), logistic_problem, logistic_x0
+        [MethodConfig(method="dp_clip21_gd", seed=10, **shared)], logistic_problem, logistic_x0
     )
     assert [r.f for r in first] == [r.f for r in second]
     assert [r.f for r in first] != [r.f for r in other]
@@ -179,13 +181,15 @@ def test_dp_noise_is_seed_deterministic(logistic_problem, logistic_x0):
 
 def test_compression_changes_but_tracks(logistic_problem, logistic_x0):
     shared = dict(gamma=0.2, tau=0.15, iters=300)
-    _, base = run(MethodConfig(method="clip21_gd", **shared), logistic_problem, logistic_x0)
+    _, base = run([MethodConfig(method="clip21_gd", **shared)], logistic_problem, logistic_x0)
     _, press = run(
-        MethodConfig(
-            method="press_clip21_gd",
-            compressor=Compressor("top_k", logistic_problem.d - 2),
-            **shared,
-        ),
+        [
+            MethodConfig(
+                method="press_clip21_gd",
+                compressor=Compressor("top_k", logistic_problem.d - 2),
+                **shared,
+            )
+        ],
         logistic_problem,
         logistic_x0,
     )
@@ -194,19 +198,20 @@ def test_compression_changes_but_tracks(logistic_problem, logistic_x0):
     assert press[-1].f <= base[0].f
 
 
-def test_divergence_raises_with_step_index(quad_problem):
+def test_divergence_returns_error_with_step_index(quad_problem):
     cfg = MethodConfig(method="gd", gamma=10.0, iters=5000)
-    with pytest.raises(DivergenceError) as err:
-        run(cfg, quad_problem, np.array([1.0]))
-    assert err.value.step > 0
-    assert "iteration" in str(err.value)
+    [err], records = run([cfg], quad_problem, np.array([1.0]))
+    assert isinstance(err, DivergenceError)
+    assert err.step > 0
+    assert "iteration" in str(err)
+    assert len(records) == err.step
 
 
 def test_run_rejects_misuse(quad_problem):
     with pytest.raises(ConfigurationError):
-        run(_cfg(method="clip21_avg"), quad_problem, np.array([1.0]))
+        run([_cfg(method="clip21_avg")], quad_problem, np.array([1.0]))
     with pytest.raises(ConfigurationError):
-        run(_cfg(), quad_problem, np.array([1.0, 2.0]))  # wrong dimension
+        run([_cfg()], quad_problem, np.array([1.0, 2.0]))  # wrong dimension
     bad = MethodConfig(
         method="press_clip21_gd",
         gamma=0.1,
@@ -215,15 +220,14 @@ def test_run_rejects_misuse(quad_problem):
         compressor=Compressor("top_k", 5),
     )
     with pytest.raises(ConfigurationError):
-        run(bad, quad_problem, np.array([1.0]))  # k exceeds dimension
+        run([bad], quad_problem, np.array([1.0]))  # k exceeds dimension
 
 
-def test_records_and_hook_order(quad_problem):
+def test_records_order(quad_problem):
     cfg = _cfg(iters=7)
-    seen = []
-    state, records = run(cfg, quad_problem, np.array([1.0]), hook=seen.append)
+    [state], records = run([cfg], quad_problem, np.array([1.0]))
     assert [r.k for r in records] == list(range(7))
-    assert seen == records
+    assert all(r.run == 0 for r in records)
     assert state.k == 7
     assert all(r.wall_micros >= 0 for r in records)
     assert all(r.gamma == cfg.gamma for r in records)
@@ -231,8 +235,8 @@ def test_records_and_hook_order(quad_problem):
 
 def test_lyapunov_column_uses_coefficient(quad_problem):
     cfg = _cfg(iters=2)
-    _, plain = run(cfg, quad_problem, np.array([1.0]), lyapunov_coeff=0.0)
-    _, weighted = run(cfg, quad_problem, np.array([1.0]), lyapunov_coeff=0.5, f_inf=0.0)
+    _, plain = run([cfg], quad_problem, np.array([1.0]), lyapunov_coeffs=[0.0])
+    _, weighted = run([cfg], quad_problem, np.array([1.0]), lyapunov_coeffs=[0.5], f_inf=0.0)
     assert plain[0].lyapunov == plain[0].f
     # at step 0 the shifts are (1, -1) against gradients (2, -1)
     assert weighted[0].lyapunov == pytest.approx(0.25 + 0.5 * 0.5)
@@ -301,18 +305,19 @@ def _large_scale_linreg(seed):
 def test_shift_drift_check_is_relative_to_scale(tau):
     for seed in range(5):
         problem = _large_scale_linreg(seed)
-        _, records = run(_cfg(gamma=1e-3, tau=tau, iters=50), problem, np.zeros(5))
+        _, records = run([_cfg(gamma=1e-3, tau=tau, iters=50)], problem, np.zeros(5))
         assert len(records) == 50
 
 
 def test_real_shift_drift_raises_invariant_error():
     problem = _large_scale_linreg(0)
     cfg = _cfg(gamma=1e-3, tau=1e5, iters=1)
-    state, _ = step(OptimizerState.initial(np.zeros(5), problem.n), problem, cfg)
+    batch = Batch([cfg], problem, np.zeros(5))
+    step(batch)
     # a shift row changed without its message reaching the aggregate
-    state.v[2, 0] += 1e-3 * np.abs(state.v).max()
+    batch.v[2, 0] += 1e-3 * np.abs(batch.v).max()
     with pytest.raises(InvariantError, match="drifted"):
-        step(state, problem, cfg)
+        step(batch)
 
 
 @pytest.mark.parametrize("x0", [1.7, 1.0])
@@ -320,7 +325,7 @@ def test_converging_run_passes_the_shift_drift_check(quad_problem, x0):
     # the aggregate took its rounding while the shifts were large; once they
     # have shrunk, an allowance at their current scale called it a drift
     # (at step 188 from 1.7, 203 from 1.0)
-    _, records = run(_cfg(gamma=0.1, tau=0.3, iters=400), quad_problem, np.array([x0]))
+    _, records = run([_cfg(gamma=0.1, tau=0.3, iters=400)], quad_problem, np.array([x0]))
     assert len(records) == 400
     assert records[-1].grad_norm_sq < 1e-16
 
@@ -351,7 +356,7 @@ _EQUIVARIANT = {
 def _counterexample_trace(method, x0, c):
     scales = {k: c * v for k, v in _EQUIVARIANT[method].items()}
     cfg = MethodConfig(method=method, gamma=0.1, iters=250, seed=4, **scales)
-    return run(cfg, Problem("quad_counterexample"), np.array([c * x0]))[1]
+    return run([cfg], Problem("quad_counterexample"), np.array([c * x0]))[1]
 
 
 @functools.lru_cache(maxsize=None)

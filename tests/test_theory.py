@@ -1,5 +1,8 @@
 """Stepsize rules, certificates, and bounds against the independent oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,20 @@ def test_sigma_floor_validation():
         sigma_min(1.0, 0, 0.5, 1e-5, 0.5)
     with pytest.raises(ConfigurationError):
         sigma_min(-1.0, 100, 0.5, 1e-5, 0.5)
+
+
+def test_huge_tau_saturates_instead_of_overflowing():
+    # tau^2 overflows a float: the noise floor is not finite, and the rules'
+    # tau^2 branches saturate to +inf, which never binds their minimum
+    with pytest.raises(ConfigurationError, match=r"^no finite noise floor at tau=1e\+200$"):
+        sigma_min(1e200, 10, 0.5, 0.1, 0.5)
+    inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=1e200, grad0_norms=(2.0, 1.0), F0=0.25, mu=0.05, alpha_press=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rules = (stepsize_multi(inputs), stepsize_dp(inputs), stepsize_press(inputs))
+    assert all(0.0 < gamma < math.inf for gamma in rules)
+    single = StepsizeInputs(L=1.0, L_max=1.0, tau=1e200, grad0_norms=(2.0,), F0=0.25)
+    assert 0.0 < stepsize_single(single) < math.inf
 
 
 def _rel_gap(ours, ref):
@@ -250,7 +267,7 @@ def test_f_inf_estimate_lower_bounds_descent(logistic_problem, logistic_x0, logi
     assert logistic_f_inf < logistic_problem.evaluate(logistic_x0)[0]
     # a short run never dips below the presolved floor
     cfg = MethodConfig(method="gd", gamma=0.5, iters=200)
-    _, records = run(cfg, logistic_problem, logistic_x0)
+    _, records = run([cfg], logistic_problem, logistic_x0)
     assert all(r.f >= logistic_f_inf for r in records)
 
 
