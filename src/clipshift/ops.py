@@ -26,11 +26,12 @@ __all__ = [
 ]
 
 
-def check_vector(x) -> np.ndarray:
-    """Coerce to a 1-d float64 array, rejecting NaN/Inf components."""
+def check_vector(x, stack: bool = False) -> np.ndarray:
+    """Coerce to a 1-d float64 array, rejecting NaN/Inf components; with
+    stack, a 2-d (R, d) stack of such vectors is accepted as well."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
+    if arr.ndim != 1 and not (stack and arr.ndim == 2):
+        raise ValueError(f"expected a 1-d vector{' or a 2-d stack' if stack else ''}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("vector has non-finite components")
     return arr

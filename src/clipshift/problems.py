@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ops import check_real
+from .ops import check_real, check_vector
 
 __all__ = ["Problem", "SmoothnessInfo", "KINDS", "REGULARIZERS"]
 
@@ -144,11 +144,7 @@ class Problem:
         value) and the same elementwise work, so its entries are
         bit-identical to evaluate(x[r]).
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise ValueError(f"expected a point or an (R, d) stack of points, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("vector has non-finite components")
+        x = check_vector(x, stack=True)
         if x.shape[-1] != self.d:
             raise ValueError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
         if self.kind == "quad_counterexample":  # the mean of its two local values

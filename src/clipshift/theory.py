@@ -12,6 +12,7 @@ skipped when B <= thr.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ __all__ = [
     "estimate_f_inf",
 ]
 
+_NO_FINITE_STEPSIZE = "no finite certified stepsize at tau={}"
 _THETA_GRID = tuple(10.0 ** (-3.0 + 4.0 * j / 12.0) for j in range(13))
 
 
@@ -102,35 +104,44 @@ def _implicit_branch(F0: float, B: float, threshold: float, slope: float) -> flo
     return F0 / coeff
 
 
-def _square(v: float) -> float:
-    """v**2, saturating to +inf where Python's float power raises
-    OverflowError; a finite square keeps its bits."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
+def _overflow_checked(rule):
+    """Wrap a stepsize rule so that a float overflow inside it raises
+    ConfigurationError, not OverflowError or numpy's overflow warning.
+
+    An overflowed value reaches the denominator of the rule's tau^2 branch
+    as inf, where _tau_branch rejects it, or a float power raises
+    OverflowError, caught here.
+    """
+
+    @functools.wraps(rule)
+    def checked(inp: StepsizeInputs) -> float:
+        try:
+            with np.errstate(over="ignore"):
+                return rule(inp)
+        except OverflowError:
+            raise ConfigurationError(_NO_FINITE_STEPSIZE.format(inp.tau)) from None
+
+    return checked
 
 
-def _tau_branch(numerator: float, denom: float) -> float:
-    """A rule's branch numerator / denom, the numerator tau^2 times a
-    constant. It is +inf, which cannot bind the minimum, when the
-    denominator is 0 or the numerator saturated: for a huge tau the
-    denominator overflows too, and the quotient would be inf/inf."""
-    if denom == 0.0 or numerator == math.inf:
-        return math.inf
-    return numerator / denom
+def _tau_branch(numerator: float, denom: float, tau: float) -> float:
+    """A rule's tau^2 branch numerator / denom, +inf when denom is 0.
 
-
-def _rms(values: np.ndarray) -> float:
-    """Root mean square; a square that overflows saturates to +inf."""
-    with np.errstate(over="ignore"):
-        return math.sqrt(float(np.mean(values**2)))
+    denom grows like tau^2 with tau, so the branch tends to a finite limit
+    and can bind the minimum for any tau. Where denom overflowed, the
+    quotient would read 0 while that limit is not, so no stepsize is
+    certified: ConfigurationError.
+    """
+    if not math.isfinite(denom):
+        raise ConfigurationError(_NO_FINITE_STEPSIZE.format(tau))
+    return math.inf if denom == 0.0 else numerator / denom
 
 
 def _sqrt_sum_sq(F0: float, beta2: float) -> float:
     return (math.sqrt(F0) + math.sqrt(beta2)) ** 2
 
 
+@_overflow_checked
 def stepsize_single(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the single-node shifted method."""
     if inp.n != 1:
@@ -143,10 +154,11 @@ def stepsize_single(inp: StepsizeInputs) -> float:
     beta2 = inp.F0 + inp.tau * G0 / (math.sqrt(2.0 * eta) * inp.L)
     first = (1.0 - 1.0 / math.sqrt(2.0)) / (1.0 + math.sqrt(1.0 + 2.0 * beta1)) / inp.L
     denom = 4.0 * inp.L**2 * _sqrt_sum_sq(inp.F0, beta2)
-    second = _tau_branch(_square(inp.tau), denom)
+    second = _tau_branch(inp.tau**2, denom, inp.tau)
     return min(first, second)
 
 
+@_overflow_checked
 def stepsize_multi(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the n-node shifted method."""
     norms = np.asarray(inp.grad0_norms)
@@ -157,16 +169,17 @@ def stepsize_multi(inp: StepsizeInputs) -> float:
     beta1 = 2.0 * (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap * ratio_sq
     # signed differences, exactly as printed; entries below tau only
     # inflate beta2, which keeps the bound conservative
-    G0 = _rms(norms - inp.tau)
+    G0 = math.sqrt(float(np.mean((norms - inp.tau) ** 2)))
     beta2 = inp.F0 + G0 * inp.tau / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     slope = float(np.mean(np.maximum(0.0, norms - inp.tau) ** 2)) / (2.0 * gap)
     implicit = _implicit_branch(inp.F0, B, inp.tau, slope)
     second = (1.0 - 1.0 / math.sqrt(2.0)) / inp.L / (1.0 + math.sqrt(1.0 + 2.0 * beta1))
     denom = 16.0 * _sqrt_sum_sq(inp.F0, beta2)
-    third = _tau_branch(_square(inp.tau) / inp.L_max**2, denom)
+    third = _tau_branch(inp.tau**2 / inp.L_max**2, denom, inp.tau)
     return min(implicit, second, third)
 
 
+@_overflow_checked
 def stepsize_dp(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the noisy shifted method.
 
@@ -182,7 +195,7 @@ def stepsize_dp(inp: StepsizeInputs) -> float:
     B = float(norms.max())
     ratio_sq = (inp.L_max / inp.L) ** 2
     beta1 = (1.0 + 2.0 / eta) * (1.0 - eta) * (1.0 - 0.5 * eta) / eta * ratio_sq
-    G0 = _rms(np.abs(norms - inp.tau) + nu)
+    G0 = math.sqrt(float(np.mean((np.abs(norms - inp.tau) + nu) ** 2)))
     beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     first = eta / (4.0 * mu)
     second = 2.0 * mu / inp.L_max**2
@@ -192,7 +205,7 @@ def stepsize_dp(inp: StepsizeInputs) -> float:
         inp.L * (1.0 + math.sqrt(1.0 + 8.0 * beta1))
     )
     denom = 64.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fifth = _tau_branch(_square(inp.tau), denom)
+    fifth = _tau_branch(inp.tau**2, denom, inp.tau)
     return min(first, second, implicit, fourth, fifth)
 
 
@@ -225,6 +238,7 @@ def press_contraction_margin(alpha: float, eta: float) -> float:
     return best
 
 
+@_overflow_checked
 def stepsize_press(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the compressed shifted method."""
     if inp.alpha_press is None:
@@ -243,7 +257,7 @@ def stepsize_press(inp: StepsizeInputs) -> float:
         / beta
         * ratio_sq
     )
-    G0 = _rms(np.maximum(0.0, norms - inp.tau) + root * inp.tau)
+    G0 = math.sqrt(float(np.mean((np.maximum(0.0, norms - inp.tau) + root * inp.tau) ** 2)))
     beta2 = inp.F0 + G0 * shrink * inp.tau / (math.sqrt(2.0 * beta) * inp.L_max)
     first = math.inf if root == 0.0 else shrink / (2.0 * root * inp.L_max)
     slope = G0**2 / beta
@@ -252,7 +266,7 @@ def stepsize_press(inp: StepsizeInputs) -> float:
         inp.L * (1.0 + math.sqrt(1.0 + 2.0 * beta1))
     )
     denom = 16.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fourth = _tau_branch(shrink**2 * _square(inp.tau), denom)
+    fourth = _tau_branch(shrink**2 * inp.tau**2, denom, inp.tau)
     return min(first, implicit, third, fourth)
 
 
@@ -325,9 +339,12 @@ def sigma_min(tau: float, K: int, eps: float, delta: float, alpha_frac: float) -
     eps = check_real("eps", eps, "(0, 1)")
     delta = check_real("delta", delta, "(0, 1)")
     alpha_frac = check_real("alpha_frac", alpha_frac, "(0, 1)")
-    floor = 12.0 * _square(tau) * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
-        (1.0 - alpha_frac) * eps
-    )
+    try:
+        floor = 12.0 * tau**2 * math.sqrt(2.0 * K * math.log(1.0 / delta)) / (
+            (1.0 - alpha_frac) * eps
+        )
+    except OverflowError:
+        floor = math.inf
     if not math.isfinite(floor):
         raise ConfigurationError(f"no finite noise floor at tau={tau}")
     return floor

@@ -321,26 +321,6 @@ def test_grid_steps_its_children_in_one_run_call(tmp_path, data_file, monkeypatc
     assert len(calls) == 1 and len(calls[0]) == 6
 
 
-# the certified stepsize at a tau so large that tau^2 overflows: the tau^2
-# branches saturate to +inf and another branch binds
-@pytest.mark.parametrize(
-    "method, extra, gamma",
-    [
-        ("clip21-gd", [], "0.14644660940672627"),
-        ("dp-clip21-gd", ["--nu", "0.1", "--mu", "0.05"], "0.025000000000000001"),
-        ("press-clip21-gd", ["--compressor", "identity"], "0.14644660940672627"),
-    ],
-)
-def test_huge_tau_saturates_the_tau_squared_branches(tmp_path, capsys, method, extra, gamma):
-    out = tmp_path / "x.csv"
-    args = ["--method", method, "--tau", "1e200", "--gamma", "auto", "--iters", "3", "--out", str(out)]
-    assert main(args + extra) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert f" gamma={gamma} k_star=0\n" in captured.out
-    assert len(_read_rows(str(out))) == 3
-
-
 def test_grid_child_divergence_keeps_partial_trace(tmp_path, capsys):
     # on the counterexample L = 1, so child 5 runs gd at gamma = 8 and blows up
     out = str(tmp_path / "grid.csv")
@@ -526,6 +506,8 @@ def test_gaussian_x0_draws_from_the_slot_after_aggregate_noise(data_file):
 
 
 _TINY_TAU = "error: no finite no-more-clipping horizon at tau=1e-310\n"
+# tau^2 overflows, so no certified stepsize is a finite float
+_HUGE_TAU = "error: no finite certified stepsize at tau=1e+200\n"
 
 
 # (flag overrides on _base_args, or a full argv for the counterexample; exit
@@ -570,6 +552,14 @@ _TINY_TAU = "error: no finite no-more-clipping horizon at tau=1e-310\n"
         ({"--reg": "l1"}, 2, "error: --reg must be l2 or nonconvex, got 'l1'\n"),
         (["--method", "clip21-gd", "--tau", "1e-310", "--gamma", "0.1", "--iters", "3"], 2, _TINY_TAU),
         (["--method", "clip21-avg", "--tau", "1e-310", "--iters", "3"], 2, _TINY_TAU),
+    ]
+    + [
+        (["--method", method, "--tau", "1e200", "--gamma", "auto", "--iters", "3"] + extra, 2, _HUGE_TAU)
+        for method, extra in (
+            ("clip21-gd", []),
+            ("dp-clip21-gd", ["--nu", "0.1", "--mu", "0.05"]),
+            ("press-clip21-gd", ["--compressor", "identity"]),
+        )
     ]
     + [
         ({"--method": method, flag: f"gaussian:{scale}"}, 2,

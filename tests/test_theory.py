@@ -96,18 +96,29 @@ def test_sigma_floor_validation():
         sigma_min(-1.0, 100, 0.5, 1e-5, 0.5)
 
 
-def test_huge_tau_saturates_instead_of_overflowing():
-    # tau^2 overflows a float: the noise floor is not finite, and the rules'
-    # tau^2 branches saturate to +inf, which never binds their minimum
-    with pytest.raises(ConfigurationError, match=r"^no finite noise floor at tau=1e\+200$"):
-        sigma_min(1e200, 10, 0.5, 0.1, 0.5)
-    inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=1e200, grad0_norms=(2.0, 1.0), F0=0.25, mu=0.05, alpha_press=1.0)
+def test_huge_tau_has_no_certified_stepsize():
+    # the tau^2 branches tend to finite limits as tau grows, and those
+    # limits bind: sqrt(2)/16 for the two-node rule here, sqrt(2)/64 for
+    # the noisy one. Where tau^2 or a branch denominator overflows the
+    # rules raise instead of dropping or zeroing that branch
+    inputs = dict(L=1.0, L_max=2.0, grad0_norms=(2.0, 1.0), F0=0.25, mu=0.05, alpha_press=1.0)
+    near = StepsizeInputs(tau=1e150, **inputs)
+    assert _rel_gap(stepsize_multi(near), math.sqrt(2.0) / 16.0) <= 1e-12
+    assert _rel_gap(stepsize_dp(near), math.sqrt(2.0) / 64.0) <= 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rules = (stepsize_multi(inputs), stepsize_dp(inputs), stepsize_press(inputs))
-    assert all(0.0 < gamma < math.inf for gamma in rules)
-    single = StepsizeInputs(L=1.0, L_max=1.0, tau=1e200, grad0_norms=(2.0,), F0=0.25)
-    assert 0.0 < stepsize_single(single) < math.inf
+        # at 1e154 a branch denominator overflows, at 1e200 tau^2 itself
+        for tau, shown in ((1e154, r"1e\+154"), (1e200, r"1e\+200")):
+            huge = StepsizeInputs(tau=tau, **inputs)
+            for rule in (stepsize_multi, stepsize_dp):
+                with pytest.raises(ConfigurationError, match=rf"^no finite certified stepsize at tau={shown}$"):
+                    rule(huge)
+        single = StepsizeInputs(L=1.0, L_max=1.0, tau=1e200, grad0_norms=(2.0,), F0=0.25)
+        for rule, inp in ((stepsize_single, single), (stepsize_press, StepsizeInputs(tau=1e200, **inputs))):
+            with pytest.raises(ConfigurationError, match=r"^no finite certified stepsize at tau=1e\+200$"):
+                rule(inp)
+        with pytest.raises(ConfigurationError, match=r"^no finite noise floor at tau=1e\+200$"):
+            sigma_min(1e200, 10, 0.5, 0.1, 0.5)
 
 
 def _rel_gap(ours, ref):
