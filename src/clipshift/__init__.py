@@ -29,7 +29,6 @@ from .optimizers import (
     IterationRecord,
     MethodConfig,
     OptimizerState,
-    clip21_avg_run,
     run,
 )
 from .problems import KINDS, REGULARIZERS, Problem, SmoothnessInfo
@@ -74,7 +73,6 @@ __all__ = [
     "StepsizeInputs",
     "certified_stepsize",
     "clip",
-    "clip21_avg_run",
     "compress",
     "dp_utility_bound",
     "estimate_f_inf",

@@ -28,7 +28,7 @@ import numpy as np
 from .data import heterogeneous_split, parse_libsvm, standard_scale
 from .errors import ConfigurationError, DataFormatError, DivergenceError, InvariantError
 from .ops import Compressor, check_count, check_real, node_mean
-from .optimizers import METHODS, IterationRecord, MethodConfig, clip21_avg_run, run
+from .optimizers import METHODS, MethodConfig, run
 from .problems import Problem
 from .rng import gaussian_sample, stream_slot
 from .theory import StepsizeInputs, certified_stepsize, estimate_f_inf, k_star, lyapunov_weight
@@ -284,41 +284,6 @@ def _grid_paths(out: str):
     return [f"{stem}_grid{i}.{ext}" for i in range(len(GRID_MULTIPLES))]
 
 
-def _run_avg(cfg: RunConfig, problem: Problem, f0: float, targets: np.ndarray) -> int:
-    v0_row = _parse_vector(cfg.v_init, problem, stream_slot(problem.n, "v_init"), "--v-init", cfg.seed)
-    v_init = np.tile(v0_row, (problem.n, 1))
-    if not np.isfinite(f0):  # f overflows at x0: stop before writing, as the other methods do
-        raise DivergenceError(f"f(x0) is {f0} at the start point", step=0)
-    gsq0 = float(np.sum(node_mean(targets) ** 2))
-    records = []
-
-    def record(v_rows, active):
-        # row k: the shifts after step k, and the nodes that clipped on it
-        records.append(
-            IterationRecord(
-                k=len(records),
-                f=f0,
-                grad_norm_sq=gsq0,
-                lyapunov=float(np.sum((v_rows - targets) ** 2)) / problem.n,
-                active_nodes=int(np.count_nonzero(active)),
-                v_norm=float(np.linalg.norm(node_mean(v_rows))),
-                gamma=0.0,
-                wall_micros=0,
-            )
-        )
-
-    # the horizon comes first, so a tau too small for one writes no CSV
-    tau = check_real("clip threshold", cfg.tau)
-    steps = max(float(np.linalg.norm(t - v)) for t, v in zip(targets, v_init)) / tau - 1.0
-    if not math.isfinite(steps):
-        raise ConfigurationError(f"no finite no-more-clipping horizon at tau={tau}")
-    horizon = max(0, math.ceil(steps))
-    clip21_avg_run(targets, tau, v_init=v_init, iters=cfg.iters, hook=record)
-    write_csv(records, cfg.out)
-    print(_summary_line(cfg.method, f0, gsq0, iters_to_all_inactive(records), 0.0, horizon))
-    return 0
-
-
 def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured experiment; returns a process exit code."""
     problem = build_problem(cfg)
@@ -331,57 +296,72 @@ def run_experiment(cfg: RunConfig) -> int:
     if not np.isfinite(norms).all():
         raise ConfigurationError("gradient norms must be finite and non-negative")
     if cfg.method == "clip21_avg":
-        return _run_avg(cfg, problem, f0, grads)
-
-    if cfg.mu is not None:
-        check_real("mu", cfg.mu, "non-negative")
-    info = problem.smoothness()
-    L = cfg.L_override if cfg.L_override is not None else info.L
-    if L <= 0:
-        raise ConfigurationError(f"need a positive smoothness constant, got {L}")
-    f_inf = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
-    gap = f0 - f_inf
-    if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
-        raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
-    compressor = parse_compressor(cfg.compressor) if cfg.compressor else None
-    alpha = compressor.alpha(problem.d) if compressor is not None else None
-    # tau is absent for gd; the theory inputs then never reach a clip rule
-    inputs = StepsizeInputs(
-        L=L,
-        L_max=info.L_max,
-        tau=cfg.tau if cfg.tau is not None else 1.0,
-        grad0_norms=norms,
-        F0=max(0.0, gap),
-        alpha_press=alpha,
-        mu=cfg.mu,
-        nu=cfg.nu,
-    )
-    horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
-
-    # one stepsize writes --out itself; the grid steps its six children as
-    # one batch, writes one trace per child and copies the best child's
-    # to --out
-    grid = cfg.gamma == "grid"
-    if grid:
-        gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
+        # clip21-gd at gamma 0: x stays at x0, so the shifts track grads; with
+        # f_inf = f(x0) and weight 1 the lyapunov column is the mean squared
+        # tracking error. The horizon comes first, so a tau too small for one
+        # writes no CSV
+        v0_row = _parse_vector(cfg.v_init, problem, stream_slot(problem.n, "v_init"), "--v-init", cfg.seed)
+        v0 = np.tile(v0_row, (problem.n, 1))
+        if not np.isfinite(f0):  # f overflows at x0: stop before writing, as the other methods do
+            raise DivergenceError(f"f(x0) is {f0} at the start point", step=0)
+        tau = check_real("clip threshold", cfg.tau)
+        steps = max(float(np.linalg.norm(t - v)) for t, v in zip(grads, v0)) / tau - 1.0
+        if not math.isfinite(steps):
+            raise ConfigurationError(f"no finite no-more-clipping horizon at tau={tau}")
+        horizon, f_inf, grid, paths = max(0, math.ceil(steps)), f0, False, [cfg.out]
+        gammas, coeffs = [0.0], [1.0]
+        method_cfgs = [MethodConfig("clip21_avg", gamma=0.0, iters=cfg.iters, tau=tau, seed=cfg.seed)]
     else:
-        gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
-        paths = [cfg.out]
-    method_cfgs = [
-        MethodConfig(
-            method=cfg.method,
-            gamma=gamma,
-            iters=cfg.iters,
-            tau=cfg.tau,
-            sigma=cfg.sigma,
+        v0 = None
+        if cfg.mu is not None:
+            check_real("mu", cfg.mu, "non-negative")
+        info = problem.smoothness()
+        L = cfg.L_override if cfg.L_override is not None else info.L
+        if L <= 0:
+            raise ConfigurationError(f"need a positive smoothness constant, got {L}")
+        f_inf = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
+        gap = f0 - f_inf
+        if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
+            raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
+        compressor = parse_compressor(cfg.compressor) if cfg.compressor else None
+        alpha = compressor.alpha(problem.d) if compressor is not None else None
+        # tau is absent for gd; the theory inputs then never reach a clip rule
+        inputs = StepsizeInputs(
+            L=L,
+            L_max=info.L_max,
+            tau=cfg.tau if cfg.tau is not None else 1.0,
+            grad0_norms=norms,
+            F0=max(0.0, gap),
+            alpha_press=alpha,
+            mu=cfg.mu,
             nu=cfg.nu,
-            compressor=compressor,
-            seed=cfg.seed,
         )
-        for gamma in gammas
-    ]
-    coeffs = [lyapunov_weight(cfg.method, gamma, inputs) for gamma in gammas]
-    finals, records = run(method_cfgs, problem, x0, f_inf=f_inf, lyapunov_coeffs=coeffs)
+        horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
+
+        # one stepsize writes --out itself; the grid steps its six children as
+        # one batch, writes one trace per child and copies the best child's
+        # to --out
+        grid = cfg.gamma == "grid"
+        if grid:
+            gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
+        else:
+            gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
+            paths = [cfg.out]
+        method_cfgs = [
+            MethodConfig(
+                method=cfg.method,
+                gamma=gamma,
+                iters=cfg.iters,
+                tau=cfg.tau,
+                sigma=cfg.sigma,
+                nu=cfg.nu,
+                compressor=compressor,
+                seed=cfg.seed,
+            )
+            for gamma in gammas
+        ]
+        coeffs = [lyapunov_weight(cfg.method, gamma, inputs) for gamma in gammas]
+    finals, records = run(method_cfgs, problem, x0, v0=v0, f_inf=f_inf, lyapunov_coeffs=coeffs)
     traces = [[] for _ in gammas]
     for record in records:
         traces[record.run].append(record)

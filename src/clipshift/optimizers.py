@@ -1,12 +1,14 @@
 """State machines for the six methods and the shared simulation loop.
 
-Plain GD, clipped GD with and without privacy noise, the shifted
-clipping iteration for fixed targets, shifted clipping for optimization,
-its noisy variant, and its compressed variant all run through one loop
-that emits per-iteration telemetry. The loop steps a batch: runs that
-share the problem and the method but differ in gamma, sigma and seed
-(a stepsize grid, a noise sweep) take each step together, and each run
-is bit-identical to its solo run.
+Plain GD, clipped GD with and without privacy noise, shifted clipping
+for optimization, its noisy variant, and its compressed variant all run
+through one loop that emits per-iteration telemetry. The shifted
+clipping iteration for fixed targets, clip21_avg, is shifted clipping at
+gamma = 0: the iterate stays at x0, so the shifts track the fixed local
+gradients there. The loop steps a batch: runs that share the problem
+and the method but differ in gamma, sigma and seed (a stepsize grid, a
+noise sweep) take each step together, and each run is bit-identical to
+its solo run.
 
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
@@ -34,7 +36,6 @@ __all__ = [
     "MethodConfig",
     "OptimizerState",
     "IterationRecord",
-    "clip21_avg_run",
     "run",
     "step",
 ]
@@ -50,7 +51,7 @@ METHODS = (
 )
 
 _DP_METHODS = ("dp_clip_gd", "dp_clip21_gd")
-_SHIFTED = ("clip21_gd", "dp_clip21_gd", "press_clip21_gd")
+_SHIFTED = ("clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 
 # allowed shift drift per step: 16 ulps of the scale of the shift rows
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
@@ -78,7 +79,12 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "gamma", check_real("gamma", self.gamma))
+        if self.method == "clip21_avg":  # clip21_gd with the iterate held at x0
+            if float(self.gamma) != 0.0:
+                raise ConfigurationError(f"method clip21_avg steps with gamma 0, got {self.gamma}")
+            object.__setattr__(self, "gamma", 0.0)
+        else:
+            object.__setattr__(self, "gamma", check_real("gamma", self.gamma))
         object.__setattr__(self, "iters", check_count("iteration count", self.iters))
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if self.method != "gd":
@@ -141,21 +147,22 @@ class Batch:
     shifts v (R, n, d) (row i of a run's block is node i's shift), their
     running aggregates v_bar (R, d), the clip masks active (R, n) and
     drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
-    the config ids[r]. A lone run (R = 1) keeps the shapes of an
-    unbatched one, without the leading axis (gamma is (1,)): numpy calls
-    on one-row arrays cost more, and a one-row axis cost a 10-node,
-    20-feature dp-clip21-gd run about 11% of its steps per second (2-core
-    Xeon VM, OpenBLAS). lead is (R,) or ().
+    the config ids[r]. Every run starts at x0 with the shifts v0, zeros
+    when omitted. A lone run (R = 1) keeps the shapes of an unbatched
+    one, without the leading axis (gamma is (1,)): numpy calls on one-row
+    arrays cost more, and a one-row axis cost a 10-node, 20-feature
+    dp-clip21-gd run about 11% of its steps per second (2-core Xeon VM,
+    OpenBLAS). lead is (R,) or ().
 
     v_bar is maintained incrementally across steps and re-checked against
     the direct average of the shift rows after each one; drift_scale is
-    the running sum of the root-mean-square shift row over the steps so
-    far, the scale of the rounding v_bar may have accumulated. A run that
-    leaves (it diverged) is dropped from every array, and the others go on
-    unchanged.
+    the running sum of the root-mean-square shift row over v0 and the
+    steps so far, the scale of the rounding v_bar may have accumulated. A
+    run that leaves (it diverged) is dropped from every array, and the
+    others go on unchanged.
     """
 
-    def __init__(self, cfgs, problem, x0):
+    def __init__(self, cfgs, problem, x0, v0=None):
         cfgs = tuple(cfgs)
         if not cfgs:
             raise ConfigurationError("need at least one method config")
@@ -163,8 +170,6 @@ class Batch:
         shared = lambda c: (c.method, c.iters, c.tau, c.nu, c.compressor)
         if any(shared(c) != shared(cfg) for c in cfgs):
             raise ConfigurationError("the configs of one batch may differ only in gamma, sigma and seed")
-        if cfg.method == "clip21_avg":
-            raise ConfigurationError("clip21_avg targets fixed vectors; use clip21_avg_run")
         if cfg.method == "press_clip21_gd":
             cfg.compressor.alpha(problem.d)  # surfaces k > d now, not mid-run
         x0 = check_vector(x0)
@@ -178,10 +183,14 @@ class Batch:
         self.seed = np.array([c.seed for c in cfgs])
         self.gamma = np.array([c.gamma for c in cfgs]).reshape(self.lead + (1,))
         self.x = np.tile(x0, self.lead + (1,))
-        self.v = np.zeros(self.lead + (n, d))
-        self.v_bar = np.zeros(self.lead + (d,))
+        v0 = np.zeros((n, d)) if v0 is None else check_vector(v0, stack=True)
+        if v0.shape != (n, d):
+            raise ConfigurationError(f"v0 has shape {v0.shape}, problem needs {(n, d)}")
+        self.v = np.tile(v0, self.lead + (1, 1))
+        self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
-        self.drift_scale = np.zeros(self.lead)
+        flat_v0 = v0.reshape(-1)
+        self.drift_scale = np.full(self.lead, np.sqrt(np.vecdot(flat_v0, flat_v0) / n))
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
@@ -320,8 +329,9 @@ def step(batch: Batch):
     return f, np.vecdot(gbar, gbar), shift_sq, np.sqrt(np.vecdot(direction, direction)), active
 
 
-def run(cfgs, problem, x0, *, f_inf=0.0, lyapunov_coeffs=None):
-    """Execute iters steps from x0 for each config of cfgs, as one batch.
+def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
+    """Execute iters steps from x0 and the shifts v0 (zeros when omitted)
+    for each config of cfgs, as one batch.
 
     The configs may differ only in gamma, sigma and seed. Returns (finals,
     records): finals[r] is config r's final OptimizerState, holding x_K,
@@ -336,7 +346,7 @@ def run(cfgs, problem, x0, *, f_inf=0.0, lyapunov_coeffs=None):
     stops the whole batch.
     """
     cfgs = tuple(cfgs)
-    batch = Batch(cfgs, problem, x0)
+    batch = Batch(cfgs, problem, x0, v0)
     iters = batch.cfg.iters
     gammas = [c.gamma for c in cfgs]
     weights = np.zeros(len(cfgs)) if lyapunov_coeffs is None else np.array(lyapunov_coeffs, dtype=np.float64)
@@ -392,35 +402,3 @@ def run(cfgs, problem, x0, *, f_inf=0.0, lyapunov_coeffs=None):
         finals[r] = batch.state(row)
     return finals, records
 
-
-def clip21_avg_run(a, tau, v_init=None, iters=1, hook=None):
-    """Shifted clipping toward fixed targets a^i.
-
-    Each step does v^i += clip(a^i - v^i, tau) for every node. Shifts
-    start at v_init (zeros when omitted); the hook, if given, sees each
-    step's new (n, d) shift rows and the mask of the nodes that clipped on
-    that step. Returns the final shift rows, so memory stays O(n d) for
-    any iteration count. Once a residual fits inside the clip ball the
-    shift lands exactly on the target.
-    """
-    tau = check_real("clip threshold", tau)
-    rows = [check_vector(ai) for ai in a]
-    if not rows:
-        raise ConfigurationError("need at least one target vector")
-    d = rows[0].shape[0]
-    if any(r.shape[0] != d for r in rows):
-        raise ValueError("target vectors disagree on dimension")
-    targets = np.stack(rows)
-    n = targets.shape[0]
-    if v_init is None:
-        v = np.zeros((n, d))
-    else:
-        init_rows = [check_vector(vi) for vi in v_init]
-        if len(init_rows) != n or any(r.shape[0] != d for r in init_rows):
-            raise ValueError("v_init shape must match the targets")
-        v = np.stack(init_rows)
-    for _ in range(check_count("iteration count", iters)):
-        v, _messages, active = _shift_update(targets, v, tau)
-        if hook is not None:
-            hook(v, active)
-    return v

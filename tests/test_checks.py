@@ -13,7 +13,6 @@ from clipshift import (
     Problem,
     StepsizeInputs,
     clip,
-    clip21_avg_run,
     dp_utility_bound,
     estimate_f_inf,
     eta_of,
@@ -24,12 +23,14 @@ from clipshift import (
     lyapunov_weight,
     press_contraction_margin,
     rate_envelope,
+    run,
     sigma_min,
     stepsize_dp,
     stepsize_press,
 )
 from clipshift.data import Dataset
 from clipshift.ops import check_count, check_real
+from fixed_targets import avg_config, targets_problem
 
 _INPUTS = dict(L=1.0, L_max=2.0, tau=0.5, grad0_norms=(1.0, 2.0), F0=1.0)
 _DATA = Dataset(
@@ -87,8 +88,9 @@ CALLS = {
         ("gamma", "tau", "sigma", "nu"),
         ("iters", "seed"),
     ),
+    # a clip21_avg run, through the one step kernel
     "clip21_avg_run": (
-        lambda **kw: clip21_avg_run([np.ones(2)], **kw),
+        lambda **kw: run([avg_config(**kw)], targets_problem([np.ones(2)]), np.zeros(2)),
         dict(tau=0.5, iters=3),
         ("tau",),
         ("iters",),

@@ -220,7 +220,13 @@ def test_x0_forms(tmp_path, data_file):
     assert main(_base_args(data_file, out, **{"--x0": "1,2"})) == 2  # wrong length
 
 
-def test_avg_method_via_cli(tmp_path, data_file, capsys):
+def test_avg_method_via_cli(tmp_path, data_file, capsys, monkeypatch):
+    # clip21-avg steps at gamma 0 and needs neither L nor f_inf
+    def unused(*args, **kwargs):
+        raise AssertionError("clip21-avg ran a smoothness pass or the f_inf presolve")
+
+    monkeypatch.setattr(Problem, "smoothness", unused)
+    monkeypatch.setattr(cli, "estimate_f_inf", unused)
     out = str(tmp_path / "avg.csv")
     args = _base_args(data_file, out, **{"--method": "clip21-avg", "--tau": "0.05", "--iters": "60"})
     assert main(args) == 0
@@ -228,6 +234,7 @@ def test_avg_method_via_cli(tmp_path, data_file, capsys):
     # tracking error reaches zero and every node stops clipping
     assert float(rows[-1][3]) == 0.0
     assert int(rows[-1][4]) == 0
+    assert {row[6] for row in rows} == {"0"}  # the gamma column
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert "method=clip21_avg" in summary
 
@@ -456,40 +463,48 @@ def test_negative_presolve_iters_rejected():
 
 
 def test_overflowing_start_points_exit_with_typed_codes(tmp_path, data_file, capsys):
-    # 1e308 overflows the gradient norms; 1e200 overflows the objective,
-    # which is reported as divergence. Either way the one line on stderr is
-    # the typed error: numpy's overflow warnings would raise here.
+    # 1e308 overflows the gradient norms; 1e156 overflows the l2 term of the
+    # objective, which is reported as divergence. Either way the one line on
+    # stderr is the typed error: numpy's overflow warnings would raise here.
     out = str(tmp_path / "x.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for method in ("clip21-gd", "clip21-avg"):
-            for x0, code in (("1e308", 2), ("1e200", 4)):
-                assert main(_base_args(data_file, out, **{"--method": method, "--x0": x0})) == code
+            for start, code in (({"--x0": "1e308"}, 2), ({"--lambda": "1e-3", "--x0": "1e156"}, 4)):
+                assert main(_base_args(data_file, out, **{"--method": method, **start})) == code
                 assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_zero_lambda_start_point_far_out_is_finite(tmp_path, data_file):
+    # with lam = 0 nothing overflows at 1e200: f is about 4.4e199 and every
+    # gradient entry is bounded, so the run goes ahead
+    out = str(tmp_path / "x.csv")
+    for method in ("clip21-gd", "clip21-avg"):
+        assert main(_base_args(data_file, out, **{"--method": method, "--x0": "1e200"})) == 0
+        assert all(1e199 < float(row[1]) < 1e200 for row in _read_rows(out))
+
+
 @pytest.mark.parametrize(
-    "method, x0, code, message",
+    "method, start, code, message",
     [
-        ("clip21-gd", "1e308", 2, "gradient norms"),
-        ("clip21-gd", "1e200", 4, "f(x0) - f_inf"),
-        ("clip21-avg", "1e308", 2, "gradient norms"),
-        ("clip21-avg", "1e200", 4, "f(x0) is nan"),
+        ("clip21-gd", {"--x0": "1e308"}, 2, "gradient norms"),
+        ("clip21-gd", {"--lambda": "1e-3", "--x0": "1e156"}, 4, "f(x0) - f_inf"),
+        ("clip21-avg", {"--x0": "1e308"}, 2, "gradient norms"),
+        ("clip21-avg", {"--lambda": "1e-3", "--x0": "1e156"}, 4, "f(x0) is inf"),
     ],
-    ids=["1e308", "1e200", "avg-1e308", "avg-1e200"],
+    ids=["1e308", "1e156", "avg-1e308", "avg-1e156"],
 )
 def test_overflowing_start_point_stops_before_any_run(
-    tmp_path, data_file, monkeypatch, capsys, method, x0, code, message
+    tmp_path, data_file, monkeypatch, capsys, method, start, code, message
 ):
     # F0 = max(0, nan) would silently read 0; the start point is rejected instead
     def no_run(*args, **kwargs):
         raise AssertionError("an optimizer run started from an overflowing x0")
 
     monkeypatch.setattr(cli, "run", no_run)
-    monkeypatch.setattr(cli, "clip21_avg_run", no_run)
     out = tmp_path / "x.csv"
     for gamma in ("auto", "grid"):
-        args = _base_args(data_file, str(out), **{"--method": method, "--x0": x0, "--gamma": gamma})
+        args = _base_args(data_file, str(out), **{"--method": method, **start, "--gamma": gamma})
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(args) == code
         assert message in capsys.readouterr().err

@@ -15,11 +15,11 @@ from clipshift import (
     MethodConfig,
     NodeShard,
     Problem,
-    clip21_avg_run,
     node_mean,
     run,
 )
 from clipshift.optimizers import Batch, step
+from fixed_targets import avg_config, avg_trace, targets_problem
 
 
 def _cfg(method="clip21_gd", **kw):
@@ -31,6 +31,9 @@ def _cfg(method="clip21_gd", **kw):
 def test_method_config_validation():
     with pytest.raises(ConfigurationError):
         _cfg(gamma=0.0)
+    for gamma in (0.01, -0.01, float("nan")):  # clip21_avg steps at gamma 0 alone
+        with pytest.raises(ConfigurationError, match="clip21_avg steps with gamma 0"):
+            _cfg(method="clip21_avg", gamma=gamma)
     with pytest.raises(ConfigurationError):
         _cfg(gamma=float("inf"))
     with pytest.raises(ConfigurationError):
@@ -209,7 +212,9 @@ def test_divergence_returns_error_with_step_index(quad_problem):
 
 def test_run_rejects_misuse(quad_problem):
     with pytest.raises(ConfigurationError):
-        run([_cfg(method="clip21_avg")], quad_problem, np.array([1.0]))
+        run([_cfg()], quad_problem, np.array([1.0]), v0=np.zeros((2, 2)))  # wrong shift shape
+    with pytest.raises(ValueError):
+        run([_cfg()], quad_problem, np.array([1.0]), v0=np.array([[0.0], [np.inf]]))
     with pytest.raises(ConfigurationError):
         run([_cfg()], quad_problem, np.array([1.0, 2.0]))  # wrong dimension
     bad = MethodConfig(
@@ -242,11 +247,13 @@ def test_lyapunov_column_uses_coefficient(quad_problem):
     assert weighted[0].lyapunov == pytest.approx(0.25 + 0.5 * 0.5)
 
 
-def _avg_trace(a, tau, **kwargs):
-    """Each step's shift rows and clip mask, as the hook sees them."""
-    trace = []
-    final = clip21_avg_run(a, tau, hook=lambda v, active: trace.append((v, active)), **kwargs)
-    assert np.array_equal(final, trace[-1][0])
+def _avg_trace(a, tau, iters, v0=None):
+    """Each step's shift rows and clip mask; run ends on the last of them,
+    with the iterate still at x0 = 0 bit for bit."""
+    trace = avg_trace(a, tau, iters, v0)
+    [final], _ = run([avg_config(tau, iters)], targets_problem(a), np.zeros(np.shape(a)[1]), v0=v0)
+    assert np.array_equal(final.v, trace[-1][0])
+    assert final.x.tobytes() == np.zeros(np.shape(a)[1]).tobytes()
     return trace
 
 
@@ -261,9 +268,17 @@ def test_avg_hand_trace_single_node():
 
 
 def test_avg_respects_v_init():
-    trace = _avg_trace(np.array([[5.0]]), 1.0, v_init=np.array([[3.5]]), iters=3)
+    trace = _avg_trace(np.array([[5.0]]), 1.0, iters=3, v0=np.array([[3.5]]))
     values = [float(v[0, 0]) for v, _ in trace]
     assert values == [4.5, 5.0, 5.0]
+
+
+def test_avg_lands_from_far_start_shifts():
+    # one step lands every shift from 1e100 on its target; v_bar took that
+    # step's rounding at the scale of v0, which the drift check allows for
+    a = np.array([[0.3, -0.1], [0.2, 0.4]])
+    trace = _avg_trace(a, 1e140, iters=2, v0=np.full((2, 2), 1e100))
+    assert all(np.array_equal(v, a) for v, _ in trace)
 
 
 def test_avg_contraction_bound_random():
@@ -280,17 +295,17 @@ def test_avg_contraction_bound_random():
 
 def test_avg_exact_recovery_once_inside_ball():
     a = np.array([[0.3, -0.4]])
-    final = clip21_avg_run(a, 1.0, iters=1)
-    assert np.array_equal(final[0], a[0])
+    [final], _ = run([avg_config(1.0, 1)], targets_problem(a), np.zeros(2))
+    assert np.array_equal(final.v[0], a[0])
 
 
 def test_avg_validation():
     with pytest.raises(ConfigurationError):
-        clip21_avg_run(np.array([[1.0]]), 0.0)
+        avg_config(0.0, 1)
     with pytest.raises(ConfigurationError):
-        clip21_avg_run(np.array([[1.0]]), 1.0, iters=0)
+        avg_config(1.0, 0)
     with pytest.raises(ValueError):
-        clip21_avg_run(np.array([[1.0]]), 1.0, v_init=np.array([[1.0, 2.0]]))
+        run([avg_config(1.0, 1)], targets_problem([[1.0]]), np.zeros(1), v0=np.array([[1.0, 2.0]]))
 
 
 def _large_scale_linreg(seed):
@@ -311,13 +326,14 @@ def test_shift_drift_check_is_relative_to_scale(tau):
 
 def test_real_shift_drift_raises_invariant_error():
     problem = _large_scale_linreg(0)
-    cfg = _cfg(gamma=1e-3, tau=1e5, iters=1)
-    batch = Batch([cfg], problem, np.zeros(5))
-    step(batch)
-    # a shift row changed without its message reaching the aggregate
-    batch.v[2, 0] += 1e-3 * np.abs(batch.v).max()
-    with pytest.raises(InvariantError, match="drifted"):
+    # clip21_avg is the same shift update at gamma 0, so the check covers it too
+    for cfg in (_cfg(gamma=1e-3, tau=1e5, iters=1), _cfg(method="clip21_avg", gamma=0.0, tau=1e5, iters=1)):
+        batch = Batch([cfg], problem, np.zeros(5))
         step(batch)
+        # a shift row changed without its message reaching the aggregate
+        batch.v[2, 0] += 1e-3 * np.abs(batch.v).max()
+        with pytest.raises(InvariantError, match="drifted"):
+            step(batch)
 
 
 @pytest.mark.parametrize("x0", [1.7, 1.0])
@@ -338,8 +354,8 @@ def test_avg_is_scale_equivariant(j):
     c = 2.0**j
     rng = np.random.default_rng(31)
     a, v_init, tau = 3.0 * rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), 0.4
-    base = _avg_trace(a, tau, v_init=v_init, iters=25)
-    scaled = _avg_trace(c * a, c * tau, v_init=c * v_init, iters=25)
+    base = _avg_trace(a, tau, 25, v_init)
+    scaled = _avg_trace(c * a, c * tau, 25, c * v_init)
     for (v, active), (v_c, active_c) in zip(base, scaled):
         assert np.array_equal(v_c, c * v)
         assert np.array_equal(active_c, active)

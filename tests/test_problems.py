@@ -118,6 +118,35 @@ def test_linreg_pinned_single_sample():
     assert np.array_equal(node_mean(grads), [-4.0])
 
 
+def test_zero_lambda_objective_is_finite_far_out():
+    # 0 * r(x) read nan once x.x overflowed; with lam = 0 there is no term
+    rng = np.random.default_rng(3)
+    shards = _random_shards(rng, 3, 4, 6)
+    x = np.full(4, 1e200)
+    for reg in ("l2", "nonconvex"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grads = Problem("logistic", shards=shards, reg=reg, lam=0.0).evaluate(x)
+        assert np.isfinite(value) and np.isfinite(grads).all()
+        losses = [np.logaddexp(0.0, -s.labels * (s.features @ x)).mean() for s in shards]
+        assert value == pytest.approx(np.mean(losses), rel=1e-12)
+
+
+def test_nonconvex_regularizer_is_d_far_out():
+    # each term x_j^2 / (1 + x_j^2) is below 1, but once x_j^2 overflows the
+    # quotient is inf / inf: r(x) read nan at |x_j| >~ 1.34e154 for any lam
+    shards = [NodeShard(0, np.zeros((1, 3)), np.array([1.0]))]
+    p = Problem("logistic", shards=shards, reg="nonconvex", lam=0.1)
+    loss = p.evaluate(np.zeros(3))[0]  # ln 2, the value with r(0) = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grads = p.evaluate(np.full(3, 1e200))
+    assert value == loss + 0.1 * 3.0
+    assert np.isfinite(grads).all()
+    # at an ordinary point r keeps the bits of the plain quotient
+    x = np.array([0.5, -1.5, 2.0])
+    sq = x * x
+    assert p.evaluate(x)[0] == loss + 0.1 * np.sum(sq / (1.0 + sq))
+
+
 def test_regularizer_gradients():
     shards = [NodeShard(0, np.zeros((2, 3)), np.array([1.0, -1.0]))]
     x = np.array([0.5, -1.5, 2.0])

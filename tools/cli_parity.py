@@ -1,0 +1,333 @@
+"""Compare the clipshift CLI of two git revisions, invocation by invocation.
+
+    python tools/cli_parity.py PARENT_REV [CHANGE_REV]
+
+Each side is a ``git archive`` of its revision's src/; with CHANGE_REV
+omitted the change side is the working tree's src/. The script writes a
+seeded 60 x 5 LibSVM toy set (and a few config and malformed files), then
+runs every invocation kind of the fixed table kinds() once per side, each
+in a fresh ``python -m clipshift.cli`` process and its own empty
+directory, and the change side a second time to check rerun determinism.
+Two processes run at a time.
+
+It prints:
+  - the kinds whose exit code, stdout or stderr differ between the sides
+    (stderr with each side's source directory written as <src>; kinds
+    whose stderr differs only in the line number of a warning's source
+    location are listed apart, since any edit above that line moves it);
+  - for each of the first 7 CSV columns (all but wall_micros), the
+    largest relative deviation |a - b| / max(|a|, |b|) between the sides
+    over every CSV written, and the kinds where the column moved;
+  - whether the second change-side run reproduced the first: exit code,
+    stdout, stderr and the first 7 CSV columns, byte for byte.
+
+The exit status is 0 when the sides agree on everything above, else 1.
+The temporary tree (under $TMPDIR) is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+COLUMNS = ("k", "f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "gamma")
+CHILD_TIMEOUT_S = 300
+JOBS = 2
+
+
+def write_inputs(where: Path) -> dict:
+    """The files the kinds read, by placeholder name."""
+    rng = np.random.default_rng(88)
+    lines = []
+    for _ in range(60):
+        x = rng.standard_normal(5)
+        y = 1 if x.sum() > 0 else -1
+        lines.append(f"{y:+d} " + " ".join(f"{j + 1}:{x[j]:.5f}" for j in range(5)))
+    files = {
+        "toy": "\n".join(lines) + "\n",
+        "cfg": "method = clip21-gd\ntau = 0.5\ngamma = auto\niters = 30  # a comment\nnodes = 4\n",
+        "cfg_unknown": "method = gd\nbogus = 1\n",
+    }
+    paths = {name: where / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["bad_data"] = where / "bad_data.txt"
+    paths["bad_data"].write_bytes(b"+1 1:0.5\n\xff\xfe 2:1\n")
+    paths["bad_cfg"] = where / "bad_cfg.txt"
+    paths["bad_cfg"].write_bytes(b"method = gd\n\xff = 1\n")
+    paths["missing"] = where / "missing.txt"
+    paths["cfg"].write_text(paths["cfg"].read_text() + f"data = {paths['toy']}\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def kinds(files: dict) -> list:
+    """(name, argv) for every invocation kind."""
+    toy = ["--data", files["toy"], "--nodes", "4", "--seed", "3", "--presolve-iters", "200"]
+    base = toy + ["--x0", "gaussian:1.0", "--iters", "40"]
+    # method: (its options but tau, tau on the toy set, tau on the counterexample)
+    noise = ["--sigma", "0.01", "--nu", "0.05", "--mu", "0.05"]
+    methods = {
+        "gd": ([], None, None),
+        "clip-gd": ([], "0.5", "1"),
+        "dp-clip-gd": (noise, "0.5", "1"),
+        "clip21-gd": ([], "0.5", "1"),
+        "dp-clip21-gd": (noise, "0.5", "1"),
+        "press-clip21-gd": (["--compressor", "topk:1"], "0.5", "1"),
+        "clip21-avg": ([], "0.05", "0.3"),
+    }
+    out = []
+    for method, (extra, tau, quad_tau) in methods.items():
+        extra = ["--method", method] + extra
+        for gamma in ("auto", "grid", "0.1"):
+            out.append((f"{method}-{gamma}", base + extra + ["--gamma", gamma] + (["--tau", tau] if tau else [])))
+        quad = extra + ["--gamma", "auto", "--iters", "60"] + (["--tau", quad_tau] if quad_tau else [])
+        out.append((f"{method}-counterexample", quad))
+    avg = toy + ["--method", "clip21-avg", "--iters", "60"]
+    for tau in ("0.05", "0.5", "3"):
+        for v_init in ("zeros", "gaussian:0.7", "0.25", "0.1,-0.2,0.3,-0.4,0.5"):
+            out.append((f"avg-tau{tau}-v{v_init}", avg + ["--tau", tau, "--x0", "gaussian:1.0", "--v-init", v_init]))
+    for x0 in ("zeros", "gaussian:1.0", "0.25", "1,-1,0.5,2,0"):
+        out.append((f"avg-x0-{x0}", avg + ["--tau", "0.5", "--x0", x0]))
+    for nodes in ("1", "10"):
+        out.append((f"avg-nodes{nodes}", avg + ["--tau", "0.5", "--nodes", nodes, "--v-init", "gaussian:0.7"]))
+    no_tau = base + ["--method", "clip21-gd"]
+    clip21 = no_tau + ["--tau", "0.5"]
+    out += [
+        ("avg-iters1", avg + ["--tau", "0.05", "--iters", "1"]),
+        ("avg-far-start-shifts", avg + ["--tau", "1e140", "--v-init", "1e100"]),
+        ("avg-lambda", avg + ["--tau", "0.05", "--lambda", "0.01"]),
+        ("avg-nonconvex", avg + ["--tau", "0.05", "--reg", "nonconvex", "--lambda", "0.1", "--x0", "0.5"]),
+        ("avg-ignores-mu-sigma", avg + ["--tau", "0.5", "--mu", "-1", "--sigma", "-1", "--L", "-1"]),
+        ("clip21-gd-lambda", clip21 + ["--lambda", "0.01"]),
+        ("clip21-gd-nonconvex", clip21 + ["--reg", "nonconvex", "--lambda", "0.1"]),
+        ("linreg-clip21-gd", clip21 + ["--problem", "linreg", "--gamma", "0.01"]),
+        ("dp-clip21-gd-warns", base + ["--method", "dp-clip21-gd", "--tau", "0.1", "--sigma", "0.05", "--nu", "0.1"]
+         + ["--gamma", "0.1"]),
+        ("dp-clip-gd-grid-sigma0", base + ["--method", "dp-clip-gd", "--tau", "0.5", "--nu", "0.05"]
+         + ["--gamma", "grid"]),
+        ("press-identity-grid", base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "identity"]
+         + ["--gamma", "grid"]),
+        ("config-file", ["--config", files["cfg"]]),
+        ("config-flag-override", ["--config", files["cfg"], "--iters", "5", "--method", "clip21-avg"]),
+        # the counterexample's curvatures (2, -1): gd at gamma 5 scales x by -1.5 a step, so f
+        # overflows first at x_875, the final iterate of an 875-step run
+        ("quad-final-f-overflows", ["--method", "gd", "--gamma", "5", "--iters", "875"]),
+        ("quad-f-overflows-mid-run", ["--method", "gd", "--gamma", "5", "--iters", "900"]),
+        ("quad-iterate-overflows", ["--method", "gd", "--gamma", "5", "--iters", "2000"]),
+        ("quad-grid-diverging-child", ["--method", "gd", "--gamma", "grid", "--iters", "400"]),
+        ("quad-clip21-gd-x0-1.7", ["--method", "clip21-gd", "--tau", "0.3", "--gamma", "0.1", "--x0", "1.7"]
+         + ["--iters", "400"]),
+        ("quad-clip-gd-stuck", ["--method", "clip-gd", "--tau", "1", "--gamma", "0.3", "--iters", "50"]),
+        ("quad-avg", ["--method", "clip21-avg", "--tau", "0.3", "--iters", "20"]),
+    ]
+    overflow = {
+        "x0-1e308": ["--x0", "1e308"],
+        "x0-1e306-lambda0": ["--x0", "1e306"],
+        "x0-1e200-lambda0": ["--x0", "1e200"],
+        "x0-1e156-lambda1e-3": ["--lambda", "1e-3", "--x0", "1e156"],
+        "x0-1e200-nonconvex": ["--reg", "nonconvex", "--lambda", "0.1", "--x0", "1e200"],
+    }
+    for name, extra in overflow.items():
+        for method, tau in (("clip21-gd", "0.5"), ("clip21-avg", "0.05")):
+            for gamma in ("auto", "grid"):
+                argv = toy + ["--iters", "20", "--method", method, "--tau", tau, "--gamma", gamma] + extra
+                out.append((f"{method}-{name}-{gamma}", argv))
+    errors = {
+        "tau-negative": no_tau + ["--tau", "-1"],
+        "tau-nan": no_tau + ["--tau", "nan"],
+        "tau-missing": no_tau,
+        "avg-tau-zero": base + ["--method", "clip21-avg", "--tau", "0"],
+        "avg-tau-tiny": ["--method", "clip21-avg", "--tau", "1e-310", "--iters", "3"],
+        "gd-tau-tiny": ["--method", "clip21-gd", "--tau", "1e-310", "--gamma", "0.1", "--iters", "3"],
+        "gamma-negative": clip21 + ["--gamma", "-0.1"],
+        "gamma-word": clip21 + ["--gamma", "big"],
+        "iters-zero": clip21 + ["--iters", "0"],
+        "iters-fraction": clip21 + ["--iters", "2.5"],
+        "seed-negative": clip21 + ["--seed", "-1"],
+        "nodes-zero": clip21 + ["--nodes", "0"],
+        "lambda-negative": clip21 + ["--lambda", "-1"],
+        "reg-unknown": clip21 + ["--reg", "l1"],
+        "L-negative": base + ["--method", "clip-gd", "--tau", "0.5", "--L", "-1"],
+        "topk-too-big": base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "topk:99"],
+        "topk-zero": base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "topk:0"],
+        "dp-nu-zero": base + ["--method", "dp-clip21-gd", "--tau", "0.5", "--nu", "0"],
+        "dp-auto-no-mu": base + ["--method", "dp-clip21-gd", "--tau", "0.5", "--nu", "0.05", "--gamma", "auto"],
+        "method-unknown": base + ["--method", "newton"],
+        "method-missing": base,
+        "beta-q-below-alpha": ["--method", "clip21-gd", "--tau", "1", "--beta-q", "0.5"],
+        "beta-q-inf": ["--method", "clip21-gd", "--tau", "1", "--beta-q", "inf"],
+        "x0-inf": base + ["--method", "clip21-avg", "--tau", "0.5", "--x0", "inf"],
+        "x0-wrong-length": clip21 + ["--x0", "1,2"],
+        "v-init-inf": base + ["--method", "clip21-avg", "--tau", "0.5", "--v-init", "inf"],
+        "v-init-gaussian-nan": base + ["--method", "clip21-avg", "--tau", "0.5", "--v-init", "gaussian:nan"],
+        "data-missing": ["--method", "gd", "--data", files["missing"]],
+        "data-not-utf8": ["--method", "gd", "--data", files["bad_data"]],
+        "config-not-utf8": ["--config", files["bad_cfg"]],
+        "config-unknown-key": ["--config", files["cfg_unknown"]],
+    }
+    for method, extra in (
+        ("clip21-gd", []),
+        ("dp-clip21-gd", ["--nu", "0.1", "--mu", "0.05"]),
+        ("press-clip21-gd", ["--compressor", "identity"]),
+    ):
+        errors[f"{method}-huge-tau"] = ["--method", method, "--tau", "1e200", "--gamma", "auto", "--iters", "3"] + extra
+    out += [(f"error-{name}", argv) for name, argv in errors.items()]
+    names = [name for name, _ in out]
+    assert len(set(names)) == len(names), "kind names must be unique"
+    return out
+
+
+def checkout(rev: str | None, where: Path) -> Path:
+    """The src/ directory of rev, archived under where; the working tree's when rev is None."""
+    if rev is None:
+        return ROOT / "src"
+    cmd = ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"]
+    tar = subprocess.run(cmd, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(where, filter="data")
+    return where / "src"
+
+
+def invoke(src: Path, argv: list, cwd: Path) -> dict:
+    """Run one invocation in a fresh process; its exit code, stdout, stderr and CSVs."""
+    cwd.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "clipshift.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=CHILD_TIMEOUT_S,
+    )
+    csvs = {}
+    for path in sorted(cwd.glob("*.csv")):
+        rows = [line.split(",")[: len(COLUMNS)] for line in path.read_text().splitlines()]
+        csvs[path.name] = rows
+    return {"code": done.returncode, "out": done.stdout, "err": done.stderr.replace(str(src), "<src>"), "csvs": csvs}
+
+
+def _mask_lines(err: str) -> str:
+    return re.sub(r"(\.py):\d+:", r"\1:<line>:", err)
+
+
+def _rel(a: str, b: str) -> float:
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_deviation(old: dict, new: dict):
+    """Largest relative deviation of each column over the CSVs both sides wrote,
+    or a string naming a mismatch of files, row counts or the header."""
+    if sorted(old) != sorted(new):
+        return f"CSV files {sorted(old)} -> {sorted(new)}"
+    dev = [0.0] * len(COLUMNS)
+    for name in old:
+        a, b = old[name], new[name]
+        if len(a) != len(b):
+            return f"{name}: {len(a) - 1} -> {len(b) - 1} rows"
+        if a[:1] != b[:1]:
+            return f"{name}: header differs"
+        for row_a, row_b in zip(a[1:], b[1:]):
+            for j, (x, y) in enumerate(zip(row_a, row_b)):
+                dev[j] = max(dev[j], _rel(x, y))
+    return dev
+
+
+def _last_line(text: str) -> str:
+    return text.strip().splitlines()[-1] if text.strip() else "(empty)"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="parent revision")
+    parser.add_argument("change", nargs="?", help="change revision (default: the working tree)")
+    args = parser.parse_args(argv)
+
+    tmp = Path(tempfile.mkdtemp(prefix="cli_parity_"))
+    try:
+        (tmp / "inputs").mkdir()
+        table = kinds(write_inputs(tmp / "inputs"))
+        sides = {"parent": checkout(args.parent, tmp / "parent"), "change": checkout(args.change, tmp / "change")}
+        jobs = [(side, name, argv) for name, argv in table for side in ("parent", "change", "rerun")]
+
+        def one(job):
+            side, name, argv = job
+            src = sides["change" if side == "rerun" else side]
+            return job[:2], invoke(src, argv, tmp / "runs" / side / name)
+
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            results = dict(pool.map(one, jobs))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    change = args.change or "working tree"
+    print(f"cli parity: {args.parent} -> {change}, {len(table)} invocation kinds")
+    streams, line_only, csv_mismatch, moved, rerun_bad = [], [], [], [], []
+    overall = [0.0] * len(COLUMNS)
+    for name, _argv in table:
+        old, new, again = results["parent", name], results["change", name], results["rerun", name]
+        parts = []
+        if old["code"] != new["code"]:
+            parts.append(f"exit {old['code']} -> {new['code']}")
+        if old["out"] != new["out"]:
+            parts.append(f"stdout {_last_line(old['out'])!r} -> {_last_line(new['out'])!r}")
+        if old["err"] != new["err"]:
+            if _mask_lines(old["err"]) == _mask_lines(new["err"]):
+                line_only.append(name)
+            else:
+                parts.append(f"stderr {_last_line(old['err'])!r} -> {_last_line(new['err'])!r}")
+        if parts:
+            streams.append(f"  {name}: " + "; ".join(parts))
+        dev = csv_deviation(old["csvs"], new["csvs"])
+        if isinstance(dev, str):
+            csv_mismatch.append(f"  {name}: {dev}")
+        else:
+            overall = [max(a, b) for a, b in zip(overall, dev)]
+            if any(dev):
+                moved.append((name, dev))
+        if any(again[key] != new[key] for key in ("code", "out", "err", "csvs")):
+            rerun_bad.append(name)
+
+    print(f"exit code, stdout or stderr differ in {len(streams)} kinds" + (":" if streams else ""))
+    for line in streams:
+        print(line)
+    if line_only:
+        print(f"stderr differs only in a warning's source line number in {len(line_only)} kinds:", ", ".join(line_only))
+    if csv_mismatch:
+        print(f"CSV files or row counts differ in {len(csv_mismatch)} kinds:")
+        for line in csv_mismatch:
+            print(line)
+    print("largest relative deviation per CSV column (kinds where it moved):")
+    for j, column in enumerate(COLUMNS):
+        count = sum(1 for _, dev in moved if dev[j])
+        print(f"  {column:<13}{overall[j]:.3g} ({count})")
+    for name, dev in moved:
+        print(f"  moved in {name}: " + ", ".join(f"{c} {d:.3g}" for c, d in zip(COLUMNS, dev) if d))
+    reproduced = f"rerun determinism: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
+    print(reproduced + (f"; not: {', '.join(rerun_bad)}" if rerun_bad else ""))
+    return int(bool(streams or line_only or csv_mismatch or moved or rerun_bad))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
