@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import make_dataclass
 
@@ -118,6 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dashed_values(argv) -> list:
+    """argv with each value that argparse would take for a flag, one that
+    starts with "-" and a digit or "." such as -3e-1 or -1,2,3, joined to
+    the option before it as --opt=VALUE, the form argparse reads as a value."""
+    flags = {"--config"} | {option_flag(row[0]) for row in OPTIONS}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def load_config_file(path: str) -> dict:
     values = {}
     try:
@@ -142,7 +157,7 @@ def load_config_file(path: str) -> dict:
 
 def parse_config(argv) -> RunConfig:
     """Merge flags over an optional config file into a validated RunConfig."""
-    flags = vars(build_parser().parse_args(argv))
+    flags = vars(build_parser().parse_args(_glue_dashed_values(argv)))
     file_values = load_config_file(flags["config"]) if flags["config"] else {}
     unknown = set(file_values) - {row[0] for row in OPTIONS}
     if unknown:
@@ -371,7 +386,8 @@ def run_experiment(cfg: RunConfig) -> int:
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
                 final_f, final_grads = problem.evaluate(final.x)
-                final_gsq = float(np.sum(node_mean(final_grads) ** 2))
+                gbar = node_mean(final_grads)  # the reduction of the trace's grad_norm_sq
+                final_gsq = float(np.vecdot(gbar, gbar))
             if not (np.isfinite(final_f) and np.isfinite(final_gsq)):
                 final = DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
         if isinstance(final, DivergenceError):

@@ -56,6 +56,10 @@ _SHIFTED = ("clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 # allowed shift drift per step: 16 ulps of the scale of the shift rows
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
+# noise elements a batch holds in its chunks, about 128 KB: many steps a
+# draw at small shapes, one at shapes where the draw is compute-bound
+_NOISE_BUDGET = 16_384
+
 
 def _required(method: str, what: str, value) -> float:
     """value as a positive real; the error names the method that needs it."""
@@ -191,6 +195,18 @@ class Batch:
         self.active = np.zeros(self.lead + (n,), dtype=bool)
         flat_v0 = v0.reshape(-1)
         self.drift_scale = np.full(self.lead, np.sqrt(np.vecdot(flat_v0, flat_v0) / n))
+        # noise chunks, all drawn at step chunk_start: the lone run's
+        # clipped noise, or one unit chunk per seed of a positive sigma
+        self.chunk_start, self.chunk_steps, self.chunks = 0, 0, {}
+        self._group_noise()
+
+    def _group_noise(self) -> None:
+        # rows and sigmas of the runs with a positive sigma, by seed
+        rows = {}
+        for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
+            if sigma > 0.0:
+                rows.setdefault(seed, []).append(row)
+        self.groups = {seed: (np.array(r), self.sigma[r]) for seed, r in rows.items()}
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
@@ -200,6 +216,7 @@ class Batch:
             for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
                 setattr(self, name, getattr(self, name)[rows])
             self.lead = (self.ids.size,)
+            self._group_noise()
 
     def state(self, row: int) -> OptimizerState:
         """The final state of the run in row row."""
@@ -208,32 +225,41 @@ class Batch:
             k=self.k, x=pick(self.x), v=pick(self.v), v_bar=pick(self.v_bar), active=pick(self.active)
         )
 
-    def noise(self, draw) -> np.ndarray:
-        """Each run's draw(seed, sigma), stacked along the leading axis.
+    def noise(self) -> np.ndarray:
+        """This step's clipped privacy noise for every run, stacked along
+        the leading axis: each run's draw at step k, clipped by nu.
 
-        Runs that share a seed and have a positive sigma share one unit
-        draw, scaled per run: sigma * unit is the product draw forms
-        itself, so every run keeps the bits of its solo draw. A zero sigma
-        draws alone, exact zeros as in a solo run.
+        The steps from k on are drawn as one chunk, of about _NOISE_BUDGET
+        elements over the batch and ending with the run, whose entries have
+        the bits of their lone draws. A lone run keeps its chunk scaled and
+        clipped, both row-wise and so bit-identical to one step's. In a
+        batch, the runs of one seed with a positive sigma share one unit
+        chunk, scaled per run each step: sigma * unit is the product a solo
+        draw forms. A zero sigma is exact zeros, as in a solo run. A chunk
+        stays with its runs when another run leaves.
         """
-        if not self.lead:  # the lone config is cfg itself
-            return draw(self.cfg.seed, self.cfg.sigma)
-        seeds, sigmas = self.seed.tolist(), self.sigma.tolist()
-        groups = {}
-        for row, (seed, sigma) in enumerate(zip(seeds, sigmas)):
-            groups.setdefault((seed, row if sigma == 0.0 else -1), []).append(row)
-        out = None
-        for (seed, _), rows in groups.items():
-            if len(rows) == 1:
-                part = draw(seed, sigmas[rows[0]])[None]
+        cfg, n, d = self.cfg, self.problem.n, self.problem.d
+        shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
+        i = self.k - self.chunk_start
+        if not 0 <= i < self.chunk_steps:  # the chunk has run out: draw the next
+            per_step = max(1, len(self.groups)) * math.prod(shape)
+            steps = max(1, min(_NOISE_BUDGET // per_step, cfg.iters - self.k))
+            if cfg.method == "dp_clip21_gd":
+                draw = lambda seed, sigma: gaussian_block(seed, self.k, n, d, sigma, steps=steps)
             else:
-                part = np.multiply.outer(self.sigma[rows], draw(seed, 1.0))
-            if len(rows) == len(seeds):
-                return part  # one group holds every run, in order
-            if out is None:
-                out = np.empty((len(seeds),) + part.shape[1:])
-            out[rows] = part
-        return out
+                slot = stream_slot(n, "aggregate")
+                draw = lambda seed, sigma: gaussian_sample(seed, slot, self.k, d, sigma, steps=steps)
+            if self.lead:
+                self.chunks = {seed: draw(seed, 1.0) for seed in self.groups}
+            else:  # the lone config is cfg itself
+                self.chunks = {cfg.seed: clip_rows(draw(cfg.seed, cfg.sigma), cfg.nu)[0]}
+            self.chunk_start, self.chunk_steps, i = self.k, steps, 0
+        if not self.lead:
+            return self.chunks[cfg.seed][i]
+        out = np.zeros(self.lead + shape)
+        for seed, (rows, sigmas) in self.groups.items():
+            out[rows] = np.multiply.outer(sigmas, self.chunks[seed][i])
+        return clip_rows(out, cfg.nu)[0]
 
 
 def _shift_update(targets, v, tau, transmit=None):
@@ -282,8 +308,7 @@ def step(batch: Batch):
     if cfg.method in _SHIFTED:
         transmit = None
         if cfg.method == "dp_clip21_gd":
-            block = batch.noise(lambda seed, sigma: gaussian_block(seed, batch.k, n, problem.d, sigma))
-            noise = clip_rows(block, cfg.nu)[0]
+            noise = batch.noise()
             transmit = lambda clipped: clipped + noise
         elif cfg.method == "press_clip21_gd":
             transmit = partial(compress_rows, cfg.compressor)
@@ -318,9 +343,7 @@ def step(batch: Batch):
             clipped, active = clip_rows(grads, cfg.tau)
         direction = node_mean(clipped)
         if cfg.method == "dp_clip_gd":
-            slot = stream_slot(n, "aggregate")
-            zeta = batch.noise(lambda seed, sigma: gaussian_sample(seed, slot, batch.k, problem.d, sigma))
-            direction = direction + clip_rows(zeta, cfg.nu)[0]
+            direction = direction + batch.noise()
         shift_sq = np.zeros(lead)
     gbar = node_mean(grads)
     batch.x = batch.x - batch.gamma * direction

@@ -8,6 +8,11 @@ generator state, so a single node at a single step can be replayed in
 isolation and a whole round can be produced as one block with identical
 bits. Noise for different nodes or steps never overlaps because the key
 chain separates them before the counter is applied.
+
+With ``steps=S`` a draw covers S consecutive steps along a leading axis,
+in one call: entry s has the bits of step ``step + s`` drawn alone, since
+all work after the key chain is elementwise, and numpy's log, cos and sin
+give the same bits at any array length.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def stream_slot(n: int, use: str) -> int:
 
 
 def _check_draw(seed: int, node: int, step: int, d: int, sigma: float):
-    # plain calls, not a loop: this runs once per noisy step
+    # plain calls, not a loop: this runs once per chunk of noise
     return (
         check_count("seed", seed, 0),
         check_count("node", node, 0),
@@ -79,45 +84,51 @@ def _check_draw(seed: int, node: int, step: int, d: int, sigma: float):
     )
 
 
-def _normal_rows(seed: int, first: int, count: int, step: int, d: int) -> np.ndarray:
-    """(count, d) unit normals for nodes first..first+count-1 at one step.
+def _normal_rows(seed: int, first: int, count: int, step: int, d: int, sigma: float, steps) -> np.ndarray:
+    """sigma times unit normals for nodes first..first+count-1 at steps
+    step..step+steps-1, (steps, count, d), or (count, d) at step alone
+    when steps is None. sigma = 0 gives exact zeros without the hash.
 
-    The key chain folds seed, node and step into one word per row; the
-    coordinate index then counts into that stream, and Box-Muller turns
-    consecutive word pairs into two normals, over the whole block at once.
+    The key chain folds seed, node and step into one word per row (the
+    step words wrap mod 2^64); the coordinate index then counts into that
+    stream, and Box-Muller turns consecutive word pairs into two normals,
+    over the whole chunk at once.
     """
-    keys = _mix(_node_keys(seed, first, count) ^ _mix(_word((step + 1) * _GOLDEN)))
+    chunk = 1 if steps is None else check_count("steps", steps)
+    if sigma == 0.0:
+        out = np.zeros((chunk, count, d))
+        return out[0] if steps is None else out
+    step_words = (np.arange(chunk, dtype=np.uint64) + _word(step + 1)) * _GOLDEN_U
+    keys = _mix(_node_keys(seed, first, count) ^ _mix(step_words)[:, None])
     nwords = 2 * ((d + 1) // 2)
     idx = np.arange(nwords, dtype=np.uint64)
-    words = _mix(idx * _GOLDEN_U + keys[:, None])
+    words = _mix(idx * _GOLDEN_U + keys[..., None])
     hi = (words >> _S11).astype(np.float64)  # top 53 bits
-    u1 = (hi[:, 0::2] + 1.0) * 2.0**-53  # in (0, 1], keeps the log finite
-    u2 = hi[:, 1::2] * 2.0**-53  # in [0, 1)
+    u1 = (hi[..., 0::2] + 1.0) * 2.0**-53  # in (0, 1], keeps the log finite
+    u2 = hi[..., 1::2] * 2.0**-53  # in [0, 1)
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * np.pi) * u2
     out = np.empty_like(hi)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :d]
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    out = sigma * out[..., :d]
+    return out[0] if steps is None else out
 
 
-def gaussian_sample(seed: int, node: int, step: int, d: int, sigma: float) -> np.ndarray:
-    """d iid N(0, sigma^2) draws for one node at one step.
+def gaussian_sample(seed: int, node: int, step: int, d: int, sigma: float, steps: int | None = None) -> np.ndarray:
+    """d iid N(0, sigma^2) draws for one node at one step; with steps=S,
+    an (S, d) array whose row s is the draw at step step + s.
 
     sigma = 0 returns exact zeros without touching the hash.
     """
     seed, node, step, d, sigma = _check_draw(seed, node, step, d, sigma)
-    if sigma == 0.0:
-        return np.zeros(d)
-    return sigma * _normal_rows(seed, node, 1, step, d)[0]
+    return _normal_rows(seed, node, 1, step, d, sigma, steps)[..., 0, :]
 
 
-def gaussian_block(seed: int, step: int, n: int, d: int, sigma: float) -> np.ndarray:
+def gaussian_block(seed: int, step: int, n: int, d: int, sigma: float, steps: int | None = None) -> np.ndarray:
     """(n, d) block for one step; row i is bit-identical to
-    gaussian_sample(seed, i, step, d, sigma)."""
+    gaussian_sample(seed, i, step, d, sigma). With steps=S, an (S, n, d)
+    array whose entry s is the block of step step + s."""
     n = check_count("node count", n)
     seed, _, step, d, sigma = _check_draw(seed, 0, step, d, sigma)
-    if sigma == 0.0:
-        return np.zeros((n, d))
-    return sigma * _normal_rows(seed, 0, n, step, d)
-
+    return _normal_rows(seed, 0, n, step, d, sigma, steps)

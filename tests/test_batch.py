@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
-from clipshift import Compressor, ConfigurationError, DivergenceError, InvariantError, MethodConfig, run
+from clipshift import (
+    Compressor,
+    ConfigurationError,
+    DivergenceError,
+    InvariantError,
+    MethodConfig,
+    gaussian_block,
+    gaussian_sample,
+    optimizers,
+    run,
+)
+from clipshift.data import Dataset
+from clipshift.ops import clip_rows
 from clipshift.optimizers import Batch, step
+from clipshift.problems import Problem
+from clipshift.rng import stream_slot
 
 
 def _solo(cfg, problem, x0, coeff=0.0):
@@ -111,3 +125,102 @@ def test_invariant_failure_in_one_run_stops_the_batch(quad_problem):
     batch.v[1, 0, 0] += 1e-3
     with pytest.raises(InvariantError, match="drifted"):
         step(batch)
+
+
+def _per_step_noise(batch):
+    """The noise of step batch.k, each run's clipped draw made for that step
+    alone: the reference the chunked draws must match bit for bit."""
+    cfg, n, d = batch.cfg, batch.problem.n, batch.problem.d
+
+    def one(seed, sigma):
+        if cfg.method == "dp_clip21_gd":
+            draw = gaussian_block(seed, batch.k, n, d, sigma)
+        else:
+            draw = gaussian_sample(seed, stream_slot(n, "aggregate"), batch.k, d, sigma)
+        return clip_rows(draw, cfg.nu)[0]
+
+    if not batch.lead:
+        return one(batch.cfg.seed, batch.cfg.sigma)
+    return np.stack([one(seed, sigma) for seed, sigma in zip(batch.seed.tolist(), batch.sigma.tolist())])
+
+
+def _chunk_lengths(monkeypatch):
+    """The steps of every noise draw the optimizers make, in call order."""
+    lengths = []
+    for name in ("gaussian_block", "gaussian_sample"):
+        real = getattr(optimizers, name)
+
+        def counted(*args, real=real, **kwargs):
+            lengths.append(kwargs["steps"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, name, counted)
+    return lengths
+
+
+_DP = dict(tau=0.24, nu=0.04)
+
+
+@pytest.mark.parametrize(
+    "method, iters, sigmas_seeds, chunks",
+    [
+        # a lone run at the fixture shape: 16384 // 200 = 81 steps a chunk,
+        # and 200 steps end mid-chunk
+        ("dp_clip21_gd", 200, [(0.02, 7)], [81, 81, 38]),
+        # the aggregate slot draws one row a step: 16384 // 20 = 819
+        ("dp_clip_gd", 1000, [(0.02, 7)], [819, 181]),
+        # a sigma sweep on one seed shares one unit chunk; sigma 0 draws nothing
+        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [81, 19]),
+        # two seed groups split the budget: 16384 // 400 = 40
+        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [40, 40, 40, 40, 10, 10]),
+        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [300, 300]),
+        # a lone zero sigma draws exact zeros, without hashing, once a chunk
+        ("dp_clip21_gd", 30, [(0.0, 3)], [30]),
+        ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], []),
+    ],
+)
+def test_chunked_noise_matches_per_step_draws(
+    logistic_problem, logistic_x0, monkeypatch, method, iters, sigmas_seeds, chunks
+):
+    lengths = _chunk_lengths(monkeypatch)
+    cfgs = [MethodConfig(method, 0.1, iters, sigma=sigma, seed=seed, **_DP) for sigma, seed in sigmas_seeds]
+    batch = Batch(cfgs, logistic_problem, logistic_x0)
+    for _ in range(iters):
+        assert np.array_equal(batch.noise(), _per_step_noise(batch)), batch.k
+        step(batch)
+    assert lengths == chunks
+
+
+def test_chunk_is_one_step_at_a_large_shape(monkeypatch):
+    # 100 nodes of 123 features hold 12 300 elements a step, so the budget
+    # leaves one step a draw, where the draw is compute-bound anyway
+    rng = np.random.default_rng(5)
+    shards = [Dataset(rng.standard_normal((3, 123)), np.array([1.0, -1.0, 1.0])) for _ in range(100)]
+    problem = Problem("logistic", shards=shards, reg="l2", lam=1e-3)
+    lengths = _chunk_lengths(monkeypatch)
+    cfg = MethodConfig("dp_clip21_gd", 0.1, 3, sigma=0.02, seed=1, **_DP)
+    [final], _ = run([cfg], problem, np.zeros(123))
+    assert lengths == [1, 1, 1]
+    assert not isinstance(final, DivergenceError)
+
+
+def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem, monkeypatch):
+    # gamma 1e300 sends the iterate to about 1e300 after one step, so f
+    # overflows and that run leaves at step 1; one chunk of every step
+    # holds each seed group's noise, and the others keep theirs
+    noisy = dict(tau=1.0, nu=0.1, sigma=0.05)
+    cfgs = [
+        MethodConfig("dp_clip21_gd", gamma, 300, seed=seed, **noisy)
+        for gamma, seed in ((0.1, 1), (1e300, 1), (0.2, 2), (0.05, 1))
+    ]
+    lengths = _chunk_lengths(monkeypatch)
+    finals, records = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
+    assert isinstance(finals[1], DivergenceError) and finals[1].step == 1
+    assert lengths == [300, 300]  # the batch's two seed groups, drawn once
+    _assert_batch_matches_solo(cfgs, quad_problem, np.array([1.0]))
+    monkeypatch.setattr(Batch, "noise", _per_step_noise)
+    ref_finals, ref_records = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
+    assert [_strip(r) for r in records] == [_strip(r) for r in ref_records]
+    for final, ref in zip(finals, ref_finals):
+        if not isinstance(ref, DivergenceError):
+            assert final.x.tobytes() == ref.x.tobytes()

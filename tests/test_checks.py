@@ -97,15 +97,15 @@ CALLS = {
     ),
     "gaussian_sample": (
         gaussian_sample,
-        dict(seed=1, node=0, step=2, d=3, sigma=0.5),
+        dict(seed=1, node=0, step=2, d=3, sigma=0.5, steps=2),
         ("sigma",),
-        ("seed", "node", "step", "d"),
+        ("seed", "node", "step", "d", "steps"),
     ),
     "gaussian_block": (
         gaussian_block,
-        dict(seed=1, step=2, n=2, d=3, sigma=0.5),
+        dict(seed=1, step=2, n=2, d=3, sigma=0.5, steps=2),
         ("sigma",),
-        ("seed", "step", "n", "d"),
+        ("seed", "step", "n", "d", "steps"),
     ),
     "Problem": (lambda **kw: Problem("logistic", shards=_SHARDS, **kw), dict(lam=0.1), ("lam",), ()),
     "Problem-quad": (

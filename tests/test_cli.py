@@ -239,6 +239,44 @@ def test_avg_method_via_cli(tmp_path, data_file, capsys, monkeypatch):
     assert "method=clip21_avg" in summary
 
 
+def test_summary_grad_norm_is_the_last_records_when_x_stays(tmp_path, data_file, capsys):
+    # clip21-avg never moves x, so the final evaluation repeats the last row's
+    out = str(tmp_path / "avg.csv")
+    assert main(_base_args(data_file, out, **{"--method": "clip21-avg", "--tau": "0.05", "--iters": "60"})) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert f"final_grad_norm_sq={_read_rows(out)[-1][2]} " in summary
+
+
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [
+        ("clip21-gd", "--x0", "-3e-1"),
+        ("clip21-gd", "--x0", "-1,2,3,4,5"),
+        ("clip21-avg", "--v-init", "-0.5e-1"),
+        ("clip21-avg", "--v-init", "-1,2,-3,4,-5"),
+    ],
+)
+def test_dashed_vector_values_parse_like_the_equals_form(tmp_path, data_file, method, flag, value):
+    # argparse reads a token such as -3e-1 or -1,2 as a flag of its own
+    spaced = _base_args(data_file, str(tmp_path / "spaced.csv"), **{"--method": method, flag: value})
+    joined = _base_args(data_file, str(tmp_path / "joined.csv"), **{"--method": method, flag: None})
+    joined.append(f"{flag}={value}")
+    assert getattr(parse_config(spaced), flag[2:].replace("-", "_")) == value
+    assert main(spaced) == main(joined) == 0
+    strip = lambda rows: [row[:7] for row in rows]
+    assert strip(_read_rows(tmp_path / "spaced.csv")) == strip(_read_rows(tmp_path / "joined.csv"))
+
+
+def test_unknown_flags_after_a_dashed_value_are_still_errors(tmp_path, data_file, capsys):
+    args = _base_args(data_file, str(tmp_path / "x.csv"), **{"--x0": "-0.5"})
+    with pytest.raises(SystemExit) as exc:
+        parse_config(args + ["--bogus", "-1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        parse_config(args + ["--x0"])  # a flag without its value
+    assert "unrecognized arguments: --bogus -1" in capsys.readouterr().err
+
+
 def test_gd_needs_no_tau(tmp_path):
     out = str(tmp_path / "gd.csv")
     assert main(["--method", "gd", "--gamma", "0.5", "--iters", "5", "--out", out]) == 0

@@ -69,8 +69,53 @@ def test_invalid_arguments_rejected():
         gaussian_sample(0, 0, 0, 4, -1.0)
     with pytest.raises(ConfigurationError):
         gaussian_block(0, 0, 0, 4, 1.0)
+    with pytest.raises(ConfigurationError):
+        gaussian_block(0, 0, 2, 4, 1.0, steps=0)
 
 
 def test_stream_slots_follow_the_node_ids():
     for n in (1, 2, 10):
         assert [stream_slot(n, use) for use in ("aggregate", "x0", "v_init")] == [n, n + 1, n + 2]
+
+
+@pytest.mark.parametrize("start", [0, 7, 1000])
+@pytest.mark.parametrize("steps", [1, 3, 257])
+def test_chunked_rows_match_per_step_draws(start, steps):
+    # odd d and step counts that are no multiple of a SIMD width
+    for n, d in ((10, 20), (3, 7), (1, 1)):
+        block = gaussian_block(5, start, n, d, 0.3, steps=steps)
+        sample = gaussian_sample(5, n, start, d, 0.7, steps=steps)
+        assert block.shape == (steps, n, d) and sample.shape == (steps, d)
+        for s in range(steps):
+            assert np.array_equal(block[s], gaussian_block(5, start + s, n, d, 0.3))
+            assert np.array_equal(sample[s], gaussian_sample(5, n, start + s, d, 0.7))
+
+
+def test_chunk_step_words_wrap_like_a_lone_step():
+    # the step word (step + 1) * golden is taken mod 2^64 either way
+    chunk = gaussian_block(1, 2**64 - 3, 2, 3, 1.0, steps=5)
+    assert np.array_equal(chunk[4], gaussian_block(1, 2**64 + 1, 2, 3, 1.0))
+    assert np.array_equal(chunk[3], gaussian_block(1, 0, 2, 3, 1.0))
+
+
+def test_zero_sigma_chunk_is_exact_zeros_without_hashing(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a zero sigma reached the hash")
+
+    monkeypatch.setattr("clipshift.rng._node_keys", unused)
+    assert np.array_equal(gaussian_block(1, 0, 3, 7, 0.0, steps=4), np.zeros((4, 3, 7)))
+    assert np.array_equal(gaussian_sample(1, 0, 9, 7, 0.0, steps=4), np.zeros((4, 7)))
+
+
+def test_transcendentals_give_the_same_bits_at_any_length():
+    # the chunked draw rests on this: Box-Muller's log, sqrt, cos and sin of
+    # an entry must not depend on how many entries share its call (SIMD body
+    # against tail), nor on where the entry sits in the array
+    u = (np.arange(1, 1001, dtype=np.float64) * 0.7548776662466927) % 1.0 + 2.0**-53
+    inputs = {np.log: u, np.sqrt: -2.0 * np.log(u), np.cos: 2.0 * np.pi * u, np.sin: 2.0 * np.pi * u}
+    for fn, x in inputs.items():
+        full = fn(x)
+        for length in (1, 7, 64, 1000):
+            for start in range(0, x.size - length + 1, 37):
+                part = fn(x[start : start + length].copy())
+                assert np.array_equal(part, full[start : start + length]), (fn.__name__, length, start)

@@ -14,7 +14,9 @@ It prints:
   - the kinds whose exit code, stdout or stderr differ between the sides
     (stderr with each side's source directory written as <src>; kinds
     whose stderr differs only in the line number of a warning's source
-    location are listed apart, since any edit above that line moves it);
+    location are listed apart, since any edit above that line moves it,
+    and so are kinds whose stdout differs only in the digits of
+    final_grad_norm_sq, with their largest relative deviation);
   - for each of the first 7 CSV columns (all but wall_micros), the
     largest relative deviation |a - b| / max(|a|, |b|) between the sides
     over every CSV written, and the kinds where the column moved;
@@ -120,6 +122,20 @@ def kinds(files: dict) -> list:
          + ["--gamma", "grid"]),
         ("press-identity-grid", base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "identity"]
          + ["--gamma", "grid"]),
+        # noise is drawn in chunks of 16384 // (seed groups * elements a step) steps: 819 for
+        # dp-clip21-gd's 4 x 5 block, 3276 for dp-clip-gd's one row of 5, so these runs cross
+        # a chunk boundary and end mid-chunk; the grid's six children share one seed group
+        ("dp-clip21-gd-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
+         + ["--gamma", "0.1", "--iters", "1000"]),
+        ("dp-clip-gd-chunks", base + ["--method", "dp-clip-gd", "--tau", "0.5"] + noise
+         + ["--gamma", "0.1", "--iters", "4000"]),
+        ("dp-clip21-gd-grid-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
+         + ["--gamma", "grid", "--iters", "1000"]),
+        # values that start with "-" and a digit, which argparse alone reads as flags
+        ("x0-dashed-exponent", clip21 + ["--gamma", "0.1", "--x0", "-3e-1"]),
+        ("x0-dashed-list", clip21 + ["--gamma", "0.1", "--x0", "-1,2,3,4,5"]),
+        ("v-init-dashed-exponent", avg + ["--tau", "0.5", "--v-init", "-5e-1"]),
+        ("v-init-dashed-list", avg + ["--tau", "0.5", "--v-init", "-1,2,-3,4,-5"]),
         ("config-file", ["--config", files["cfg"]]),
         ("config-flag-override", ["--config", files["cfg"], "--iters", "5", "--method", "clip21-avg"]),
         # the counterexample's curvatures (2, -1): gd at gamma 5 scales x by -1.5 a step, so f
@@ -224,6 +240,17 @@ def _mask_lines(err: str) -> str:
     return re.sub(r"(\.py):\d+:", r"\1:<line>:", err)
 
 
+_GRAD_NORM = re.compile(r"final_grad_norm_sq=(\S+)")
+
+
+def _grad_norm_only(old: str, new: str):
+    """The largest relative deviation of final_grad_norm_sq when stdout
+    differs in nothing else, else None."""
+    if _GRAD_NORM.sub("", old) != _GRAD_NORM.sub("", new):
+        return None
+    return max(map(_rel, _GRAD_NORM.findall(old), _GRAD_NORM.findall(new)))
+
+
 def _rel(a: str, b: str) -> float:
     if a == b:
         return 0.0
@@ -284,13 +311,16 @@ def main(argv=None) -> int:
     change = args.change or "working tree"
     print(f"cli parity: {args.parent} -> {change}, {len(table)} invocation kinds")
     streams, line_only, csv_mismatch, moved, rerun_bad = [], [], [], [], []
+    grad_norm_only = {}
     overall = [0.0] * len(COLUMNS)
     for name, _argv in table:
         old, new, again = results["parent", name], results["change", name], results["rerun", name]
         parts = []
         if old["code"] != new["code"]:
             parts.append(f"exit {old['code']} -> {new['code']}")
-        if old["out"] != new["out"]:
+        if old["out"] != new["out"] and _grad_norm_only(old["out"], new["out"]) is not None:
+            grad_norm_only[name] = _grad_norm_only(old["out"], new["out"])
+        elif old["out"] != new["out"]:
             parts.append(f"stdout {_last_line(old['out'])!r} -> {_last_line(new['out'])!r}")
         if old["err"] != new["err"]:
             if _mask_lines(old["err"]) == _mask_lines(new["err"]):
@@ -314,6 +344,13 @@ def main(argv=None) -> int:
         print(line)
     if line_only:
         print(f"stderr differs only in a warning's source line number in {len(line_only)} kinds:", ", ".join(line_only))
+    if grad_norm_only:
+        largest = max(grad_norm_only, key=grad_norm_only.get)
+        print(
+            f"stdout differs only in final_grad_norm_sq digits in {len(grad_norm_only)} kinds, "
+            f"at most {grad_norm_only[largest]:.3g} relative ({largest}):",
+            ", ".join(grad_norm_only),
+        )
     if csv_mismatch:
         print(f"CSV files or row counts differ in {len(csv_mismatch)} kinds:")
         for line in csv_mismatch:
@@ -326,7 +363,7 @@ def main(argv=None) -> int:
         print(f"  moved in {name}: " + ", ".join(f"{c} {d:.3g}" for c, d in zip(COLUMNS, dev) if d))
     reproduced = f"rerun determinism: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
     print(reproduced + (f"; not: {', '.join(rerun_bad)}" if rerun_bad else ""))
-    return int(bool(streams or line_only or csv_mismatch or moved or rerun_bad))
+    return int(bool(streams or line_only or grad_norm_only or csv_mismatch or moved or rerun_bad))
 
 
 if __name__ == "__main__":
