@@ -121,12 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _glue_dashed_values(argv) -> list:
     """argv with each value that argparse would take for a flag, one that
-    starts with "-" and a digit or "." such as -3e-1 or -1,2,3, joined to
-    the option before it as --opt=VALUE, the form argparse reads as a value."""
+    starts with "-" and a digit, "." or inf/nan such as -3e-1, -1,2,3 or
+    -inf, joined to the option before it as --opt=VALUE, the form argparse
+    reads as a value."""
     flags = {"--config"} | {option_flag(row[0]) for row in OPTIONS}
     out = []
     for token in argv:
-        if out and out[-1] in flags and re.match(r"-[\d.]", token):
+        if out and out[-1] in flags and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE):
             out[-1] += "=" + token
         else:
             out.append(token)

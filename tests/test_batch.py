@@ -140,7 +140,7 @@ def _per_step_noise(batch):
         return clip_rows(draw, cfg.nu)[0]
 
     if not batch.lead:
-        return one(batch.cfg.seed, batch.cfg.sigma)
+        return one(cfg.seed, cfg.sigma)
     return np.stack([one(seed, sigma) for seed, sigma in zip(batch.seed.tolist(), batch.sigma.tolist())])
 
 

@@ -472,7 +472,9 @@ def test_flag_and_config_key_parse_alike(key, tmp_path, data_file):
             assert getattr(defaults, cli.option_field(other)) == documented, other
 
 
-@pytest.mark.parametrize("flag, value", [("--x0", "inf"), ("--x0", "nan"), ("--v-init", "inf")])
+@pytest.mark.parametrize(
+    "flag, value", [("--x0", "inf"), ("--x0", "nan"), ("--v-init", "inf"), ("--x0", "-inf"), ("--v-init", "-Infinity")]
+)
 def test_non_finite_vectors_are_configuration_errors(tmp_path, data_file, capsys, flag, value):
     args = _base_args(data_file, str(tmp_path / "x.csv"), **{"--method": "clip21-avg", flag: value})
     assert main(args) == 2

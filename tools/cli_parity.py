@@ -318,8 +318,9 @@ def main(argv=None) -> int:
         parts = []
         if old["code"] != new["code"]:
             parts.append(f"exit {old['code']} -> {new['code']}")
-        if old["out"] != new["out"] and _grad_norm_only(old["out"], new["out"]) is not None:
-            grad_norm_only[name] = _grad_norm_only(old["out"], new["out"])
+        deviation = _grad_norm_only(old["out"], new["out"]) if old["out"] != new["out"] else None
+        if deviation is not None:
+            grad_norm_only[name] = deviation
         elif old["out"] != new["out"]:
             parts.append(f"stdout {_last_line(old['out'])!r} -> {_last_line(new['out'])!r}")
         if old["err"] != new["err"]:
