@@ -123,11 +123,13 @@ def _glue_dashed_values(argv) -> list:
     """argv with each value that argparse would take for a flag, one that
     starts with "-" and a digit, "." or inf/nan such as -3e-1, -1,2,3 or
     -inf, joined to the option before it as --opt=VALUE, the form argparse
-    reads as a value."""
+    reads as a value. The option may be a unique prefix of a flag, as
+    argparse accepts."""
     flags = {"--config"} | {option_flag(row[0]) for row in OPTIONS}
+    is_flag = lambda tok: tok in flags or sum(f.startswith(tok) for f in flags) == 1
     out = []
     for token in argv:
-        if out and out[-1] in flags and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE):
+        if out and is_flag(out[-1]) and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE):
             out[-1] += "=" + token
         else:
             out.append(token)

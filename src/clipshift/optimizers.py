@@ -198,15 +198,6 @@ class Batch:
         # noise chunks, all drawn at step chunk_start: the lone run's
         # clipped noise, or one unit chunk per seed of a positive sigma
         self.chunk_start, self.chunk_steps, self.chunks = 0, 0, {}
-        self._group_noise()
-
-    def _group_noise(self) -> None:
-        # rows and sigmas of the runs with a positive sigma, by seed
-        rows = {}
-        for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
-            if sigma > 0.0:
-                rows.setdefault(seed, []).append(row)
-        self.groups = {seed: (np.array(r), self.sigma[r]) for seed, r in rows.items()}
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
@@ -216,7 +207,6 @@ class Batch:
             for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
                 setattr(self, name, getattr(self, name)[rows])
             self.lead = (self.ids.size,)
-            self._group_noise()
 
     def state(self, row: int) -> OptimizerState:
         """The final state of the run in row row."""
@@ -240,9 +230,14 @@ class Batch:
         """
         cfg, n, d = self.cfg, self.problem.n, self.problem.d
         shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
+        groups = {}  # rows of the batched runs with a positive sigma, by seed
+        if self.lead:
+            for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
+                if sigma > 0.0:
+                    groups.setdefault(seed, []).append(row)
         i = self.k - self.chunk_start
         if not 0 <= i < self.chunk_steps:  # the chunk has run out: draw the next
-            per_step = max(1, len(self.groups)) * math.prod(shape)
+            per_step = max(1, len(groups)) * math.prod(shape)
             steps = max(1, min(_NOISE_BUDGET // per_step, cfg.iters - self.k))
             if cfg.method == "dp_clip21_gd":
                 draw = lambda seed, sigma: gaussian_block(seed, self.k, n, d, sigma, steps=steps)
@@ -250,15 +245,15 @@ class Batch:
                 slot = stream_slot(n, "aggregate")
                 draw = lambda seed, sigma: gaussian_sample(seed, slot, self.k, d, sigma, steps=steps)
             if self.lead:
-                self.chunks = {seed: draw(seed, 1.0) for seed in self.groups}
+                self.chunks = {seed: draw(seed, 1.0) for seed in groups}
             else:  # the lone config is cfg itself
                 self.chunks = {cfg.seed: clip_rows(draw(cfg.seed, cfg.sigma), cfg.nu)[0]}
             self.chunk_start, self.chunk_steps, i = self.k, steps, 0
         if not self.lead:
             return self.chunks[cfg.seed][i]
         out = np.zeros(self.lead + shape)
-        for seed, (rows, sigmas) in self.groups.items():
-            out[rows] = np.multiply.outer(sigmas, self.chunks[seed][i])
+        for seed, rows in groups.items():
+            out[rows] = np.multiply.outer(self.sigma[rows], self.chunks[seed][i])
         return clip_rows(out, cfg.nu)[0]
 
 

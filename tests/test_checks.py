@@ -97,11 +97,24 @@ CALLS = {
     ),
     "gaussian_sample": (
         gaussian_sample,
+        dict(seed=1, node=0, step=2, d=3, sigma=0.5),
+        ("sigma",),
+        ("seed", "node", "step", "d"),
+    ),
+    "gaussian_block": (
+        gaussian_block,
+        dict(seed=1, step=2, n=2, d=3, sigma=0.5),
+        ("sigma",),
+        ("seed", "step", "n", "d"),
+    ),
+    # the chunked form, several steps in one draw
+    "gaussian_sample-steps": (
+        gaussian_sample,
         dict(seed=1, node=0, step=2, d=3, sigma=0.5, steps=2),
         ("sigma",),
         ("seed", "node", "step", "d", "steps"),
     ),
-    "gaussian_block": (
+    "gaussian_block-steps": (
         gaussian_block,
         dict(seed=1, step=2, n=2, d=3, sigma=0.5, steps=2),
         ("sigma",),

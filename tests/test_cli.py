@@ -254,14 +254,18 @@ def test_summary_grad_norm_is_the_last_records_when_x_stays(tmp_path, data_file,
         ("clip21-gd", "--x0", "-1,2,3,4,5"),
         ("clip21-avg", "--v-init", "-0.5e-1"),
         ("clip21-avg", "--v-init", "-1,2,-3,4,-5"),
+        # unique prefixes of the flags, which argparse also accepts
+        ("clip21-gd", "--x", "-3e-1"),
+        ("clip21-avg", "--v-i", "-1,2,-3,4,-5"),
     ],
 )
 def test_dashed_vector_values_parse_like_the_equals_form(tmp_path, data_file, method, flag, value):
     # argparse reads a token such as -3e-1 or -1,2 as a flag of its own
-    spaced = _base_args(data_file, str(tmp_path / "spaced.csv"), **{"--method": method, flag: value})
-    joined = _base_args(data_file, str(tmp_path / "joined.csv"), **{"--method": method, flag: None})
+    full = next(f for f in ("--x0", "--v-init") if f.startswith(flag))
+    spaced = _base_args(data_file, str(tmp_path / "spaced.csv"), **{"--method": method, full: None, flag: value})
+    joined = _base_args(data_file, str(tmp_path / "joined.csv"), **{"--method": method, full: None})
     joined.append(f"{flag}={value}")
-    assert getattr(parse_config(spaced), flag[2:].replace("-", "_")) == value
+    assert getattr(parse_config(spaced), full[2:].replace("-", "_")) == value
     assert main(spaced) == main(joined) == 0
     strip = lambda rows: [row[:7] for row in rows]
     assert strip(_read_rows(tmp_path / "spaced.csv")) == strip(_read_rows(tmp_path / "joined.csv"))
