@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import shutil
 import sys
 from dataclasses import make_dataclass
 
 import numpy as np
 
-from .data import heterogeneous_split, parse_libsvm, standard_scale
+from .data import node_block, read_libsvm
 from .errors import ConfigurationError, DataFormatError, DivergenceError, InvariantError
 from .ops import Compressor, check_count, check_real, node_mean
 from .optimizers import METHODS, MethodConfig, run
@@ -228,12 +229,11 @@ def build_problem(cfg: RunConfig) -> Problem:
         return Problem("quad_counterexample", quad_params=tuple(curvatures))
     try:
         with open(cfg.data, encoding="utf-8") as handle:
-            # the parsed Dataset is freed once the split has sorted its own copy
-            shards = heterogeneous_split(parse_libsvm(handle), cfg.nodes)
+            entries = read_libsvm(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read data file {cfg.data}: {exc}") from exc
-    shards = [standard_scale(s) for s in shards]  # frees that copy once scaled
-    return Problem(cfg.problem, shards=shards, reg=cfg.reg, lam=cfg.lam)
+    # the problem adopts the sorted, scaled block: the one dense copy of the data
+    return Problem(cfg.problem, block=node_block(entries, cfg.nodes), reg=cfg.reg, lam=cfg.lam)
 
 
 def resolve_x0(cfg: RunConfig, problem: Problem) -> np.ndarray:
@@ -262,6 +262,10 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# one CSV row, the first 8 fields of a record; %.17g writes the bytes _fmt does
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d\n"
+
+
 def write_csv(records, path: str) -> None:
     if not records:
         raise ValueError("refusing to write an empty trace")
@@ -269,10 +273,7 @@ def write_csv(records, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(CSV_HEADER + "\n")
             for r in records:
-                handle.write(
-                    f"{r.k},{_fmt(r.f)},{_fmt(r.grad_norm_sq)},{_fmt(r.lyapunov)},"
-                    f"{r.active_nodes},{_fmt(r.v_norm)},{_fmt(r.gamma)},{r.wall_micros}\n"
-                )
+                handle.write(_CSV_ROW % r[:8])
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -411,7 +412,10 @@ def run_experiment(cfg: RunConfig) -> int:
         return 4
     final_gsq, idx, gamma, final_f, records = min(finished, key=lambda r: r[0])
     if grid:
-        write_csv(records, cfg.out)
+        try:  # the child's trace is already formatted in its own file
+            shutil.copyfile(paths[idx], cfg.out)
+        except OSError as exc:
+            raise DataFormatError(f"cannot write {cfg.out}: {exc}") from exc
         print(f"grid best: child {idx} (gamma={_fmt(gamma)})")
     print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(records), gamma, horizon))
     return 0

@@ -2,14 +2,19 @@
 chain: label sort, contiguous equal split across nodes, per-shard
 standardization.
 
-Feature storage is dense float64 regardless of how sparse the input file
-is; target problems are desk-scale.
+read_libsvm checks the text and returns its entries as arrays. Two
+consumers fill dense float64 storage from them, however sparse the input
+file is (target problems are desk-scale): parse_libsvm builds a Dataset,
+which heterogeneous_split and standard_scale take apart shard by shard;
+node_block places each sample straight into its shard's slab of one
+padded block and scales it there, the same values in one allocation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +23,12 @@ from .ops import check_count
 
 __all__ = [
     "Dataset",
+    "Entries",
+    "NodeBlock",
     "NodeShard",
+    "read_libsvm",
     "parse_libsvm",
+    "node_block",
     "write_libsvm",
     "heterogeneous_split",
     "standard_scale",
@@ -102,7 +111,7 @@ def _iter_lines(source):
         return source.splitlines()
     if isinstance(source, bytes):
         return source.decode("utf-8").splitlines()
-    return [line.rstrip("\r\n") for line in source]
+    return (line.rstrip("\r\n") for line in source)
 
 
 def _parse_entries(tokens, line_number: int, indices: list, values: list) -> int:
@@ -135,15 +144,43 @@ def _parse_entries(tokens, line_number: int, indices: list, values: list) -> int
     return prev_index
 
 
-def parse_libsvm(source) -> Dataset:
-    """Parse LibSVM text: one `<label> <idx>:<val> ...` sample per line.
+class Entries(NamedTuple):
+    """The samples of a LibSVM text in file order: a label and an entry
+    count per line, and the entries in blocks of whole lines, each block
+    (first line, end line, 0-based feature indices, float64 values)."""
+
+    labels: np.ndarray  # (m,) float64, each +1 or -1
+    counts: np.ndarray  # (m,) entries on each line
+    blocks: list
+    d: int  # the largest index seen anywhere
+
+
+class NodeBlock(NamedTuple):
+    """n shards in one zero-padded array: shard i fills the first sizes[i]
+    rows of features[i] and labels[i], and its padding rows are zero."""
+
+    features: np.ndarray  # (n, m_max, d) float64
+    labels: np.ndarray  # (n, m_max) float64
+    sizes: np.ndarray  # (n,) rows of each shard
+
+
+# entries held as Python objects before they move to a block of arrays
+_BLOCK_ENTRIES = 16384
+
+
+def read_libsvm(source) -> Entries:
+    """Read LibSVM text: one `<label> <idx>:<val> ...` sample per line.
 
     Indices are 1-based and must be strictly ascending within a line; the
     feature count is the largest index seen anywhere. Accepts a string,
-    bytes, or an iterable of lines (CRLF input is fine).
+    bytes, or an iterable of lines such as an open file, which is read one
+    line at a time (CRLF input is fine). A malformed line raises
+    DataFormatError with its line number. Once _BLOCK_ENTRIES values are
+    held as Python objects, the lines since the last block move to a new
+    block of arrays, so the blocks are never joined into one copy.
     """
-    # one pass collects every entry flat; one scatter fills the dense matrix
-    labels, counts, indices, values = [], [], [], []
+    labels, counts, blocks = [], [], []
+    indices, values = [], []  # the entries of the lines since the last block
     max_index = 0
     for line_number, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
@@ -153,13 +190,38 @@ def parse_libsvm(source) -> Dataset:
         labels.append(_parse_label(tokens[0], line_number))
         max_index = max(max_index, _parse_entries(tokens[1:], line_number, indices, values))
         counts.append(len(tokens) - 1)
+        if len(values) >= _BLOCK_ENTRIES:
+            _close_block(blocks, len(labels), indices, values)
     if not labels:
         raise DataFormatError("empty input", 1)
     if max_index == 0:
         raise DataFormatError("no feature indices found", 1)
-    features = np.zeros((len(labels), max_index))
-    features[np.repeat(np.arange(len(labels)), counts), np.array(indices) - 1] = values
-    return Dataset(features, np.array(labels))
+    _close_block(blocks, len(labels), indices, values)
+    return Entries(np.array(labels), np.array(counts, dtype=np.intp), blocks, max_index)
+
+
+def _close_block(blocks: list, end: int, indices: list, values: list) -> None:
+    """Move the held entries, those of the lines up to end, to a new block."""
+    first = blocks[-1][1] if blocks else 0
+    blocks.append((first, end, np.array(indices, dtype=np.intp) - 1, np.array(values, dtype=np.float64)))
+    indices.clear()
+    values.clear()
+
+
+def _dense(entries: Entries, rows: np.ndarray, total: int) -> np.ndarray:
+    """A zero (total, d) matrix with the entries of line l in row rows[l]."""
+    features = np.zeros((total, entries.d))
+    for first, end, columns, values in entries.blocks:
+        features[np.repeat(rows[first:end], entries.counts[first:end]), columns] = values
+    return features
+
+
+def parse_libsvm(source) -> Dataset:
+    """The Dataset of LibSVM text, as read by read_libsvm: one dense
+    float64 row per line."""
+    entries = read_libsvm(source)
+    m = len(entries.labels)
+    return Dataset(_dense(entries, np.arange(m), m), entries.labels)
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -180,6 +242,33 @@ def write_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _label_split(labels: np.ndarray, n: int):
+    """The stable label-ascending order of the samples and the sizes of
+    the n contiguous shards it is cut into: the first (m mod n) shards
+    take one extra sample."""
+    n = check_count("node count", n)
+    m = labels.shape[0]
+    if n > m:
+        raise ConfigurationError(f"cannot split {m} samples across {n} nodes")
+    base, extra = divmod(m, n)
+    sizes = np.full(n, base)
+    sizes[:extra] += 1
+    return np.argsort(labels, kind="stable"), sizes
+
+
+def _standardize(features: np.ndarray) -> None:
+    """Standardize the columns of features in place: subtract the column
+    mean and divide by the population standard deviation (divisor m, not
+    m-1). Zero-variance columns are set to zero; no division happens for
+    them."""
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    features -= mean
+    nonzero = std > 0.0
+    features[:, nonzero] /= std[nonzero]
+    features[:, ~nonzero] = 0.0
+
+
 def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
     """Stable label-ascending sort, then contiguous split into n shards.
 
@@ -189,30 +278,18 @@ def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
     of one private sorted copy, so they never alias the caller's Dataset,
     and the Dataset can be released while they live.
     """
-    n = check_count("node count", n)
-    if n > ds.m:
-        raise ConfigurationError(f"cannot split {ds.m} samples across {n} nodes")
-    order = np.argsort(ds.labels, kind="stable")
+    order, sizes = _label_split(ds.labels, n)
     feats = ds.features[order]
     labs = ds.labels[order]
-    base, extra = divmod(ds.m, n)
-    shards = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        shards.append(
-            NodeShard(
-                node_id=i,
-                features=feats[start : start + size],
-                labels=labs[start : start + size],
-            )
-        )
-        start += size
-    return shards
+    ends = np.cumsum(sizes).tolist()
+    return [
+        NodeShard(node_id=i, features=feats[end - size : end], labels=labs[end - size : end])
+        for i, (size, end) in enumerate(zip(sizes.tolist(), ends))
+    ]
 
 
 def standard_scale(shard: NodeShard) -> NodeShard:
-    """Per-feature standardization within one shard.
+    """Per-feature standardization within one shard, on a copy.
 
     Subtracts the column mean and divides by the population standard
     deviation (divisor m, not m-1). Zero-variance columns are centered and
@@ -220,10 +297,28 @@ def standard_scale(shard: NodeShard) -> NodeShard:
     """
     if shard.m < 1:
         raise ConfigurationError("cannot scale an empty shard")
-    mean = shard.features.mean(axis=0)
-    std = shard.features.std(axis=0)
-    scaled = shard.features - mean
-    nonzero = std > 0.0
-    scaled[:, nonzero] /= std[nonzero]
-    scaled[:, ~nonzero] = 0.0
+    scaled = shard.features.copy()
+    _standardize(scaled)
     return NodeShard(node_id=shard.node_id, features=scaled, labels=shard.labels.copy())
+
+
+def node_block(entries: Entries, n: int) -> NodeBlock:
+    """The samples of entries split as heterogeneous_split splits them and
+    standardized per shard as standard_scale does, built in place in one
+    padded block: each line's entries go straight to its row in the
+    label-sorted order, and each shard is scaled where it lies. The values
+    are bit-identical to stacking standard_scale of each shard of
+    heterogeneous_split."""
+    order, sizes = _label_split(entries.labels, n)
+    m_max = int(sizes[0])
+    # the k-th sample in label order is row k - start_i of shard i
+    node = np.repeat(np.arange(n), sizes)
+    starts = np.cumsum(sizes) - sizes
+    rows = np.empty_like(order)
+    rows[order] = node * m_max + np.arange(len(order)) - starts[node]
+    features = _dense(entries, rows, n * m_max).reshape(n, m_max, entries.d)
+    labels = np.zeros(n * m_max)
+    labels[rows] = entries.labels
+    for slab, size in zip(features, sizes.tolist()):
+        _standardize(slab[:size])
+    return NodeBlock(features, labels.reshape(n, m_max), sizes)

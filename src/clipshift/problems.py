@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import NodeBlock
 from .errors import ConfigurationError
 from .ops import check_real, check_vector
 
@@ -30,6 +31,25 @@ class SmoothnessInfo:
     L_i: tuple[float, ...]
     L: float
     L_max: float
+
+
+def _stack(shards) -> NodeBlock:
+    """Shard i copied into the first m_i rows of slab i of one block."""
+    if not shards:
+        raise ConfigurationError("data problems need at least one shard")
+    dims = {s.d for s in shards}
+    if len(dims) != 1:
+        raise ConfigurationError(f"shards disagree on dimension: {sorted(dims)}")
+    for s in shards:
+        if s.m < 1:
+            raise ConfigurationError(f"shard {s.node_id} is empty")
+    sizes = np.array([s.m for s in shards])
+    features = np.zeros((len(shards), sizes.max(), shards[0].d))
+    labels = np.zeros(features.shape[:2])
+    for i, s in enumerate(shards):
+        features[i, : s.m] = s.features
+        labels[i, : s.m] = s.labels
+    return NodeBlock(features, labels, sizes)
 
 
 def _reg_value(reg: str, x: np.ndarray):
@@ -59,12 +79,15 @@ class Problem:
     The regularizer term is lam * r(x) with r either 0.5||x||^2 ("l2") or
     sum_j x_j^2/(1+x_j^2) ("nonconvex").
 
-    Data problems copy every shard into one (n, m_max, d) block A and keep
-    no other copy of the data, so all n local gradients come from one
-    product A @ x and one batched product of the row slopes with A.
+    Data problems hold their data in one zero-padded (n, m_max, d) block
+    A, so all n local gradients come from one product A @ x and one
+    batched product of the row slopes with A. The block is either a
+    NodeBlock, adopted without a copy (data.node_block builds one straight
+    from a file's entries), or stacked from shards, objects with features,
+    labels, m and d such as NodeShard.
     """
 
-    def __init__(self, kind, shards=(), reg="l2", lam=0.0, quad_params=None):
+    def __init__(self, kind, shards=(), reg="l2", lam=0.0, quad_params=None, block=None):
         if kind not in KINDS:
             raise ConfigurationError(f"unknown problem kind {kind!r}")
         if reg not in REGULARIZERS:
@@ -72,7 +95,7 @@ class Problem:
         lam = check_real("lambda", lam, "non-negative")
         shards = tuple(shards)
         if kind == "quad_counterexample":
-            if shards:
+            if shards or block is not None:
                 raise ConfigurationError("quad_counterexample takes no shards")
             if quad_params is None:
                 quad_params = (2.0, 1.0)
@@ -87,30 +110,20 @@ class Problem:
         else:
             if quad_params is not None:
                 raise ConfigurationError("quad_params only apply to quad_counterexample")
-            if not shards:
-                raise ConfigurationError("data problems need at least one shard")
-            dims = {s.d for s in shards}
-            if len(dims) != 1:
-                raise ConfigurationError(f"shards disagree on dimension: {sorted(dims)}")
-            for s in shards:
-                if s.m < 1:
-                    raise ConfigurationError(f"shard {s.node_id} is empty")
+            if block is None:
+                block = _stack(shards)
+            elif shards:
+                raise ConfigurationError("give a data problem shards or a block, not both")
             self.quad_params = None
-            # shard i fills the first m_i rows of slab i; padding rows have
-            # zero features, label 0 and weight 0, so their slope is exactly
-            # zero and their loss never reaches a sum
-            n, m_max = len(shards), max(s.m for s in shards)
-            self.n, self.d = n, shards[0].d
-            self._A = np.zeros((n, m_max, self.d))
-            self._b = np.zeros((n, m_max))
-            self._w = np.zeros((n, m_max))  # 1/(n m_i): a row sum becomes the node mean
-            for i, s in enumerate(shards):
-                self._A[i, : s.m] = s.features
-                self._b[i, : s.m] = s.labels
-                self._w[i, : s.m] = 1.0 / (n * s.m)
+            # padding rows have zero features, label 0 and weight 0, so their
+            # slope is exactly zero and their loss never reaches a sum
+            self._A, self._b, sizes = block
+            self.n, m_max, self.d = self._A.shape
             self._neg_b = -self._b
-            self._w = self._w.reshape(-1)  # the value's one dot with the flat losses
-            self._m = np.array([float(s.m) for s in shards])
+            self._m = sizes.astype(np.float64)
+            # 1/(n m_i) on each row, 0 on padding: a row sum becomes the node
+            # mean; flat for the value's one dot with the flat losses
+            self._w = ((np.arange(m_max) < sizes[:, None]) / (self.n * self._m[:, None])).reshape(-1)
         self.kind = kind
         self.reg = reg
         self.lam = lam

@@ -24,7 +24,8 @@ LOGISTIC_DIM = 20
 LOGISTIC_PER_NODE = 50
 
 
-def make_logistic_shards() -> list:
+def make_logistic_dataset() -> Dataset:
+    """The unsplit, unscaled samples of the logistic instance."""
     rng = np.random.default_rng(LOGISTIC_SEED)
     total = LOGISTIC_NODES * LOGISTIC_PER_NODE
     features = rng.standard_normal((total, LOGISTIC_DIM))
@@ -33,8 +34,11 @@ def make_logistic_shards() -> list:
     labels = np.where(margins > np.median(margins), 1.0, -1.0)
     flipped = rng.choice(total, size=total * 15 // 100, replace=False)
     labels[flipped] = -labels[flipped]
-    ds = Dataset(features, labels)
-    return [standard_scale(s) for s in heterogeneous_split(ds, LOGISTIC_NODES)]
+    return Dataset(features, labels)
+
+
+def make_logistic_shards() -> list:
+    return [standard_scale(s) for s in heterogeneous_split(make_logistic_dataset(), LOGISTIC_NODES)]
 
 
 def make_logistic_problem(shards=None) -> Problem:

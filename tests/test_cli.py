@@ -203,6 +203,15 @@ def test_grid_runs_all_children_and_selects_best(tmp_path, data_file, capsys):
     assert open(out).read() == open(child_paths[best_idx]).read()
 
 
+def test_grid_best_copy_that_cannot_be_written_exits_3(tmp_path, data_file, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()  # the children write taken_grid<i>.csv beside it; the copy to --out fails
+    args = _base_args(data_file, str(out), **{"--gamma": "grid", "--iters": "5"})
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n"
+    assert len(list(tmp_path.glob("taken_grid*.csv"))) == len(GRID_MULTIPLES)
+
+
 def test_exit_codes(tmp_path, data_file):
     out = str(tmp_path / "x.csv")
     assert main(["--method", "bogus", "--out", out]) == 2

@@ -1,4 +1,6 @@
-"""Data parsing, splitting, and scaling."""
+"""Data parsing, splitting, and scaling, and the CLI's one-block loader."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ from clipshift import (
     ConfigurationError,
     DataFormatError,
     Dataset,
+    Problem,
     heterogeneous_split,
     parse_libsvm,
     standard_scale,
     write_libsvm,
 )
-from clipshift.data import NodeShard
+from clipshift import cli, data
+from clipshift.data import NodeShard, node_block, read_libsvm
+from conftest import LOGISTIC_NODES, make_logistic_dataset, make_logistic_problem
 
 
 def test_parse_basic_example():
@@ -73,43 +78,27 @@ def test_parse_errors_carry_line_numbers():
     assert _line_of(err) == 2
 
 
-@pytest.mark.parametrize(
-    "text, line_number, message",
-    [
-        ("+1 1:1\n\n-1 1:2\n", 2, "blank line"),
-        ("+1 1:1\n+7 1:2\n", 2, "unrecognized label '+7'"),
-        ("+1 1:1\n-1 junk\n", 2, "expected idx:val, got 'junk'"),
-        ("+1 1:2:3\n", 1, "bad feature value '2:3'"),
-        ("-1 2:1 x:1\n", 1, "bad feature index 'x'"),
-        ("+1 0:1\n", 1, "feature index must be >= 1, got 0"),
-        ("+1 1:1\n-1 3:1 2:5\n", 2, "feature index 2 not ascending after 3"),
-        ("+1 1:1\n-1 2:1 2:1\n", 2, "feature index 2 not ascending after 2"),
-        ("+1 1:x\n", 1, "bad feature value 'x'"),
-        ("+1 1:1 2:-inf\n", 1, "non-finite feature value '-inf'"),
-        ("+1 1:nan\n", 1, "non-finite feature value 'nan'"),
-        ("", 1, "empty input"),
-        ("+1\n-1\n", 1, "no feature indices found"),
-        ("+1 1:1\n-1 3:x 2:1\n", 2, "bad feature value 'x'"),
-        ("+1 1:1\n+7 0:1\n", 2, "unrecognized label '+7'"),
-    ],
-    ids=[
-        "blank-line",
-        "bad-label",
-        "missing-colon",
-        "second-colon",
-        "bad-index",
-        "index-below-one",
-        "descending-index",
-        "repeated-index",
-        "bad-value",
-        "infinite-value",
-        "nan-value",
-        "empty-input",
-        "featureless-input",
-        "first-of-two-token-errors",
-        "label-before-token-error",
-    ],
-)
+# id: (text, line number, message) of each malformed input
+MALFORMED = {
+    "blank-line": ("+1 1:1\n\n-1 1:2\n", 2, "blank line"),
+    "bad-label": ("+1 1:1\n+7 1:2\n", 2, "unrecognized label '+7'"),
+    "missing-colon": ("+1 1:1\n-1 junk\n", 2, "expected idx:val, got 'junk'"),
+    "second-colon": ("+1 1:2:3\n", 1, "bad feature value '2:3'"),
+    "bad-index": ("-1 2:1 x:1\n", 1, "bad feature index 'x'"),
+    "index-below-one": ("+1 0:1\n", 1, "feature index must be >= 1, got 0"),
+    "descending-index": ("+1 1:1\n-1 3:1 2:5\n", 2, "feature index 2 not ascending after 3"),
+    "repeated-index": ("+1 1:1\n-1 2:1 2:1\n", 2, "feature index 2 not ascending after 2"),
+    "bad-value": ("+1 1:x\n", 1, "bad feature value 'x'"),
+    "infinite-value": ("+1 1:1 2:-inf\n", 1, "non-finite feature value '-inf'"),
+    "nan-value": ("+1 1:nan\n", 1, "non-finite feature value 'nan'"),
+    "empty-input": ("", 1, "empty input"),
+    "featureless-input": ("+1\n-1\n", 1, "no feature indices found"),
+    "first-of-two-token-errors": ("+1 1:1\n-1 3:x 2:1\n", 2, "bad feature value 'x'"),
+    "label-before-token-error": ("+1 1:1\n+7 0:1\n", 2, "unrecognized label '+7'"),
+}
+
+
+@pytest.mark.parametrize("text, line_number, message", MALFORMED.values(), ids=MALFORMED)
 def test_parse_errors_pin_message_and_line(text, line_number, message):
     with pytest.raises(DataFormatError) as err:
         parse_libsvm(text)
@@ -221,3 +210,134 @@ def test_dataset_validation():
         Dataset(np.ones((2, 2)), np.array([1.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
+
+
+def _load(path, nodes, *flags):
+    """cli.build_problem on a data file, as the CLI calls it."""
+    return cli.build_problem(cli.parse_config(["--method", "gd", "--data", str(path), "--nodes", str(nodes), *flags]))
+
+
+@pytest.mark.parametrize("text, line_number, message", MALFORMED.values(), ids=MALFORMED)
+def test_cli_loader_errors_pin_message_line_and_exit(tmp_path, capsys, text, line_number, message):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        _load(path, 1)
+    assert err.value.line_number == line_number
+    assert str(err.value) == f"line {line_number}: {message}"
+    out = tmp_path / "x.csv"
+    assert cli.main(["--method", "gd", "--data", str(path), "--nodes", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: line {line_number}: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_loader_rejects_more_nodes_than_rows(tmp_path, capsys):
+    path = tmp_path / "two.svm"
+    path.write_text("+1 1:1\n-1 1:2\n")
+    with pytest.raises(ConfigurationError, match="cannot split 2 samples across 3 nodes"):
+        _load(path, 3)
+    assert cli.main(["--method", "gd", "--data", str(path), "--nodes", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: cannot split 2 samples across 3 nodes\n"
+
+
+def _assert_same_arrays(problem, other):
+    for name in ("_A", "_b", "_w", "_m", "_neg_b"):
+        a, b = getattr(problem, name), getattr(other, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name  # bit for bit, signed zeros too
+
+
+def _library_chain(source, nodes, kind="logistic"):
+    return Problem(kind, shards=[standard_scale(s) for s in heterogeneous_split(parse_libsvm(source), nodes)])
+
+
+def test_cli_loader_matches_the_library_chain_on_the_fixture_recipe(tmp_path):
+    path = tmp_path / "fixture.svm"
+    path.write_text(write_libsvm(make_logistic_dataset()))  # at full precision
+    loaded = _load(path, LOGISTIC_NODES)
+    _assert_same_arrays(loaded, _library_chain(path.read_text(), LOGISTIC_NODES))
+    _assert_same_arrays(loaded, make_logistic_problem())
+
+
+def _uneven_text() -> str:
+    """23 sparse rows in d = 5: index 2 is 1.0 on every -1 row, so it is
+    constant inside the shards that hold only -1 rows, and index 5, the
+    largest, first appears on line 20."""
+    rng = np.random.default_rng(23)
+    lines = []
+    for line in range(23):
+        x = np.round(rng.standard_normal(5), 4)
+        keep = rng.random(5) < 0.6
+        y = 1 if rng.random() < 0.4 else -1
+        if y < 0:
+            x[1], keep[1] = 1.0, True
+        keep[4] = keep[4] and line >= 19
+        lines.append(f"{y:+d} " + " ".join(f"{j + 1}:{x[j]:.17g}" for j in range(5) if keep[j]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("form", ["str", "bytes", "lines", "file"])
+@pytest.mark.parametrize("kind", ["logistic", "linreg_nonconvex"])
+def test_block_matches_the_library_chain_on_an_uneven_split(tmp_path, line_end, form, kind):
+    text = _uneven_text().replace("\n", line_end)
+    nodes = 5  # shards of 5, 5, 5, 4 and 4 rows: the last two slabs have a padding row
+    expected = _library_chain(text, nodes, kind)
+    assert expected._A.shape == (5, 5, 5)
+    assert any(np.all(slab == 0.0, axis=0)[1] for slab in expected._A)  # a zero-variance column
+    if form == "file":
+        path = tmp_path / "uneven.svm"
+        path.write_bytes(text.encode())
+        problem = _load(path, nodes, "--problem", "linreg" if kind == "linreg_nonconvex" else "logistic")
+    else:
+        source = {"str": text, "bytes": text.encode(), "lines": text.splitlines(keepends=True)}[form]
+        problem = Problem(kind, block=node_block(read_libsvm(source), nodes))
+    _assert_same_arrays(problem, expected)
+
+
+def test_reader_returns_arrays_in_file_order():
+    entries = read_libsvm("+1 1:0.5 3:-2\n-1\n0 2:1 5:4\n")
+    assert np.array_equal(entries.labels, [1.0, -1.0, -1.0])
+    assert np.array_equal(entries.counts, [2, 0, 2])
+    [(first, end, columns, values)] = entries.blocks
+    assert (first, end) == (0, 3)
+    assert np.array_equal(columns, [0, 2, 1, 4])
+    assert values.dtype == np.float64 and np.array_equal(values, [0.5, -2.0, 1.0, 4.0])
+    assert entries.d == 5
+
+
+def test_reader_blocks_hold_whole_lines(monkeypatch):
+    text = _uneven_text()
+    whole = read_libsvm(text)
+    monkeypatch.setattr(data, "_BLOCK_ENTRIES", 4)
+    entries = read_libsvm(text)
+    assert len(entries.blocks) > 3
+    ends = [0] + [end for _, end, _, _ in entries.blocks]
+    assert [first for first, _, _, _ in entries.blocks] == ends[:-1] and ends[-1] == 23
+    for first, end, columns, values in entries.blocks:
+        assert len(columns) == len(values) == entries.counts[first:end].sum()
+    [(_, _, columns, values)] = whole.blocks
+    assert np.array_equal(np.concatenate([b[2] for b in entries.blocks]), columns)
+    assert np.array_equal(np.concatenate([b[3] for b in entries.blocks]), values)
+    nodes = 5
+    assert node_block(entries, nodes).features.tobytes() == node_block(whole, nodes).features.tobytes()
+
+
+def test_cli_loader_peak_memory_stays_near_one_block(tmp_path):
+    # 4003 x 50 at 30% density over 7 nodes: slabs of 572 rows, one of them
+    # padded; numpy reports its buffers to tracemalloc. Parsing to a Dataset,
+    # sorting a copy and scaling per shard peaked at about 3.4 blocks
+    rng = np.random.default_rng(4003)
+    features = np.round(rng.standard_normal((4003, 50)), 6)
+    features[rng.random((4003, 50)) >= 0.3] = 0.0
+    labels = np.where(rng.random(4003) < 0.4, 1.0, -1.0)
+    path = tmp_path / "wide.svm"
+    path.write_text(write_libsvm(Dataset(features, labels)))
+    tracemalloc.start()
+    try:
+        problem = _load(path, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problem._A.shape == (7, 572, 50)
+    assert peak < 2.5 * problem._A.nbytes

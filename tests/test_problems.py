@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clipshift import ConfigurationError, Dataset, Problem, heterogeneous_split, node_mean, standard_scale
-from clipshift.data import NodeShard
+from clipshift.data import NodeBlock, NodeShard
 
 
 def _fd_gradient(fn, x, h=1e-6):
@@ -49,6 +49,22 @@ def test_problem_keeps_one_copy_of_the_data():
     assert (problem.n, problem.d) == (3, 4)
     value, grads = problem.evaluate(np.ones(4))
     assert value == expected[0] and np.array_equal(grads, expected[1])
+
+
+def test_problem_adopts_a_block_without_a_copy():
+    shards = _random_shards(np.random.default_rng(5), 3, 4, 6)
+    stacked = Problem("logistic", shards=shards, reg="l2", lam=0.1)
+    block = NodeBlock(stacked._A.copy(), stacked._b.copy(), np.array([s.m for s in shards]))
+    problem = Problem("logistic", block=block, reg="l2", lam=0.1)
+    assert problem._A is block.features and problem._b is block.labels
+    for name in ("_w", "_m", "_neg_b"):
+        assert np.array_equal(getattr(problem, name), getattr(stacked, name))
+    x = np.linspace(-1.0, 1.0, 4)
+    assert problem.evaluate(x)[0] == stacked.evaluate(x)[0]
+    with pytest.raises(ConfigurationError, match="shards or a block, not both"):
+        Problem("logistic", shards=shards, block=block)
+    with pytest.raises(ConfigurationError, match="takes no shards"):
+        Problem("quad_counterexample", block=block)
 
 
 @pytest.mark.parametrize("kind,reg", [

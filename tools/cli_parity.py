@@ -4,15 +4,18 @@
 
 Each side is a ``git archive`` of its revision's src/; with CHANGE_REV
 omitted the change side is the working tree's src/. The script writes a
-seeded 60 x 5 LibSVM toy set (and a few config and malformed files), then
+seeded 60 x 5 LibSVM toy set, two sparse 60 x 6 sets (one with a column
+that is constant inside some shards, one whose largest index first
+appears on a late line) and a few config and malformed files, then
 runs every invocation kind of the fixed table kinds() once per side, each
 in a fresh ``python -m clipshift.cli`` process and its own empty
 directory, and the change side a second time to check rerun determinism.
 Two processes run at a time.
 
 It prints:
-  - the kinds whose exit code, stdout or stderr differ between the sides
-    (stderr with each side's source directory written as <src>; kinds
+  - the kinds whose exit code, stdout or stderr differ between the sides,
+    with the first line of each stream that differs (stderr with each
+    side's source directory written as <src>; kinds
     whose stderr differs only in the line number of a warning's source
     location are listed apart, since any edit above that line moves it,
     and so are kinds whose stdout differs only in the digits of
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import os
 import re
@@ -58,8 +62,24 @@ def write_inputs(where: Path) -> dict:
         x = rng.standard_normal(5)
         y = 1 if x.sum() > 0 else -1
         lines.append(f"{y:+d} " + " ".join(f"{j + 1}:{x[j]:.5f}" for j in range(5)))
+    # sparse sets of 60 rows in d = 6, labelled as the toy set: in "sparse_const"
+    # column 3 is 1.0 on every -1 row, so it is constant inside the label-sorted
+    # shards that hold only -1 rows; in "sparse_late" index 6, the largest, first
+    # appears on line 51
+    const, late = [], []
+    for line in range(60):
+        x = rng.standard_normal(6)
+        keep = rng.random(6) < 0.5
+        y = 1 if x.sum() > 0 else -1
+        if y < 0:
+            x[2], keep[2] = 1.0, True
+        const.append(f"{y:+d} " + " ".join(f"{j + 1}:{x[j]:.5f}" for j in range(6) if keep[j]))
+        keep[5] = keep[5] and line >= 49
+        late.append(f"{y:+d} " + " ".join(f"{j + 1}:{x[j]:.5f}" for j in range(6) if keep[j]))
     files = {
         "toy": "\n".join(lines) + "\n",
+        "sparse_const": "\n".join(const) + "\n",
+        "sparse_late": "\n".join(late) + "\n",
         "cfg": "method = clip21-gd\ntau = 0.5\ngamma = auto\niters = 30  # a comment\nnodes = 4\n",
         "cfg_unknown": "method = gd\nbogus = 1\n",
     }
@@ -105,6 +125,27 @@ def kinds(files: dict) -> list:
         out.append((f"avg-x0-{x0}", avg + ["--tau", "0.5", "--x0", x0]))
     for nodes in ("1", "10"):
         out.append((f"avg-nodes{nodes}", avg + ["--tau", "0.5", "--nodes", nodes, "--v-init", "gaussian:0.7"]))
+    # 60 rows on 7 nodes: shards of 9, 9, 9, 9, 8, 8, 8 rows, so the block has padding rows
+    uneven = base + ["--nodes", "7"]
+    out += [
+        ("uneven-gd-grid", uneven + ["--method", "gd", "--gamma", "grid"]),
+        ("uneven-clip21-gd-auto", uneven + ["--method", "clip21-gd", "--tau", "0.5", "--gamma", "auto"]),
+        ("uneven-dp-clip21-gd", uneven + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise + ["--gamma", "0.1"]),
+        ("uneven-press-grid", uneven + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "topk:2"]
+         + ["--gamma", "grid"]),
+        ("uneven-linreg", uneven + ["--problem", "linreg", "--method", "clip21-gd", "--tau", "0.5", "--gamma", "0.01"]),
+        ("uneven-avg", avg + ["--nodes", "7", "--tau", "0.5", "--v-init", "gaussian:0.7"]),
+    ]
+    for data in ("sparse_const", "sparse_late"):
+        sparse = ["--data", files[data], "--seed", "3", "--presolve-iters", "200", "--x0", "gaussian:1.0"]
+        for nodes in ("4", "7"):
+            tag = f"{data.replace('_', '-')}-nodes{nodes}"
+            sparse_n = sparse + ["--nodes", nodes, "--iters", "40"]
+            out += [
+                (f"{tag}-clip21-gd-auto", sparse_n + ["--method", "clip21-gd", "--tau", "0.5", "--gamma", "auto"]),
+                (f"{tag}-gd-grid", sparse_n + ["--method", "gd", "--gamma", "grid", "--lambda", "0.01"]),
+                (f"{tag}-avg", sparse_n + ["--method", "clip21-avg", "--tau", "0.05"]),
+            ]
     no_tau = base + ["--method", "clip21-gd"]
     clip21 = no_tau + ["--tau", "0.5"]
     out += [
@@ -281,8 +322,12 @@ def csv_deviation(old: dict, new: dict):
     return dev
 
 
-def _last_line(text: str) -> str:
-    return text.strip().splitlines()[-1] if text.strip() else "(empty)"
+def _first_difference(old: str, new: str) -> str:
+    """The first line where two texts differ, as 'old' -> 'new'; the
+    whole texts when their lines agree and only the line ends differ."""
+    pairs = itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="(none)")
+    a, b = next(((a, b) for a, b in pairs if a != b), (old, new))
+    return f"{a!r} -> {b!r}"
 
 
 def main(argv=None) -> int:
@@ -322,12 +367,12 @@ def main(argv=None) -> int:
         if deviation is not None:
             grad_norm_only[name] = deviation
         elif old["out"] != new["out"]:
-            parts.append(f"stdout {_last_line(old['out'])!r} -> {_last_line(new['out'])!r}")
+            parts.append(f"stdout {_first_difference(old['out'], new['out'])}")
         if old["err"] != new["err"]:
             if _mask_lines(old["err"]) == _mask_lines(new["err"]):
                 line_only.append(name)
             else:
-                parts.append(f"stderr {_last_line(old['err'])!r} -> {_last_line(new['err'])!r}")
+                parts.append(f"stderr {_first_difference(old['err'], new['err'])}")
         if parts:
             streams.append(f"  {name}: " + "; ".join(parts))
         dev = csv_deviation(old["csvs"], new["csvs"])
