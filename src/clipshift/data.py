@@ -191,26 +191,48 @@ def read_libsvm(source) -> Entries:
         max_index = max(max_index, _parse_entries(tokens[1:], line_number, indices, values))
         counts.append(len(tokens) - 1)
         if len(values) >= _BLOCK_ENTRIES:
-            _close_block(blocks, len(labels), indices, values)
+            _close_block(blocks, counts, indices, values)
     if not labels:
         raise DataFormatError("empty input", 1)
     if max_index == 0:
         raise DataFormatError("no feature indices found", 1)
-    _close_block(blocks, len(labels), indices, values)
+    _close_block(blocks, counts, indices, values)
     return Entries(np.array(labels), np.array(counts, dtype=np.intp), blocks, max_index)
 
 
-def _close_block(blocks: list, end: int, indices: list, values: list) -> None:
-    """Move the held entries, those of the lines up to end, to a new block."""
+def _line_number(counts, first: int, position: int) -> int:
+    """The 1-based number of the line that holds entry position of the
+    entries of the lines from first on, whose entry counts are counts."""
+    return first + int(np.searchsorted(np.cumsum(counts[first:]), position, side="right")) + 1
+
+
+def _close_block(blocks: list, counts: list, indices: list, values: list) -> None:
+    """Move the held entries, those of the lines since the last block, to a
+    new block. An index too large for an array index is a DataFormatError."""
     first = blocks[-1][1] if blocks else 0
-    blocks.append((first, end, np.array(indices, dtype=np.intp) - 1, np.array(values, dtype=np.float64)))
+    try:
+        columns = np.array(indices, dtype=np.intp) - 1
+    except OverflowError:
+        position, index = next((p, i) for p, i in enumerate(indices) if i > np.iinfo(np.intp).max)
+        raise DataFormatError(f"feature index {index} is too large", _line_number(counts, first, position)) from None
+    blocks.append((first, len(counts), columns, np.array(values, dtype=np.float64)))
     indices.clear()
     values.clear()
 
 
 def _dense(entries: Entries, rows: np.ndarray, total: int) -> np.ndarray:
-    """A zero (total, d) matrix with the entries of line l in row rows[l]."""
-    features = np.zeros((total, entries.d))
+    """A zero (total, d) matrix with the entries of line l in row rows[l].
+    A matrix too large to allocate is a DataFormatError naming the line
+    where the largest index, d, first appears."""
+    try:
+        features = np.zeros((total, entries.d))
+    except (MemoryError, ValueError):
+        first, _, columns, _ = next(b for b in entries.blocks if (b[2] == entries.d - 1).any())
+        line = _line_number(entries.counts, first, int(np.argmax(columns == entries.d - 1)))
+        raise DataFormatError(
+            f"feature index {entries.d} is too large: {total} dense rows of {entries.d} values do not fit in memory",
+            line,
+        ) from None
     for first, end, columns, values in entries.blocks:
         features[np.repeat(rows[first:end], entries.counts[first:end]), columns] = values
     return features

@@ -161,7 +161,8 @@ class Batch:
     v_bar is maintained incrementally across steps and re-checked against
     the direct average of the shift rows after each one; drift_scale is
     the running sum of the root-mean-square shift row over v0 and the
-    steps so far, the scale of the rounding v_bar may have accumulated. A
+    steps so far, the scale of the rounding v_bar may have accumulated,
+    each term a sum of per-node squared norms taken in node order. A
     run that leaves (it diverged) is dropped from every array, and the
     others go on unchanged.
     """
@@ -193,8 +194,7 @@ class Batch:
         self.v = np.tile(v0, self.lead + (1, 1))
         self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
-        flat_v0 = v0.reshape(-1)
-        self.drift_scale = np.full(self.lead, np.sqrt(np.vecdot(flat_v0, flat_v0) / n))
+        self.drift_scale = np.full(self.lead, np.sqrt(np.add.reduce(np.vecdot(v0, v0)) / n))
         # noise chunks, all drawn at step chunk_start: the lone run's
         # clipped noise, or one unit chunk per seed of a positive sigma
         self.chunk_start, self.chunk_steps, self.chunks = 0, 0, {}
@@ -290,12 +290,17 @@ def step(batch: Batch):
     (dp_clip21_gd) or compression (press_clip21_gd) applied to each
     message, and move along the mean of the new shifts.
 
-    Elementwise and row-wise work runs on the whole stack; every dot and
-    matrix product is one BLAS call per run, the call a run alone makes,
-    so each run's numbers are bit-identical to its solo run. Returns, one
-    entry per run (scalars for a lone run): f and ||grad f||^2 at x_k,
-    the shift term (1/n) sum_i ||grad_i(x_k) - v_k^i||^2, the norm of the
-    pre-gamma direction and the mask of the nodes that clipped.
+    Elementwise and row-wise work runs on the whole stack, and every dot
+    and matrix product is the BLAS call a run alone makes, so each run's
+    numbers are bit-identical to its solo run. A sum over the nodes, such
+    as the shift term or the drift scale, is one dot per node row of d
+    values, summed along the node axis in node order, never one dot over
+    the flattened (n, d) block, whose partial sums OpenBLAS splits by its
+    thread count above 10 000 values; the numbers depend on the thread
+    count only when d exceeds that. Returns, one entry per run (scalars
+    for a lone run): f and ||grad f||^2 at x_k, the shift term (1/n)
+    sum_i ||grad_i(x_k) - v_k^i||^2, the norm of the pre-gamma direction
+    and the mask of the nodes that clipped.
     """
     cfg, problem, lead = batch.cfg, batch.problem, batch.lead
     n = problem.n
@@ -315,21 +320,21 @@ def step(batch: Batch):
         # running sum of their root-mean-square norm: rows that have shrunk
         # since do not shrink the rounding v_bar already holds. A drift must
         # also exceed the per-step allowance at the largest current row
-        flat_v = v.reshape(lead + (-1,))
-        drift_scale = batch.drift_scale + np.sqrt(np.vecdot(flat_v, flat_v) / n)
+        v_sq = np.vecdot(v, v)
+        drift_scale = batch.drift_scale + np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
         off = v_bar - direction
         drift = np.sqrt(np.vecdot(off, off))
         suspect = drift > _DRIFT_TOL * drift_scale
         if suspect.any():
-            largest = np.sqrt(np.einsum("...ij,...ij->...i", v, v).max(axis=-1))
+            largest = np.sqrt(v_sq.max(axis=-1))
             drifted = suspect & (drift > _DRIFT_TOL * (batch.k + 1) * largest)
             if drifted.any():
                 raise InvariantError(
                     f"aggregate shift drifted from direct average by {np.extract(drifted, drift)[0]:.3e} "
                     f"at step {batch.k}"
                 )
-        gap = (grads - v).reshape(lead + (-1,))
-        shift_sq = np.vecdot(gap, gap) / n
+        gap = grads - v
+        shift_sq = np.add.reduce(np.vecdot(gap, gap), axis=-1) / n
         batch.v, batch.v_bar, batch.drift_scale = v, v_bar, drift_scale
     else:
         if cfg.method == "gd":

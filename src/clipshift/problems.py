@@ -122,8 +122,8 @@ class Problem:
             self._neg_b = -self._b
             self._m = sizes.astype(np.float64)
             # 1/(n m_i) on each row, 0 on padding: a row sum becomes the node
-            # mean; flat for the value's one dot with the flat losses
-            self._w = ((np.arange(m_max) < sizes[:, None]) / (self.n * self._m[:, None])).reshape(-1)
+            # mean, and the sum of the node means over the nodes is f
+            self._w = (np.arange(m_max) < sizes[:, None]) / (self.n * self._m[:, None])
         self.kind = kind
         self.reg = reg
         self.lam = lam
@@ -147,15 +147,18 @@ class Problem:
     def evaluate(self, x):
         """f(x) and the (n, d) local gradients, both from one product A @ x.
 
-        The value is one dot of the row losses with their weights 1/(n m_i),
-        plus the regularizer. Row i of the gradients is node i's gradient,
-        the slope-weighted sum of its rows, and their node_mean is the
-        gradient of f.
+        The value is the sum over the nodes, in node order, of each node's
+        dot of its row losses with their weights 1/(n m_i), plus the
+        regularizer. Row i of the gradients is node i's gradient, the
+        slope-weighted sum of its rows, and their node_mean is the gradient
+        of f. No dot spans more than one node's m_max rows, so the value
+        does not depend on the BLAS thread count unless a node holds more
+        than 10 000 rows, the size above which OpenBLAS threads a dot.
 
         x may also be an (R, d) stack of points: then f is an (R,) array
         and the gradients an (R, n, d) one. Each point gets the BLAS calls
-        it gets alone (one matrix-vector product per node, one dot for the
-        value) and the same elementwise work, so its entries are
+        it gets alone (one matrix-vector product and one dot per node) and
+        the same elementwise work and node sums, so its entries are
         bit-identical to evaluate(x[r]).
         """
         x = check_vector(x, stack=True)
@@ -170,8 +173,7 @@ class Problem:
         else:
             # one matrix-vector product per point and node, (..., n, m_max)
             loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None])[..., 0])
-            flat = loss.reshape(loss.shape[:-2] + (-1,))
-            value = np.vecdot(flat, self._w)
+            value = np.add.reduce(np.vecdot(loss, self._w), axis=-1)
             if self.lam:  # 0 * r(x) would be nan where r(x) overflows
                 value = value + self.lam * _reg_value(self.reg, x)
             grads = np.matmul(slope[..., None, :], self._A)[..., 0, :] / self._m[:, None]

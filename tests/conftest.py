@@ -37,6 +37,27 @@ def make_logistic_dataset() -> Dataset:
     return Dataset(features, labels)
 
 
+# OpenBLAS threads a dot of more than 10 000 elements, and its partial sums
+# then depend on the thread count. The wide sparse set sits above that cutoff
+# on WIDE_NODES nodes: 12 000 rows in d = 60 on 200 nodes of 60 rows, so one
+# node's rows hold 60 values but the flattened (n, m_max) losses and (n, d)
+# shift blocks hold 12 000
+WIDE_NODES = 200
+
+
+def make_wide_sparse_text() -> str:
+    """A seeded 12 000 x 60 LibSVM text with 5 nonzeros a row."""
+    rng = np.random.default_rng(14)
+    m, d, nnz = 12_000, 60, 5
+    columns = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :nnz], axis=1)
+    values = rng.standard_normal((m, nnz))
+    labels = np.where(values.sum(axis=1) + 0.5 * rng.standard_normal(m) > 0, 1, -1)
+    return "".join(
+        f"{y:+d} " + " ".join(f"{j + 1}:{v:.5f}" for j, v in zip(row, vals)) + "\n"
+        for y, row, vals in zip(labels.tolist(), columns.tolist(), values.tolist())
+    )
+
+
 def make_logistic_shards() -> list:
     return [standard_scale(s) for s in heterogeneous_split(make_logistic_dataset(), LOGISTIC_NODES)]
 

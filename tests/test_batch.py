@@ -14,11 +14,12 @@ from clipshift import (
     optimizers,
     run,
 )
-from clipshift.data import Dataset
+from clipshift.data import Dataset, node_block, read_libsvm
 from clipshift.ops import clip_rows
 from clipshift.optimizers import Batch, step
 from clipshift.problems import Problem
 from clipshift.rng import stream_slot
+from conftest import WIDE_NODES, make_wide_sparse_text
 
 
 def _solo(cfg, problem, x0, coeff=0.0):
@@ -63,6 +64,18 @@ def test_gamma_grid_batch_is_bit_identical_to_solo_runs(logistic_problem, logist
     L = logistic_problem.smoothness().L
     cfgs = [MethodConfig(method, m / L, 150, **_PLAIN[method]) for m in _GRID]
     _assert_batch_matches_solo(cfgs, logistic_problem, logistic_x0, coeffs=[0.5 * m for m in _GRID])
+
+
+def test_grid_batch_is_bit_identical_to_solo_runs_above_the_blas_cutoff():
+    # the flattened losses and shift blocks hold 12 000 values each, above
+    # OpenBLAS's threading cutoff for a dot; each node's row holds 60
+    problem = Problem("logistic", block=node_block(read_libsvm(make_wide_sparse_text()), WIDE_NODES), lam=1e-4)
+    x0 = gaussian_sample(515, problem.n + 1, 0, problem.d, 1.0)
+    L = problem.smoothness().L
+    cfgs = [MethodConfig("clip21_gd", m / L, 12, tau=0.05) for m in _GRID[1:4]]
+    finals, records = _assert_batch_matches_solo(cfgs, problem, x0, coeffs=[0.5, 1.0, 2.0])
+    counts = {rec.active_nodes for rec in records}
+    assert WIDE_NODES in counts and min(counts) < WIDE_NODES  # every node clips, then some stop
 
 
 @pytest.mark.filterwarnings("ignore:privacy calibration")

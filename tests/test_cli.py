@@ -1,6 +1,10 @@
 """Flag parsing, config files, CSV output, and exit codes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,9 @@ from clipshift.cli import (
     parse_compressor,
     parse_config,
 )
+from conftest import WIDE_NODES, make_wide_sparse_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +170,30 @@ def test_csv_is_deterministic_modulo_wall_time(tmp_path, data_file):
         return ["," .join(line.split(",")[:7]) for line in open(path).read().splitlines()]
 
     assert strip_wall(out_a) == strip_wall(out_b)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # above OpenBLAS's 10 000-element cutoff a dot over the flattened node
+    # block is threaded, and its partial sums follow the thread count; a box
+    # with one core caps the threads at 1, so there both runs are alike anyway
+    data = tmp_path / "wide.svm"
+    data.write_text(make_wide_sparse_text())
+    argv = ["--data", str(data), "--nodes", str(WIDE_NODES), "--method", "clip21-gd", "--tau", "0.5"]
+    argv += ["--gamma", "auto", "--iters", "10", "--seed", "3", "--x0", "gaussian:1.0", "--presolve-iters", "20"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "clipshift.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append((done.stdout, [line.split(",")[:7] for line in out.read_text().splitlines()]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 11
 
 
 def test_seed_changes_the_noise_path(tmp_path, data_file):

@@ -95,6 +95,12 @@ MALFORMED = {
     "featureless-input": ("+1\n-1\n", 1, "no feature indices found"),
     "first-of-two-token-errors": ("+1 1:1\n-1 3:x 2:1\n", 2, "bad feature value 'x'"),
     "label-before-token-error": ("+1 1:1\n+7 0:1\n", 2, "unrecognized label '+7'"),
+    # 2 x 10^15 float64 values are 14 PiB, more than any address space maps
+    "index-too-large-to-allocate": (
+        "+1 1:1\n-1 2:1 1000000000000000:1\n", 2,
+        "feature index 1000000000000000 is too large: 2 dense rows of 1000000000000000 values do not fit in memory",
+    ),
+    "index-beyond-int64": ("+1 1:1\n-1 2:1 9223372036854775808:1\n", 2, "feature index 9223372036854775808 is too large"),
 }
 
 
@@ -321,6 +327,24 @@ def test_reader_blocks_hold_whole_lines(monkeypatch):
     assert np.array_equal(np.concatenate([b[3] for b in entries.blocks]), values)
     nodes = 5
     assert node_block(entries, nodes).features.tobytes() == node_block(whole, nodes).features.tobytes()
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (2**63, "feature index 9223372036854775808 is too large"),
+        (2**62, "feature index 4611686018427387904 is too large: 9 dense rows of 4611686018427387904 values"),
+    ],
+)
+def test_huge_index_names_its_line_in_a_later_block(monkeypatch, index, message):
+    # a block closes once it holds 4 values: lines 1-2, 3-5, then 6-7, so the
+    # huge index is the fourth entry of the block that starts at line 6
+    monkeypatch.setattr(data, "_BLOCK_ENTRIES", 4)
+    lines = ["+1 1:1 2:1", "-1 1:1 2:1 3:1", "+1 1:2", "-1 2:1", "+1 1:1 3:1", "-1 1:1 2:1", "+1 2:1", "-1 1:3", "+1 3:2"]
+    lines[6] += f" {index}:1"
+    with pytest.raises(DataFormatError, match=message) as err:
+        parse_libsvm("\n".join(lines))
+    assert err.value.line_number == 7
 
 
 def test_cli_loader_peak_memory_stays_near_one_block(tmp_path):

@@ -6,11 +6,16 @@ Each side is a ``git archive`` of its revision's src/; with CHANGE_REV
 omitted the change side is the working tree's src/. The script writes a
 seeded 60 x 5 LibSVM toy set, two sparse 60 x 6 sets (one with a column
 that is constant inside some shards, one whose largest index first
-appears on a late line) and a few config and malformed files, then
-runs every invocation kind of the fixed table kinds() once per side, each
-in a fresh ``python -m clipshift.cli`` process and its own empty
-directory, and the change side a second time to check rerun determinism.
-Two processes run at a time.
+appears on a late line), a sparse 12 000 x 60 set and a few config and
+malformed files, then runs every invocation kind of the fixed table
+kinds() once per side, each in a fresh ``python -m clipshift.cli``
+process and its own empty directory, and the change side a second time
+to check rerun determinism. That second run sets OPENBLAS_NUM_THREADS=1
+in its environment, so on a box with more than one core it also checks
+that the outputs do not depend on the BLAS thread count: the 12 000-row
+set on 200 nodes puts 12 000 values in each flattened node block, above
+OpenBLAS's 10 000-element cutoff for a threaded dot. Two processes run
+at a time.
 
 It prints:
   - the kinds whose exit code, stdout or stderr differ between the sides,
@@ -18,15 +23,19 @@ It prints:
     side's source directory written as <src>; kinds
     whose stderr differs only in the line number of a warning's source
     location are listed apart, since any edit above that line moves it,
-    and so are kinds whose stdout differs only in the digits of
-    final_grad_norm_sq, with their largest relative deviation);
+    and so are kinds whose stdout differs only in the digits of the
+    summary numbers final_f, final_grad_norm_sq and gamma, with the
+    largest relative deviation of each);
   - for each of the first 7 CSV columns (all but wall_micros), the
     largest relative deviation |a - b| / max(|a|, |b|) between the sides
-    over every CSV written, and the kinds where the column moved;
-  - whether the second change-side run reproduced the first: exit code,
-    stdout, stderr and the first 7 CSV columns, byte for byte.
+    over every CSV written, and the kinds where the column moved; and
+    the same for lyapunov's deviation relative to its row's |f|;
+  - whether the second change-side run, on one BLAS thread, reproduced
+    the first: exit code, stdout, stderr and the first 7 CSV columns, byte
+    for byte.
 
-The exit status is 0 when the sides agree on everything above, else 1.
+The exit status is 0 when the sides agree on everything above, else 1;
+a warning's moved source line number alone is listed but leaves it 0.
 The temporary tree (under $TMPDIR) is removed at the end.
 """
 
@@ -50,6 +59,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 COLUMNS = ("k", "f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "gamma")
+# each column's deviation, then lyapunov's relative to its row's |f|: lyapunov
+# is f - f_inf plus the shift term, so where f - f_inf has cancelled to a few
+# ulps of f, a one-ulp move of f is a large move relative to lyapunov itself
+LABELS = COLUMNS + ("lyapunov/|f|",)
+SUMMARY_NUMBERS = ("final_f", "final_grad_norm_sq", "gamma")
 CHILD_TIMEOUT_S = 300
 JOBS = 2
 
@@ -83,6 +97,14 @@ def write_inputs(where: Path) -> dict:
         "cfg": "method = clip21-gd\ntau = 0.5\ngamma = auto\niters = 30  # a comment\nnodes = 4\n",
         "cfg_unknown": "method = gd\nbogus = 1\n",
     }
+    # 12 000 rows of 5 nonzeros in d = 60, for 200 nodes of 60 rows
+    columns = np.sort(np.argsort(rng.random((12_000, 60)), axis=1)[:, :5], axis=1)
+    values = rng.standard_normal((12_000, 5))
+    labels = np.where(values.sum(axis=1) + 0.5 * rng.standard_normal(12_000) > 0, 1, -1)
+    files["wide"] = "".join(
+        f"{y:+d} " + " ".join(f"{j + 1}:{v:.5f}" for j, v in zip(row, vals)) + "\n"
+        for y, row, vals in zip(labels.tolist(), columns.tolist(), values.tolist())
+    )
     paths = {name: where / f"{name}.txt" for name in files}
     for name, text in files.items():
         paths[name].write_text(text)
@@ -146,6 +168,8 @@ def kinds(files: dict) -> list:
                 (f"{tag}-gd-grid", sparse_n + ["--method", "gd", "--gamma", "grid", "--lambda", "0.01"]),
                 (f"{tag}-avg", sparse_n + ["--method", "clip21-avg", "--tau", "0.05"]),
             ]
+    wide = ["--data", files["wide"], "--nodes", "200", "--seed", "3", "--presolve-iters", "20", "--x0", "gaussian:1.0"]
+    out.append(("wide-clip21-gd", wide + ["--iters", "40", "--method", "clip21-gd", "--tau", "0.5", "--gamma", "0.1"]))
     no_tau = base + ["--method", "clip21-gd"]
     clip21 = no_tau + ["--tau", "0.5"]
     out += [
@@ -258,10 +282,11 @@ def checkout(rev: str | None, where: Path) -> Path:
     return where / "src"
 
 
-def invoke(src: Path, argv: list, cwd: Path) -> dict:
-    """Run one invocation in a fresh process; its exit code, stdout, stderr and CSVs."""
+def invoke(src: Path, argv: list, cwd: Path, env: dict) -> dict:
+    """Run one invocation in a fresh process with env added to the
+    environment; its exit code, stdout, stderr and CSVs."""
     cwd.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     done = subprocess.run(
         [sys.executable, "-m", "clipshift.cli", *argv],
         cwd=cwd,
@@ -281,15 +306,18 @@ def _mask_lines(err: str) -> str:
     return re.sub(r"(\.py):\d+:", r"\1:<line>:", err)
 
 
-_GRAD_NORM = re.compile(r"final_grad_norm_sq=(\S+)")
+_NUMBER = re.compile(r"\b(" + "|".join(SUMMARY_NUMBERS) + r")=([^\s)]+)")
 
 
-def _grad_norm_only(old: str, new: str):
-    """The largest relative deviation of final_grad_norm_sq when stdout
-    differs in nothing else, else None."""
-    if _GRAD_NORM.sub("", old) != _GRAD_NORM.sub("", new):
+def _numbers_only(old: str, new: str):
+    """The largest relative deviation of each of SUMMARY_NUMBERS, by name,
+    when stdout differs in nothing else, else None."""
+    if _NUMBER.sub(r"\1=", old) != _NUMBER.sub(r"\1=", new):
         return None
-    return max(map(_rel, _GRAD_NORM.findall(old), _GRAD_NORM.findall(new)))
+    dev = dict.fromkeys(SUMMARY_NUMBERS, 0.0)
+    for (field, a), (_, b) in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        dev[field] = max(dev[field], _rel(a, b))
+    return dev
 
 
 def _rel(a: str, b: str) -> float:
@@ -304,12 +332,24 @@ def _rel(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _lyapunov_over_f(row_a: list, row_b: list) -> float:
+    """|lyapunov_a - lyapunov_b| / max(|f_a|, |f_b|) for one row of each side."""
+    if row_a[3] == row_b[3]:
+        return 0.0
+    try:
+        f_a, f_b, ly_a, ly_b = (float(row[j]) for j in (1, 3) for row in (row_a, row_b))
+    except ValueError:
+        return math.inf
+    scale = max(abs(f_a), abs(f_b))
+    return abs(ly_a - ly_b) / scale if math.isfinite(ly_a - ly_b) and scale > 0.0 else math.inf
+
+
 def csv_deviation(old: dict, new: dict):
-    """Largest relative deviation of each column over the CSVs both sides wrote,
-    or a string naming a mismatch of files, row counts or the header."""
+    """Largest relative deviation of each of LABELS over the CSVs both sides
+    wrote, or a string naming a mismatch of files, row counts or the header."""
     if sorted(old) != sorted(new):
         return f"CSV files {sorted(old)} -> {sorted(new)}"
-    dev = [0.0] * len(COLUMNS)
+    dev = [0.0] * len(LABELS)
     for name in old:
         a, b = old[name], new[name]
         if len(a) != len(b):
@@ -319,6 +359,7 @@ def csv_deviation(old: dict, new: dict):
         for row_a, row_b in zip(a[1:], b[1:]):
             for j, (x, y) in enumerate(zip(row_a, row_b)):
                 dev[j] = max(dev[j], _rel(x, y))
+            dev[-1] = max(dev[-1], _lyapunov_over_f(row_a, row_b))
     return dev
 
 
@@ -346,7 +387,8 @@ def main(argv=None) -> int:
         def one(job):
             side, name, argv = job
             src = sides["change" if side == "rerun" else side]
-            return job[:2], invoke(src, argv, tmp / "runs" / side / name)
+            env = {"OPENBLAS_NUM_THREADS": "1"} if side == "rerun" else {}
+            return job[:2], invoke(src, argv, tmp / "runs" / side / name, env)
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             results = dict(pool.map(one, jobs))
@@ -356,16 +398,16 @@ def main(argv=None) -> int:
     change = args.change or "working tree"
     print(f"cli parity: {args.parent} -> {change}, {len(table)} invocation kinds")
     streams, line_only, csv_mismatch, moved, rerun_bad = [], [], [], [], []
-    grad_norm_only = {}
-    overall = [0.0] * len(COLUMNS)
+    numbers_only = {}
+    overall = [0.0] * len(LABELS)
     for name, _argv in table:
         old, new, again = results["parent", name], results["change", name], results["rerun", name]
         parts = []
         if old["code"] != new["code"]:
             parts.append(f"exit {old['code']} -> {new['code']}")
-        deviation = _grad_norm_only(old["out"], new["out"]) if old["out"] != new["out"] else None
+        deviation = _numbers_only(old["out"], new["out"]) if old["out"] != new["out"] else None
         if deviation is not None:
-            grad_norm_only[name] = deviation
+            numbers_only[name] = deviation
         elif old["out"] != new["out"]:
             parts.append(f"stdout {_first_difference(old['out'], new['out'])}")
         if old["err"] != new["err"]:
@@ -390,26 +432,24 @@ def main(argv=None) -> int:
         print(line)
     if line_only:
         print(f"stderr differs only in a warning's source line number in {len(line_only)} kinds:", ", ".join(line_only))
-    if grad_norm_only:
-        largest = max(grad_norm_only, key=grad_norm_only.get)
-        print(
-            f"stdout differs only in final_grad_norm_sq digits in {len(grad_norm_only)} kinds, "
-            f"at most {grad_norm_only[largest]:.3g} relative ({largest}):",
-            ", ".join(grad_norm_only),
-        )
+    if numbers_only:
+        print(f"stdout differs only in the digits of summary numbers in {len(numbers_only)} kinds:", ", ".join(numbers_only))
+        for field in SUMMARY_NUMBERS:
+            largest = max(numbers_only, key=lambda name: numbers_only[name][field])
+            print(f"  {field:<19}{numbers_only[largest][field]:.3g} ({largest})")
     if csv_mismatch:
         print(f"CSV files or row counts differ in {len(csv_mismatch)} kinds:")
         for line in csv_mismatch:
             print(line)
     print("largest relative deviation per CSV column (kinds where it moved):")
-    for j, column in enumerate(COLUMNS):
+    for j, column in enumerate(LABELS):
         count = sum(1 for _, dev in moved if dev[j])
         print(f"  {column:<13}{overall[j]:.3g} ({count})")
     for name, dev in moved:
-        print(f"  moved in {name}: " + ", ".join(f"{c} {d:.3g}" for c, d in zip(COLUMNS, dev) if d))
-    reproduced = f"rerun determinism: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
+        print(f"  moved in {name}: " + ", ".join(f"{c} {d:.3g}" for c, d in zip(LABELS, dev) if d))
+    reproduced = f"rerun determinism, at OPENBLAS_NUM_THREADS=1: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
     print(reproduced + (f"; not: {', '.join(rerun_bad)}" if rerun_bad else ""))
-    return int(bool(streams or line_only or grad_norm_only or csv_mismatch or moved or rerun_bad))
+    return int(bool(streams or numbers_only or csv_mismatch or moved or rerun_bad))
 
 
 if __name__ == "__main__":
