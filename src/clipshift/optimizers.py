@@ -297,10 +297,11 @@ def step(batch: Batch):
     values, summed along the node axis in node order, never one dot over
     the flattened (n, d) block, whose partial sums OpenBLAS splits by its
     thread count above 10 000 values; the numbers depend on the thread
-    count only when d exceeds that. Returns, one entry per run (scalars
-    for a lone run): f and ||grad f||^2 at x_k, the shift term (1/n)
-    sum_i ||grad_i(x_k) - v_k^i||^2, the norm of the pre-gamma direction
-    and the mask of the nodes that clipped.
+    count only when d, or a node's row count in evaluate, exceeds that.
+    Returns, one entry per run (scalars for a lone run): f and
+    ||grad f||^2 at x_k, the shift term (1/n) sum_i ||grad_i(x_k) -
+    v_k^i||^2, the norm of the pre-gamma direction and the mask of the
+    nodes that clipped.
     """
     cfg, problem, lead = batch.cfg, batch.problem, batch.lead
     n = problem.n

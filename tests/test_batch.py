@@ -73,7 +73,7 @@ def test_grid_batch_is_bit_identical_to_solo_runs_above_the_blas_cutoff():
     x0 = gaussian_sample(515, problem.n + 1, 0, problem.d, 1.0)
     L = problem.smoothness().L
     cfgs = [MethodConfig("clip21_gd", m / L, 12, tau=0.05) for m in _GRID[1:4]]
-    finals, records = _assert_batch_matches_solo(cfgs, problem, x0, coeffs=[0.5, 1.0, 2.0])
+    _, records = _assert_batch_matches_solo(cfgs, problem, x0, coeffs=[0.5, 1.0, 2.0])
     counts = {rec.active_nodes for rec in records}
     assert WIDE_NODES in counts and min(counts) < WIDE_NODES  # every node clips, then some stop
 

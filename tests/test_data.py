@@ -95,7 +95,8 @@ MALFORMED = {
     "featureless-input": ("+1\n-1\n", 1, "no feature indices found"),
     "first-of-two-token-errors": ("+1 1:1\n-1 3:x 2:1\n", 2, "bad feature value 'x'"),
     "label-before-token-error": ("+1 1:1\n+7 0:1\n", 2, "unrecognized label '+7'"),
-    # 2 x 10^15 float64 values are 14 PiB, more than any address space maps
+    # 2 x 10^15 float64 values are 14 PiB, far beyond the 128 TiB a process maps
+    # by default, so the allocation fails whatever the overcommit setting
     "index-too-large-to-allocate": (
         "+1 1:1\n-1 2:1 1000000000000000:1\n", 2,
         "feature index 1000000000000000 is too large: 2 dense rows of 1000000000000000 values do not fit in memory",
