@@ -44,6 +44,7 @@ from .theory import (
     press_contraction_margin,
     rate_envelope,
     sigma_min,
+    stepsize_branches,
     stepsize_dp,
     stepsize_multi,
     stepsize_press,
@@ -89,6 +90,7 @@ __all__ = [
     "run",
     "sigma_min",
     "standard_scale",
+    "stepsize_branches",
     "stepsize_dp",
     "stepsize_multi",
     "stepsize_press",

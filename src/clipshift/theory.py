@@ -3,16 +3,15 @@ family, the per-method certificate (certified stepsize and Lyapunov
 weight), the no-more-clipping horizon, the O(1/K) rate envelope, and the
 privacy variance floor with its utility bound.
 
-Each stepsize rule is a minimum over printed branch expressions. One
-branch in the multi-node, noisy, and compressed rules has the form
-gamma <= phi0/(B - thr)^2 with phi0 itself affine in gamma; that branch
-is resolved exactly as a linear inequality (see _implicit_branch) and is
-skipped when B <= thr.
+Each stepsize rule is a minimum over printed branch expressions, named
+implicit, smoothness, tau_sq, eta_mu, mu_L_max and compression;
+stepsize_branches returns them with the name of the one that binds. The
+implicit branch, gamma <= phi0/(B - thr)^2 with phi0 itself affine in
+gamma, is resolved exactly as a linear inequality (see _implicit_branch).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .ops import check_count, check_real, node_mean
 __all__ = [
     "StepsizeInputs",
     "certified_stepsize",
+    "stepsize_branches",
     "lyapunov_weight",
     "eta_of",
     "stepsize_single",
@@ -38,8 +38,18 @@ __all__ = [
     "estimate_f_inf",
 ]
 
-_NO_FINITE_STEPSIZE = "no finite certified stepsize at tau={}"
 _THETA_GRID = tuple(10.0 ** (-3.0 + 4.0 * j / 12.0) for j in range(13))
+_SMOOTH = 1.0 - 1.0 / math.sqrt(2.0)  # the smoothness branch's numerator
+
+
+def _check_norms(grad0_norms) -> tuple:
+    """The per-node gradient norms as floats: at least one, all finite and non-negative."""
+    norms = tuple(float(g) for g in grad0_norms)
+    if not norms:
+        raise ConfigurationError("grad0_norms must contain at least one entry")
+    if any(not np.isfinite(g) or g < 0.0 for g in norms):
+        raise ConfigurationError("gradient norms must be finite and non-negative")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -63,12 +73,7 @@ class StepsizeInputs:
     def __post_init__(self):
         for name in ("L", "L_max", "tau"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        norms = tuple(float(g) for g in self.grad0_norms)
-        if not norms:
-            raise ConfigurationError("grad0_norms must contain at least one entry")
-        if any(not np.isfinite(g) or g < 0.0 for g in norms):
-            raise ConfigurationError("gradient norms must be finite and non-negative")
-        object.__setattr__(self, "grad0_norms", norms)
+        object.__setattr__(self, "grad0_norms", _check_norms(self.grad0_norms))
         object.__setattr__(self, "F0", check_real("F0", self.F0, "non-negative"))
 
     @property
@@ -79,10 +84,14 @@ class StepsizeInputs:
 def eta_of(tau, grad0_norms) -> float:
     """min(1, tau / max_i ||grad_i(x0)||); 1 when every norm is zero."""
     tau = check_real("tau", tau)
-    top = max(float(g) for g in grad0_norms)
-    if top <= 0.0:
-        return 1.0
-    return min(1.0, tau / top)
+    top = max(_check_norms(grad0_norms))
+    return 1.0 if top <= 0.0 else min(1.0, tau / top)
+
+
+def _start(inp: StepsizeInputs):
+    """The norms as an array, eta, B = max_i ||grad_i(x0)|| and (L_max/L)^2."""
+    norms = np.asarray(inp.grad0_norms)
+    return norms, eta_of(inp.tau, inp.grad0_norms), float(norms.max()), (inp.L_max / inp.L) ** 2
 
 
 def _shift_gap(eta: float) -> float:
@@ -104,109 +113,127 @@ def _implicit_branch(F0: float, B: float, threshold: float, slope: float) -> flo
     return F0 / coeff
 
 
-def _overflow_checked(rule):
-    """Wrap a stepsize rule so that a float overflow inside it raises
-    ConfigurationError, not OverflowError or numpy's overflow warning.
-
-    An overflowed value reaches the denominator of the rule's tau^2 branch
-    as inf, where _tau_branch rejects it, or a float power raises
-    OverflowError, caught here.
-    """
-
-    @functools.wraps(rule)
-    def checked(inp: StepsizeInputs) -> float:
-        try:
-            with np.errstate(over="ignore"):
-                return rule(inp)
-        except OverflowError:
-            raise ConfigurationError(_NO_FINITE_STEPSIZE.format(inp.tau)) from None
-
-    return checked
-
-
-def _tau_branch(numerator: float, denom: float, tau: float) -> float:
-    """A rule's tau^2 branch numerator / denom, +inf when denom is 0.
-
-    denom grows like tau^2 with tau, so the branch tends to a finite limit
-    and can bind the minimum for any tau. Where denom overflowed, the
-    quotient would read 0 while that limit is not, so no stepsize is
-    certified: ConfigurationError.
-    """
+def _tau_sq(numerator: float, scale: float, F0: float, beta2: float, over: float = 1.0) -> float:
+    """The tau^2 branch numerator / over / (scale (sqrt(F0) + sqrt(beta2))^2), +inf
+    when the denominator is 0. It raises OverflowError where the denominator
+    overflowed, which would zero a branch that tends to a finite limit in tau."""
+    denom = scale * (math.sqrt(F0) + math.sqrt(beta2)) ** 2
+    numerator = numerator / over
     if not math.isfinite(denom):
-        raise ConfigurationError(_NO_FINITE_STEPSIZE.format(tau))
+        raise OverflowError
     return math.inf if denom == 0.0 else numerator / denom
 
 
-def _sqrt_sum_sq(F0: float, beta2: float) -> float:
-    return (math.sqrt(F0) + math.sqrt(beta2)) ** 2
+def _bind(rule, inp: StepsizeInputs) -> tuple[dict, str]:
+    """rule's branches at inp and the name of the least, the one that binds.
+    An OverflowError, from a float power or from the tau^2 branch's
+    denominator, certifies no stepsize: ConfigurationError."""
+    try:
+        with np.errstate(over="ignore"):
+            branches = rule(inp)
+    except OverflowError:
+        raise ConfigurationError(f"no finite certified stepsize at tau={inp.tau}") from None
+    return branches, min(branches, key=branches.get)
 
 
-@_overflow_checked
-def stepsize_single(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the single-node shifted method."""
+def _single(inp: StepsizeInputs) -> dict:
     if inp.n != 1:
         raise ConfigurationError(f"single-node rule needs n=1, got n={inp.n}")
     norm0 = inp.grad0_norms[0]
     eta = eta_of(inp.tau, inp.grad0_norms)
-    gap = _shift_gap(eta)
-    beta1 = (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap
-    G0 = abs(norm0 - inp.tau)
-    beta2 = inp.F0 + inp.tau * G0 / (math.sqrt(2.0 * eta) * inp.L)
-    first = (1.0 - 1.0 / math.sqrt(2.0)) / (1.0 + math.sqrt(1.0 + 2.0 * beta1)) / inp.L
-    denom = 4.0 * inp.L**2 * _sqrt_sum_sq(inp.F0, beta2)
-    second = _tau_branch(inp.tau**2, denom, inp.tau)
-    return min(first, second)
+    beta1 = (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / _shift_gap(eta)
+    beta2 = inp.F0 + inp.tau * abs(norm0 - inp.tau) / (math.sqrt(2.0 * eta) * inp.L)
+    return {
+        "smoothness": _SMOOTH / (1.0 + math.sqrt(1.0 + 2.0 * beta1)) / inp.L,
+        "tau_sq": _tau_sq(inp.tau**2, 4.0 * inp.L**2, inp.F0, beta2),
+    }
 
 
-@_overflow_checked
-def stepsize_multi(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the n-node shifted method."""
-    norms = np.asarray(inp.grad0_norms)
-    eta = eta_of(inp.tau, inp.grad0_norms)
+def _multi(inp: StepsizeInputs) -> dict:
+    norms, eta, B, ratio_sq = _start(inp)
     gap = _shift_gap(eta)
-    B = float(norms.max())
-    ratio_sq = (inp.L_max / inp.L) ** 2
     beta1 = 2.0 * (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap * ratio_sq
     # signed differences, exactly as printed; entries below tau only
     # inflate beta2, which keeps the bound conservative
     G0 = math.sqrt(float(np.mean((norms - inp.tau) ** 2)))
     beta2 = inp.F0 + G0 * inp.tau / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     slope = float(np.mean(np.maximum(0.0, norms - inp.tau) ** 2)) / (2.0 * gap)
-    implicit = _implicit_branch(inp.F0, B, inp.tau, slope)
-    second = (1.0 - 1.0 / math.sqrt(2.0)) / inp.L / (1.0 + math.sqrt(1.0 + 2.0 * beta1))
-    denom = 16.0 * _sqrt_sum_sq(inp.F0, beta2)
-    third = _tau_branch(inp.tau**2 / inp.L_max**2, denom, inp.tau)
-    return min(implicit, second, third)
+    return {
+        "implicit": _implicit_branch(inp.F0, B, inp.tau, slope),
+        "smoothness": _SMOOTH / inp.L / (1.0 + math.sqrt(1.0 + 2.0 * beta1)),
+        "tau_sq": _tau_sq(inp.tau**2, 16.0, inp.F0, beta2, over=inp.L_max**2),
+    }
 
 
-@_overflow_checked
+def _dp(inp: StepsizeInputs) -> dict:
+    if inp.mu is None:
+        raise ConfigurationError("the noisy stepsize rule needs mu")
+    mu = check_real("mu", inp.mu)
+    nu = 0.0 if inp.nu is None else check_real("nu", inp.nu, "non-negative")
+    norms, eta, B, ratio_sq = _start(inp)
+    beta1 = (1.0 + 2.0 / eta) * (1.0 - eta) * (1.0 - 0.5 * eta) / eta * ratio_sq
+    G0 = math.sqrt(float(np.mean((np.abs(norms - inp.tau) + nu) ** 2)))
+    beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
+    return {
+        "eta_mu": eta / (4.0 * mu),
+        "mu_L_max": 2.0 * mu / inp.L_max**2,
+        "implicit": _implicit_branch(inp.F0, B, 0.5 * inp.tau, (2.0 / eta) * G0**2),
+        "smoothness": _SMOOTH / (inp.L * (1.0 + math.sqrt(1.0 + 8.0 * beta1))),
+        "tau_sq": _tau_sq(inp.tau**2, 64.0 * inp.L_max**2, inp.F0, beta2),
+    }
+
+
+def _press_margin(inp: StepsizeInputs) -> tuple[float, float]:
+    """alpha_press, checked, and its contraction margin at inp's eta."""
+    if inp.alpha_press is None:
+        raise ConfigurationError("the compressed stepsize rule needs alpha_press")
+    alpha = check_real("alpha_press", inp.alpha_press, "(0, 1]")
+    return alpha, press_contraction_margin(alpha, eta_of(inp.tau, inp.grad0_norms))
+
+
+def _press(inp: StepsizeInputs) -> dict:
+    alpha, beta = _press_margin(inp)
+    norms, _, B, ratio_sq = _start(inp)
+    root = math.sqrt(1.0 - alpha)
+    shrink = 1.0 - root  # 1 - sqrt(1-alpha)
+    worst = max((1.0 - beta) * (1.0 + 2.0 / beta), (1.0 - alpha) * (1.0 + 2.0 / alpha))
+    beta1 = 2.0 * worst / beta * ratio_sq
+    G0 = math.sqrt(float(np.mean((np.maximum(0.0, norms - inp.tau) + root * inp.tau) ** 2)))
+    beta2 = inp.F0 + G0 * shrink * inp.tau / (math.sqrt(2.0 * beta) * inp.L_max)
+    return {
+        "compression": math.inf if root == 0.0 else shrink / (2.0 * root * inp.L_max),
+        "implicit": _implicit_branch(inp.F0, B, shrink * inp.tau, G0**2 / beta),
+        "smoothness": _SMOOTH / (inp.L * (1.0 + math.sqrt(1.0 + 2.0 * beta1))),
+        "tau_sq": _tau_sq(shrink**2 * inp.tau**2, 16.0 * inp.L_max**2, inp.F0, beta2),
+    }
+
+
+def stepsize_single(inp: StepsizeInputs) -> float:
+    """Largest certified stepsize for the single-node shifted method."""
+    branches, name = _bind(_single, inp)
+    return branches[name]
+
+
+def stepsize_multi(inp: StepsizeInputs) -> float:
+    """Largest certified stepsize for the n-node shifted method."""
+    branches, name = _bind(_multi, inp)
+    return branches[name]
+
+
 def stepsize_dp(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the noisy shifted method.
 
     Requires the gradient-dominance constant mu; nu defaults to 0, which
     collapses the start gap to its noiseless form.
     """
-    if inp.mu is None:
-        raise ConfigurationError("the noisy stepsize rule needs mu")
-    mu = check_real("mu", inp.mu)
-    nu = 0.0 if inp.nu is None else check_real("nu", inp.nu, "non-negative")
-    norms = np.asarray(inp.grad0_norms)
-    eta = eta_of(inp.tau, inp.grad0_norms)
-    B = float(norms.max())
-    ratio_sq = (inp.L_max / inp.L) ** 2
-    beta1 = (1.0 + 2.0 / eta) * (1.0 - eta) * (1.0 - 0.5 * eta) / eta * ratio_sq
-    G0 = math.sqrt(float(np.mean((np.abs(norms - inp.tau) + nu) ** 2)))
-    beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
-    first = eta / (4.0 * mu)
-    second = 2.0 * mu / inp.L_max**2
-    slope = (2.0 / eta) * G0**2
-    implicit = _implicit_branch(inp.F0, B, 0.5 * inp.tau, slope)
-    fourth = (1.0 - 1.0 / math.sqrt(2.0)) / (
-        inp.L * (1.0 + math.sqrt(1.0 + 8.0 * beta1))
-    )
-    denom = 64.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fifth = _tau_branch(inp.tau**2, denom, inp.tau)
-    return min(first, second, implicit, fourth, fifth)
+    branches, name = _bind(_dp, inp)
+    return branches[name]
+
+
+def stepsize_press(inp: StepsizeInputs) -> float:
+    """Largest certified stepsize for the compressed shifted method."""
+    branches, name = _bind(_press, inp)
+    return branches[name]
 
 
 def press_contraction_margin(alpha: float, eta: float) -> float:
@@ -238,61 +265,33 @@ def press_contraction_margin(alpha: float, eta: float) -> float:
     return best
 
 
-@_overflow_checked
-def stepsize_press(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the compressed shifted method."""
-    if inp.alpha_press is None:
-        raise ConfigurationError("the compressed stepsize rule needs alpha_press")
-    alpha = check_real("alpha_press", inp.alpha_press, "(0, 1]")
-    norms = np.asarray(inp.grad0_norms)
-    eta = eta_of(inp.tau, inp.grad0_norms)
-    beta = press_contraction_margin(alpha, eta)
-    B = float(norms.max())
-    root = math.sqrt(1.0 - alpha)
-    shrink = 1.0 - root  # 1 - sqrt(1-alpha)
-    ratio_sq = (inp.L_max / inp.L) ** 2
-    beta1 = (
-        2.0
-        * max((1.0 - beta) * (1.0 + 2.0 / beta), (1.0 - alpha) * (1.0 + 2.0 / alpha))
-        / beta
-        * ratio_sq
-    )
-    G0 = math.sqrt(float(np.mean((np.maximum(0.0, norms - inp.tau) + root * inp.tau) ** 2)))
-    beta2 = inp.F0 + G0 * shrink * inp.tau / (math.sqrt(2.0 * beta) * inp.L_max)
-    first = math.inf if root == 0.0 else shrink / (2.0 * root * inp.L_max)
-    slope = G0**2 / beta
-    implicit = _implicit_branch(inp.F0, B, shrink * inp.tau, slope)
-    third = (1.0 - 1.0 / math.sqrt(2.0)) / (
-        inp.L * (1.0 + math.sqrt(1.0 + 2.0 * beta1))
-    )
-    denom = 16.0 * inp.L_max**2 * _sqrt_sum_sq(inp.F0, beta2)
-    fourth = _tau_branch(shrink**2 * inp.tau**2, denom, inp.tau)
-    return min(first, implicit, third, fourth)
+def stepsize_branches(method: str, inputs: StepsizeInputs) -> tuple[dict, str]:
+    """The branches of method's stepsize minimum, name -> value in printed
+    order, and the name of the one that binds. The shifted methods take
+    their certified rule, the single-node one when n = 1; the unshifted
+    baselines take 1/L, ({"inverse_L": 1/L}, "inverse_L")."""
+    if method == "clip21_gd":
+        return _bind(_single if inputs.n == 1 else _multi, inputs)
+    if method == "dp_clip21_gd":
+        return _bind(_dp, inputs)
+    if method == "press_clip21_gd":
+        return _bind(_press, inputs)
+    return {"inverse_L": 1.0 / inputs.L}, "inverse_L"
 
 
 def certified_stepsize(method: str, inputs: StepsizeInputs) -> float:
-    """The stepsize ``--gamma auto`` resolves to for method.
-
-    The shifted methods take their certified rule, the single-node one
-    when n = 1; the unshifted baselines have no certified rule and take
-    the standard 1/L.
-    """
-    if method == "clip21_gd":
-        return stepsize_single(inputs) if inputs.n == 1 else stepsize_multi(inputs)
-    if method == "dp_clip21_gd":
-        return stepsize_dp(inputs)
-    if method == "press_clip21_gd":
-        return stepsize_press(inputs)
-    return 1.0 / inputs.L
+    """The stepsize ``--gamma auto`` resolves to: stepsize_branches' binding value."""
+    branches, name = stepsize_branches(method, inputs)
+    return branches[name]
 
 
 def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
     """Coefficient A of the shift term in the Lyapunov function at gamma.
 
     gamma/(2(1 - (1-eta)(1-eta/2))) for clip21_gd, 2 gamma/eta for
-    dp_clip21_gd and gamma/beta for press_clip21_gd, with beta its
-    contraction margin. 0 for the methods without a shift certificate,
-    and for press_clip21_gd when no positive margin exists.
+    dp_clip21_gd and gamma/beta for press_clip21_gd, with beta the margin
+    of its rule's checked alpha_press. 0 for the methods without a shift
+    certificate, and for press_clip21_gd when no positive margin exists.
     """
     gamma = check_real("gamma", gamma)
     eta = eta_of(inputs.tau, inputs.grad0_norms)
@@ -302,8 +301,8 @@ def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
         return 2.0 * gamma / eta
     if method == "press_clip21_gd":
         try:
-            return gamma / press_contraction_margin(inputs.alpha_press, eta)
-        except ConfigurationError:
+            return gamma / _press_margin(inputs)[1]
+        except InfeasibleStepsizeError:
             return 0.0
     return 0.0
 

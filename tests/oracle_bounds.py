@@ -6,6 +6,11 @@ package under test; the test suite uses these as an independent cross-check of
 the float64 calculators. Inputs are Python floats and are converted exactly
 (binary value, not decimal re-parse), so any disagreement beyond ~1e-13
 relative is a real defect in the checked code, not input fuzz.
+
+Each stepsize rule names its branches as the package does (implicit,
+smoothness, tau_sq, eta_mu, mu_L_max, compression) and returns their
+minimum as a float; with branches=True it returns the table of branches
+instead, name -> 50-digit value in printed order.
 """
 
 import mpmath
@@ -20,6 +25,10 @@ def _mpf(x):
     return mpmath.mpf(x)
 
 
+def _result(table, branches):
+    return table if branches else float(min(table.values()))
+
+
 def _eta(tau, norms):
     top = max(norms)
     if top == 0:
@@ -27,7 +36,7 @@ def _eta(tau, norms):
     return min(_mpf(1), _mpf(tau) / _mpf(top))
 
 
-def stepsize_single(L, tau, grad0_norm, F0):
+def stepsize_single(L, tau, grad0_norm, F0, branches=False):
     L = _mpf(L)
     tau = _mpf(tau)
     g = _mpf(grad0_norm)
@@ -40,10 +49,10 @@ def stepsize_single(L, tau, grad0_norm, F0):
     first = (1 - 1 / mpmath.sqrt(2)) / (1 + mpmath.sqrt(1 + 2 * b1))
     s = mpmath.sqrt(F0) + mpmath.sqrt(b2)
     second = _INF if s == 0 else tau ** 2 / (4 * L * s ** 2)
-    return float(min(first, second) / L)
+    return _result({"smoothness": first / L, "tau_sq": second / L}, branches)
 
 
-def stepsize_multi(L, L_max, tau, norms, F0):
+def stepsize_multi(L, L_max, tau, norms, F0, branches=False):
     L = _mpf(L)
     Lm = _mpf(L_max)
     tau = _mpf(tau)
@@ -56,18 +65,18 @@ def stepsize_multi(L, L_max, tau, norms, F0):
     b1 = 2 * (1 - eta) ** 2 * (1 + 2 / eta) / denom * (Lm / L) ** 2
     G0 = mpmath.sqrt(sum((v - tau) ** 2 for v in ns) / n)
     b2 = F0 + G0 * tau / (2 * mpmath.sqrt(2 * eta) * Lm)
-    branches = []
+    table = {"implicit": _INF}
     if B > tau:
         c = sum(max(_mpf(0), v - tau) ** 2 for v in ns) / n / (2 * denom)
         gap = (B - tau) ** 2 - c
-        branches.append(F0 / gap if gap > 0 else _INF)
-    branches.append((1 - 1 / mpmath.sqrt(2)) / L / (1 + mpmath.sqrt(1 + 2 * b1)))
+        table["implicit"] = F0 / gap if gap > 0 else _INF
+    table["smoothness"] = (1 - 1 / mpmath.sqrt(2)) / L / (1 + mpmath.sqrt(1 + 2 * b1))
     s = mpmath.sqrt(F0) + mpmath.sqrt(b2)
-    branches.append(_INF if s == 0 else (tau ** 2 / Lm ** 2) / (16 * s ** 2))
-    return float(min(branches))
+    table["tau_sq"] = _INF if s == 0 else (tau ** 2 / Lm ** 2) / (16 * s ** 2)
+    return _result(table, branches)
 
 
-def stepsize_dp(L, L_max, tau, norms, F0, mu, nu):
+def stepsize_dp(L, L_max, tau, norms, F0, mu, nu, branches=False):
     L = _mpf(L)
     Lm = _mpf(L_max)
     tau = _mpf(tau)
@@ -81,16 +90,16 @@ def stepsize_dp(L, L_max, tau, norms, F0, mu, nu):
     b1 = (1 + 2 / eta) * (1 - eta) * (1 - eta / 2) / eta * (Lm / L) ** 2
     G0 = mpmath.sqrt(sum((abs(v - tau) + nu) ** 2 for v in ns) / n)
     b2 = F0 + tau * G0 / (2 * mpmath.sqrt(2 * eta) * Lm)
-    branches = [eta / (4 * mu), 2 * mu / Lm ** 2]
+    table = {"eta_mu": eta / (4 * mu), "mu_L_max": 2 * mu / Lm ** 2, "implicit": _INF}
     thr = tau / 2
     if B > thr:
         c = 2 / eta * G0 ** 2
         gap = (B - thr) ** 2 - c
-        branches.append(F0 / gap if gap > 0 else _INF)
-    branches.append((1 - 1 / mpmath.sqrt(2)) / (L * (1 + mpmath.sqrt(1 + 8 * b1))))
+        table["implicit"] = F0 / gap if gap > 0 else _INF
+    table["smoothness"] = (1 - 1 / mpmath.sqrt(2)) / (L * (1 + mpmath.sqrt(1 + 8 * b1)))
     s = mpmath.sqrt(F0) + mpmath.sqrt(b2)
-    branches.append(_INF if s == 0 else tau ** 2 / (64 * Lm ** 2 * s ** 2))
-    return float(min(branches))
+    table["tau_sq"] = _INF if s == 0 else tau ** 2 / (64 * Lm ** 2 * s ** 2)
+    return _result(table, branches)
 
 
 def _theta_grid():
@@ -112,7 +121,7 @@ def press_beta(alpha, eta):
     return best
 
 
-def stepsize_press(L, L_max, tau, norms, F0, alpha):
+def stepsize_press(L, L_max, tau, norms, F0, alpha, branches=False):
     L = _mpf(L)
     Lm = _mpf(L_max)
     tau = _mpf(tau)
@@ -130,17 +139,16 @@ def stepsize_press(L, L_max, tau, norms, F0, alpha):
     G0 = mpmath.sqrt(sum((max(_mpf(0), v - tau) + root * tau) ** 2 for v in ns) / n)
     b1 = 2 * max((1 - beta) * (1 + 2 / beta), (1 - alpha) * (1 + 2 / alpha)) / beta * (Lm / L) ** 2
     b2 = F0 + G0 * r * tau / (mpmath.sqrt(2 * beta) * Lm)
-    branches = []
-    branches.append(_INF if root == 0 else r / (2 * root * Lm))
+    table = {"compression": _INF if root == 0 else r / (2 * root * Lm), "implicit": _INF}
     thr = r * tau
     if B > thr:
         c = G0 ** 2 / beta
         gap = (B - thr) ** 2 - c
-        branches.append(F0 / gap if gap > 0 else _INF)
-    branches.append((1 - 1 / mpmath.sqrt(2)) / (L * (1 + mpmath.sqrt(1 + 2 * b1))))
+        table["implicit"] = F0 / gap if gap > 0 else _INF
+    table["smoothness"] = (1 - 1 / mpmath.sqrt(2)) / (L * (1 + mpmath.sqrt(1 + 2 * b1)))
     s = mpmath.sqrt(F0) + mpmath.sqrt(b2)
-    branches.append(_INF if s == 0 else r ** 2 * tau ** 2 / (16 * Lm ** 2 * s ** 2))
-    return float(min(branches))
+    table["tau_sq"] = _INF if s == 0 else r ** 2 * tau ** 2 / (16 * Lm ** 2 * s ** 2)
+    return _result(table, branches)
 
 
 def sigma_floor(tau, K, eps, delta, alpha):

@@ -29,6 +29,7 @@ from clipshift import (
     rate_envelope,
     run,
     sigma_min,
+    stepsize_branches,
     stepsize_dp,
     stepsize_multi,
     stepsize_press,
@@ -90,7 +91,8 @@ def test_criterion_02_stuck_point_escape():
         assert batch.x[0] == 1.0  # bit-identical every step
 
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=tau, grad0_norms=(2.0, 1.0), F0=0.25)
-    gamma = certified_stepsize("clip21_gd", inputs)
+    branches, binding = stepsize_branches("clip21_gd", inputs)
+    gamma = branches[binding]
     # no node clips from step k* on (criterion 04), and from there the
     # shifted method is exactly GD on f = x^2/4, which shrinks the squared
     # gradient norm, 0.25 at the start, by (1 - gamma/2)^2 per step; the
@@ -105,10 +107,11 @@ def test_criterion_02_stuck_point_escape():
     final_gsq = _final_grad_sq(problem, final)
     assert time.perf_counter() - started < 1.0
     assert final_gsq < target, (
-        f"second clause: at the certified stepsize gamma={gamma:.17g} with "
-        f"clipping horizon k*={horizon}, the derived budget of K={budget} steps "
-        f"has closed-form bound 0.25*(1 - gamma/2)^(2(K - k*))={bound:.6e}, but "
-        f"the squared gradient norm reached {final_gsq:.6e}, not below {target:g}"
+        f"second clause: at the certified stepsize gamma={gamma:.17g} (its "
+        f"{binding} branch binds) with clipping horizon k*={horizon}, the derived "
+        f"budget of K={budget} steps has closed-form bound "
+        f"0.25*(1 - gamma/2)^(2(K - k*))={bound:.6e}, but the squared gradient "
+        f"norm reached {final_gsq:.6e}, not below {target:g}"
     )
 
 

@@ -43,6 +43,13 @@ _SHARDS = heterogeneous_split(_DATA, 2)
 CALLS = {
     "StepsizeInputs": (StepsizeInputs, _INPUTS, ("L", "L_max", "tau", "F0"), ()),
     "eta_of": (eta_of, dict(tau=0.5, grad0_norms=(1.0, 2.0)), ("tau",), ()),
+    # a bad norm first or last, through the norms check StepsizeInputs shares
+    "eta_of-norms": (
+        lambda first, last: eta_of(0.5, (first, last)),
+        dict(first=1.0, last=2.0),
+        ("first", "last"),
+        (),
+    ),
     "stepsize_dp": (
         lambda **kw: stepsize_dp(StepsizeInputs(**_INPUTS, **kw)),
         dict(mu=0.1, nu=0.01),

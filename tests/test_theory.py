@@ -1,6 +1,7 @@
 """Stepsize rules, certificates, and bounds against the independent oracle."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from clipshift import (
     rate_envelope,
     run,
     sigma_min,
+    stepsize_branches,
     stepsize_dp,
     stepsize_multi,
     stepsize_press,
@@ -165,6 +167,79 @@ def test_rules_match_oracle_spot_checks():
     )
 
 
+def _branch_cases():
+    """(method, inputs) at the spot checks above and at criterion 09's
+    sweep, whose seed and draws are replayed here in order."""
+    yield "clip21_gd", StepsizeInputs(L=2.0, L_max=2.0, tau=0.5, grad0_norms=(3.0,), F0=1.7)
+    yield "clip21_gd", StepsizeInputs(L=1.5, L_max=2.5, tau=0.8, grad0_norms=(2.0, 0.3, 1.1), F0=0.9)
+    yield "dp_clip21_gd", StepsizeInputs(
+        L=1.2, L_max=2.0, tau=1.0, grad0_norms=(1.5, 0.5), F0=0.6, mu=0.05, nu=0.1
+    )
+    yield "press_clip21_gd", StepsizeInputs(
+        L=1.0, L_max=1.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=1.0, alpha_press=1.0
+    )
+    rnd = random.Random(20240819)
+    for case in range(10):
+        L = rnd.uniform(0.5, 3.0)
+        L_max = L * rnd.uniform(1.0, 2.0)
+        tau = rnd.uniform(0.05, 2.0)
+        if case == 0:
+            norms = (0.0,)
+        elif case == 1:
+            norms = (rnd.uniform(0.0, 3.0),)
+        else:
+            norms = tuple(rnd.uniform(0.0, 3.0) for _ in range(rnd.choice([2, 5, 10])))
+        F0 = rnd.uniform(0.0, 4.0)
+        mu = rnd.uniform(0.01, 0.5)
+        nu = 0.0 if case == 2 else rnd.uniform(0.0, 0.2)
+        rnd.choice([10, 100, 1000])  # K, then eps, delta and alpha_frac, unused here
+        for _ in range(3):
+            rnd.random()
+        alpha = rnd.uniform(0.8, 1.0)
+        base = dict(L=L, L_max=L_max, tau=tau, F0=F0)
+        yield "clip21_gd", StepsizeInputs(grad0_norms=norms, **base)
+        yield "dp_clip21_gd", StepsizeInputs(grad0_norms=norms, mu=mu, nu=nu, **base)
+        press_norms = tuple(min(g, 1.2 * tau) for g in norms)
+        yield "press_clip21_gd", StepsizeInputs(grad0_norms=press_norms, alpha_press=alpha, **base)
+        for _ in range(4):  # phi0, gamma, eta and s2 of the utility check
+            rnd.random()
+
+
+def _oracle_branches(method, inp):
+    args = (inp.L, inp.L_max, inp.tau, inp.grad0_norms, inp.F0)
+    if method == "dp_clip21_gd":
+        return oracle.stepsize_dp(*args, inp.mu, inp.nu, branches=True)
+    if method == "press_clip21_gd":
+        return oracle.stepsize_press(*args, inp.alpha_press, branches=True)
+    if inp.n == 1:
+        return oracle.stepsize_single(inp.L, inp.tau, inp.grad0_norms[0], inp.F0, branches=True)
+    return oracle.stepsize_multi(*args, branches=True)
+
+
+@pytest.mark.parametrize("method, inputs", list(_branch_cases()))
+def test_every_branch_and_the_binding_name_match_the_oracle(method, inputs):
+    # the minimum alone would let a wrong branch that does not bind pass
+    ours, binding = stepsize_branches(method, inputs)
+    table = _oracle_branches(method, inputs)
+    assert list(ours) == list(table)
+    for name, ref in table.items():
+        if math.isinf(ref):
+            assert ours[name] == math.inf, name
+        else:
+            assert _rel_gap(ours[name], ref) <= 1e-12, name
+    assert binding == min(table, key=table.get)
+
+
+def test_counterexample_binds_on_its_tau_sq_branch():
+    inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=0.25)
+    branches, binding = stepsize_branches("clip21_gd", inputs)
+    assert binding == "tau_sq"
+    assert branches["tau_sq"] == certified_stepsize("clip21_gd", inputs) == stepsize_multi(inputs)
+    assert branches["smoothness"] == pytest.approx(0.0434, rel=1e-3)
+    assert branches["implicit"] == pytest.approx(0.417, rel=1e-3)
+    assert stepsize_branches("gd", inputs) == ({"inverse_L": 1.0}, "inverse_L")
+
+
 def test_stepsize_preconditions():
     with pytest.raises(ConfigurationError):
         stepsize_single(
@@ -280,6 +355,19 @@ def test_f_inf_estimate_lower_bounds_descent(logistic_problem, logistic_x0, logi
     cfg = MethodConfig(method="gd", gamma=0.5, iters=200)
     _, records = run([cfg], logistic_problem, logistic_x0)
     assert all(r.f >= logistic_f_inf for r in records)
+
+
+@pytest.mark.parametrize("alpha", [None, math.nan, 0.0, 1.5])
+def test_press_weight_checks_alpha_as_its_rule_does(alpha):
+    inputs = StepsizeInputs(
+        L=1.0, L_max=2.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=0.25, alpha_press=alpha
+    )
+    with pytest.raises(ConfigurationError) as rule_error:
+        certified_stepsize("press_clip21_gd", inputs)
+    with pytest.raises(ConfigurationError) as weight_error:
+        lyapunov_weight("press_clip21_gd", 0.1, inputs)
+    assert not isinstance(weight_error.value, InfeasibleStepsizeError)
+    assert str(weight_error.value) == str(rule_error.value)
 
 
 def test_press_stepsize_requires_feasible_margin():

@@ -178,6 +178,11 @@ def kinds(files: dict) -> list:
         ("avg-lambda", avg + ["--tau", "0.05", "--lambda", "0.01"]),
         ("avg-nonconvex", avg + ["--tau", "0.05", "--reg", "nonconvex", "--lambda", "0.1", "--x0", "0.5"]),
         ("avg-ignores-mu-sigma", avg + ["--tau", "0.5", "--mu", "-1", "--sigma", "-1", "--L", "-1"]),
+        # the single-node rule and the compressed rule with a margin: no other
+        # --gamma auto kind reaches them with a finite stepsize
+        ("clip21-gd-auto-nodes1", clip21 + ["--gamma", "auto", "--nodes", "1"]),
+        ("press-clip21-gd-auto-topk3", base + ["--method", "press-clip21-gd", "--tau", "0.5"]
+         + ["--compressor", "topk:3", "--gamma", "auto"]),
         ("clip21-gd-lambda", clip21 + ["--lambda", "0.01"]),
         ("clip21-gd-nonconvex", clip21 + ["--reg", "nonconvex", "--lambda", "0.1"]),
         ("linreg-clip21-gd", clip21 + ["--problem", "linreg", "--gamma", "0.01"]),
