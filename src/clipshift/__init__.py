@@ -25,8 +25,8 @@ from .errors import (
 from .ops import Compressor, clip, compress, node_mean
 from .optimizers import (
     METHODS,
+    TRACE_DTYPE,
     Batch,
-    IterationRecord,
     MethodConfig,
     OptimizerState,
     run,
@@ -62,7 +62,6 @@ __all__ = [
     "DivergenceError",
     "InfeasibleStepsizeError",
     "InvariantError",
-    "IterationRecord",
     "KINDS",
     "METHODS",
     "MethodConfig",
@@ -72,6 +71,7 @@ __all__ = [
     "REGULARIZERS",
     "SmoothnessInfo",
     "StepsizeInputs",
+    "TRACE_DTYPE",
     "certified_stepsize",
     "clip",
     "compress",

@@ -262,30 +262,37 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# one CSV row, the first 8 fields of a record; %.17g writes the bytes _fmt does
+# one CSV row, the first 8 fields of a trace row; %.17g writes the bytes _fmt does
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d\n"
+_CSV_FIELDS = CSV_HEADER.split(",")
+# rows formatted per write: the Python tuples of one chunk at a time
+_CSV_CHUNK = 256
 
 
-def write_csv(records, path: str) -> None:
-    if not records:
-        raise ValueError("refusing to write an empty trace")
+def write_csv(trace, path: str) -> None:
+    """Write the rows of a trace, or of a view of one, as CSV: the header,
+    then each row's CSV_HEADER fields with _CSV_ROW, _CSV_CHUNK rows at a
+    time. A float64 formats as the float it holds, so the bytes do not
+    depend on the chunking."""
+    if not len(trace):
+        raise ConfigurationError("refusing to write an empty trace")
+    rows = trace[_CSV_FIELDS]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(CSV_HEADER + "\n")
-            for r in records:
-                handle.write(_CSV_ROW % r[:8])
+            for start in range(0, len(rows), _CSV_CHUNK):
+                handle.write("".join(map(_CSV_ROW.__mod__, rows[start : start + _CSV_CHUNK].tolist())))
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def iters_to_all_inactive(records) -> int:
+def iters_to_all_inactive(trace) -> int:
     """First index from which no node clips again; -1 if clipping persists."""
-    active = [r.k for r in records if r.active_nodes > 0]
-    if not active:
+    clipping = np.flatnonzero(trace.active_nodes)
+    if not clipping.size:
         return 0
-    if active[-1] == records[-1].k:
-        return -1
-    return active[-1] + 1
+    last = int(trace.k[clipping[-1]])
+    return -1 if last == trace.k[-1] else last + 1
 
 
 def _summary_line(method, final_f, final_gsq, inactive_at, gamma, horizon) -> str:
@@ -313,6 +320,12 @@ def run_experiment(cfg: RunConfig) -> int:
         f0, grads = problem.evaluate(x0)
         norms = tuple(float(np.linalg.norm(g)) for g in grads)
     if not np.isfinite(norms).all():
+        if np.isfinite(grads).all():  # only the sum of squares inside the norm overflowed
+            node = int(np.flatnonzero(~np.isfinite(norms))[0])
+            raise ConfigurationError(
+                f"the norm of node {node}'s gradient at x0 overflows: its entries are finite, "
+                "but their sum of squares exceeds the float64 range"
+            )
         raise ConfigurationError("gradient norms must be finite and non-negative")
     if cfg.method == "clip21_avg":
         # clip21-gd at gamma 0: x stays at x0, so the shifts track grads; with
@@ -380,12 +393,12 @@ def run_experiment(cfg: RunConfig) -> int:
             for gamma in gammas
         ]
         coeffs = [lyapunov_weight(cfg.method, gamma, inputs) for gamma in gammas]
-    finals, records = run(method_cfgs, problem, x0, v0=v0, f_inf=f_inf, lyapunov_coeffs=coeffs)
-    traces = [[] for _ in gammas]
-    for record in records:
-        traces[record.run].append(record)
-    finished = []  # (final grad_norm_sq, child index, gamma, final f, records)
-    for idx, (gamma, path, final, trace) in enumerate(zip(gammas, paths, finals, traces)):
+    finals, trace = run(method_cfgs, problem, x0, v0=v0, f_inf=f_inf, lyapunov_coeffs=coeffs)
+    R = len(gammas)
+    whole = len(trace) == cfg.iters * R  # no run left early: child r's rows are r, r + R, ...
+    finished = []  # (final grad_norm_sq, child index, gamma, final f, rows)
+    for idx, (gamma, path, final) in enumerate(zip(gammas, paths, finals)):
+        rows = trace[idx::R] if whole else trace[trace.run == idx]
         if not isinstance(final, DivergenceError):
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
@@ -396,28 +409,28 @@ def run_experiment(cfg: RunConfig) -> int:
                 final = DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
         if isinstance(final, DivergenceError):
             # the partial trace stays behind for inspection
-            if trace:
-                write_csv(trace, path)
+            if len(rows):
+                write_csv(rows, path)
             if not grid:
                 print(f"diverged: {final}", file=sys.stderr)
                 return 4
             print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({final})")
             continue
-        write_csv(trace, path)
+        write_csv(rows, path)
         if grid:
             print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-        finished.append((final_gsq, idx, gamma, final_f, trace))
+        finished.append((final_gsq, idx, gamma, final_f, rows))
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4
-    final_gsq, idx, gamma, final_f, records = min(finished, key=lambda r: r[0])
+    final_gsq, idx, gamma, final_f, rows = min(finished, key=lambda r: r[0])
     if grid:
         try:  # the child's trace is already formatted in its own file
             shutil.copyfile(paths[idx], cfg.out)
         except OSError as exc:
             raise DataFormatError(f"cannot write {cfg.out}: {exc}") from exc
         print(f"grid best: child {idx} (gamma={_fmt(gamma)})")
-    print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(records), gamma, horizon))
+    print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(rows), gamma, horizon))
     return 0
 
 

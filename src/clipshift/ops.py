@@ -31,9 +31,9 @@ def check_vector(x, stack: bool = False) -> np.ndarray:
     stack, a 2-d (R, d) stack of such vectors is accepted as well."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 and not (stack and arr.ndim == 2):
-        raise ValueError(f"expected a 1-d vector{' or a 2-d stack' if stack else ''}, got shape {arr.shape}")
+        raise ConfigurationError(f"expected a 1-d vector{' or a 2-d stack' if stack else ''}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("vector has non-finite components")
+        raise ConfigurationError("vector has non-finite components")
     return arr
 
 
@@ -162,6 +162,6 @@ def node_mean(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim not in (2, 3):
-        raise ValueError(f"expected an (n, d) or (R, n, d) array, got shape {rows.shape}")
+        raise ConfigurationError(f"expected an (n, d) or (R, n, d) array, got shape {rows.shape}")
     # the same sum-then-divide as rows.mean(axis=-2), without its overhead
     return np.add.reduce(rows, axis=-2) / rows.shape[-2]

@@ -2,13 +2,13 @@
 
 Plain GD, clipped GD with and without privacy noise, shifted clipping
 for optimization, its noisy variant, and its compressed variant all run
-through one loop that emits per-iteration telemetry. The shifted
-clipping iteration for fixed targets, clip21_avg, is shifted clipping at
-gamma = 0: the iterate stays at x0, so the shifts track the fixed local
-gradients there. The loop steps a batch: runs that share the problem
-and the method but differ in gamma, sigma and seed (a stepsize grid, a
-noise sweep) take each step together, and each run is bit-identical to
-its solo run.
+through one loop that writes per-iteration telemetry into one trace
+array. The shifted clipping iteration for fixed targets, clip21_avg, is
+shifted clipping at gamma = 0: the iterate stays at x0, so the shifts
+track the fixed local gradients there. The loop steps a batch: runs
+that share the problem and the method but differ in gamma, sigma and
+seed (a stepsize grid, a noise sweep) take each step together, and each
+run is bit-identical to its solo run.
 
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
@@ -22,7 +22,6 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
     "Batch",
     "MethodConfig",
     "OptimizerState",
-    "IterationRecord",
+    "TRACE_DTYPE",
     "run",
     "step",
 ]
@@ -124,22 +123,23 @@ class OptimizerState:
     active: np.ndarray
 
 
-class IterationRecord(NamedTuple):
-    """Telemetry measured at x_k while stepping to x_{k+1}: lyapunov is
-    f - f_inf + (A/n) sum_i ||grad_i(x_k) - v_k^i||^2 with the post-update
-    shifts, v_norm the norm of the pre-gamma update direction. run is the
-    index of the config in the batch that produced the record. A named
-    tuple, since a batch makes one per run and step."""
-
-    k: int
-    f: float
-    grad_norm_sq: float
-    lyapunov: float
-    active_nodes: int
-    v_norm: float
-    gamma: float
-    wall_micros: int
-    run: int = 0
+# one row of a run's trace: the telemetry measured at x_k while stepping to
+# x_{k+1}. lyapunov is f - f_inf + (A/n) sum_i ||grad_i(x_k) - v_k^i||^2
+# with the post-update shifts, v_norm the norm of the pre-gamma update
+# direction, and run the index of the config in the batch. 72 bytes a row
+TRACE_DTYPE = np.dtype(
+    [
+        ("k", np.int64),
+        ("f", np.float64),
+        ("grad_norm_sq", np.float64),
+        ("lyapunov", np.float64),
+        ("active_nodes", np.int64),
+        ("v_norm", np.float64),
+        ("gamma", np.float64),
+        ("wall_micros", np.int64),
+        ("run", np.int64),
+    ]
+)
 
 
 class Batch:
@@ -164,7 +164,8 @@ class Batch:
     steps so far, the scale of the rounding v_bar may have accumulated,
     each term a sum of per-node squared norms taken in node order. A
     run that leaves (it diverged) is dropped from every array, and the
-    others go on unchanged.
+    others go on unchanged. The batch holds no telemetry: run writes each
+    step's values of the runs in ids into the trace rows of that step.
     """
 
     def __init__(self, cfgs, problem, x0, v0=None):
@@ -358,40 +359,58 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     for each config of cfgs, as one batch.
 
     The configs may differ only in gamma, sigma and seed. Returns (finals,
-    records): finals[r] is config r's final OptimizerState, holding x_K,
-    or the DivergenceError that stopped it the moment its iterate or
-    objective value stopped being finite; records is the flat list of
-    every IterationRecord produced, one per run-step executed, in step
-    order and, within a step, in config order. Record k of run r describes
-    r's iterate x_k. lyapunov_coeffs[r] is the shift weight A of run r in
-    phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2; omitted, every
+    trace): finals[r] is config r's final OptimizerState, holding x_K, or
+    the DivergenceError that stopped it the moment its iterate or
+    objective value stopped being finite. trace is a recarray of
+    TRACE_DTYPE with one row per run-step executed, in step order and,
+    within a step, in config order: row fields k, f, grad_norm_sq,
+    lyapunov, active_nodes, v_norm, gamma and wall_micros describe the
+    iterate x_k of the run r in the run field, so trace.f is a column and
+    trace[0].f a value. lyapunov_coeffs[r] is the shift weight A of run r
+    in phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2; omitted, every
     weight is zero, plain suboptimality telemetry. A batch step's time is
     split evenly over its runs' wall_micros. An InvariantError in any run
     stops the whole batch.
+
+    The trace is allocated at iters * R rows before the first step, and
+    each step writes its runs' values into its own R rows. After the loop,
+    whole-column operations fill k, run and gamma and form lyapunov from
+    the shift terms the steps stored there, elementwise as a step's
+    scalars would be. The rows a run did not reach, from the step where it
+    left, are then dropped; so when no run left, row k * R + r is run r's
+    step k.
     """
     cfgs = tuple(cfgs)
     batch = Batch(cfgs, problem, x0, v0)
-    iters = batch.cfg.iters
-    gammas = [c.gamma for c in cfgs]
-    weights = np.zeros(len(cfgs)) if lyapunov_coeffs is None else np.array(lyapunov_coeffs, dtype=np.float64)
-    if weights.shape != (len(cfgs),):
+    R, iters = len(cfgs), batch.cfg.iters
+    weights = np.zeros(R) if lyapunov_coeffs is None else np.array(lyapunov_coeffs, dtype=np.float64)
+    if weights.shape != (R,):
         raise ConfigurationError(f"need one Lyapunov weight per config, got shape {weights.shape}")
-    if not batch.lead:
-        weights = weights[0]
-    finals = [None] * len(cfgs)
-    records = []
-    ids = batch.ids.tolist()
+    finals = [None] * R
+    recorded = np.full(R, iters)  # steps each run recorded: iters, or the step it left at
+    try:
+        trace = np.zeros(iters * R, TRACE_DTYPE).view(np.recarray)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an address space holds
+        raise ConfigurationError(
+            f"a trace of {iters * R} rows ({iters} iters x {R} configs) of {TRACE_DTYPE.itemsize} bytes "
+            "cannot be allocated"
+        ) from None
+    grid = trace.reshape(iters, R)  # row k is step k, column r run r
+    # the per-step fields; lyapunov holds the shift term until the loop ends
+    names = ("f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "wall_micros")
+    columns = [grid[name] if batch.lead else trace[name] for name in names]
+    where = slice(None)  # the grid columns of the runs still in the batch
 
     def leave(stay, message, k):
-        # the runs where the mask stay is False end here, with their trace so far
-        nonlocal weights, ids
+        # the runs where the mask stay is False end here, with their rows so far
+        nonlocal where
         stay = np.reshape(stay, -1)
-        for r in batch.ids[~stay].tolist():
+        gone = batch.ids[~stay]
+        for r in gone.tolist():
             finals[r] = DivergenceError(message, step=k)
-        if batch.lead:
-            weights = weights[stay]
+        recorded[gone] = k
         batch.keep(stay)
-        ids = batch.ids.tolist()
+        where = batch.ids
 
     # blowups surface as inf through the finiteness checks, so numpy's
     # overflow warnings would only add noise here
@@ -400,29 +419,32 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
             started = time.perf_counter_ns()
             if not np.isfinite(batch.x).all():
                 leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {k}", k)
-                if not ids:
+                if not batch.ids.size:
                     break
             f, grad_sq, shift_sq, v_norm, active = step(batch)
-            lyapunov = (f - f_inf) + weights * shift_sq
-            if batch.lead:
-                counts = active.sum(axis=-1)
-                rows = zip(ids, f.tolist(), grad_sq.tolist(), lyapunov.tolist(), counts.tolist(), v_norm.tolist())
-            else:
-                count = int(np.count_nonzero(active))
-                rows = [(ids[0], float(f), float(grad_sq), float(lyapunov), count, float(v_norm))]
-            wall = (time.perf_counter_ns() - started) // (1000 * len(ids))
-            stay = []
-            for r, f_r, grad_sq_r, *rest in rows:
-                stay.append(math.isfinite(f_r) and math.isfinite(grad_sq_r))
-                if stay[-1]:
-                    records.append(IterationRecord(k, f_r, grad_sq_r, *rest, gammas[r], wall, r))
-            if not all(stay):
+            wall = (time.perf_counter_ns() - started) // (1000 * batch.ids.size)
+            if batch.lead:  # one row write per column
+                for column, value in zip(columns, (f, grad_sq, shift_sq, active.sum(axis=-1), v_norm, wall)):
+                    column[k, where] = value
+            else:  # one item write per column
+                for column, value in zip(columns, (f, grad_sq, shift_sq, np.count_nonzero(active), v_norm, wall)):
+                    column[k] = value
+            stay = np.isfinite(f) & np.isfinite(grad_sq)
+            if not stay.all():
                 leave(stay, f"non-finite objective at iteration {k}", k)
-                if not ids:
+                if not batch.ids.size:
                     break
-    if ids and not np.isfinite(batch.x).all():
-        leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {iters}", iters)
-    for row, r in enumerate(ids):
-        finals[r] = batch.state(row)
-    return finals, records
-
+        if batch.ids.size and not np.isfinite(batch.x).all():
+            leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {iters}", iters)
+        for row, r in enumerate(batch.ids.tolist()):
+            finals[r] = batch.state(row)
+        # (f - f_inf) + A * shift term, the same two roundings as a step's scalars
+        lyapunov = grid["lyapunov"]
+        np.multiply(lyapunov, weights, out=lyapunov)
+        lyapunov += grid["f"] - f_inf
+    grid["gamma"] = [c.gamma for c in cfgs]
+    grid["k"] = np.arange(iters)[:, None]
+    grid["run"] = np.arange(R)
+    if (recorded < iters).any():
+        trace = trace[trace.k < recorded[trace.run]]
+    return finals, trace

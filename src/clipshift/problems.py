@@ -163,7 +163,7 @@ class Problem:
         """
         x = check_vector(x, stack=True)
         if x.shape[-1] != self.d:
-            raise ValueError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
+            raise ConfigurationError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
         if self.kind == "quad_counterexample":  # the mean of its two local values
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence

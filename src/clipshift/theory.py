@@ -94,9 +94,23 @@ def _start(inp: StepsizeInputs):
     return norms, eta_of(inp.tau, inp.grad0_norms), float(norms.max()), (inp.L_max / inp.L) ** 2
 
 
-def _shift_gap(eta: float) -> float:
-    # 1 - (1-eta)(1-eta/2), the per-step shift-tracking contraction
-    return 1.0 - (1.0 - eta) * (1.0 - 0.5 * eta)
+def _nonzero(value: float, what: str) -> float:
+    """value, a divisor of a stepsize rule or of the Lyapunov weight;
+    InfeasibleStepsizeError naming what rounded to 0 when it is 0."""
+    if value == 0.0:
+        raise InfeasibleStepsizeError(f"{what} rounds to 0, and the certificate divides by it")
+    return value
+
+
+def _shift_gap(eta: float, tau: float) -> float:
+    # 1 - (1-eta)(1-eta/2), the per-step shift-tracking contraction; below
+    # eta of about 1.1e-16 both factors round to 1
+    gap = 1.0 - (1.0 - eta) * (1.0 - 0.5 * eta)
+    return _nonzero(gap, f"the shift gap 1 - (1-eta)(1-eta/2) at tau={tau}, eta={eta}")
+
+
+def _L_max_sq(inp: StepsizeInputs) -> float:
+    return _nonzero(inp.L_max**2, f"L_max^2 at L_max={inp.L_max}")
 
 
 def _implicit_branch(F0: float, B: float, threshold: float, slope: float) -> float:
@@ -141,7 +155,8 @@ def _single(inp: StepsizeInputs) -> dict:
         raise ConfigurationError(f"single-node rule needs n=1, got n={inp.n}")
     norm0 = inp.grad0_norms[0]
     eta = eta_of(inp.tau, inp.grad0_norms)
-    beta1 = (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / _shift_gap(eta)
+    gap = _shift_gap(eta, inp.tau)
+    beta1 = (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap
     beta2 = inp.F0 + inp.tau * abs(norm0 - inp.tau) / (math.sqrt(2.0 * eta) * inp.L)
     return {
         "smoothness": _SMOOTH / (1.0 + math.sqrt(1.0 + 2.0 * beta1)) / inp.L,
@@ -151,7 +166,7 @@ def _single(inp: StepsizeInputs) -> dict:
 
 def _multi(inp: StepsizeInputs) -> dict:
     norms, eta, B, ratio_sq = _start(inp)
-    gap = _shift_gap(eta)
+    gap = _shift_gap(eta, inp.tau)
     beta1 = 2.0 * (1.0 - eta) ** 2 * (1.0 + 2.0 / eta) / gap * ratio_sq
     # signed differences, exactly as printed; entries below tau only
     # inflate beta2, which keeps the bound conservative
@@ -161,7 +176,7 @@ def _multi(inp: StepsizeInputs) -> dict:
     return {
         "implicit": _implicit_branch(inp.F0, B, inp.tau, slope),
         "smoothness": _SMOOTH / inp.L / (1.0 + math.sqrt(1.0 + 2.0 * beta1)),
-        "tau_sq": _tau_sq(inp.tau**2, 16.0, inp.F0, beta2, over=inp.L_max**2),
+        "tau_sq": _tau_sq(inp.tau**2, 16.0, inp.F0, beta2, over=_L_max_sq(inp)),
     }
 
 
@@ -176,7 +191,7 @@ def _dp(inp: StepsizeInputs) -> dict:
     beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
     return {
         "eta_mu": eta / (4.0 * mu),
-        "mu_L_max": 2.0 * mu / inp.L_max**2,
+        "mu_L_max": 2.0 * mu / _L_max_sq(inp),
         "implicit": _implicit_branch(inp.F0, B, 0.5 * inp.tau, (2.0 / eta) * G0**2),
         "smoothness": _SMOOTH / (inp.L * (1.0 + math.sqrt(1.0 + 8.0 * beta1))),
         "tau_sq": _tau_sq(inp.tau**2, 64.0 * inp.L_max**2, inp.F0, beta2),
@@ -296,7 +311,7 @@ def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
     gamma = check_real("gamma", gamma)
     eta = eta_of(inputs.tau, inputs.grad0_norms)
     if method == "clip21_gd":
-        return gamma / (2.0 * _shift_gap(eta))
+        return gamma / (2.0 * _shift_gap(eta, inputs.tau))
     if method == "dp_clip21_gd":
         return 2.0 * gamma / eta
     if method == "press_clip21_gd":

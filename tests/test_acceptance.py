@@ -122,12 +122,12 @@ def test_criterion_03_certified_descent(logistic_problem, logistic_x0, logistic_
         gamma = certified_stepsize("clip21_gd", inputs)
         coeff = lyapunov_weight("clip21_gd", gamma, inputs)
         cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=5001, tau=tau)
-        _, records = run(
+        _, trace = run(
             [cfg], logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeffs=[coeff]
         )
-        for prev, cur in zip(records, records[1:]):
-            drop = (gamma / 2.0) * prev.grad_norm_sq
-            assert cur.lyapunov <= prev.lyapunov - drop + 1e-10
+        phi, gsq = trace.lyapunov, trace.grad_norm_sq
+        drop = (gamma / 2.0) * gsq[:-1]
+        assert (phi[1:] <= phi[:-1] - drop + 1e-10).all()
     assert time.perf_counter() - started < 10.0
 
 
@@ -227,12 +227,12 @@ def test_criterion_06_rate_envelope(logistic_problem, logistic_x0, logistic_f_in
     gamma = certified_stepsize("clip21_gd", inputs)
     coeff = lyapunov_weight("clip21_gd", gamma, inputs)
     cfg = MethodConfig(method="clip21_gd", gamma=gamma, iters=1000, tau=tau)
-    _, records = run(
+    _, trace = run(
         [cfg], logistic_problem, logistic_x0, f_inf=logistic_f_inf, lyapunov_coeffs=[coeff]
     )
-    phi0 = records[0].lyapunov
+    phi0 = trace.lyapunov[0]
     for K in (10, 100, 1000):
-        best = min(r.grad_norm_sq for r in records[:K])
+        best = trace.grad_norm_sq[:K].min()
         assert best <= rate_envelope(phi0, gamma, K)
     assert time.perf_counter() - started < 10.0
 
@@ -281,12 +281,12 @@ def test_criterion_07_noisy_utility_bound():
         )
         for seed in range(20)
     ]
-    finals, records = run(cfgs, problem, x0, f_inf=f_inf, lyapunov_coeffs=[coeff] * len(cfgs))
+    finals, trace = run(cfgs, problem, x0, f_inf=f_inf, lyapunov_coeffs=[coeff] * len(cfgs))
     for seed, final in enumerate(finals):
         assert not isinstance(final, DivergenceError), f"seed {seed}: {final}"
-        trace = [r for r in records if r.run == seed]
-        phi0 = trace[0].lyapunov
-        phiK = trace[K].lyapunov
+        phi = trace.lyapunov[trace.run == seed]
+        phi0 = phi[0]
+        phiK = phi[K]
         bound = dp_utility_bound(phi0, gamma, mu, K, noise_sq, eta)
         assert phiK <= bound, f"seed {seed}: phi_K={phiK:.6e} above bound {bound:.6e}"
     assert time.perf_counter() - started < 5.0

@@ -1,5 +1,7 @@
 """A batch of runs steps as one: each run is bit-identical to its solo run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,23 +25,22 @@ from conftest import WIDE_NODES, make_wide_sparse_text
 
 
 def _solo(cfg, problem, x0, coeff=0.0):
-    [final], records = run([cfg], problem, x0, f_inf=0.1, lyapunov_coeffs=[coeff])
-    return final, records
+    [final], trace = run([cfg], problem, x0, f_inf=0.1, lyapunov_coeffs=[coeff])
+    return final, trace
 
 
-def _strip(record):
-    # every field but the timing, which no two runs share
-    return record._replace(wall_micros=0, run=0)
+def _strip(trace):
+    # every field but the timing, which no two runs share, and the run index
+    return trace[["k", "f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "gamma"]].tolist()
 
 
 def _assert_batch_matches_solo(cfgs, problem, x0, coeffs=None):
     coeffs = coeffs or [0.0] * len(cfgs)
-    finals, records = run(cfgs, problem, x0, f_inf=0.1, lyapunov_coeffs=coeffs)
+    finals, trace = run(cfgs, problem, x0, f_inf=0.1, lyapunov_coeffs=coeffs)
     assert len(finals) == len(cfgs)
     for r, (cfg, final, coeff) in enumerate(zip(cfgs, finals, coeffs)):
-        solo_final, solo_records = _solo(cfg, problem, x0, coeff)
-        mine = [rec for rec in records if rec.run == r]
-        assert [_strip(rec) for rec in mine] == [_strip(rec) for rec in solo_records], r
+        solo_final, solo_trace = _solo(cfg, problem, x0, coeff)
+        assert _strip(trace[trace.run == r]) == _strip(solo_trace), r
         if isinstance(solo_final, DivergenceError):
             assert isinstance(final, DivergenceError)
             assert (str(final), final.step) == (str(solo_final), solo_final.step)
@@ -47,7 +48,7 @@ def _assert_batch_matches_solo(cfgs, problem, x0, coeffs=None):
             assert final.x.tobytes() == solo_final.x.tobytes(), r
             assert final.v.tobytes() == solo_final.v.tobytes(), r
             assert final.v_bar.tobytes() == solo_final.v_bar.tobytes(), r
-    return finals, records
+    return finals, trace
 
 
 _GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -73,8 +74,8 @@ def test_grid_batch_is_bit_identical_to_solo_runs_above_the_blas_cutoff():
     x0 = gaussian_sample(515, problem.n + 1, 0, problem.d, 1.0)
     L = problem.smoothness().L
     cfgs = [MethodConfig("clip21_gd", m / L, 12, tau=0.05) for m in _GRID[1:4]]
-    _, records = _assert_batch_matches_solo(cfgs, problem, x0, coeffs=[0.5, 1.0, 2.0])
-    counts = {rec.active_nodes for rec in records}
+    _, trace = _assert_batch_matches_solo(cfgs, problem, x0, coeffs=[0.5, 1.0, 2.0])
+    counts = set(trace.active_nodes.tolist())
     assert WIDE_NODES in counts and min(counts) < WIDE_NODES  # every node clips, then some stop
 
 
@@ -98,21 +99,55 @@ def test_diverging_run_leaves_the_batch_with_its_partial_trace(quad_problem):
     # on the counterexample gd maps x to (1 - gamma/2) x: gamma 8 gives -3x,
     # whose f overflows at step 324, and gamma 10 gives -4x, at step 256
     cfgs = [MethodConfig("gd", g, 400) for g in (0.5, 8.0, 2.0, 10.0, 1.0)]
-    finals, records = _assert_batch_matches_solo(cfgs, quad_problem, np.array([1.0]))
+    finals, trace = _assert_batch_matches_solo(cfgs, quad_problem, np.array([1.0]))
     assert [type(f).__name__ for f in finals] == ["OptimizerState", "DivergenceError"] * 2 + ["OptimizerState"]
     assert (finals[1].step, finals[3].step) == (324, 256)
-    per_run = [sum(1 for rec in records if rec.run == r) for r in range(len(cfgs))]
+    per_run = np.bincount(trace.run, minlength=len(cfgs)).tolist()
     assert per_run == [400, 324, 400, 256, 400]
-    # one record per run-step executed, in step order, then config order
-    assert len(records) == sum(per_run)
-    assert [(rec.k, rec.run) for rec in records] == sorted((rec.k, rec.run) for rec in records)
+    # one row per run-step executed, in step order, then config order
+    assert len(trace) == sum(per_run)
+    rows = list(zip(trace.k.tolist(), trace.run.tolist()))
+    assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize(
+    "gammas, iters",
+    [((0.5, 1.0, 2.0), 400), ((0.5, 8.0, 2.0, 10.0), 400), ((8.0, 10.0), 400), ((10.0,), 400), ((1.0,), 1)],
+    ids=["none-diverge", "some-diverge", "all-diverge", "lone-diverges", "one-step"],
+)
+def test_trace_has_one_row_per_run_step_executed(quad_problem, gammas, iters):
+    # the benchmark counts a call's steps as len(run(...)[1]), which a
+    # mapping of columns would silently turn into its number of keys
+    finals, trace = run([MethodConfig("gd", g, iters) for g in gammas], quad_problem, np.array([1.0]))
+    steps = [f.step if isinstance(f, DivergenceError) else iters for f in finals]
+    assert isinstance(trace, np.ndarray) and trace.ndim == 1
+    assert len(trace) == sum(steps)
+    assert np.bincount(trace.run, minlength=len(gammas)).tolist() == steps
+    for r, count in enumerate(steps):
+        assert trace.k[trace.run == r].tolist() == list(range(count)), r
+    assert (trace.gamma == np.take(gammas, trace.run)).all()
+
+
+def test_trace_holds_at_most_100_bytes_a_run_step(logistic_problem, logistic_x0):
+    # a 6-run grid of 2 000 steps: 72-byte rows, and the step's working
+    # arrays, whose size does not grow with the step count
+    L = logistic_problem.smoothness().L
+    cfgs = [MethodConfig("clip21_gd", m / L, 2000, tau=0.1) for m in _GRID]
+    tracemalloc.start()
+    try:
+        _, trace = run(cfgs, logistic_problem, logistic_x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 12_000
+    assert peak <= 100 * len(trace), f"peak {peak} B, {peak / len(trace):.1f} B a run-step"
 
 
 def test_every_run_diverging_ends_the_batch(quad_problem):
     cfgs = [MethodConfig("gd", g, 5000) for g in (8.0, 10.0)]
-    finals, records = run(cfgs, quad_problem, np.array([1.0]))
+    finals, trace = run(cfgs, quad_problem, np.array([1.0]))
     assert all(isinstance(f, DivergenceError) for f in finals)
-    assert len(records) == 324 + 256
+    assert len(trace) == 324 + 256
 
 
 def test_batch_configs_may_differ_only_in_gamma_sigma_and_seed(quad_problem):
@@ -227,13 +262,13 @@ def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem,
         for gamma, seed in ((0.1, 1), (1e300, 1), (0.2, 2), (0.05, 1))
     ]
     lengths = _chunk_lengths(monkeypatch)
-    finals, records = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
+    finals, trace = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
     assert isinstance(finals[1], DivergenceError) and finals[1].step == 1
     assert lengths == [300, 300]  # the batch's two seed groups, drawn once
     _assert_batch_matches_solo(cfgs, quad_problem, np.array([1.0]))
     monkeypatch.setattr(Batch, "noise", _per_step_noise)
-    ref_finals, ref_records = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
-    assert [_strip(r) for r in records] == [_strip(r) for r in ref_records]
+    ref_finals, ref_trace = run(cfgs, quad_problem, np.array([1.0]), f_inf=0.1, lyapunov_coeffs=[0.0] * 4)
+    assert _strip(trace) == _strip(ref_trace)
     for final, ref in zip(finals, ref_finals):
         if not isinstance(ref, DivergenceError):
             assert final.x.tobytes() == ref.x.tobytes()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError, InvariantError, Problem, cli, gaussian_sample
+from clipshift import TRACE_DTYPE, ConfigurationError, InvariantError, Problem, cli, gaussian_sample
 from clipshift.cli import (
     CSV_HEADER,
     GRID_MULTIPLES,
@@ -607,6 +607,14 @@ def test_gaussian_x0_draws_from_the_slot_after_aggregate_noise(data_file):
 _TINY_TAU = "error: no finite no-more-clipping horizon at tau=1e-310\n"
 # tau^2 overflows, so no certified stepsize is a finite float
 _HUGE_TAU = "error: no finite certified stepsize at tau=1e+200\n"
+# a divisor of the certificate rounds to 0: the shift gap below eta of about
+# 1.1e-16, and L_max^2 at the counterexample's tiny curvatures
+_NO_GAP = (
+    "error: the shift gap 1 - (1-eta)(1-eta/2) at tau=1e-17, eta=5e-18 rounds to 0, "
+    "and the certificate divides by it\n"
+)
+_NO_L_MAX_SQ = "error: L_max^2 at L_max=1e-300 rounds to 0, and the certificate divides by it\n"
+_TINY_CURVATURES = ["--tau", "1", "--beta-q", "1e-300", "--alpha-q", "1e-301", "--iters", "3"]
 
 
 # (flag overrides on _base_args, or a full argv for the counterexample; exit
@@ -651,6 +659,20 @@ _HUGE_TAU = "error: no finite certified stepsize at tau=1e+200\n"
         ({"--reg": "l1"}, 2, "error: --reg must be l2 or nonconvex, got 'l1'\n"),
         (["--method", "clip21-gd", "--tau", "1e-310", "--gamma", "0.1", "--iters", "3"], 2, _TINY_TAU),
         (["--method", "clip21-avg", "--tau", "1e-310", "--iters", "3"], 2, _TINY_TAU),
+        (["--method", "clip21-gd", "--tau", "1e-17", "--gamma", "auto", "--iters", "3"], 2, _NO_GAP),
+        # an explicit gamma still takes its Lyapunov weight from the gap
+        (["--method", "clip21-gd", "--tau", "1e-17", "--gamma", "0.1", "--iters", "3"], 2, _NO_GAP),
+        (["--method", "clip21-gd"] + _TINY_CURVATURES, 2, _NO_L_MAX_SQ),
+        (["--method", "dp-clip21-gd", "--nu", "0.1", "--mu", "1"] + _TINY_CURVATURES, 2, _NO_L_MAX_SQ),
+        # the trace is allocated before the first step, so an iteration count
+        # whose trace no address space holds is refused up front
+        (["--method", "gd", "--gamma", "0.1", "--iters", str(10**18)], 2,
+         "error: a trace of 1000000000000000000 rows (1000000000000000000 iters x 1 configs) of 72 bytes "
+         "cannot be allocated\n"),
+        # every gradient entry is finite; only the norm's sum of squares overflows
+        (["--method", "clip21-gd", "--tau", "1", "--beta-q", "1e308", "--alpha-q", "1e307", "--iters", "3"], 2,
+         "error: the norm of node 0's gradient at x0 overflows: its entries are finite, "
+         "but their sum of squares exceeds the float64 range\n"),
     ]
     + [
         (["--method", method, "--tau", "1e200", "--gamma", "auto", "--iters", "3"] + extra, 2, _HUGE_TAU)
@@ -677,3 +699,46 @@ def test_invalid_invocations_exit_with_one_error_line(tmp_path, data_file, capsy
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
     assert list(tmp_path.iterdir()) == []
+
+
+def _csv_reference(trace) -> str:
+    # the row-by-row formatting, one field at a time
+    ints = ("k", "active_nodes", "wall_micros")
+    lines = [CSV_HEADER]
+    for row in trace:
+        fields = CSV_HEADER.split(",")
+        lines.append(",".join(str(int(row[n])) if n in ints else cli._fmt(float(row[n])) for n in fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_row_by_row_formatting(tmp_path):
+    # more rows than one chunk, awkward floats, and a strided grid child's view
+    rows = 2 * cli._CSV_CHUNK + 3
+    rng = np.random.default_rng(16)
+    trace = np.zeros(rows, TRACE_DTYPE).view(np.recarray)
+    trace["k"] = np.arange(rows)
+    for name in ("f", "grad_norm_sq", "lyapunov", "v_norm", "gamma"):
+        trace[name] = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    trace["f"][:4] = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
+    trace["active_nodes"] = rng.integers(0, 10, rows)
+    trace["wall_micros"] = rng.integers(0, 10**6, rows)
+    path = tmp_path / "t.csv"
+    for view in (trace, trace[1::3], trace[-5:]):
+        cli.write_csv(view, str(path))
+        assert path.read_text() == _csv_reference(view)
+
+
+def test_write_csv_refuses_an_empty_trace(tmp_path):
+    with pytest.raises(ConfigurationError, match="empty trace"):
+        cli.write_csv(np.zeros(0, TRACE_DTYPE).view(np.recarray), str(tmp_path / "t.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "active, expected", [((0, 0, 0), 0), ((2, 1, 0, 0), 2), ((0, 1, 0, 1), -1), ((1, 0, 3, 0, 0), 3)]
+)
+def test_iters_to_all_inactive_is_one_past_the_last_clipping_row(active, expected):
+    trace = np.zeros(len(active), TRACE_DTYPE).view(np.recarray)
+    trace["k"] = np.arange(len(active))
+    trace["active_nodes"] = active
+    assert cli.iters_to_all_inactive(trace) == expected

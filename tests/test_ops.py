@@ -40,9 +40,9 @@ def test_clip_rejects_bad_threshold():
 
 
 def test_clip_rejects_bad_vectors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         clip(np.ones((2, 2)), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         clip(np.array([1.0, np.nan]), 1.0)
 
 
@@ -215,7 +215,7 @@ def test_top_k_rows_match_a_stable_sort(case):
 def test_node_mean_basics():
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(node_mean(rows), [2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         node_mean(np.ones(3))
 
 

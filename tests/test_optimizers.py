@@ -69,35 +69,35 @@ def test_privacy_calibration_warning():
 def test_gd_contraction_on_counterexample(quad_problem):
     # mean gradient is x/2 for curvatures (2, 1), so the map is x -> (1 - gamma/2) x
     cfg = MethodConfig(method="gd", gamma=0.5, iters=8)
-    [state], records = run([cfg], quad_problem, np.array([1.0]))
+    [state], trace = run([cfg], quad_problem, np.array([1.0]))
     assert state.x[0] == pytest.approx(0.75**8, rel=1e-15)
-    fs = [r.f for r in records]
+    fs = trace.f
     assert fs[0] == 0.25
-    assert all(a > b for a, b in zip(fs, fs[1:]))
-    assert all(r.active_nodes == 0 for r in records)
+    assert (fs[:-1] > fs[1:]).all()
+    assert (trace.active_nodes == 0).all()
 
 
 def test_clip_gd_sticks_at_the_bad_point(quad_problem):
     # at x=1 with tau=1 the clipped gradients cancel exactly
     cfg = _cfg(method="clip_gd", gamma=0.3, iters=50)
-    [state], records = run([cfg], quad_problem, np.array([1.0]))
+    [state], trace = run([cfg], quad_problem, np.array([1.0]))
     assert state.x[0] == 1.0  # bit-identical, not just close
-    assert all(r.f == 0.25 for r in records)
-    assert all(r.active_nodes == 1 for r in records)
-    assert all(r.v_norm == 0.0 for r in records)
+    assert (trace.f == 0.25).all()
+    assert (trace.active_nodes == 1).all()
+    assert (trace.v_norm == 0.0).all()
 
 
 def test_clip21_escapes_the_bad_point(quad_problem):
     gamma = 0.011747606429224308
     cfg = _cfg(gamma=gamma, iters=3)
-    [state], records = run([cfg], quad_problem, np.array([1.0]))
+    [state], trace = run([cfg], quad_problem, np.array([1.0]))
     # step 0: node gradients (2, -1); only the first clips
-    assert records[0].active_nodes == 1
-    assert records[0].v_norm == 0.0  # messages 1 and -1 cancel
-    assert records[1].f == 0.25  # x_1 is still exactly 1
+    assert trace.active_nodes[0] == 1
+    assert trace.v_norm[0] == 0.0  # messages 1 and -1 cancel
+    assert trace.f[1] == 0.25  # x_1 is still exactly 1
     # step 1: residual 1 fits the ball, the shift lands on 2 exactly
-    assert records[1].active_nodes == 0
-    assert records[1].v_norm == 0.5
+    assert trace.active_nodes[1] == 0
+    assert trace.v_norm[1] == 0.5
     # two shifted steps move x: x_2 = 1 - gamma * 0.5, x_3 = x_2 - gamma * x_2/2
     x2 = 1.0 - gamma * 0.5
     assert state.x[0] == pytest.approx(x2 * (1.0 - gamma / 2.0), rel=1e-15)
@@ -131,10 +131,10 @@ def test_deactivation_is_permanent_at_theory_stepsize(quad_problem):
     norms = tuple(float(abs(g)) for g in (2.0, 1.0))
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=1.0, grad0_norms=norms, F0=0.25)
     cfg = _cfg(gamma=stepsize_multi(inputs), iters=400)
-    _, records = run([cfg], quad_problem, np.array([1.0]))
-    last_active = max((r.k for r in records if r.active_nodes), default=-1)
+    _, trace = run([cfg], quad_problem, np.array([1.0]))
+    last_active = trace.k[trace.active_nodes > 0].max(initial=-1)
     assert last_active >= 0
-    assert all(r.active_nodes == 0 for r in records if r.k > last_active)
+    assert (trace.active_nodes[trace.k > last_active] == 0).all()
 
 
 def test_huge_threshold_reduces_to_gd(logistic_problem, logistic_x0):
@@ -143,8 +143,7 @@ def test_huge_threshold_reduces_to_gd(logistic_problem, logistic_x0):
     _, shifted = run(
         [MethodConfig(method="clip21_gd", tau=1e12, **shared)], logistic_problem, logistic_x0
     )
-    for a, b in zip(plain, shifted):
-        assert a.f == b.f  # identical trajectories step for step
+    assert plain.f.tolist() == shifted.f.tolist()  # identical trajectories step for step
 
 
 def test_zero_noise_reduces_to_clip21(logistic_problem, logistic_x0):
@@ -160,10 +159,8 @@ def test_zero_noise_reduces_to_clip21(logistic_problem, logistic_x0):
         logistic_problem,
         logistic_x0,
     )
-    for a, b, c in zip(base, dp, press):
-        assert a.f == b.f == c.f
-        assert a.grad_norm_sq == b.grad_norm_sq == c.grad_norm_sq
-        assert a.active_nodes == b.active_nodes == c.active_nodes
+    for name in ("f", "grad_norm_sq", "active_nodes"):
+        assert base[name].tolist() == dp[name].tolist() == press[name].tolist(), name
 
 
 @pytest.mark.filterwarnings("ignore:privacy calibration")
@@ -178,8 +175,8 @@ def test_dp_noise_is_seed_deterministic(logistic_problem, logistic_x0):
     _, other = run(
         [MethodConfig(method="dp_clip21_gd", seed=10, **shared)], logistic_problem, logistic_x0
     )
-    assert [r.f for r in first] == [r.f for r in second]
-    assert [r.f for r in first] != [r.f for r in other]
+    assert first.f.tolist() == second.f.tolist()
+    assert first.f.tolist() != other.f.tolist()
 
 
 def test_compression_changes_but_tracks(logistic_problem, logistic_x0):
@@ -196,24 +193,24 @@ def test_compression_changes_but_tracks(logistic_problem, logistic_x0):
         logistic_problem,
         logistic_x0,
     )
-    assert [r.f for r in base] != [r.f for r in press]
+    assert base.f.tolist() != press.f.tolist()
     # mild compression still reaches a comparable objective level
-    assert press[-1].f <= base[0].f
+    assert press.f[-1] <= base.f[0]
 
 
 def test_divergence_returns_error_with_step_index(quad_problem):
     cfg = MethodConfig(method="gd", gamma=10.0, iters=5000)
-    [err], records = run([cfg], quad_problem, np.array([1.0]))
+    [err], trace = run([cfg], quad_problem, np.array([1.0]))
     assert isinstance(err, DivergenceError)
     assert err.step > 0
     assert "iteration" in str(err)
-    assert len(records) == err.step
+    assert len(trace) == err.step
 
 
 def test_run_rejects_misuse(quad_problem):
     with pytest.raises(ConfigurationError):
         run([_cfg()], quad_problem, np.array([1.0]), v0=np.zeros((2, 2)))  # wrong shift shape
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         run([_cfg()], quad_problem, np.array([1.0]), v0=np.array([[0.0], [np.inf]]))
     with pytest.raises(ConfigurationError):
         run([_cfg()], quad_problem, np.array([1.0, 2.0]))  # wrong dimension
@@ -228,23 +225,23 @@ def test_run_rejects_misuse(quad_problem):
         run([bad], quad_problem, np.array([1.0]))  # k exceeds dimension
 
 
-def test_records_order(quad_problem):
+def test_trace_order(quad_problem):
     cfg = _cfg(iters=7)
-    [state], records = run([cfg], quad_problem, np.array([1.0]))
-    assert [r.k for r in records] == list(range(7))
-    assert all(r.run == 0 for r in records)
+    [state], trace = run([cfg], quad_problem, np.array([1.0]))
+    assert trace.k.tolist() == list(range(7))
+    assert (trace.run == 0).all()
     assert state.k == 7
-    assert all(r.wall_micros >= 0 for r in records)
-    assert all(r.gamma == cfg.gamma for r in records)
+    assert (trace.wall_micros >= 0).all()
+    assert (trace.gamma == cfg.gamma).all()
 
 
 def test_lyapunov_column_uses_coefficient(quad_problem):
     cfg = _cfg(iters=2)
     _, plain = run([cfg], quad_problem, np.array([1.0]), lyapunov_coeffs=[0.0])
     _, weighted = run([cfg], quad_problem, np.array([1.0]), lyapunov_coeffs=[0.5], f_inf=0.0)
-    assert plain[0].lyapunov == plain[0].f
+    assert plain.lyapunov[0] == plain.f[0]
     # at step 0 the shifts are (1, -1) against gradients (2, -1)
-    assert weighted[0].lyapunov == pytest.approx(0.25 + 0.5 * 0.5)
+    assert weighted.lyapunov[0] == pytest.approx(0.25 + 0.5 * 0.5)
 
 
 def _avg_trace(a, tau, iters, v0=None):
@@ -304,7 +301,7 @@ def test_avg_validation():
         avg_config(0.0, 1)
     with pytest.raises(ConfigurationError):
         avg_config(1.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         run([avg_config(1.0, 1)], targets_problem([[1.0]]), np.zeros(1), v0=np.array([[1.0, 2.0]]))
 
 
@@ -320,8 +317,8 @@ def _large_scale_linreg(seed):
 def test_shift_drift_check_is_relative_to_scale(tau):
     for seed in range(5):
         problem = _large_scale_linreg(seed)
-        _, records = run([_cfg(gamma=1e-3, tau=tau, iters=50)], problem, np.zeros(5))
-        assert len(records) == 50
+        _, trace = run([_cfg(gamma=1e-3, tau=tau, iters=50)], problem, np.zeros(5))
+        assert len(trace) == 50
 
 
 def test_real_shift_drift_raises_invariant_error():
@@ -341,9 +338,9 @@ def test_converging_run_passes_the_shift_drift_check(quad_problem, x0):
     # the aggregate took its rounding while the shifts were large; once they
     # have shrunk, an allowance at their current scale called it a drift
     # (at step 188 from 1.7, 203 from 1.0)
-    _, records = run([_cfg(gamma=0.1, tau=0.3, iters=400)], quad_problem, np.array([x0]))
-    assert len(records) == 400
-    assert records[-1].grad_norm_sq < 1e-16
+    _, trace = run([_cfg(gamma=0.1, tau=0.3, iters=400)], quad_problem, np.array([x0]))
+    assert len(trace) == 400
+    assert trace.grad_norm_sq[-1] < 1e-16
 
 
 @given(j=st.integers(-8, 8))
@@ -388,9 +385,12 @@ def test_counterexample_runs_are_scale_equivariant(j, x0):
     # 250 steps run past step 188, where the drift check once misfired
     c = 2.0**j
     for method in _EQUIVARIANT:
-        scaled = _counterexample_trace(method, x0, c)
-        for r, r_c in zip(_unscaled_trace(method, x0), scaled, strict=True):
-            assert r_c.f == c * c * r.f, (method, r.k)
-            assert r_c.grad_norm_sq == c * c * r.grad_norm_sq, (method, r.k)
-            assert r_c.v_norm == c * r.v_norm, (method, r.k)
-            assert r_c.active_nodes == r.active_nodes, (method, r.k)
+        base, scaled = _unscaled_trace(method, x0), _counterexample_trace(method, x0, c)
+        assert len(scaled) == len(base), method
+        for name, got, want in (
+            ("f", scaled.f, c * c * base.f),
+            ("grad_norm_sq", scaled.grad_norm_sq, c * c * base.grad_norm_sq),
+            ("v_norm", scaled.v_norm, c * base.v_norm),
+            ("active_nodes", scaled.active_nodes, base.active_nodes),
+        ):
+            assert np.array_equal(got, want), (method, name, base.k[got != want][:1])

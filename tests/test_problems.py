@@ -333,3 +333,10 @@ def test_smoothness_uses_the_smaller_gram_side():
     info = Problem("linreg_nonconvex", shards=shards, lam=0.0).smoothness()
     for s, L_i in zip(shards, info.L_i):
         assert L_i == pytest.approx(2.0 * np.linalg.norm(s.features, 2) ** 2 / s.m, rel=1e-12)
+
+
+def test_evaluate_rejects_a_point_of_the_wrong_dimension():
+    problem = Problem("quad_counterexample")
+    for x in (np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ConfigurationError, match="x has dimension 2, problem has 1"):
+            problem.evaluate(x)

@@ -12,8 +12,8 @@ def test_library_snippet_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
-    records, grad = scope["records"], scope["grad"]
-    assert len(records) == 1000
+    trace, grad = scope["trace"], scope["grad"]
+    assert len(trace) == 1000
     # the shifted method escapes x0 = 1 and descends
-    assert scope["f"] < records[0].f
-    assert float(grad @ grad) < records[0].grad_norm_sq
+    assert scope["f"] < trace[0].f
+    assert float(grad @ grad) < trace[0].grad_norm_sq

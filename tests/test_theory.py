@@ -353,8 +353,8 @@ def test_f_inf_estimate_lower_bounds_descent(logistic_problem, logistic_x0, logi
     assert logistic_f_inf < logistic_problem.evaluate(logistic_x0)[0]
     # a short run never dips below the presolved floor
     cfg = MethodConfig(method="gd", gamma=0.5, iters=200)
-    _, records = run([cfg], logistic_problem, logistic_x0)
-    assert all(r.f >= logistic_f_inf for r in records)
+    _, trace = run([cfg], logistic_problem, logistic_x0)
+    assert (trace.f >= logistic_f_inf).all()
 
 
 @pytest.mark.parametrize("alpha", [None, math.nan, 0.0, 1.5])

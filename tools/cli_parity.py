@@ -231,6 +231,7 @@ def kinds(files: dict) -> list:
             for gamma in ("auto", "grid"):
                 argv = toy + ["--iters", "20", "--method", method, "--tau", tau, "--gamma", gamma] + extra
                 out.append((f"{method}-{name}-{gamma}", argv))
+    tiny_curvatures = ["--tau", "1", "--beta-q", "1e-300", "--alpha-q", "1e-301", "--gamma", "auto", "--iters", "3"]
     errors = {
         "tau-negative": no_tau + ["--tau", "-1"],
         "tau-nan": no_tau + ["--tau", "nan"],
@@ -263,6 +264,15 @@ def kinds(files: dict) -> list:
         "data-not-utf8": ["--method", "gd", "--data", files["bad_data"]],
         "config-not-utf8": ["--config", files["bad_cfg"]],
         "config-unknown-key": ["--config", files["cfg_unknown"]],
+        # a divisor of the certificate rounds to 0: the shift gap at eta = 5e-18, and
+        # L_max^2 = 1e-600 in the n-node and noisy rules
+        "tau-1e-17-auto": ["--method", "clip21-gd", "--tau", "1e-17", "--gamma", "auto", "--iters", "3"],
+        "tau-1e-17-weight": ["--method", "clip21-gd", "--tau", "1e-17", "--gamma", "0.1", "--iters", "3"],
+        "tiny-curvatures": ["--method", "clip21-gd"] + tiny_curvatures,
+        "dp-tiny-curvatures": ["--method", "dp-clip21-gd", "--nu", "0.1", "--mu", "1"] + tiny_curvatures,
+        # finite gradients whose norms' sums of squares overflow
+        "norm-overflows": ["--method", "clip21-gd", "--tau", "1", "--beta-q", "1e308", "--alpha-q", "1e307"]
+        + ["--iters", "3"],
     }
     for method, extra in (
         ("clip21-gd", []),
