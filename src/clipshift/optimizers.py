@@ -363,9 +363,9 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     the DivergenceError that stopped it the moment its iterate or
     objective value stopped being finite. trace is a recarray of
     TRACE_DTYPE with one row per run-step executed, in step order and,
-    within a step, in config order: row fields k, f, grad_norm_sq,
+    within a step, in config order. A row's fields k, f, grad_norm_sq,
     lyapunov, active_nodes, v_norm, gamma and wall_micros describe the
-    iterate x_k of the run r in the run field, so trace.f is a column and
+    iterate x_k of the run named by its run field; trace.f is a column,
     trace[0].f a value. lyapunov_coeffs[r] is the shift weight A of run r
     in phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2; omitted, every
     weight is zero, plain suboptimality telemetry. A batch step's time is
@@ -438,7 +438,8 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
             leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {iters}", iters)
         for row, r in enumerate(batch.ids.tolist()):
             finals[r] = batch.state(row)
-        # (f - f_inf) + A * shift term, the same two roundings as a step's scalars
+        # (f - f_inf) + A * shift term with the three roundings a step's scalars
+        # took: IEEE products and sums commute, so the operand order is free
         lyapunov = grid["lyapunov"]
         np.multiply(lyapunov, weights, out=lyapunov)
         lyapunov += grid["f"] - f_inf

@@ -703,10 +703,9 @@ def test_invalid_invocations_exit_with_one_error_line(tmp_path, data_file, capsy
 
 def _csv_reference(trace) -> str:
     # the row-by-row formatting, one field at a time
-    ints = ("k", "active_nodes", "wall_micros")
+    ints, fields = ("k", "active_nodes", "wall_micros"), CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for row in trace:
-        fields = CSV_HEADER.split(",")
         lines.append(",".join(str(int(row[n])) if n in ints else cli._fmt(float(row[n])) for n in fields))
     return "\n".join(lines) + "\n"
 
