@@ -7,14 +7,7 @@ the stepsize rules, descent certificates, and privacy-utility bounds
 that govern them.
 """
 
-from .data import (
-    Dataset,
-    NodeShard,
-    heterogeneous_split,
-    parse_libsvm,
-    standard_scale,
-    write_libsvm,
-)
+from .data import Dataset, write_libsvm
 from .errors import (
     ConfigurationError,
     DataFormatError,
@@ -65,7 +58,6 @@ __all__ = [
     "KINDS",
     "METHODS",
     "MethodConfig",
-    "NodeShard",
     "OptimizerState",
     "Problem",
     "REGULARIZERS",
@@ -80,16 +72,13 @@ __all__ = [
     "eta_of",
     "gaussian_block",
     "gaussian_sample",
-    "heterogeneous_split",
     "k_star",
     "lyapunov_weight",
     "node_mean",
-    "parse_libsvm",
     "press_contraction_margin",
     "rate_envelope",
     "run",
     "sigma_min",
-    "standard_scale",
     "stepsize_branches",
     "stepsize_dp",
     "stepsize_multi",

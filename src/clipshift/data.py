@@ -1,13 +1,13 @@
-"""LibSVM-format ingestion and the heterogeneity-inducing preprocessing
-chain: label sort, contiguous equal split across nodes, per-shard
+"""LibSVM-format ingestion and the heterogeneity-inducing preprocessing:
+label sort, contiguous equal split across nodes, per-shard
 standardization.
 
-read_libsvm checks the text and returns its entries as arrays. Two
-consumers fill dense float64 storage from them, however sparse the input
-file is (target problems are desk-scale): parse_libsvm builds a Dataset,
-which heterogeneous_split and standard_scale take apart shard by shard;
+read_libsvm checks the text and returns its entries as arrays, and
 node_block places each sample straight into its shard's slab of one
-padded block and scales it there, the same values in one allocation.
+padded block, dense float64 however sparse the input file is (target
+problems are desk-scale), and scales it there. stack builds the same
+kind of block from (features, labels) pairs already in memory. A Problem
+is built from such a NodeBlock only.
 """
 
 from __future__ import annotations
@@ -21,23 +21,13 @@ import numpy as np
 from .errors import ConfigurationError, DataFormatError
 from .ops import check_count
 
-__all__ = [
-    "Dataset",
-    "Entries",
-    "NodeBlock",
-    "NodeShard",
-    "read_libsvm",
-    "parse_libsvm",
-    "node_block",
-    "write_libsvm",
-    "heterogeneous_split",
-    "standard_scale",
-]
+__all__ = ["Dataset", "Entries", "NodeBlock", "read_libsvm", "node_block", "stack", "write_libsvm"]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled sample matrix. Labels are +1/-1 only."""
+    """Labeled sample matrix, the input of write_libsvm. Labels are +1/-1
+    only."""
 
     features: np.ndarray  # (m, d) float64
     labels: np.ndarray  # (m,) float64, each +1 or -1
@@ -46,46 +36,15 @@ class Dataset:
         feats = np.asarray(self.features, dtype=np.float64)
         labs = np.asarray(self.labels, dtype=np.float64)
         if feats.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {feats.shape}")
+            raise ConfigurationError(f"features must be 2-d, got shape {feats.shape}")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValueError("label count must match feature row count")
+            raise ConfigurationError("label count must match feature row count")
         if feats.shape[0] < 1:
-            raise ValueError("dataset must contain at least one sample")
+            raise ConfigurationError("dataset must contain at least one sample")
         if not np.isfinite(feats).all():
-            raise ValueError("features contain non-finite values")
+            raise ConfigurationError("features contain non-finite values")
         if not np.isin(labs, (-1.0, 1.0)).all():
-            raise ValueError("labels must be +1 or -1")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class NodeShard:
-    """One node's slice of a dataset.
-
-    Unlike Dataset, labels here may be arbitrary reals so that synthetic
-    regression targets can be used directly.
-    """
-
-    node_id: int
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.float64)
-        if feats.ndim != 2:
-            raise ValueError(f"shard features must be 2-d, got shape {feats.shape}")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValueError("shard label count must match feature row count")
+            raise ConfigurationError("labels must be +1 or -1")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -238,14 +197,6 @@ def _dense(entries: Entries, rows: np.ndarray, total: int) -> np.ndarray:
     return features
 
 
-def parse_libsvm(source) -> Dataset:
-    """The Dataset of LibSVM text, as read by read_libsvm: one dense
-    float64 row per line."""
-    entries = read_libsvm(source)
-    m = len(entries.labels)
-    return Dataset(_dense(entries, np.arange(m), m), entries.labels)
-
-
 def write_libsvm(ds: Dataset) -> str:
     """Serialize a Dataset back to LibSVM text.
 
@@ -264,83 +215,69 @@ def write_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _label_split(labels: np.ndarray, n: int):
-    """The stable label-ascending order of the samples and the sizes of
-    the n contiguous shards it is cut into: the first (m mod n) shards
-    take one extra sample."""
+def node_block(entries: Entries, n: int) -> NodeBlock:
+    """The samples of entries split across n nodes and standardized per
+    node, built in place in one padded block.
+
+    A stable label-ascending order puts the -1 block before the +1 block,
+    which is what makes the shards heterogeneous, and is cut into n
+    contiguous shards whose sizes differ by at most one: the first
+    (m mod n) take the extra sample. Each line's entries go straight to
+    its row of the block, and each shard is scaled where it lies: every
+    column loses its mean and is divided by its population standard
+    deviation (divisor m_i, not m_i - 1). Zero-variance columns are set
+    to zero; no division happens for them.
+    """
     n = check_count("node count", n)
-    m = labels.shape[0]
+    m = len(entries.labels)
     if n > m:
         raise ConfigurationError(f"cannot split {m} samples across {n} nodes")
     base, extra = divmod(m, n)
     sizes = np.full(n, base)
     sizes[:extra] += 1
-    return np.argsort(labels, kind="stable"), sizes
-
-
-def _standardize(features: np.ndarray) -> None:
-    """Standardize the columns of features in place: subtract the column
-    mean and divide by the population standard deviation (divisor m, not
-    m-1). Zero-variance columns are set to zero; no division happens for
-    them."""
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    features -= mean
-    nonzero = std > 0.0
-    features[:, nonzero] /= std[nonzero]
-    features[:, ~nonzero] = 0.0
-
-
-def heterogeneous_split(ds: Dataset, n: int) -> list[NodeShard]:
-    """Stable label-ascending sort, then contiguous split into n shards.
-
-    Shard sizes differ by at most one; the first (m mod n) shards take the
-    extra sample. The sort puts the -1 block before the +1 block, which is
-    what makes the shards heterogeneous. The shards are row slices (views)
-    of one private sorted copy, so they never alias the caller's Dataset,
-    and the Dataset can be released while they live.
-    """
-    order, sizes = _label_split(ds.labels, n)
-    feats = ds.features[order]
-    labs = ds.labels[order]
-    ends = np.cumsum(sizes).tolist()
-    return [
-        NodeShard(node_id=i, features=feats[end - size : end], labels=labs[end - size : end])
-        for i, (size, end) in enumerate(zip(sizes.tolist(), ends))
-    ]
-
-
-def standard_scale(shard: NodeShard) -> NodeShard:
-    """Per-feature standardization within one shard, on a copy.
-
-    Subtracts the column mean and divides by the population standard
-    deviation (divisor m, not m-1). Zero-variance columns are centered and
-    left at zero; no division happens for them.
-    """
-    if shard.m < 1:
-        raise ConfigurationError("cannot scale an empty shard")
-    scaled = shard.features.copy()
-    _standardize(scaled)
-    return NodeShard(node_id=shard.node_id, features=scaled, labels=shard.labels.copy())
-
-
-def node_block(entries: Entries, n: int) -> NodeBlock:
-    """The samples of entries split as heterogeneous_split splits them and
-    standardized per shard as standard_scale does, built in place in one
-    padded block: each line's entries go straight to its row in the
-    label-sorted order, and each shard is scaled where it lies. The values
-    are bit-identical to stacking standard_scale of each shard of
-    heterogeneous_split."""
-    order, sizes = _label_split(entries.labels, n)
+    order = np.argsort(entries.labels, kind="stable")
     m_max = int(sizes[0])
     # the k-th sample in label order is row k - start_i of shard i
     node = np.repeat(np.arange(n), sizes)
     starts = np.cumsum(sizes) - sizes
     rows = np.empty_like(order)
-    rows[order] = node * m_max + np.arange(len(order)) - starts[node]
+    rows[order] = node * m_max + np.arange(m) - starts[node]
     features = _dense(entries, rows, n * m_max).reshape(n, m_max, entries.d)
     labels = np.zeros(n * m_max)
     labels[rows] = entries.labels
     for slab, size in zip(features, sizes.tolist()):
-        _standardize(slab[:size])
+        shard = slab[:size]
+        std = shard.std(axis=0)
+        shard -= shard.mean(axis=0)
+        nonzero = std > 0.0
+        shard[:, nonzero] /= std[nonzero]
+        shard[:, ~nonzero] = 0.0
     return NodeBlock(features, labels.reshape(n, m_max), sizes)
+
+
+def stack(pairs) -> NodeBlock:
+    """The block of the shards given as (features, labels) pairs: pair i
+    is copied into the first rows of slab i. Labels may be any reals, so
+    that regression targets can be used directly."""
+    pairs = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)) for a, b in pairs]
+    if not pairs:
+        raise ConfigurationError("a block needs at least one shard")
+    for i, (a, b) in enumerate(pairs):
+        if a.ndim != 2:
+            raise ConfigurationError(f"shard {i} features must be 2-d, got shape {a.shape}")
+        if b.shape != a.shape[:1]:
+            raise ConfigurationError(f"shard {i} label count must match its feature row count")
+        if not b.size:
+            raise ConfigurationError(f"shard {i} is empty")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ConfigurationError(f"shard {i} holds a non-finite value")
+    dims = {a.shape[1] for a, _ in pairs}
+    if len(dims) != 1:
+        raise ConfigurationError(f"shards disagree on dimension: {sorted(dims)}")
+    sizes = np.array([b.size for _, b in pairs])
+    features = np.zeros((len(pairs), sizes.max(), dims.pop()))
+    labels = np.zeros(features.shape[:2])
+    for i, (a, b) in enumerate(pairs):
+        features[i, : b.size] = a
+        labels[i, : b.size] = b
+    return NodeBlock(features, labels, sizes)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NodeBlock
 from .errors import ConfigurationError
 from .ops import check_real, check_vector
 
@@ -31,25 +30,6 @@ class SmoothnessInfo:
     L_i: tuple[float, ...]
     L: float
     L_max: float
-
-
-def _stack(shards) -> NodeBlock:
-    """Shard i copied into the first m_i rows of slab i of one block."""
-    if not shards:
-        raise ConfigurationError("data problems need at least one shard")
-    dims = {s.d for s in shards}
-    if len(dims) != 1:
-        raise ConfigurationError(f"shards disagree on dimension: {sorted(dims)}")
-    for s in shards:
-        if s.m < 1:
-            raise ConfigurationError(f"shard {s.node_id} is empty")
-    sizes = np.array([s.m for s in shards])
-    features = np.zeros((len(shards), sizes.max(), shards[0].d))
-    labels = np.zeros(features.shape[:2])
-    for i, s in enumerate(shards):
-        features[i, : s.m] = s.features
-        labels[i, : s.m] = s.labels
-    return NodeBlock(features, labels, sizes)
 
 
 def _reg_value(reg: str, x: np.ndarray):
@@ -75,28 +55,26 @@ class Problem:
       - "logistic": per-node f_i = (1/m_i) sum_j softplus(-b_ij a_ij.x) + reg
       - "linreg_nonconvex": f_i = (1/m_i) ||A_i x - b_i||^2 + reg
       - "quad_counterexample": n = 2, d = 1, f_1 = (beta/2) x^2 and
-        f_2 = -(alpha/2) x^2 with beta > alpha > 0; no shards, no reg
+        f_2 = -(alpha/2) x^2 with beta > alpha > 0; no block, no reg
     The regularizer term is lam * r(x) with r either 0.5||x||^2 ("l2") or
     sum_j x_j^2/(1+x_j^2) ("nonconvex").
 
-    Data problems hold their data in one zero-padded (n, m_max, d) block
-    A, so all n local gradients come from one product A @ x and one
-    batched product of the row slopes with A. The block is either a
-    NodeBlock, adopted without a copy (data.node_block builds one straight
-    from a file's entries), or stacked from shards, objects with features,
-    labels, m and d such as NodeShard.
+    Data problems take their data as one zero-padded (n, m_max, d)
+    NodeBlock A and adopt it without a copy, so all n local gradients come
+    from one product A @ x and one batched product of the row slopes with
+    A. data.node_block builds the block straight from a file's entries,
+    data.stack from (features, labels) pairs in memory.
     """
 
-    def __init__(self, kind, shards=(), reg="l2", lam=0.0, quad_params=None, block=None):
+    def __init__(self, kind, block=None, reg="l2", lam=0.0, quad_params=None):
         if kind not in KINDS:
             raise ConfigurationError(f"unknown problem kind {kind!r}")
         if reg not in REGULARIZERS:
             raise ConfigurationError(f"unknown regularizer {reg!r}")
         lam = check_real("lambda", lam, "non-negative")
-        shards = tuple(shards)
         if kind == "quad_counterexample":
-            if shards or block is not None:
-                raise ConfigurationError("quad_counterexample takes no shards")
+            if block is not None:
+                raise ConfigurationError("quad_counterexample takes no block")
             if quad_params is None:
                 quad_params = (2.0, 1.0)
             beta_q, alpha_q = (check_real(k, v, "finite") for k, v in zip(("beta_q", "alpha_q"), quad_params))
@@ -111,9 +89,7 @@ class Problem:
             if quad_params is not None:
                 raise ConfigurationError("quad_params only apply to quad_counterexample")
             if block is None:
-                block = _stack(shards)
-            elif shards:
-                raise ConfigurationError("give a data problem shards or a block, not both")
+                raise ConfigurationError(f"{kind} needs a block of data")
             self.quad_params = None
             # padding rows have zero features, label 0 and weight 0, so their
             # slope is exactly zero and their loss never reaches a sum

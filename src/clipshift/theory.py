@@ -109,6 +109,11 @@ def _shift_gap(eta: float, tau: float) -> float:
     return _nonzero(gap, f"the shift gap 1 - (1-eta)(1-eta/2) at tau={tau}, eta={eta}")
 
 
+def _eta(eta: float, tau: float) -> float:
+    # tau / max_i ||grad_i(x0)|| underflows to 0 below the smallest subnormal
+    return _nonzero(eta, f"eta = tau / max_i ||grad_i(x0)|| at tau={tau}")
+
+
 def _L_max_sq(inp: StepsizeInputs) -> float:
     return _nonzero(inp.L_max**2, f"L_max^2 at L_max={inp.L_max}")
 
@@ -186,6 +191,7 @@ def _dp(inp: StepsizeInputs) -> dict:
     mu = check_real("mu", inp.mu)
     nu = 0.0 if inp.nu is None else check_real("nu", inp.nu, "non-negative")
     norms, eta, B, ratio_sq = _start(inp)
+    eta = _eta(eta, inp.tau)
     beta1 = (1.0 + 2.0 / eta) * (1.0 - eta) * (1.0 - 0.5 * eta) / eta * ratio_sq
     G0 = math.sqrt(float(np.mean((np.abs(norms - inp.tau) + nu) ** 2)))
     beta2 = inp.F0 + inp.tau * G0 / (2.0 * math.sqrt(2.0 * eta) * inp.L_max)
@@ -313,7 +319,7 @@ def lyapunov_weight(method: str, gamma: float, inputs: StepsizeInputs) -> float:
     if method == "clip21_gd":
         return gamma / (2.0 * _shift_gap(eta, inputs.tau))
     if method == "dp_clip21_gd":
-        return 2.0 * gamma / eta
+        return 2.0 * gamma / _eta(eta, inputs.tau)
     if method == "press_clip21_gd":
         try:
             return gamma / _press_margin(inputs)[1]

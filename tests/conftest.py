@@ -14,9 +14,10 @@ untested.
 import numpy as np
 import pytest
 
-from clipshift import Problem, estimate_f_inf, heterogeneous_split, standard_scale
-from clipshift.data import Dataset
+from clipshift import Problem, estimate_f_inf
+from clipshift.data import Dataset, node_block, read_libsvm, write_libsvm
 from clipshift.rng import gaussian_sample
+from reference_chain import scale, split
 
 LOGISTIC_SEED = 20240817
 LOGISTIC_NODES = 10
@@ -58,24 +59,23 @@ def make_wide_sparse_text() -> str:
     )
 
 
-def make_logistic_shards() -> list:
-    return [standard_scale(s) for s in heterogeneous_split(make_logistic_dataset(), LOGISTIC_NODES)]
-
-
-def make_logistic_problem(shards=None) -> Problem:
-    if shards is None:
-        shards = make_logistic_shards()
-    return Problem("logistic", shards=shards, reg="l2", lam=1e-4)
+def make_logistic_problem() -> Problem:
+    """The instance as the CLI loads it: written to LibSVM text at full
+    precision, read back and split into one block."""
+    block = node_block(read_libsvm(write_libsvm(make_logistic_dataset())), LOGISTIC_NODES)
+    return Problem("logistic", block, reg="l2", lam=1e-4)
 
 
 @pytest.fixture(scope="session")
 def logistic_shards():
-    return make_logistic_shards()
+    """The instance's (features, labels) per node, through the reference passes."""
+    ds = make_logistic_dataset()
+    return [(scale(a), b) for a, b in split(ds.features, ds.labels, LOGISTIC_NODES)]
 
 
 @pytest.fixture(scope="session")
-def logistic_problem(logistic_shards):
-    return make_logistic_problem(logistic_shards)
+def logistic_problem():
+    return make_logistic_problem()
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,14 @@ so x stays 0 and the shifts track the fixed vectors a_i.
 
 import numpy as np
 
-from clipshift import MethodConfig, NodeShard, Problem
+from clipshift import MethodConfig, Problem
+from clipshift.data import stack
 from clipshift.optimizers import Batch, step
 
 
 def targets_problem(a) -> Problem:
     a = np.asarray(a, dtype=np.float64)
-    shards = [NodeShard(i, row[None], np.array([-0.5])) for i, row in enumerate(a)]
-    problem = Problem("linreg_nonconvex", shards=shards, reg="l2", lam=0.0)
+    problem = Problem("linreg_nonconvex", stack([(row[None], np.array([-0.5])) for row in a]), reg="l2", lam=0.0)
     assert np.array_equal(problem.evaluate(np.zeros(problem.d))[1], a)
     return problem
 

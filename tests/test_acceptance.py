@@ -35,7 +35,7 @@ from clipshift import (
     stepsize_press,
     stepsize_single,
 )
-from clipshift.data import NodeShard
+from clipshift.data import stack
 from clipshift.errors import DivergenceError
 from clipshift.optimizers import Batch, step
 from fixed_targets import avg_trace
@@ -139,8 +139,8 @@ def _identity_quad(norm_targets, tau, d=4):
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
         b = direction * (target * tau * d / 2.0)
-        shards.append(NodeShard(i, np.eye(d), b))
-    return Problem("linreg_nonconvex", shards=shards, lam=0.0), shards
+        shards.append((np.eye(d), b))
+    return Problem("linreg_nonconvex", stack(shards), lam=0.0), shards
 
 
 def test_criterion_04_clipping_horizon_certified():
@@ -151,7 +151,7 @@ def test_criterion_04_clipping_horizon_certified():
         x0 = np.zeros(problem.d)
         xs = [x0.copy()]
         # exact minimizer of the averaged quadratic, for F0
-        b_rows = np.stack([s.labels for s in shards])
+        b_rows = np.stack([b for _, b in shards])
         x_star = b_rows.mean(axis=0)
         f_inf = problem.evaluate(x_star)[0]
         inputs = _multi_inputs(problem, x0, f_inf, tau)
@@ -243,8 +243,7 @@ def _diagonal_strongly_convex(n=5, d=8):
     rng = np.random.default_rng(909)
     scales = rng.uniform(0.5, 1.5, size=(n, d))
     targets = rng.standard_normal((n, d))
-    shards = [NodeShard(i, np.diag(scales[i]), targets[i]) for i in range(n)]
-    problem = Problem("linreg_nonconvex", shards=shards, lam=0.0)
+    problem = Problem("linreg_nonconvex", stack([(np.diag(scales[i]), targets[i]) for i in range(n)]), lam=0.0)
     hess = (2.0 / d) * np.mean(scales**2, axis=0)
     mu = float(hess.min())
     # exact per-coordinate minimizer and floor value
@@ -433,12 +432,10 @@ def test_criterion_10_primitive_identities(logistic_problem):
             g[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
         return g
 
-    reg_shards = [
-        NodeShard(i, rng.standard_normal((6, 4)), rng.standard_normal(6)) for i in range(3)
-    ]
+    reg_shards = [(rng.standard_normal((6, 4)), rng.standard_normal(6)) for _ in range(3)]
     problems = [
         logistic_problem,
-        Problem("linreg_nonconvex", shards=reg_shards, reg="nonconvex", lam=0.1),
+        Problem("linreg_nonconvex", stack(reg_shards), reg="nonconvex", lam=0.1),
         Problem("quad_counterexample"),
     ]
     for problem in problems:

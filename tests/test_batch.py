@@ -16,7 +16,7 @@ from clipshift import (
     optimizers,
     run,
 )
-from clipshift.data import Dataset, node_block, read_libsvm
+from clipshift.data import node_block, read_libsvm, stack
 from clipshift.ops import clip_rows
 from clipshift.optimizers import Batch, step
 from clipshift.problems import Problem
@@ -243,8 +243,8 @@ def test_chunk_is_one_step_at_a_large_shape(monkeypatch):
     # 100 nodes of 123 features hold 12 300 elements a step, so the budget
     # leaves one step a draw, where the draw is compute-bound anyway
     rng = np.random.default_rng(5)
-    shards = [Dataset(rng.standard_normal((3, 123)), np.array([1.0, -1.0, 1.0])) for _ in range(100)]
-    problem = Problem("logistic", shards=shards, reg="l2", lam=1e-3)
+    shards = [(rng.standard_normal((3, 123)), np.array([1.0, -1.0, 1.0])) for _ in range(100)]
+    problem = Problem("logistic", stack(shards), reg="l2", lam=1e-3)
     lengths = _chunk_lengths(monkeypatch)
     cfg = MethodConfig("dp_clip21_gd", 0.1, 3, sigma=0.02, seed=1, **_DP)
     [final], _ = run([cfg], problem, np.zeros(123))

@@ -18,7 +18,6 @@ from clipshift import (
     eta_of,
     gaussian_block,
     gaussian_sample,
-    heterogeneous_split,
     k_star,
     lyapunov_weight,
     press_contraction_margin,
@@ -28,15 +27,16 @@ from clipshift import (
     stepsize_dp,
     stepsize_press,
 )
-from clipshift.data import Dataset
+from clipshift.data import node_block, read_libsvm, stack
 from clipshift.ops import check_count, check_real
 from fixed_targets import avg_config, targets_problem
 
 _INPUTS = dict(L=1.0, L_max=2.0, tau=0.5, grad0_norms=(1.0, 2.0), F0=1.0)
-_DATA = Dataset(
-    np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0], [1.0, 1.0]]), np.array([1.0, -1.0, 1.0, -1.0])
-)
-_SHARDS = heterogeneous_split(_DATA, 2)
+# four samples; split by label, the -1 rows 1 and 3 make node 0 and the +1 rows node 1
+_ENTRIES = read_libsvm("+1 1:1 2:0.5\n-1 1:-0.5 2:1\n+1 1:0.25 2:-1\n-1 1:1 2:1\n")
+_FEATURES = np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0], [1.0, 1.0]])
+_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
+_PAIRS = [(_FEATURES[[1, 3]], _LABELS[[1, 3]]), (_FEATURES[[0, 2]], _LABELS[[0, 2]])]
 
 
 # name: (callable taking keywords, valid keywords, real parameters, count parameters)
@@ -84,7 +84,7 @@ CALLS = {
         ("K",),
     ),
     "estimate_f_inf": (
-        lambda **kw: estimate_f_inf(Problem("logistic", shards=_SHARDS, lam=0.1), np.zeros(2), **kw),
+        lambda **kw: estimate_f_inf(Problem("logistic", stack(_PAIRS), lam=0.1), np.zeros(2), **kw),
         dict(iters=5),
         (),
         ("iters",),
@@ -127,20 +127,20 @@ CALLS = {
         ("sigma",),
         ("seed", "step", "n", "d", "steps"),
     ),
-    "Problem": (lambda **kw: Problem("logistic", shards=_SHARDS, **kw), dict(lam=0.1), ("lam",), ()),
+    "Problem": (lambda **kw: Problem("logistic", stack(_PAIRS), **kw), dict(lam=0.1), ("lam",), ()),
     "Problem-quad": (
         lambda beta_q, alpha_q: Problem("quad_counterexample", quad_params=(beta_q, alpha_q)),
         dict(beta_q=2.0, alpha_q=1.0),
         ("beta_q", "alpha_q"),
         (),
     ),
-    "heterogeneous_split": (lambda **kw: heterogeneous_split(_DATA, **kw), dict(n=2), (), ("n",)),
+    "node_block": (lambda **kw: node_block(_ENTRIES, **kw), dict(n=2), (), ("n",)),
     "clip": (lambda **kw: clip(np.ones(2), **kw), dict(tau=0.5), ("tau",), ()),
     "Compressor": (lambda **kw: Compressor("top_k", **kw), dict(k=1), (), ("k",)),
 }
 
 _BAD_REALS = (math.nan, math.inf, -math.inf)
-_BAD_COUNTS = (2.5, math.nan, math.inf)
+_BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf)
 _CASES = [
     pytest.param(name, param, bad, id=f"{name}-{param}={bad}")
     for name, (_call, _valid, reals, counts) in CALLS.items()

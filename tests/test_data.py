@@ -1,46 +1,45 @@
-"""Data parsing, splitting, and scaling, and the CLI's one-block loader."""
+"""Reading LibSVM text, the one-block loader that splits and scales it
+across the nodes, and the writer."""
 
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clipshift import (
-    ConfigurationError,
-    DataFormatError,
-    Dataset,
-    Problem,
-    heterogeneous_split,
-    parse_libsvm,
-    standard_scale,
-    write_libsvm,
-)
+from clipshift import ConfigurationError, DataFormatError, Dataset, Problem, write_libsvm
 from clipshift import cli, data
-from clipshift.data import NodeShard, node_block, read_libsvm
+from clipshift.data import node_block, read_libsvm, stack
 from conftest import LOGISTIC_NODES, make_logistic_dataset, make_logistic_problem
+from reference_chain import chain_block, parse, scale, split
+
+
+def _block(text, nodes=1):
+    """node_block of LibSVM text, as the library builds it."""
+    return node_block(read_libsvm(text), nodes)
 
 
 def test_parse_basic_example():
-    ds = parse_libsvm("+1 1:0.5 3:-2\n-1 2:1\n")
-    assert ds.d == 3
-    assert ds.m == 2
-    assert np.array_equal(ds.features, [[0.5, 0.0, -2.0], [0.0, 1.0, 0.0]])
-    assert np.array_equal(ds.labels, [1.0, -1.0])
+    features, labels = parse("+1 1:0.5 3:-2\n-1 2:1\n")
+    assert features.shape == (2, 3)
+    assert np.array_equal(features, [[0.5, 0.0, -2.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(labels, [1.0, -1.0])
 
 
 def test_label_spellings():
-    ds = parse_libsvm("1 1:1\n0 1:2\n+1 1:3\n-1 1:4\n")
-    assert np.array_equal(ds.labels, [1.0, -1.0, 1.0, -1.0])
+    entries = read_libsvm("1 1:1\n0 1:2\n+1 1:3\n-1 1:4\n")
+    assert np.array_equal(entries.labels, [1.0, -1.0, 1.0, -1.0])
 
 
 def test_parse_accepts_bytes_and_iterables():
     text = "+1 1:1 2:2\n-1 1:3\n"
-    a = parse_libsvm(text)
-    b = parse_libsvm(text.encode())
-    c = parse_libsvm(text.splitlines())
+    a = parse(text)
+    b = parse(text.encode())
+    c = parse(text.splitlines())
     for other in (b, c):
-        assert np.array_equal(a.features, other.features)
-        assert np.array_equal(a.labels, other.labels)
+        assert np.array_equal(a[0], other[0])
+        assert np.array_equal(a[1], other[1])
 
 
 def _line_of(exc_info):
@@ -49,32 +48,32 @@ def _line_of(exc_info):
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:1\n+7 1:2\n")
+        _block("+1 1:1\n+7 1:2\n")
     assert _line_of(err) == 2
     assert "line 2" in str(err.value)
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:1\n-1 3:1 2:5\n")
+        _block("+1 1:1\n-1 3:1 2:5\n")
     assert _line_of(err) == 2
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 0:1\n")
+        _block("+1 0:1\n")
     assert _line_of(err) == 1
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:x\n")
+        _block("+1 1:x\n")
     assert _line_of(err) == 1
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:inf\n")
+        _block("+1 1:inf\n")
     assert _line_of(err) == 1
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:1\n\n-1 1:2\n")
+        _block("+1 1:1\n\n-1 1:2\n")
     assert _line_of(err) == 2
 
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm("+1 1:1\n-1 junk\n")
+        _block("+1 1:1\n-1 junk\n")
     assert _line_of(err) == 2
 
 
@@ -108,16 +107,16 @@ MALFORMED = {
 @pytest.mark.parametrize("text, line_number, message", MALFORMED.values(), ids=MALFORMED)
 def test_parse_errors_pin_message_and_line(text, line_number, message):
     with pytest.raises(DataFormatError) as err:
-        parse_libsvm(text)
+        _block(text)
     assert err.value.line_number == line_number
     assert str(err.value) == f"line {line_number}: {message}"
 
 
 def test_parse_rejects_empty_and_featureless_input():
     with pytest.raises(DataFormatError):
-        parse_libsvm("")
+        _block("")
     with pytest.raises(DataFormatError):
-        parse_libsvm("+1\n-1\n")
+        _block("+1\n-1\n")
 
 
 def test_round_trip_preserves_everything():
@@ -128,10 +127,10 @@ def test_round_trip_preserves_everything():
         features[rng.random((m, d)) < zero_share] = 0.0
         labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
         ds = Dataset(features, labels)
-        back = parse_libsvm(write_libsvm(ds))
-        assert back.d == ds.d
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.labels, ds.labels)
+        back, back_labels = parse(write_libsvm(ds))
+        assert back.shape[1] == ds.d
+        assert np.array_equal(back, ds.features)
+        assert np.array_equal(back_labels, ds.labels)
 
 
 def test_round_trip_with_zero_first_row_keeps_dimension():
@@ -139,84 +138,82 @@ def test_round_trip_with_zero_first_row_keeps_dimension():
     # column cannot silently shrink the feature space
     features = np.array([[0.0, 0.0], [1.0, 0.0]])
     ds = Dataset(features, np.array([1.0, -1.0]))
-    back = parse_libsvm(write_libsvm(ds))
-    assert back.d == 2
-    assert np.array_equal(back.features, features)
+    assert read_libsvm(write_libsvm(ds)).d == 2
+    assert np.array_equal(parse(write_libsvm(ds))[0], features)
 
 
 def test_split_sorts_by_label_then_chunks():
     features = np.arange(10.0).reshape(5, 2)
     labels = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-    shards = heterogeneous_split(Dataset(features, labels), 2)
+    block = _block(write_libsvm(Dataset(features, labels)), 2)
     # ascending labels with a stable order: rows 1, 3 then 0, 2, 4
-    assert [s.node_id for s in shards] == [0, 1]
-    assert np.array_equal(shards[0].features, features[[1, 3, 0]])
-    assert np.array_equal(shards[0].labels, [-1.0, -1.0, 1.0])
-    assert np.array_equal(shards[1].features, features[[2, 4]])
-    assert np.array_equal(shards[1].labels, [1.0, 1.0])
-
-
-def test_split_shards_view_a_private_sorted_copy():
-    features = np.arange(12.0).reshape(6, 2)
-    ds = Dataset(features, np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
-    shards = heterogeneous_split(ds, 3)
-    for shard in shards:
-        assert not np.shares_memory(shard.features, ds.features)
-        assert not np.shares_memory(shard.labels, ds.labels)
-    # one sorted copy backs every shard
-    assert shards[0].features.base is shards[2].features.base is not None
+    assert np.array_equal(block.sizes, [3, 2])
+    assert np.array_equal(block.features[0], scale(features[[1, 3, 0]]))
+    assert np.array_equal(block.labels[0], [-1.0, -1.0, 1.0])
+    assert np.array_equal(block.features[1], np.vstack([scale(features[[2, 4]]), np.zeros((1, 2))]))
+    assert np.array_equal(block.labels[1], [1.0, 1.0, 0.0])  # a zero padding row
 
 
 def test_split_remainder_goes_to_leading_shards():
-    features = np.ones((7, 1))
-    labels = np.ones(7)
-    sizes = [s.m for s in heterogeneous_split(Dataset(features, labels), 3)]
-    assert sizes == [3, 2, 2]
+    assert np.array_equal(_block("+1 1:1\n" * 7, 3).sizes, [3, 2, 2])
 
 
 def test_split_validation():
-    ds = Dataset(np.ones((3, 1)), np.ones(3))
+    text = "+1 1:1\n" * 3
     with pytest.raises(ConfigurationError):
-        heterogeneous_split(ds, 0)
+        _block(text, 0)
     with pytest.raises(ConfigurationError):
-        heterogeneous_split(ds, 4)
+        _block(text, 4)
 
 
 def test_scale_pinned_column():
-    shard = NodeShard(0, np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 1.0, -1.0]))
-    scaled = standard_scale(shard)
+    block = _block("-1 1:1\n+1 1:2\n+1 1:3\n")
     root = 1.2247448713915889  # sqrt(3/2), population-std normalization
-    assert np.allclose(scaled.features[:, 0], [-root, 0.0, root], atol=1e-15)
-    assert np.array_equal(scaled.labels, shard.labels)
+    assert np.allclose(block.features[0, :, 0], [-root, 0.0, root], atol=1e-15)
+    assert np.array_equal(block.labels[0], [-1.0, 1.0, 1.0])
 
 
 def test_scale_zeroes_constant_columns():
-    shard = NodeShard(1, np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([1.0, -1.0]))
-    scaled = standard_scale(shard)
-    assert np.array_equal(scaled.features[:, 0], [0.0, 0.0])
-    assert np.allclose(scaled.features[:, 1], [-1.0, 1.0])
+    block = _block("-1 1:5 2:1\n+1 1:5 2:3\n")
+    assert np.array_equal(block.features[0, :, 0], [0.0, 0.0])
+    assert np.allclose(block.features[0, :, 1], [-1.0, 1.0])
 
 
 def test_scale_is_nearly_idempotent():
     rng = np.random.default_rng(17)
-    shard = NodeShard(0, rng.standard_normal((20, 4)), np.ones(20))
-    once = standard_scale(shard)
-    twice = standard_scale(once)
+    labels = np.ones(20)
+    once = _block(write_libsvm(Dataset(rng.standard_normal((20, 4)), labels)))
+    twice = _block(write_libsvm(Dataset(once.features[0], labels)))
     assert np.allclose(once.features, twice.features, atol=1e-12)
 
 
-def test_scale_rejects_empty_shard():
-    with pytest.raises(ConfigurationError):
-        standard_scale(NodeShard(0, np.zeros((0, 2)), np.zeros(0)))
-
-
 def test_dataset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Dataset(np.ones((2, 2)), np.array([1.0, 2.0]))  # labels not +-1
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Dataset(np.ones((2, 2)), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
+    with pytest.raises(ConfigurationError):
+        Dataset(np.ones(2), np.array([1.0, -1.0]))  # features not 2-d
+    with pytest.raises(ConfigurationError):
+        Dataset(np.ones((0, 2)), np.ones(0))
+
+
+def test_benchmark_writes_data_the_reader_reads_back(tmp_path, monkeypatch):
+    # perfbench's workloads write their LibSVM file through write_libsvm(Dataset(...))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng(9)
+    features = rng.standard_normal((12, 5))
+    features[rng.random((12, 5)) < 0.5] = 0.0
+    labels = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+    path = tmp_path / "bench.svm"
+    workloads.write_data(workloads.Inputs(features, labels, np.zeros(5)), str(path))
+    with open(path, encoding="utf-8") as handle:
+        back_features, back_labels = parse(handle)
+    assert back_features.tobytes() == features.tobytes()
+    assert back_labels.tobytes() == labels.tobytes()
 
 
 def _load(path, nodes, *flags):
@@ -255,15 +252,19 @@ def _assert_same_arrays(problem, other):
 
 
 def _library_chain(source, nodes, kind="logistic"):
-    return Problem(kind, shards=[standard_scale(s) for s in heterogeneous_split(parse_libsvm(source), nodes)])
+    return Problem(kind, chain_block(source, nodes))
 
 
 def test_cli_loader_matches_the_library_chain_on_the_fixture_recipe(tmp_path):
+    ds = make_logistic_dataset()
     path = tmp_path / "fixture.svm"
-    path.write_text(write_libsvm(make_logistic_dataset()))  # at full precision
+    path.write_text(write_libsvm(ds))  # at full precision
     loaded = _load(path, LOGISTIC_NODES)
     _assert_same_arrays(loaded, _library_chain(path.read_text(), LOGISTIC_NODES))
     _assert_same_arrays(loaded, make_logistic_problem())
+    # the samples in memory, never written out, give the same block
+    in_memory = stack([(scale(a), b) for a, b in split(ds.features, ds.labels, LOGISTIC_NODES)])
+    _assert_same_arrays(loaded, Problem("logistic", in_memory))
 
 
 def _uneven_text() -> str:
@@ -344,7 +345,7 @@ def test_huge_index_names_its_line_in_a_later_block(monkeypatch, index, message)
     lines = ["+1 1:1 2:1", "-1 1:1 2:1 3:1", "+1 1:2", "-1 2:1", "+1 1:1 3:1", "-1 1:1 2:1", "+1 2:1", "-1 1:3", "+1 3:2"]
     lines[6] += f" {index}:1"
     with pytest.raises(DataFormatError, match=message) as err:
-        parse_libsvm("\n".join(lines))
+        _block("\n".join(lines))
     assert err.value.line_number == 7
 
 

@@ -13,11 +13,11 @@ from clipshift import (
     DivergenceError,
     InvariantError,
     MethodConfig,
-    NodeShard,
     Problem,
     node_mean,
     run,
 )
+from clipshift.data import stack
 from clipshift.optimizers import Batch, step
 from fixed_targets import avg_config, avg_trace, targets_problem
 
@@ -309,8 +309,8 @@ def _large_scale_linreg(seed):
     # regression targets of scale 1e6, where an absolute drift tolerance
     # mistook the rounding of the running aggregate for a broken invariant
     rng = np.random.default_rng(seed)
-    shards = [NodeShard(i, rng.standard_normal((20, 5)), 1e6 * rng.standard_normal(20)) for i in range(4)]
-    return Problem("linreg_nonconvex", shards=shards, reg="l2", lam=0.0)
+    shards = [(rng.standard_normal((20, 5)), 1e6 * rng.standard_normal(20)) for _ in range(4)]
+    return Problem("linreg_nonconvex", stack(shards), reg="l2", lam=0.0)
 
 
 @pytest.mark.parametrize("tau", [1e3, 1e5, 1e7])

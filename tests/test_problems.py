@@ -7,8 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from clipshift import ConfigurationError, Dataset, Problem, heterogeneous_split, node_mean, standard_scale
-from clipshift.data import NodeBlock, NodeShard
+from clipshift import ConfigurationError, Problem, node_mean
+from clipshift.data import NodeBlock, stack
+from reference_chain import scale, split
 
 
 def _fd_gradient(fn, x, h=1e-6):
@@ -33,14 +34,14 @@ def _random_shards(rng, n, d, m, regression=False):
             labels = rng.standard_normal(m)
         else:
             labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        shards.append(NodeShard(i, feats, labels))
+        shards.append((feats, labels))
     return shards
 
 
 def test_problem_keeps_one_copy_of_the_data():
     shards = _random_shards(np.random.default_rng(5), 3, 4, 6)
-    first = weakref.ref(shards[0].features)
-    problem = Problem("logistic", shards=shards, reg="l2", lam=0.1)
+    first = weakref.ref(shards[0][0])
+    problem = Problem("logistic", stack(shards), reg="l2", lam=0.1)
     expected = problem.evaluate(np.ones(4))
     del shards
     gc.collect()
@@ -53,17 +54,15 @@ def test_problem_keeps_one_copy_of_the_data():
 
 def test_problem_adopts_a_block_without_a_copy():
     shards = _random_shards(np.random.default_rng(5), 3, 4, 6)
-    stacked = Problem("logistic", shards=shards, reg="l2", lam=0.1)
-    block = NodeBlock(stacked._A.copy(), stacked._b.copy(), np.array([s.m for s in shards]))
+    stacked = Problem("logistic", stack(shards), reg="l2", lam=0.1)
+    block = NodeBlock(stacked._A.copy(), stacked._b.copy(), np.array([b.size for _, b in shards]))
     problem = Problem("logistic", block=block, reg="l2", lam=0.1)
     assert problem._A is block.features and problem._b is block.labels
     for name in ("_w", "_m", "_neg_b"):
         assert np.array_equal(getattr(problem, name), getattr(stacked, name))
     x = np.linspace(-1.0, 1.0, 4)
     assert problem.evaluate(x)[0] == stacked.evaluate(x)[0]
-    with pytest.raises(ConfigurationError, match="shards or a block, not both"):
-        Problem("logistic", shards=shards, block=block)
-    with pytest.raises(ConfigurationError, match="takes no shards"):
+    with pytest.raises(ConfigurationError, match="takes no block"):
         Problem("quad_counterexample", block=block)
 
 
@@ -76,9 +75,9 @@ def test_problem_adopts_a_block_without_a_copy():
 def test_fd_gradients_data_problems(kind, reg):
     rng = np.random.default_rng(99)
     shards = _random_shards(rng, 3, 5, 8, regression=kind != "logistic")
-    p = Problem(kind, shards=shards, reg=reg, lam=0.1)
+    p = Problem(kind, stack(shards), reg=reg, lam=0.1)
     # f_i is the value of the one-shard problem on shard i
-    nodes = [Problem(kind, shards=[s], reg=reg, lam=0.1) for s in shards]
+    nodes = [Problem(kind, stack([s]), reg=reg, lam=0.1) for s in shards]
     for _ in range(5):
         x = rng.standard_normal(5)
         grads = p.evaluate(x)[1]
@@ -117,8 +116,7 @@ def test_counterexample_pinned_values():
 
 
 def test_logistic_pinned_at_origin():
-    shards = [NodeShard(0, np.array([[1.0, -1.0]]), np.array([1.0]))]
-    p = Problem("logistic", shards=shards, reg="l2", lam=0.5)
+    p = Problem("logistic", stack([(np.array([[1.0, -1.0]]), np.array([1.0]))]), reg="l2", lam=0.5)
     value, grads = p.evaluate(np.zeros(2))
     assert value == pytest.approx(np.log(2.0))
     # gradient at 0: -0.5 * label * features / m, reg gradient vanishes
@@ -126,8 +124,7 @@ def test_logistic_pinned_at_origin():
 
 
 def test_linreg_pinned_single_sample():
-    shards = [NodeShard(0, np.array([[1.0]]), np.array([2.0]))]
-    p = Problem("linreg_nonconvex", shards=shards, lam=0.0)
+    p = Problem("linreg_nonconvex", stack([(np.array([[1.0]]), np.array([2.0]))]), lam=0.0)
     value, grads = p.evaluate(np.zeros(1))
     # squared residual without the conventional 1/2
     assert value == 4.0
@@ -141,17 +138,16 @@ def test_zero_lambda_objective_is_finite_far_out():
     x = np.full(4, 1e200)
     for reg in ("l2", "nonconvex"):
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grads = Problem("logistic", shards=shards, reg=reg, lam=0.0).evaluate(x)
+            value, grads = Problem("logistic", stack(shards), reg=reg, lam=0.0).evaluate(x)
         assert np.isfinite(value) and np.isfinite(grads).all()
-        losses = [np.logaddexp(0.0, -s.labels * (s.features @ x)).mean() for s in shards]
+        losses = [np.logaddexp(0.0, -b * (a @ x)).mean() for a, b in shards]
         assert value == pytest.approx(np.mean(losses), rel=1e-12)
 
 
 def test_nonconvex_regularizer_is_d_far_out():
     # each term x_j^2 / (1 + x_j^2) is below 1, but once x_j^2 overflows the
     # quotient is inf / inf: r(x) read nan at |x_j| >~ 1.34e154 for any lam
-    shards = [NodeShard(0, np.zeros((1, 3)), np.array([1.0]))]
-    p = Problem("logistic", shards=shards, reg="nonconvex", lam=0.1)
+    p = Problem("logistic", stack([(np.zeros((1, 3)), np.array([1.0]))]), reg="nonconvex", lam=0.1)
     loss = p.evaluate(np.zeros(3))[0]  # ln 2, the value with r(0) = 0
     with np.errstate(over="ignore", invalid="ignore"):
         value, grads = p.evaluate(np.full(3, 1e200))
@@ -164,25 +160,25 @@ def test_nonconvex_regularizer_is_d_far_out():
 
 
 def test_regularizer_gradients():
-    shards = [NodeShard(0, np.zeros((2, 3)), np.array([1.0, -1.0]))]
+    shards = [(np.zeros((2, 3)), np.array([1.0, -1.0]))]
     x = np.array([0.5, -1.5, 2.0])
     for reg in ("l2", "nonconvex"):
-        p = Problem("logistic", shards=shards, reg=reg, lam=2.0)
+        p = Problem("logistic", stack(shards), reg=reg, lam=2.0)
         fd = _fd_gradient(lambda y: p.evaluate(y)[0], x)
         assert _rel_err(fd, node_mean(p.evaluate(x)[1])) <= 1e-5
-    p_l2 = Problem("logistic", shards=shards, reg="l2", lam=2.0)
+    p_l2 = Problem("logistic", stack(shards), reg="l2", lam=2.0)
     assert np.allclose(node_mean(p_l2.evaluate(x)[1]), 2.0 * x + np.array([-0.0, 0.0, 0.0]))
 
 
 def test_evaluate_stacks_gradients_in_node_order():
     rng = np.random.default_rng(8)
     shards = _random_shards(rng, 3, 4, 5)
-    p = Problem("logistic", shards=shards)
+    p = Problem("logistic", stack(shards))
     x = rng.standard_normal(4)
     stacked = p.evaluate(x)[1]
     assert stacked.shape == (3, 4)
     for i in range(3):
-        assert np.array_equal(stacked[i], Problem("logistic", shards=[shards[i]]).evaluate(x)[1][0])
+        assert np.array_equal(stacked[i], Problem("logistic", stack([shards[i]])).evaluate(x)[1][0])
 
 
 def test_unequal_shards_match_per_shard_reference():
@@ -195,23 +191,23 @@ def test_unequal_shards_match_per_shard_reference():
             labels = rng.standard_normal(m) if kind != "logistic" else np.where(
                 rng.random(m) < 0.5, 1.0, -1.0
             )
-            shards.append(NodeShard(i, rng.standard_normal((m, 4)), labels))
-        p = Problem(kind, shards=shards, reg="l2", lam=lam)
+            shards.append((rng.standard_normal((m, 4)), labels))
+        p = Problem(kind, stack(shards), reg="l2", lam=lam)
         for _ in range(5):
             x = rng.standard_normal(4)
             f, grads = p.evaluate(x)
             values = []
-            for i, s in enumerate(shards):
-                z = s.features @ x
+            for i, (a, b) in enumerate(shards):
+                z = a @ x
                 if kind == "logistic":
-                    value = np.logaddexp(0.0, -s.labels * z).mean()
-                    grad = -(s.features.T @ (s.labels / (1.0 + np.exp(s.labels * z)))) / s.m
+                    value = np.logaddexp(0.0, -b * z).mean()
+                    grad = -(a.T @ (b / (1.0 + np.exp(b * z)))) / b.size
                 else:
-                    value = float((z - s.labels) @ (z - s.labels)) / s.m
-                    grad = 2.0 * (s.features.T @ (z - s.labels)) / s.m
+                    value = float((z - b) @ (z - b)) / b.size
+                    grad = 2.0 * (a.T @ (z - b)) / b.size
                 value += lam * 0.5 * float(x @ x)
                 values.append(value)
-                node = Problem(kind, shards=[s], reg="l2", lam=lam)
+                node = Problem(kind, stack([(a, b)]), reg="l2", lam=lam)
                 assert node.evaluate(x)[0] == pytest.approx(value, rel=1e-12)
                 assert _rel_err(grads[i], grad + lam * x) <= 1e-12
             assert f == pytest.approx(np.mean(values), rel=1e-12)
@@ -230,8 +226,7 @@ def test_logistic_rows_match_a_50_digit_oracle():
     margins = np.array([s * m for m in ORACLE_MARGINS for s in (1.0, -1.0)])
     margins = np.concatenate([margins, margins])
     labels = np.repeat([1.0, -1.0], margins.size // 2)
-    shards = [NodeShard(0, margins[:, None], labels), NodeShard(1, np.ones((1, 1)), np.ones(1))]
-    p = Problem("logistic", shards=shards, reg="l2", lam=1.0)
+    p = Problem("logistic", stack([(margins[:, None], labels), (np.ones((1, 1)), np.ones(1))]), reg="l2", lam=1.0)
     x = np.ones(1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         loss, slope = p._rows(p._A @ x)
@@ -254,7 +249,7 @@ def test_smoothness_bounds_gradient_lipschitz():
     rng = np.random.default_rng(21)
     for kind in ("logistic", "linreg_nonconvex"):
         shards = _random_shards(rng, 3, 5, 12, regression=kind != "logistic")
-        p = Problem(kind, shards=shards, reg="l2", lam=0.05)
+        p = Problem(kind, stack(shards), reg="l2", lam=0.05)
         info = p.smoothness()
         assert info.L == pytest.approx(np.mean(info.L_i))
         assert info.L_max == max(info.L_i)
@@ -271,18 +266,17 @@ def test_smoothness_bounds_gradient_lipschitz():
 def test_smoothness_spectral_term_matches_svd():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((9, 4))
-    shards = [NodeShard(0, feats, np.ones(9))]
-    p = Problem("logistic", shards=shards, lam=0.0)
+    p = Problem("logistic", stack([(feats, np.ones(9))]), lam=0.0)
     info = p.smoothness()
     spectral_sq = np.linalg.svd(feats, compute_uv=False)[0] ** 2
     assert info.L_i[0] == pytest.approx(spectral_sq / (4.0 * 9.0), rel=1e-6)
 
 
 def test_smoothness_reg_curvature_scales_with_kind():
-    shards = [NodeShard(0, np.ones((2, 2)), np.array([1.0, -1.0]))]
+    block = stack([(np.ones((2, 2)), np.array([1.0, -1.0]))])
     lam = 0.75
-    l2 = Problem("logistic", shards=shards, reg="l2", lam=lam).smoothness()
-    nc = Problem("logistic", shards=shards, reg="nonconvex", lam=lam).smoothness()
+    l2 = Problem("logistic", block, reg="l2", lam=lam).smoothness()
+    nc = Problem("logistic", block, reg="nonconvex", lam=lam).smoothness()
     # the bounded regularizer has curvature up to 2 per unit weight
     assert nc.L_i[0] - l2.L_i[0] == pytest.approx(lam)
 
@@ -290,22 +284,39 @@ def test_smoothness_reg_curvature_scales_with_kind():
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
         Problem("cubic")
+    with pytest.raises(ConfigurationError, match="^logistic needs a block of data$"):
+        Problem("logistic")
     with pytest.raises(ConfigurationError):
-        Problem("logistic", shards=())
-    with pytest.raises(ConfigurationError):
-        Problem("logistic", shards=_random_shards(np.random.default_rng(0), 2, 3, 4), reg="l1")
+        Problem("logistic", stack(_random_shards(np.random.default_rng(0), 2, 3, 4)), reg="l1")
     with pytest.raises(ConfigurationError):
         Problem("quad_counterexample", quad_params=(1.0, 2.0))
     with pytest.raises(ConfigurationError):
-        Problem("quad_counterexample", shards=_random_shards(np.random.default_rng(0), 1, 2, 2))
-    shards = [
-        NodeShard(0, np.ones((2, 2)), np.array([1.0, -1.0])),
-        NodeShard(1, np.ones((2, 3)), np.array([1.0, -1.0])),
-    ]
+        Problem("quad_counterexample", stack(_random_shards(np.random.default_rng(0), 1, 2, 2)))
     with pytest.raises(ConfigurationError):
-        Problem("logistic", shards=shards)
-    with pytest.raises(ConfigurationError):
-        Problem("logistic", shards=_random_shards(np.random.default_rng(0), 2, 3, 4), lam=-1.0)
+        Problem("logistic", stack(_random_shards(np.random.default_rng(0), 2, 3, 4)), lam=-1.0)
+
+
+# id: (pairs, message) of each block stack refuses
+BAD_PAIRS = {
+    "no-shards": ([], "a block needs at least one shard"),
+    "features-1d": ([(np.ones(2), np.ones(2))], r"shard 0 features must be 2-d, got shape \(2,\)"),
+    "features-3d": ([(np.ones((2, 2)), np.ones(2)), (np.ones((1, 2, 2)), np.ones(1))], "shard 1 features must be 2-d"),
+    "too-few-labels": ([(np.ones((2, 2)), np.ones(1))], "shard 0 label count must match its feature row count"),
+    "labels-2d": ([(np.ones((2, 2)), np.ones((2, 1)))], "shard 0 label count must match"),
+    "empty-shard": ([(np.ones((2, 2)), np.ones(2)), (np.zeros((0, 2)), np.zeros(0))], "shard 1 is empty"),
+    "nan-feature": ([(np.array([[1.0, np.nan]]), np.ones(1))], "shard 0 holds a non-finite value"),
+    "infinite-label": ([(np.ones((1, 2)), np.ones(1)), (np.ones((1, 2)), np.array([-np.inf]))], "shard 1 holds a non-finite"),
+    "dimensions-differ": (
+        [(np.ones((2, 2)), np.array([1.0, -1.0])), (np.ones((2, 3)), np.array([1.0, -1.0]))],
+        r"shards disagree on dimension: \[2, 3\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("pairs, message", BAD_PAIRS.values(), ids=BAD_PAIRS)
+def test_stack_rejects_a_malformed_shard(pairs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        stack(pairs)
 
 
 def test_smoothness_is_exact_where_power_iteration_fell_short():
@@ -318,21 +329,21 @@ def test_smoothness_is_exact_where_power_iteration_fell_short():
     labels = np.where(margins > np.median(margins), 1.0, -1.0)
     flipped = rng.choice(500, size=75, replace=False)
     labels[flipped] = -labels[flipped]
-    shards = [standard_scale(s) for s in heterogeneous_split(Dataset(features, labels), 10)]
+    shards = [(scale(a), b) for a, b in split(features, labels, 10)]
     lam = 1e-4
-    info = Problem("logistic", shards=shards, reg="l2", lam=lam).smoothness()
-    for s, L_i in zip(shards, info.L_i):
-        exact = np.linalg.norm(s.features, 2) ** 2
-        assert abs((L_i - lam) * 4.0 * s.m / exact - 1.0) <= 1e-12
+    info = Problem("logistic", stack(shards), reg="l2", lam=lam).smoothness()
+    for (a, b), L_i in zip(shards, info.L_i):
+        exact = np.linalg.norm(a, 2) ** 2
+        assert abs((L_i - lam) * 4.0 * b.size / exact - 1.0) <= 1e-12
 
 
 def test_smoothness_uses_the_smaller_gram_side():
     # d > m: the m x m Gram carries the same largest eigenvalue
     rng = np.random.default_rng(5)
-    shards = [NodeShard(i, rng.standard_normal((3 + i, 40)), np.ones(3 + i)) for i in range(3)]
-    info = Problem("linreg_nonconvex", shards=shards, lam=0.0).smoothness()
-    for s, L_i in zip(shards, info.L_i):
-        assert L_i == pytest.approx(2.0 * np.linalg.norm(s.features, 2) ** 2 / s.m, rel=1e-12)
+    shards = [(rng.standard_normal((3 + i, 40)), np.ones(3 + i)) for i in range(3)]
+    info = Problem("linreg_nonconvex", stack(shards), lam=0.0).smoothness()
+    for (a, b), L_i in zip(shards, info.L_i):
+        assert L_i == pytest.approx(2.0 * np.linalg.norm(a, 2) ** 2 / b.size, rel=1e-12)
 
 
 def test_evaluate_rejects_a_point_of_the_wrong_dimension():

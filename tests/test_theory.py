@@ -13,7 +13,6 @@ from clipshift import (
     ConfigurationError,
     InfeasibleStepsizeError,
     MethodConfig,
-    NodeShard,
     Problem,
     StepsizeInputs,
     certified_stepsize,
@@ -32,6 +31,7 @@ from clipshift import (
     stepsize_press,
     stepsize_single,
 )
+from clipshift.data import stack
 
 
 def test_eta_cases():
@@ -59,6 +59,17 @@ def test_dp_pinned():
         L=1.0, L_max=1.0, tau=1.0, grad0_norms=(2.0, 0.5), F0=1.0, mu=0.1, nu=0.05
     )
     assert stepsize_dp(inputs) == pytest.approx(0.0032541397552843317, rel=1e-12)
+
+
+def test_dp_certificate_names_an_eta_that_underflows():
+    # tau / max ||grad_i(x0)|| is below the smallest subnormal, so eta is 0
+    # and the noisy rule's and weight's 2/eta terms would divide by it
+    inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=5e-324, grad0_norms=(1e10, 1.0), F0=0.25, mu=0.1)
+    message = r"^eta = tau / max_i \|\|grad_i\(x0\)\|\| at tau=5e-324 rounds to 0, and the certificate divides by it$"
+    with pytest.raises(InfeasibleStepsizeError, match=message):
+        stepsize_dp(inputs)
+    with pytest.raises(InfeasibleStepsizeError, match=message):
+        lyapunov_weight("dp_clip21_gd", 0.1, inputs)
 
 
 def test_press_margin_pinned():
@@ -385,12 +396,12 @@ def _newton_minimum(problem, shards):
 
     def value_grad_hess(x):
         value, grad, hess = 0.5 * lam * x @ x, lam * x, lam * np.eye(x.size)
-        for s in shards:
-            z = -s.labels * (s.features @ x)
+        for a, b in shards:
+            z = -b * (a @ x)
             p = 0.5 * (1.0 + np.tanh(0.5 * z))  # sigmoid(z), overflow-free
-            value += np.logaddexp(0.0, z).sum() / (n * s.m)
-            grad += s.features.T @ (-s.labels * p) / (n * s.m)
-            hess += (s.features.T * (p * (1.0 - p))) @ s.features / (n * s.m)
+            value += np.logaddexp(0.0, z).sum() / (n * b.size)
+            grad += a.T @ (-b * p) / (n * b.size)
+            hess += (a.T * (p * (1.0 - p))) @ a / (n * b.size)
         return value, grad, hess
 
     x = np.zeros(problem.d)
@@ -426,8 +437,8 @@ def test_f_inf_without_strong_convexity_is_best_minus_margin(reg, lam):
     shards = []
     for i in range(3):
         feats = rng.standard_normal((15, 4))
-        shards.append(NodeShard(i, feats, np.where(feats @ w > 0.0, 1.0, -1.0)))
-    problem = Problem("logistic", shards=shards, reg=reg, lam=lam)
+        shards.append((feats, np.where(feats @ w > 0.0, 1.0, -1.0)))
+    problem = Problem("logistic", stack(shards), reg=reg, lam=lam)
     x0 = rng.standard_normal(4)
     f0 = problem.evaluate(x0)[0]
     # no iteration: the best value seen is f(x0)
