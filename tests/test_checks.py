@@ -27,15 +27,15 @@ from clipshift import (
     stepsize_dp,
     stepsize_press,
 )
-from clipshift.data import node_block, read_libsvm, stack
+from clipshift.data import Dataset, node_block, read_libsvm, stack, write_libsvm
 from clipshift.ops import check_count, check_real
 from fixed_targets import avg_config, targets_problem
 
 _INPUTS = dict(L=1.0, L_max=2.0, tau=0.5, grad0_norms=(1.0, 2.0), F0=1.0)
-# four samples; split by label, the -1 rows 1 and 3 make node 0 and the +1 rows node 1
-_ENTRIES = read_libsvm("+1 1:1 2:0.5\n-1 1:-0.5 2:1\n+1 1:0.25 2:-1\n-1 1:1 2:1\n")
 _FEATURES = np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0], [1.0, 1.0]])
 _LABELS = np.array([1.0, -1.0, 1.0, -1.0])
+_ENTRIES = read_libsvm(write_libsvm(Dataset(_FEATURES, _LABELS)))
+# split by label: the -1 rows 1 and 3 make node 0, the +1 rows node 1
 _PAIRS = [(_FEATURES[[1, 3]], _LABELS[[1, 3]]), (_FEATURES[[0, 2]], _LABELS[[0, 2]])]
 
 
