@@ -5,7 +5,24 @@ per-node shift tracking, its differentially private variant, and a
 contractive-compression variant, together with executable forms of
 the stepsize rules, descent certificates, and privacy-utility bounds
 that govern them.
+
+Importing the package loads numpy with OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS is set or numpy was imported first, then unsets the
+variable so subprocesses do not inherit it. In those two cases the
+per-node sums keep outputs thread-independent while no node holds more
+than 10 000 rows and d <= 10 000. Other BLAS builds (MKL, an OpenMP
+OpenBLAS) were not measured.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reads it once, as numpy loads it
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .data import Dataset, write_libsvm
 from .errors import (
@@ -16,14 +33,7 @@ from .errors import (
     InvariantError,
 )
 from .ops import Compressor, clip, compress, node_mean
-from .optimizers import (
-    METHODS,
-    TRACE_DTYPE,
-    Batch,
-    MethodConfig,
-    OptimizerState,
-    run,
-)
+from .optimizers import METHODS, TRACE_DTYPE, Batch, MethodConfig, OptimizerState, run
 from .problems import KINDS, REGULARIZERS, Problem, SmoothnessInfo
 from .rng import gaussian_block, gaussian_sample
 from .theory import (

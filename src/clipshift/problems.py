@@ -127,9 +127,9 @@ class Problem:
         dot of its row losses with their weights 1/(n m_i), plus the
         regularizer. Row i of the gradients is node i's gradient, the
         slope-weighted sum of its rows, and their node_mean is the gradient
-        of f. No dot spans more than one node's m_max rows, so the value
-        does not depend on the BLAS thread count unless a node holds more
-        than 10 000 rows, the size above which OpenBLAS threads a dot.
+        of f. No dot spans more than one node's m_max rows, so where BLAS
+        runs threaded (see the package docstring) the value still does not
+        depend on the thread count while no node holds over 10 000 rows.
 
         x may also be an (R, d) stack of points: then f is an (R,) array
         and the gradients an (R, n, d) one. Each point gets the BLAS calls

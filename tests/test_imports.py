@@ -1,4 +1,5 @@
-"""The package runs on numpy and the standard library alone, and exports
+"""The package runs on numpy and the standard library alone, loads
+OpenBLAS on one thread without leaving its variable behind, and exports
 only names that exist."""
 
 import importlib
@@ -9,29 +10,61 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import clipshift
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# imports clipshift.cli, numpy first when asked, and reports the modules it
+# added, the keys written to os.environ, OPENBLAS_NUM_THREADS afterwards and
+# the process's OS threads
 _PROBE = """
-import json, sys
+import json, os, sys
+writes = []
+class Watched(type(os.environ)):
+    def __setitem__(self, key, value):
+        writes.append(key)
+        super().__setitem__(key, value)
+os.environ.__class__ = Watched
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
 before = set(sys.modules)
 import clipshift.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+tasks = "/proc/self/task"
+print(json.dumps({
+    "added": sorted(set(sys.modules) - before),
+    "writes": writes,
+    "blas_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
 """
 
+_COUNTS_THREADS = pytest.mark.skipif(
+    sys.platform != "linux" or not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task"
+)
 
-def test_cli_imports_nothing_but_numpy_and_the_standard_library():
-    # a fresh interpreter, so modules pytest already loaded cannot hide one
+
+def _probe(*args, blas_threads=None):
+    """Run _PROBE in a fresh interpreter, so modules pytest already loaded
+    cannot hide one, with OPENBLAS_NUM_THREADS set to blas_threads or unset."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     probe = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", _PROBE, *args],
+        env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    added = json.loads(probe.stdout)
+    return json.loads(probe.stdout)
+
+
+def test_cli_imports_nothing_but_numpy_and_the_standard_library():
+    added = _probe()["added"]
     assert "clipshift.cli" in added
     foreign = [
         name
@@ -40,6 +73,31 @@ def test_cli_imports_nothing_but_numpy_and_the_standard_library():
         and name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+@_COUNTS_THREADS
+def test_import_loads_blas_on_one_thread_and_unsets_its_variable():
+    probe = _probe()
+    assert probe["threads"] == 1
+    assert probe["writes"] == ["OPENBLAS_NUM_THREADS"]
+    assert probe["blas_threads_env"] is None
+
+
+@_COUNTS_THREADS
+def test_import_keeps_a_blas_thread_count_the_user_set():
+    probe = _probe(blas_threads="2")
+    assert probe["writes"] == []
+    assert probe["blas_threads_env"] == "2"
+    # OpenBLAS caps its threads at the CPUs the process may run on
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert probe["threads"] == 2
+
+
+@_COUNTS_THREADS
+def test_import_after_numpy_leaves_the_environment_untouched():
+    probe = _probe("numpy-first")
+    assert probe["writes"] == []
+    assert probe["blas_threads_env"] is None
 
 
 def test_every_exported_name_resolves():

@@ -10,12 +10,12 @@ appears on a late line), a sparse 12 000 x 60 set and a few config and
 malformed files, then runs every invocation kind of the fixed table
 kinds() once per side, each in a fresh ``python -m clipshift.cli``
 process and its own empty directory, and the change side a second time
-to check rerun determinism. That second run sets OPENBLAS_NUM_THREADS=1
-in its environment, so on a box with more than one core it also checks
-that the outputs do not depend on the BLAS thread count: the 12 000-row
-set on 200 nodes puts 12 000 values in each flattened node block, above
-OpenBLAS's 10 000-element cutoff for a threaded dot. Two processes run
-at a time.
+to check rerun determinism. clipshift loads OpenBLAS on one thread
+unless OPENBLAS_NUM_THREADS is set, and that second run sets it to 2, so
+on a box with more than one core it also checks that the outputs do not
+depend on the BLAS thread count: the 12 000-row set on 200 nodes puts
+12 000 values in each flattened node block, above OpenBLAS's
+10 000-element cutoff for a threaded dot. Two processes run at a time.
 
 It prints:
   - the kinds whose exit code, stdout or stderr differ between the sides,
@@ -30,7 +30,7 @@ It prints:
     largest relative deviation |a - b| / max(|a|, |b|) between the sides
     over every CSV written, and the kinds where the column moved; and
     the same for lyapunov's deviation relative to its row's |f|;
-  - whether the second change-side run, on one BLAS thread, reproduced
+  - whether the second change-side run, on two BLAS threads, reproduced
     the first: exit code, stdout, stderr and the first 7 CSV columns, byte
     for byte.
 
@@ -66,6 +66,7 @@ LABELS = COLUMNS + ("lyapunov/|f|",)
 SUMMARY_NUMBERS = ("final_f", "final_grad_norm_sq", "gamma")
 CHILD_TIMEOUT_S = 300
 JOBS = 2
+RERUN_THREADS = "2"  # not clipshift's default of one, so the rerun varies the thread count
 
 
 def write_inputs(where: Path) -> dict:
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
         def one(job):
             side, name, argv = job
             src = sides["change" if side == "rerun" else side]
-            env = {"OPENBLAS_NUM_THREADS": "1"} if side == "rerun" else {}
+            env = {"OPENBLAS_NUM_THREADS": RERUN_THREADS} if side == "rerun" else {}
             return job[:2], invoke(src, argv, tmp / "runs" / side / name, env)
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
         print(f"  {column:<13}{overall[j]:.3g} ({count})")
     for name, dev in moved:
         print(f"  moved in {name}: " + ", ".join(f"{c} {d:.3g}" for c, d in zip(LABELS, dev) if d))
-    reproduced = f"rerun determinism, at OPENBLAS_NUM_THREADS=1: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
+    reproduced = f"rerun determinism, at OPENBLAS_NUM_THREADS={RERUN_THREADS}: {len(table) - len(rerun_bad)} of {len(table)} kinds reproduced"
     print(reproduced + (f"; not: {', '.join(rerun_bad)}" if rerun_bad else ""))
     return int(bool(streams or numbers_only or csv_mismatch or moved or rerun_bad))
 
