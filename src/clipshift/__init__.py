@@ -4,14 +4,10 @@ Simulation library and experiment CLI for smoothed clipping with
 per-node shift tracking, its differentially private variant, and a
 contractive-compression variant, together with executable forms of
 the stepsize rules, descent certificates, and privacy-utility bounds
-that govern them.
-
-Importing the package loads numpy with OpenBLAS on one thread unless
-OPENBLAS_NUM_THREADS is set or numpy was imported first, then unsets the
-variable so subprocesses do not inherit it. In those two cases the
-per-node sums keep outputs thread-independent while no node holds more
-than 10 000 rows and d <= 10 000. Other BLAS builds (MKL, an OpenMP
-OpenBLAS) were not measured.
+that govern them. Importing it loads numpy with OpenBLAS on one thread
+and unsets OPENBLAS_NUM_THREADS again, unless it was set or numpy came
+first; then per-node sums keep outputs thread-independent up to 10 000
+rows a node and d = 10 000. Other BLAS builds were not measured.
 """
 
 import os
@@ -19,10 +15,8 @@ import sys
 
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reads it once, as numpy loads it
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .data import Dataset, write_libsvm
 from .errors import (
@@ -33,7 +27,14 @@ from .errors import (
     InvariantError,
 )
 from .ops import Compressor, clip, compress, node_mean
-from .optimizers import METHODS, TRACE_DTYPE, Batch, MethodConfig, OptimizerState, run
+from .optimizers import (
+    METHODS,
+    TRACE_DTYPE,
+    Batch,
+    MethodConfig,
+    OptimizerState,
+    run,
+)
 from .problems import KINDS, REGULARIZERS, Problem, SmoothnessInfo
 from .rng import gaussian_block, gaussian_sample
 from .theory import (

@@ -296,9 +296,8 @@ def step(batch: Batch):
     numbers are bit-identical to its solo run. A sum over the nodes, such
     as the shift term or the drift scale, is one dot per node row of d
     values, summed along the node axis in node order, never one dot over
-    the flattened (n, d) block. BLAS runs on one thread unless the package
-    docstring's exceptions apply; then the numbers still do not depend on
-    the thread count while d, and a node's rows in evaluate, stay <= 10 000.
+    the flattened (n, d) block, so where BLAS runs threaded (see the package
+    docstring) the thread count moves no bits while d <= 10 000.
     Returns, one entry per run (scalars for a lone run): f and
     ||grad f||^2 at x_k, the shift term (1/n) sum_i ||grad_i(x_k) -
     v_k^i||^2, the norm of the pre-gamma direction and the mask of the
