@@ -5,15 +5,18 @@ per-node shift tracking, its differentially private variant, and a
 contractive-compression variant, together with executable forms of
 the stepsize rules, descent certificates, and privacy-utility bounds
 that govern them. Importing it loads numpy with OpenBLAS on one thread
-and unsets OPENBLAS_NUM_THREADS again, unless it was set or numpy came
-first; then per-node sums keep outputs thread-independent up to 10 000
-rows a node and d = 10 000. Other BLAS builds were not measured.
+and unsets OPENBLAS_NUM_THREADS again, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS was set or numpy came first; then
+per-node sums keep outputs thread-independent up to 10 000 rows a node
+and d = 10 000. Other BLAS builds were not measured.
 """
 
 import os
 import sys
 
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reads it once, as numpy loads it
     import numpy  # noqa: F401
     del os.environ["OPENBLAS_NUM_THREADS"]

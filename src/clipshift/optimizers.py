@@ -8,7 +8,8 @@ shifted clipping at gamma = 0: the iterate stays at x0, so the shifts
 track the fixed local gradients there. The loop steps a batch: runs
 that share the problem and the method but differ in gamma, sigma and
 seed (a stepsize grid, a noise sweep) take each step together, and each
-run is bit-identical to its solo run.
+run is bit-identical to its solo run. The privacy noise of every run is
+drawn once per seed, scaled and clipped one chunk of steps at a time.
 
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
@@ -151,12 +152,13 @@ class Batch:
     shifts v (R, n, d) (row i of a run's block is node i's shift), their
     running aggregates v_bar (R, d), the clip masks active (R, n) and
     drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
-    the config ids[r]. Every run starts at x0 with the shifts v0, zeros
-    when omitted. A lone run (R = 1) keeps the shapes of an unbatched
-    one, without the leading axis (gamma is (1,)): numpy calls on one-row
-    arrays cost more, and a one-row axis cost a 10-node, 20-feature
-    dp-clip21-gd run about 11% of its steps per second (2-core Xeon VM,
-    OpenBLAS). lead is (R,) or ().
+    the config ids[r], and so does column r of the noise chunk (steps,
+    R, ...), the clipped noise of the steps from chunk_start on. Every
+    run starts at x0 with the shifts v0, zeros when omitted. A lone run
+    (R = 1) keeps the shapes of an unbatched one, without the leading
+    axis (gamma is (1,)): numpy calls on one-row arrays cost more, and a
+    one-row axis cost a 10-node, 20-feature dp-clip21-gd run about 11% of
+    its steps per second (2-core Xeon VM, OpenBLAS). lead is (R,) or ().
 
     v_bar is maintained incrementally across steps and re-checked against
     the direct average of the shift rows after each one; drift_scale is
@@ -196,17 +198,17 @@ class Batch:
         self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
         self.drift_scale = np.full(self.lead, np.sqrt(np.add.reduce(np.vecdot(v0, v0)) / n))
-        # noise chunks, all drawn at step chunk_start: the lone run's
-        # clipped noise, or one unit chunk per seed of a positive sigma
-        self.chunk_start, self.chunk_steps, self.chunks = 0, 0, {}
+        self.chunk_start, self.chunk = 0, np.empty((0,) + self.lead)  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
-        is True. A lone run that leaves empties the batch."""
+        is True, with their columns of the noise chunk. A lone run that
+        leaves empties the batch."""
         self.ids = self.ids[rows]
         if self.lead:
             for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
                 setattr(self, name, getattr(self, name)[rows])
+            self.chunk = self.chunk[:, rows]
             self.lead = (self.ids.size,)
 
     def state(self, row: int) -> OptimizerState:
@@ -220,42 +222,35 @@ class Batch:
         """This step's clipped privacy noise for every run, stacked along
         the leading axis: each run's draw at step k, clipped by nu.
 
-        The steps from k on are drawn as one chunk, of about _NOISE_BUDGET
-        elements over the batch and ending with the run, whose entries have
-        the bits of their lone draws. A lone run keeps its chunk scaled and
-        clipped, both row-wise and so bit-identical to one step's. In a
-        batch, the runs of one seed with a positive sigma share one unit
-        chunk, scaled per run each step: sigma * unit is the product a solo
-        draw forms. A zero sigma is exact zeros, as in a solo run. A chunk
-        stays with its runs when another run leaves.
+        The steps from k on are drawn as one chunk, ending with the run and
+        of about _NOISE_BUDGET elements per seed with a positive sigma: one
+        unit draw per such seed, with the bits of its lone draws. Run r's
+        column is sigma_r * unit, the product a solo draw forms, or exact
+        zeros at sigma_r = 0, and the chunk is clipped once, row-wise and so
+        bit-identical to one step's. Each step returns its row of the chunk.
         """
-        cfg, n, d = self.cfg, self.problem.n, self.problem.d
-        shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
-        groups = {}  # rows of the batched runs with a positive sigma, by seed
-        if self.lead:
+        i = self.k - self.chunk_start
+        if i >= len(self.chunk):  # the chunk has run out: draw the next
+            cfg, n, d = self.cfg, self.problem.n, self.problem.d
+            shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
+            groups = {}  # rows of the runs with a positive sigma, by seed
             for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
                 if sigma > 0.0:
                     groups.setdefault(seed, []).append(row)
-        i = self.k - self.chunk_start
-        if not 0 <= i < self.chunk_steps:  # the chunk has run out: draw the next
             per_step = max(1, len(groups)) * math.prod(shape)
             steps = max(1, min(_NOISE_BUDGET // per_step, cfg.iters - self.k))
-            if cfg.method == "dp_clip21_gd":
-                draw = lambda seed, sigma: gaussian_block(seed, self.k, n, d, sigma, steps=steps)
-            else:
-                slot = stream_slot(n, "aggregate")
-                draw = lambda seed, sigma: gaussian_sample(seed, slot, self.k, d, sigma, steps=steps)
-            if self.lead:
-                self.chunks = {seed: draw(seed, 1.0) for seed in groups}
-            else:  # the lone config is cfg itself
-                self.chunks = {cfg.seed: clip_rows(draw(cfg.seed, cfg.sigma), cfg.nu)[0]}
-            self.chunk_start, self.chunk_steps, i = self.k, steps, 0
-        if not self.lead:
-            return self.chunks[cfg.seed][i]
-        out = np.zeros(self.lead + shape)
-        for seed, rows in groups.items():
-            out[rows] = np.multiply.outer(self.sigma[rows], self.chunks[seed][i])
-        return clip_rows(out, cfg.nu)[0]
+            chunk = self.chunk = np.zeros((steps, self.ids.size) + shape)  # frees the spent chunk
+            for seed, rows in groups.items():
+                unit = (
+                    gaussian_block(seed, self.k, n, d, 1.0, steps=steps)
+                    if cfg.method == "dp_clip21_gd"
+                    else gaussian_sample(seed, stream_slot(n, "aggregate"), self.k, d, 1.0, steps=steps)
+                )
+                for row in rows:
+                    np.multiply(self.sigma[row], unit, out=chunk[:, row])
+            self.chunk = clip_rows(chunk, cfg.nu)[0].reshape((steps,) + self.lead + shape)
+            self.chunk_start, i = self.k, 0
+        return self.chunk[i]
 
 
 def _shift_update(targets, v, tau, transmit=None):

@@ -222,8 +222,8 @@ _DP = dict(tau=0.24, nu=0.04)
         # two seed groups split the budget: 16384 // 400 = 40
         ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [40, 40, 40, 40, 10, 10]),
         ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [300, 300]),
-        # a lone zero sigma draws exact zeros, without hashing, once a chunk
-        ("dp_clip21_gd", 30, [(0.0, 3)], [30]),
+        # a zero sigma is exact zeros without a draw, lone or batched
+        ("dp_clip21_gd", 30, [(0.0, 3)], []),
         ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], []),
     ],
 )
@@ -252,13 +252,15 @@ def test_chunk_is_one_step_at_a_large_shape(monkeypatch):
     assert not isinstance(final, DivergenceError)
 
 
-def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem, monkeypatch):
+@pytest.mark.parametrize("method", ["dp_clip21_gd", "dp_clip_gd"])
+def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem, monkeypatch, method):
     # gamma 1e300 sends the iterate to about 1e300 after one step, so f
     # overflows and that run leaves at step 1; one chunk of every step
-    # holds each seed group's noise, and the others keep theirs
+    # holds each seed group's noise, and the others keep their columns of
+    # it: (steps, R, n, d) for dp_clip21_gd, (steps, R, d) for dp_clip_gd
     noisy = dict(tau=1.0, nu=0.1, sigma=0.05)
     cfgs = [
-        MethodConfig("dp_clip21_gd", gamma, 300, seed=seed, **noisy)
+        MethodConfig(method, gamma, 300, seed=seed, **noisy)
         for gamma, seed in ((0.1, 1), (1e300, 1), (0.2, 2), (0.05, 1))
     ]
     lengths = _chunk_lengths(monkeypatch)

@@ -8,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clipshift import TRACE_DTYPE, ConfigurationError, InvariantError, Problem, cli, gaussian_sample
+from clipshift import METHODS, TRACE_DTYPE, ConfigurationError, InvariantError, Problem, cli, gaussian_sample
 from clipshift.cli import (
     CSV_HEADER,
     GRID_MULTIPLES,
+    OPTIONS,
     load_config_file,
     main,
+    option_flag,
     parse_compressor,
     parse_config,
 )
@@ -741,3 +745,69 @@ def test_iters_to_all_inactive_is_one_past_the_last_clipping_row(active, expecte
     trace["k"] = np.arange(len(active))
     trace["active_nodes"] = active
     assert cli.iters_to_all_inactive(trace) == expected
+
+
+# edge values of a real and of a count
+_EDGE_REALS = ("0", "-0", "5e-324", "-5e-324", "1e-300", "1e308", "inf", "-inf", "nan")
+_EDGE_COUNTS = ("0", "-1", "-7", "2.5", "1e308", "inf", "nan", "")
+
+
+def _sweep_values(data_file, out_dir):
+    """For every OPTIONS row, by key: (ordinary values, edge values), None
+    leaving the flag out. The counts that set the work, iters and
+    presolve_iters, are always given, at 30 or below."""
+    vector = ("1,2", "", "x", "gaussian:", "gaussian:x", *_EDGE_REALS, *("gaussian:" + v for v in _EDGE_REALS))
+    return {
+        "method": (tuple(m.replace("_", "-") for m in METHODS), (None, "newton", "")),
+        "problem": ((None, "logistic", "linreg", "counterexample"), ("quad-counterexample", "svm", "")),
+        "data": ((None, data_file), (str(out_dir / "missing.svm"), str(out_dir / "sub"), "")),
+        "nodes": ((None, "1", "4", "7"), ("2", "60", "61", *_EDGE_COUNTS)),
+        "tau": (("0.5", "0.05", "3"), (None, *_EDGE_REALS)),
+        "gamma": ((None, "auto", "grid", "0.1"), ("big", *_EDGE_REALS)),
+        "sigma": ((None, "0.01"), _EDGE_REALS),
+        "nu": ((None, "0.05"), _EDGE_REALS),
+        "lambda": ((None, "0.01"), _EDGE_REALS),
+        "reg": ((None, "l2", "nonconvex"), ("l1", "")),
+        "iters": (("1", "2", "5"), _EDGE_COUNTS),
+        "seed": ((None, "3"), (str(2**64), *_EDGE_COUNTS)),
+        "compressor": (
+            (None, "identity", "topk:1", "topk:3"),
+            ("topk:0", "topk:-1", "topk:", "topk:x", "topk:1.5", "topk:99", "top", ""),
+        ),
+        "out": ((str(out_dir / "run.csv"),), (str(out_dir / "missing" / "run.csv"), str(out_dir / "sub"))),
+        "x0": ((None, "zeros", "gaussian:1.0", "0.5", "1,-1,0.5,2,0"), vector),
+        "mu": ((None, "0.05"), _EDGE_REALS),
+        "L": ((None, "1"), _EDGE_REALS),
+        "beta_q": ((None, "2", "0.5"), _EDGE_REALS),
+        "alpha_q": ((None, "1"), _EDGE_REALS),
+        "presolve_iters": (("5", "30"), _EDGE_COUNTS),
+        "v_init": ((None, "zeros", "gaussian:0.7", "0.25", "0.1,-0.2,0.3,-0.4,0.5"), vector),
+    }
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("sweep")
+    (out_dir / "sub").mkdir()  # a path that names a directory
+    return out_dir
+
+
+def test_sweep_has_values_for_every_option(data_file, sweep_dir):
+    assert list(_sweep_values(data_file, sweep_dir)) == [row[0] for row in OPTIONS]
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_every_option_value_ends_in_an_exit_code(data_file, sweep_dir, data):
+    # on the counterexample or the 60-row toy set, at most 5 iterations: up to
+    # three options take an edge value and the rest ordinary ones, and every
+    # failure is a typed error with its exit code, never an escaped exception
+    values = _sweep_values(data_file, sweep_dir)
+    edges = data.draw(st.sets(st.sampled_from(list(values)), max_size=3), label="edges")
+    argv = []
+    for key, (ordinary, edge) in values.items():
+        value = data.draw(st.sampled_from(edge if key in edges else ordinary), label=key)
+        argv += [] if value is None else [option_flag(key), value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the privacy-calibration warning
+        assert main(argv) in (0, 2, 3, 4, 5), argv

@@ -1,6 +1,6 @@
 """The package runs on numpy and the standard library alone, loads
-OpenBLAS on one thread without leaving its variable behind, and exports
-only names that exist."""
+OpenBLAS on one thread without leaving its variable behind unless the
+user set a thread count, and exports only names that exist."""
 
 import importlib
 import json
@@ -15,6 +15,9 @@ import pytest
 import clipshift
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the variables OpenBLAS reads its thread count from, as numpy loads it
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # imports clipshift.cli, numpy first when asked, and reports the modules it
 # added, the keys written to os.environ, OPENBLAS_NUM_THREADS afterwards and
@@ -45,14 +48,14 @@ _COUNTS_THREADS = pytest.mark.skipif(
 )
 
 
-def _probe(*args, blas_threads=None):
+def _probe(*args, **threads):
     """Run _PROBE in a fresh interpreter, so modules pytest already loaded
-    cannot hide one, with OPENBLAS_NUM_THREADS set to blas_threads or unset."""
+    cannot hide one, with the thread-count variables given in threads set
+    and every other one of _THREAD_VARIABLES unset."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARIABLES}
     env["PYTHONPATH"] = path
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(threads)
     probe = subprocess.run(
         [sys.executable, "-c", _PROBE, *args],
         env=env,
@@ -85,10 +88,21 @@ def test_import_loads_blas_on_one_thread_and_unsets_its_variable():
 
 @_COUNTS_THREADS
 def test_import_keeps_a_blas_thread_count_the_user_set():
-    probe = _probe(blas_threads="2")
+    probe = _probe(OPENBLAS_NUM_THREADS="2")
     assert probe["writes"] == []
     assert probe["blas_threads_env"] == "2"
     # OpenBLAS caps its threads at the CPUs the process may run on
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert probe["threads"] == 2
+
+
+@_COUNTS_THREADS
+@pytest.mark.parametrize("variable", ["OMP_NUM_THREADS", "GOTO_NUM_THREADS"])
+def test_import_keeps_a_thread_count_openblas_reads_in_its_place(variable):
+    # OpenBLAS falls back to these when OPENBLAS_NUM_THREADS is unset
+    probe = _probe(**{variable: "2"})
+    assert probe["writes"] == []
+    assert probe["blas_threads_env"] is None
     if len(os.sched_getaffinity(0)) >= 2:
         assert probe["threads"] == 2
 

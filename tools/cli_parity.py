@@ -195,13 +195,15 @@ def kinds(files: dict) -> list:
          + ["--gamma", "grid"]),
         # noise is drawn in chunks of 16384 // (seed groups * elements a step) steps: 819 for
         # dp-clip21-gd's 4 x 5 block, 3276 for dp-clip-gd's one row of 5, so these runs cross
-        # a chunk boundary and end mid-chunk; the grid's six children share one seed group
+        # a chunk boundary and end mid-chunk; a grid's six children share one seed group
         ("dp-clip21-gd-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
          + ["--gamma", "0.1", "--iters", "1000"]),
         ("dp-clip-gd-chunks", base + ["--method", "dp-clip-gd", "--tau", "0.5"] + noise
          + ["--gamma", "0.1", "--iters", "4000"]),
         ("dp-clip21-gd-grid-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
          + ["--gamma", "grid", "--iters", "1000"]),
+        ("dp-clip-gd-grid-chunks", base + ["--method", "dp-clip-gd", "--tau", "0.5"] + noise
+         + ["--gamma", "grid", "--iters", "4000"]),
         # values that start with "-" and a digit, which argparse alone reads as flags
         ("x0-dashed-exponent", clip21 + ["--gamma", "0.1", "--x0", "-3e-1"]),
         ("x0-dashed-list", clip21 + ["--gamma", "0.1", "--x0", "-1,2,3,4,5"]),
