@@ -52,10 +52,7 @@ from .theory import (
     rate_envelope,
     sigma_min,
     stepsize_branches,
-    stepsize_dp,
     stepsize_multi,
-    stepsize_press,
-    stepsize_single,
 )
 
 __version__ = "0.1.0"
@@ -94,9 +91,6 @@ __all__ = [
     "run",
     "sigma_min",
     "stepsize_branches",
-    "stepsize_dp",
     "stepsize_multi",
-    "stepsize_press",
-    "stepsize_single",
     "write_libsvm",
 ]

@@ -56,7 +56,7 @@ _SHIFTED = ("clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 # allowed shift drift per step: 16 ulps of the scale of the shift rows
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
-# noise elements a batch holds in its chunks, about 128 KB: many steps a
+# noise elements a chunk holds for the noisy runs, about 128 KB: many steps a
 # draw at small shapes, one at shapes where the draw is compute-bound
 _NOISE_BUDGET = 16_384
 
@@ -223,9 +223,9 @@ class Batch:
         the leading axis: each run's draw at step k, clipped by nu.
 
         The steps from k on are drawn as one chunk, ending with the run and
-        of about _NOISE_BUDGET elements per seed with a positive sigma: one
-        unit draw per such seed, with the bits of its lone draws. Run r's
-        column is sigma_r * unit, the product a solo draw forms, or exact
+        of about _NOISE_BUDGET elements over the runs with a positive sigma:
+        one unit draw per seed among them, with the bits of its lone draws.
+        Run r's column is sigma_r * unit, as a solo draw forms it, or exact
         zeros at sigma_r = 0, and the chunk is clipped once, row-wise and so
         bit-identical to one step's. Each step returns its row of the chunk.
         """
@@ -237,7 +237,7 @@ class Batch:
             for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
                 if sigma > 0.0:
                     groups.setdefault(seed, []).append(row)
-            per_step = max(1, len(groups)) * math.prod(shape)
+            per_step = max(1, sum(map(len, groups.values()))) * math.prod(shape)
             steps = max(1, min(_NOISE_BUDGET // per_step, cfg.iters - self.k))
             chunk = self.chunk = np.zeros((steps, self.ids.size) + shape)  # frees the spent chunk
             for seed, rows in groups.items():

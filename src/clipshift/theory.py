@@ -5,9 +5,11 @@ privacy variance floor with its utility bound.
 
 Each stepsize rule is a minimum over printed branch expressions, named
 implicit, smoothness, tau_sq, eta_mu, mu_L_max and compression;
-stepsize_branches returns them with the name of the one that binds. The
-implicit branch, gamma <= phi0/(B - thr)^2 with phi0 itself affine in
-gamma, is resolved exactly as a linear inequality (see _implicit_branch).
+stepsize_branches returns them with the name of the one that binds,
+certified_stepsize the binding value; stepsize_multi is the n-node rule
+at any n, one node included. The implicit branch, gamma <=
+phi0/(B - thr)^2 with phi0 itself affine in gamma, is resolved exactly
+as a linear inequality (see _implicit_branch).
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ __all__ = [
     "stepsize_branches",
     "lyapunov_weight",
     "eta_of",
-    "stepsize_single",
     "stepsize_multi",
-    "stepsize_dp",
-    "stepsize_press",
     "press_contraction_margin",
     "k_star",
     "rate_envelope",
@@ -156,8 +155,6 @@ def _bind(rule, inp: StepsizeInputs) -> tuple[dict, str]:
 
 
 def _single(inp: StepsizeInputs) -> dict:
-    if inp.n != 1:
-        raise ConfigurationError(f"single-node rule needs n=1, got n={inp.n}")
     norm0 = inp.grad0_norms[0]
     eta = eta_of(inp.tau, inp.grad0_norms)
     gap = _shift_gap(eta, inp.tau)
@@ -229,31 +226,9 @@ def _press(inp: StepsizeInputs) -> dict:
     }
 
 
-def stepsize_single(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the single-node shifted method."""
-    branches, name = _bind(_single, inp)
-    return branches[name]
-
-
 def stepsize_multi(inp: StepsizeInputs) -> float:
     """Largest certified stepsize for the n-node shifted method."""
     branches, name = _bind(_multi, inp)
-    return branches[name]
-
-
-def stepsize_dp(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the noisy shifted method.
-
-    Requires the gradient-dominance constant mu; nu defaults to 0, which
-    collapses the start gap to its noiseless form.
-    """
-    branches, name = _bind(_dp, inp)
-    return branches[name]
-
-
-def stepsize_press(inp: StepsizeInputs) -> float:
-    """Largest certified stepsize for the compressed shifted method."""
-    branches, name = _bind(_press, inp)
     return branches[name]
 
 
@@ -301,7 +276,9 @@ def stepsize_branches(method: str, inputs: StepsizeInputs) -> tuple[dict, str]:
 
 
 def certified_stepsize(method: str, inputs: StepsizeInputs) -> float:
-    """The stepsize ``--gamma auto`` resolves to: stepsize_branches' binding value."""
+    """The stepsize ``--gamma auto`` resolves to: stepsize_branches' binding
+    value. The noisy rule requires the gradient-dominance constant mu; nu
+    defaults to 0, which collapses the start gap to its noiseless form."""
     branches, name = stepsize_branches(method, inputs)
     return branches[name]
 

@@ -30,10 +30,7 @@ from clipshift import (
     run,
     sigma_min,
     stepsize_branches,
-    stepsize_dp,
     stepsize_multi,
-    stepsize_press,
-    stepsize_single,
 )
 from clipshift.data import stack
 from clipshift.errors import DivergenceError
@@ -372,8 +369,8 @@ def test_criterion_09_rules_match_oracle():
             return abs(ours - ref) / max(abs(ref), 1e-300)
 
         if n == 1:
-            ours = stepsize_single(
-                StepsizeInputs(L=L, L_max=L, tau=tau, grad0_norms=norms, F0=F0)
+            ours = certified_stepsize(
+                "clip21_gd", StepsizeInputs(L=L, L_max=L, tau=tau, grad0_norms=norms, F0=F0)
             )
             assert gap(ours, oracle.stepsize_single(L, tau, norms[0], F0)) <= 1e-12
 
@@ -384,7 +381,10 @@ def test_criterion_09_rules_match_oracle():
             L=L, L_max=L_max, tau=tau, grad0_norms=norms, F0=F0, mu=mu, nu=nu
         )
         assert (
-            gap(stepsize_dp(dp_inputs), oracle.stepsize_dp(L, L_max, tau, norms, F0, mu, nu))
+            gap(
+                certified_stepsize("dp_clip21_gd", dp_inputs),
+                oracle.stepsize_dp(L, L_max, tau, norms, F0, mu, nu),
+            )
             <= 1e-12
         )
 
@@ -396,7 +396,7 @@ def test_criterion_09_rules_match_oracle():
         )
         assert (
             gap(
-                stepsize_press(press_inputs),
+                certified_stepsize("press_clip21_gd", press_inputs),
                 oracle.stepsize_press(L, L_max, tau, press_norms, F0, alpha),
             )
             <= 1e-12

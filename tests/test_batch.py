@@ -217,10 +217,11 @@ _DP = dict(tau=0.24, nu=0.04)
         ("dp_clip21_gd", 200, [(0.02, 7)], [81, 81, 38]),
         # the aggregate slot draws one row a step: 16384 // 20 = 819
         ("dp_clip_gd", 1000, [(0.02, 7)], [819, 181]),
-        # a sigma sweep on one seed shares one unit chunk; sigma 0 draws nothing
-        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [81, 19]),
-        # two seed groups split the budget: 16384 // 400 = 40
-        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [40, 40, 40, 40, 10, 10]),
+        # a sigma sweep on one seed shares one unit chunk; sigma 0 draws
+        # nothing, and the three noisy runs split the budget: 16384 // 600 = 27
+        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [27, 27, 27, 19]),
+        # two seed groups, one unit chunk each, at the three runs' 27 steps
+        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27, 27, 27, 27, 27, 27, 9, 9]),
         ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [300, 300]),
         # a zero sigma is exact zeros without a draw, lone or batched
         ("dp_clip21_gd", 30, [(0.0, 3)], []),
@@ -237,6 +238,21 @@ def test_chunked_noise_matches_per_step_draws(
         assert np.array_equal(batch.noise(), _per_step_noise(batch)), batch.k
         step(batch)
     assert lengths == chunks
+
+
+@pytest.mark.parametrize("method", ["dp_clip21_gd", "dp_clip_gd"])
+def test_noise_chunk_peak_stays_near_the_budget(logistic_problem, logistic_x0, method):
+    # a 50-run sigma sweep on one seed: the budget counts the noisy runs,
+    # so the chunk holds about 16384 elements, not 50 times that; the
+    # trace's 10 000 rows take 0.69 MiB of the peak
+    cfgs = [MethodConfig(method, 0.1, 200, sigma=0.0008 * (r + 1), seed=3, **_DP) for r in range(50)]
+    tracemalloc.start()
+    try:
+        run(cfgs, logistic_problem, logistic_x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_chunk_is_one_step_at_a_large_shape(monkeypatch):

@@ -12,6 +12,7 @@ from clipshift import (
     MethodConfig,
     Problem,
     StepsizeInputs,
+    certified_stepsize,
     clip,
     dp_utility_bound,
     estimate_f_inf,
@@ -24,8 +25,6 @@ from clipshift import (
     rate_envelope,
     run,
     sigma_min,
-    stepsize_dp,
-    stepsize_press,
 )
 from clipshift.data import Dataset, node_block, read_libsvm, stack, write_libsvm
 from clipshift.ops import check_count, check_real
@@ -50,15 +49,15 @@ CALLS = {
         ("first", "last"),
         (),
     ),
-    "stepsize_dp": (
-        lambda **kw: stepsize_dp(StepsizeInputs(**_INPUTS, **kw)),
+    "certified_stepsize-dp": (
+        lambda **kw: certified_stepsize("dp_clip21_gd", StepsizeInputs(**_INPUTS, **kw)),
         dict(mu=0.1, nu=0.01),
         ("mu", "nu"),
         (),
     ),
     "press_contraction_margin": (press_contraction_margin, dict(alpha=1.0, eta=0.5), ("alpha", "eta"), ()),
-    "stepsize_press": (
-        lambda **kw: stepsize_press(StepsizeInputs(**_INPUTS, **kw)),
+    "certified_stepsize-press": (
+        lambda **kw: certified_stepsize("press_clip21_gd", StepsizeInputs(**_INPUTS, **kw)),
         dict(alpha_press=1.0),
         ("alpha_press",),
         (),

@@ -26,10 +26,7 @@ from clipshift import (
     run,
     sigma_min,
     stepsize_branches,
-    stepsize_dp,
     stepsize_multi,
-    stepsize_press,
-    stepsize_single,
 )
 from clipshift.data import stack
 
@@ -46,7 +43,7 @@ def test_single_node_pinned():
     inputs = StepsizeInputs(L=1.0, L_max=1.0, tau=1.0, grad0_norms=(1.0,), F0=1.0)
     # with eta = 1 the shift penalty disappears and the smoothness branch
     # reduces to (1 - 1/sqrt(2))/(2L); the residual branch gives 1/16
-    assert stepsize_single(inputs) == 0.0625
+    assert certified_stepsize("clip21_gd", inputs) == 0.0625
 
 
 def test_multi_node_pinned():
@@ -58,7 +55,9 @@ def test_dp_pinned():
     inputs = StepsizeInputs(
         L=1.0, L_max=1.0, tau=1.0, grad0_norms=(2.0, 0.5), F0=1.0, mu=0.1, nu=0.05
     )
-    assert stepsize_dp(inputs) == pytest.approx(0.0032541397552843317, rel=1e-12)
+    assert certified_stepsize("dp_clip21_gd", inputs) == pytest.approx(
+        0.0032541397552843317, rel=1e-12
+    )
 
 
 def test_dp_certificate_names_an_eta_that_underflows():
@@ -67,7 +66,7 @@ def test_dp_certificate_names_an_eta_that_underflows():
     inputs = StepsizeInputs(L=1.0, L_max=2.0, tau=5e-324, grad0_norms=(1e10, 1.0), F0=0.25, mu=0.1)
     message = r"^eta = tau / max_i \|\|grad_i\(x0\)\|\| at tau=5e-324 rounds to 0, and the certificate divides by it$"
     with pytest.raises(InfeasibleStepsizeError, match=message):
-        stepsize_dp(inputs)
+        certified_stepsize("dp_clip21_gd", inputs)
     with pytest.raises(InfeasibleStepsizeError, match=message):
         lyapunov_weight("dp_clip21_gd", 0.1, inputs)
 
@@ -117,19 +116,19 @@ def test_huge_tau_has_no_certified_stepsize():
     inputs = dict(L=1.0, L_max=2.0, grad0_norms=(2.0, 1.0), F0=0.25, mu=0.05, alpha_press=1.0)
     near = StepsizeInputs(tau=1e150, **inputs)
     assert _rel_gap(stepsize_multi(near), math.sqrt(2.0) / 16.0) <= 1e-12
-    assert _rel_gap(stepsize_dp(near), math.sqrt(2.0) / 64.0) <= 1e-12
+    assert _rel_gap(certified_stepsize("dp_clip21_gd", near), math.sqrt(2.0) / 64.0) <= 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # at 1e154 a branch denominator overflows, at 1e200 tau^2 itself
         for tau, shown in ((1e154, r"1e\+154"), (1e200, r"1e\+200")):
             huge = StepsizeInputs(tau=tau, **inputs)
-            for rule in (stepsize_multi, stepsize_dp):
+            for rule in (stepsize_multi, lambda inp: certified_stepsize("dp_clip21_gd", inp)):
                 with pytest.raises(ConfigurationError, match=rf"^no finite certified stepsize at tau={shown}$"):
                     rule(huge)
         single = StepsizeInputs(L=1.0, L_max=1.0, tau=1e200, grad0_norms=(2.0,), F0=0.25)
-        for rule, inp in ((stepsize_single, single), (stepsize_press, StepsizeInputs(tau=1e200, **inputs))):
+        for method, inp in (("clip21_gd", single), ("press_clip21_gd", StepsizeInputs(tau=1e200, **inputs))):
             with pytest.raises(ConfigurationError, match=r"^no finite certified stepsize at tau=1e\+200$"):
-                rule(inp)
+                certified_stepsize(method, inp)
         with pytest.raises(ConfigurationError, match=r"^no finite noise floor at tau=1e\+200$"):
             sigma_min(1e200, 10, 0.5, 0.1, 0.5)
 
@@ -141,7 +140,10 @@ def _rel_gap(ours, ref):
 
 def test_rules_match_oracle_spot_checks():
     single = StepsizeInputs(L=2.0, L_max=2.0, tau=0.5, grad0_norms=(3.0,), F0=1.7)
-    assert _rel_gap(stepsize_single(single), oracle.stepsize_single(2.0, 0.5, 3.0, 1.7)) <= 1e-12
+    assert (
+        _rel_gap(certified_stepsize("clip21_gd", single), oracle.stepsize_single(2.0, 0.5, 3.0, 1.7))
+        <= 1e-12
+    )
 
     multi = StepsizeInputs(
         L=1.5, L_max=2.5, tau=0.8, grad0_norms=(2.0, 0.3, 1.1), F0=0.9
@@ -155,7 +157,10 @@ def test_rules_match_oracle_spot_checks():
         L=1.2, L_max=2.0, tau=1.0, grad0_norms=(1.5, 0.5), F0=0.6, mu=0.05, nu=0.1
     )
     assert (
-        _rel_gap(stepsize_dp(dp), oracle.stepsize_dp(1.2, 2.0, 1.0, (1.5, 0.5), 0.6, 0.05, 0.1))
+        _rel_gap(
+            certified_stepsize("dp_clip21_gd", dp),
+            oracle.stepsize_dp(1.2, 2.0, 1.0, (1.5, 0.5), 0.6, 0.05, 0.1),
+        )
         <= 1e-12
     )
 
@@ -163,7 +168,10 @@ def test_rules_match_oracle_spot_checks():
         L=1.0, L_max=1.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=1.0, alpha_press=1.0
     )
     assert (
-        _rel_gap(stepsize_press(press), oracle.stepsize_press(1.0, 1.0, 1.0, (2.0, 1.0), 1.0, 1.0))
+        _rel_gap(
+            certified_stepsize("press_clip21_gd", press),
+            oracle.stepsize_press(1.0, 1.0, 1.0, (2.0, 1.0), 1.0, 1.0),
+        )
         <= 1e-12
     )
 
@@ -252,14 +260,10 @@ def test_counterexample_binds_on_its_tau_sq_branch():
 
 
 def test_stepsize_preconditions():
-    with pytest.raises(ConfigurationError):
-        stepsize_single(
-            StepsizeInputs(L=1.0, L_max=1.0, tau=1.0, grad0_norms=(1.0, 2.0), F0=1.0)
-        )
-    with pytest.raises(ConfigurationError):
-        stepsize_dp(StepsizeInputs(L=1.0, L_max=1.0, tau=1.0, grad0_norms=(1.0,), F0=1.0))
-    with pytest.raises(ConfigurationError):
-        stepsize_press(StepsizeInputs(L=1.0, L_max=1.0, tau=1.0, grad0_norms=(1.0,), F0=1.0))
+    bare = StepsizeInputs(L=1.0, L_max=1.0, tau=1.0, grad0_norms=(1.0,), F0=1.0)
+    for method in ("dp_clip21_gd", "press_clip21_gd"):  # bare has no mu, no alpha_press
+        with pytest.raises(ConfigurationError):
+            certified_stepsize(method, bare)
     with pytest.raises(ConfigurationError):
         StepsizeInputs(L=0.0, L_max=1.0, tau=1.0, grad0_norms=(1.0,), F0=1.0)
     with pytest.raises(ConfigurationError):
@@ -309,45 +313,43 @@ def _shift_weight(gamma):
     return gamma / (2.0 * (1.0 - (1.0 - _ETA) * (1.0 - 0.5 * _ETA)))
 
 
-def _inverse_L(inputs):
-    return 1.0 / inputs.L
-
-
 def _no_weight(gamma):
     return 0.0
 
 
+# each expected gamma is the exact value of the method's own rule: the
+# single-node, n-node, noisy and compressed rules, then 1/L
 @pytest.mark.parametrize(
-    "method,extra,rule,weight",
+    "method,extra,expected,weight",
     [
-        ("clip21_gd", dict(grad0_norms=(2.0,)), stepsize_single, _shift_weight),
-        ("clip21_gd", {}, stepsize_multi, _shift_weight),
-        ("dp_clip21_gd", dict(mu=0.1, nu=0.05), stepsize_dp, lambda gamma: 2.0 * gamma / _ETA),
+        ("clip21_gd", dict(grad0_norms=(2.0,)), 0.0905089821505369, _shift_weight),
+        ("clip21_gd", {}, 0.011747606429224308, _shift_weight),
+        ("dp_clip21_gd", dict(mu=0.1, nu=0.05), 0.002902123976655665, lambda gamma: 2.0 * gamma / _ETA),
         (
             "press_clip21_gd",
             dict(alpha_press=0.9),
-            stepsize_press,
+            0.004425735289305746,
             lambda gamma: gamma / press_contraction_margin(0.9, _ETA),
         ),
         # no positive contraction margin at alpha = 0.5: no certified
         # stepsize, and the shift term drops out of the telemetry
         ("press_clip21_gd", dict(alpha_press=0.5), None, _no_weight),
-        ("gd", {}, _inverse_L, _no_weight),
-        ("clip_gd", {}, _inverse_L, _no_weight),
-        ("dp_clip_gd", {}, _inverse_L, _no_weight),
+        ("gd", {}, 1.0, _no_weight),
+        ("clip_gd", {}, 1.0, _no_weight),
+        ("dp_clip_gd", {}, 1.0, _no_weight),
     ],
     ids=["clip21-single", "clip21-multi", "dp", "press", "press-no-margin", "gd", "clip-gd", "dp-clip-gd"],
 )
-def test_certificate_matches_the_per_method_rules(method, extra, rule, weight):
+def test_certificate_matches_the_per_method_rules(method, extra, expected, weight):
     base = dict(L=1.0, L_max=2.0, tau=1.0, grad0_norms=(2.0, 1.0), F0=0.25)
     inputs = StepsizeInputs(**{**base, **extra})
-    if rule is None:
+    if expected is None:
         with pytest.raises(InfeasibleStepsizeError):
             certified_stepsize(method, inputs)
         gamma = 0.1
     else:
         gamma = certified_stepsize(method, inputs)
-        assert gamma == rule(inputs)
+        assert gamma == expected
     for g in (gamma, 0.1):
         assert lyapunov_weight(method, g, inputs) == weight(g)
     with pytest.raises(ConfigurationError, match="gamma must be a positive real, got 0.0"):
@@ -386,7 +388,7 @@ def test_press_stepsize_requires_feasible_margin():
         L=1.0, L_max=1.0, tau=0.05, grad0_norms=(2.0, 1.0), F0=1.0, alpha_press=0.8
     )
     with pytest.raises(InfeasibleStepsizeError):
-        stepsize_press(inputs)
+        certified_stepsize("press_clip21_gd", inputs)
 
 
 def _newton_minimum(problem, shards):
