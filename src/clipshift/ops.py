@@ -153,7 +153,7 @@ def compress_rows(c: Compressor, rows: np.ndarray) -> np.ndarray:
 
 def node_mean(rows: np.ndarray) -> np.ndarray:
     """Mean over the node axis of an (n, d) array, or of each (n, d) block
-    of an (R, n, d) stack.
+    of a stack of them, such as (R, n, d).
 
     Every aggregation in the package goes through this one reduction so
     that objective gradients and optimizer averages agree bitwise. The
@@ -161,7 +161,7 @@ def node_mean(rows: np.ndarray) -> np.ndarray:
     mean has the same bits alone or in a stack.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim not in (2, 3):
-        raise ConfigurationError(f"expected an (n, d) or (R, n, d) array, got shape {rows.shape}")
+    if rows.ndim < 2:
+        raise ConfigurationError(f"expected an (n, d) array or a stack of them, got shape {rows.shape}")
     # the same sum-then-divide as rows.mean(axis=-2), without its overhead
     return np.add.reduce(rows, axis=-2) / rows.shape[-2]

@@ -11,6 +11,13 @@ seed (a stepsize grid, a noise sweep) take each step together, and each
 run is bit-identical to its solo run. The privacy noise of every run is
 drawn once per seed, scaled and clipped one chunk of steps at a time.
 
+The loop also advances the batch one chunk of steps at a time. A step
+does only the method's own arithmetic and writes what it found into
+the chunk's buffers; at the chunk's end one pass, vectorised over its
+steps, forms the telemetry, advances the running aggregate of the shifts
+and runs the checks, with the bits and the order of leaving and raising
+of one step at a time. step is the same kernel on a one-step chunk.
+
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
 those fresh shifts, and only then moves the iterate.
@@ -59,6 +66,10 @@ _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 # noise elements a chunk holds for the noisy runs, about 128 KB: many steps a
 # draw at small shapes, one at shapes where the draw is compute-bound
 _NOISE_BUDGET = 16_384
+
+# elements of the step buffers a chunk of run fills, about 64 KB: 73 steps for
+# a lone 10-node, 20-feature run, 12 for six of them, 10 at 100 x 123
+_CHUNK_BUDGET = 8_192
 
 
 def _required(method: str, what: str, value) -> float:
@@ -160,14 +171,17 @@ class Batch:
     one-row axis cost a 10-node, 20-feature dp-clip21-gd run about 11% of
     its steps per second (2-core Xeon VM, OpenBLAS). lead is (R,) or ().
 
-    v_bar is maintained incrementally across steps and re-checked against
-    the direct average of the shift rows after each one; drift_scale is
-    the running sum of the root-mean-square shift row over v0 and the
-    steps so far, the scale of the rounding v_bar may have accumulated,
-    each term a sum of per-node squared norms taken in node order. A
-    run that leaves (it diverged) is dropped from every array, and the
-    others go on unchanged. The batch holds no telemetry: run writes each
-    step's values of the runs in ids into the trace rows of that step.
+    v_bar is maintained incrementally across steps and checked against
+    the direct average of the shift rows of each step; drift_scale is the
+    running sum of the root-mean-square shift row over v0 and the steps
+    so far, the scale of the rounding v_bar may have accumulated, each
+    term a sum of per-node squared norms taken in node order. Both advance
+    at the end of each chunk of steps, from the per-step terms the chunk's
+    buffers hold; x and v advance every step. A run that leaves (it
+    diverged) is dropped from every array at the end of its chunk, and
+    the others go on unchanged. The batch holds no telemetry: run writes
+    each chunk's values of the runs in ids into the trace rows of its
+    steps.
     """
 
     def __init__(self, cfgs, problem, x0, v0=None):
@@ -223,11 +237,13 @@ class Batch:
         the leading axis: each run's draw at step k, clipped by nu.
 
         The steps from k on are drawn as one chunk, ending with the run and
-        of about _NOISE_BUDGET elements over the runs with a positive sigma:
-        one unit draw per seed among them, with the bits of its lone draws.
-        Run r's column is sigma_r * unit, as a solo draw forms it, or exact
-        zeros at sigma_r = 0, and the chunk is clipped once, row-wise and so
-        bit-identical to one step's. Each step returns its row of the chunk.
+        of about _NOISE_BUDGET elements over the columns it holds, one per
+        run: one unit draw per seed among the runs with a positive sigma,
+        with the bits of its lone draws. Run r's column is sigma_r * unit,
+        as a solo draw forms it, or exact zeros at sigma_r = 0, and the
+        chunk is clipped once, row-wise and so bit-identical to one step's.
+        Each step returns its row of the chunk. With no run at a positive
+        sigma there is no chunk, and each step gets exact zeros.
         """
         i = self.k - self.chunk_start
         if i >= len(self.chunk):  # the chunk has run out: draw the next
@@ -237,8 +253,10 @@ class Batch:
             for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
                 if sigma > 0.0:
                     groups.setdefault(seed, []).append(row)
-            per_step = max(1, sum(map(len, groups.values()))) * math.prod(shape)
-            steps = max(1, min(_NOISE_BUDGET // per_step, cfg.iters - self.k))
+            if not groups:
+                self.chunk = np.empty((0,) + self.lead)  # frees the spent chunk
+                return np.zeros(self.lead + shape)
+            steps = max(1, min(_NOISE_BUDGET // (self.ids.size * math.prod(shape)), cfg.iters - self.k))
             chunk = self.chunk = np.zeros((steps, self.ids.size) + shape)  # frees the spent chunk
             for seed, rows in groups.items():
                 unit = (
@@ -275,8 +293,115 @@ def _shift_update(targets, v, tau, transmit=None):
     return np.where(landed[..., None], targets, v + messages), messages, active
 
 
+def _advance(batch: Batch, steps: int):
+    """steps steps of every run in the batch, in place, each doing only the
+    method's own arithmetic: evaluate at x_k, the shift update or the
+    clip, one node mean of the stacked [messages, shifts, gradients] (for
+    the unshifted methods [sent gradients, gradients]), one vecdot of the
+    stacked [v, grads - v], and the move of x.
+
+    Returns the chunk's buffers, whose leading axis is the step in the
+    chunk: xs holds x_k to x_{k+steps}, fs the values, means the message
+    mean (the increment of v_bar), the direction and the mean gradient,
+    norms the squared rows of [v, grads - v] and masks the clip masks;
+    and the perf_counter_ns stamps at the chunk's start and after each
+    step.
+    """
+    cfg, problem, lead = batch.cfg, batch.problem, batch.lead
+    xs = np.empty((steps + 1,) + lead + (problem.d,))
+    xs[0] = batch.x
+    fs = np.empty((steps,) + lead)
+    means = np.empty((steps, 3) + lead + (problem.d,))
+    norms = np.zeros((steps, 2) + lead + (problem.n,))
+    masks = np.zeros((steps,) + lead + (problem.n,), dtype=bool)
+    transmit = None
+    if cfg.method == "dp_clip21_gd":
+        transmit = lambda clipped: clipped + batch.noise()
+    elif cfg.method == "press_clip21_gd":
+        transmit = partial(compress_rows, cfg.compressor)
+    v = batch.v
+    stamps = [time.perf_counter_ns()]
+    for i in range(steps):
+        fs[i], grads = problem._evaluate(xs[i])
+        if cfg.method in _SHIFTED:
+            v, messages, masks[i] = _shift_update(grads, v, cfg.tau, transmit)
+            work = np.array((messages, v, grads))
+            means[i] = node_mean(work)
+            np.subtract(grads, v, out=work[2])
+            np.vecdot(work[1:], work[1:], out=norms[i])
+            del messages, work
+        else:
+            sent = grads
+            if cfg.method != "gd":
+                sent, masks[i] = clip_rows(grads, cfg.tau)
+            means[i, 1:] = node_mean(np.array((sent, grads)))
+            if cfg.method == "dp_clip_gd":
+                means[i, 1] += batch.noise()
+        np.subtract(xs[i], batch.gamma * means[i, 1], out=xs[i + 1])
+        batch.k += 1
+        stamps.append(time.perf_counter_ns())
+        del grads  # a step's temporaries go before the next step's evaluate
+    batch.x, batch.v = xs[steps].copy(), v
+    return xs, fs, means, norms, masks, stamps
+
+
+def _settle(batch: Batch, xs, fs, means, norms, masks):
+    """The end-of-chunk pass over _advance's buffers, vectorised over the
+    chunk's steps.
+
+    It forms each step's ||grad f||^2, shift term, v_norm and active node
+    count; advances v_bar and drift_scale with np.add.accumulate over
+    [carried value, per-step terms], which sums in sequence with the bits
+    of one step at a time; and runs the shift-drift check over the runs
+    still present at each step, in run's order of leaving. Raises
+    InvariantError on the first drifted run, in row order, of the first
+    step with one. Returns the telemetry columns, (steps,) + lead each,
+    and per run the chunk steps of its first non-finite iterate
+    (x_{k+steps} included) and of its first non-finite f or ||grad f||^2,
+    steps + 1 where there is none.
+    """
+    steps, n, lead = len(fs), batch.problem.n, batch.lead
+    k0 = batch.k - steps  # the chunk's first step
+    direction, gbar = means[:, 1], means[:, 2]
+    grad_sq = np.vecdot(gbar, gbar)
+    at = np.arange(steps).reshape((steps,) + (1,) * len(lead))  # each step's index in the chunk
+
+    def first(bad):  # per run, the first step where bad holds, else steps + 1
+        return np.where(bad.any(axis=0), bad.argmax(axis=0), steps + 1)
+
+    bad_x = first(~np.isfinite(xs).all(axis=-1))
+    bad_f = first(~(np.isfinite(fs) & np.isfinite(grad_sq)))
+    if batch.cfg.method in _SHIFTED:
+        # rounding lets the running aggregate drift by about eps per step at
+        # the scale of that step's shift rows, so the allowance grows with the
+        # running sum of their root-mean-square norm: rows that have shrunk
+        # since do not shrink the rounding v_bar already holds. A drift must
+        # also exceed the per-step allowance at the largest current row
+        v_sq = norms[:, 0]
+        v_bar = np.add.accumulate(np.concatenate((batch.v_bar[None], means[:, 0])))[1:]
+        terms = np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
+        drift_scale = np.add.accumulate(np.concatenate((batch.drift_scale[None], terms)))[1:]
+        off = v_bar - direction
+        drift = np.sqrt(np.vecdot(off, off))
+        suspect = (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * drift_scale)
+        if suspect.any():
+            drifted = suspect & (drift > _DRIFT_TOL * (k0 + at + 1) * np.sqrt(v_sq.max(axis=-1)))
+            if drifted.any():
+                i = int(np.reshape(drifted, (steps, -1)).any(axis=1).argmax())
+                raise InvariantError(
+                    f"aggregate shift drifted from direct average by {np.extract(drifted[i], drift[i])[0]:.3e} "
+                    f"at step {k0 + i}"
+                )
+        batch.v_bar, batch.drift_scale = v_bar[-1].copy(), drift_scale[-1].copy()
+    batch.active = masks[-1]
+    shift_sq = np.add.reduce(norms[:, 1], axis=-1) / n
+    columns = (fs, grad_sq, shift_sq, masks.sum(axis=-1), np.sqrt(np.vecdot(direction, direction)))
+    return columns, np.reshape(bad_x, -1), np.reshape(bad_f, -1)
+
+
 def step(batch: Batch):
-    """One step of every run in the batch, in place.
+    """One step of every run in the batch, in place: the chunk kernel of
+    run on a one-step chunk.
 
     The unshifted methods move along the mean of the clipped local
     gradients (gd clips nothing); dp_clip_gd adds one clipped Gaussian
@@ -284,7 +409,10 @@ def step(batch: Batch):
     never collide with per-node noise. The shifted methods send
     clipped residuals against the shifts, with per-node clipped noise
     (dp_clip21_gd) or compression (press_clip21_gd) applied to each
-    message, and move along the mean of the new shifts.
+    message, and move along the mean of the new shifts; v_bar advances by
+    the mean of the messages and is checked against that mean, and a
+    drift raises InvariantError. A non-finite iterate is not checked
+    here, but propagates: run checks each iterate.
 
     Elementwise and row-wise work runs on the whole stack, and every dot
     and matrix product is the BLAS call a run alone makes, so each run's
@@ -298,54 +426,8 @@ def step(batch: Batch):
     v_k^i||^2, the norm of the pre-gamma direction and the mask of the
     nodes that clipped.
     """
-    cfg, problem, lead = batch.cfg, batch.problem, batch.lead
-    n = problem.n
-    f, grads = problem.evaluate(batch.x)
-    if cfg.method in _SHIFTED:
-        transmit = None
-        if cfg.method == "dp_clip21_gd":
-            noise = batch.noise()
-            transmit = lambda clipped: clipped + noise
-        elif cfg.method == "press_clip21_gd":
-            transmit = partial(compress_rows, cfg.compressor)
-        v, messages, active = _shift_update(grads, batch.v, cfg.tau, transmit)
-        v_bar = batch.v_bar + node_mean(messages)
-        direction = node_mean(v)
-        # rounding lets the running aggregate drift by about eps per step at
-        # the scale of that step's shift rows, so the allowance grows with the
-        # running sum of their root-mean-square norm: rows that have shrunk
-        # since do not shrink the rounding v_bar already holds. A drift must
-        # also exceed the per-step allowance at the largest current row
-        v_sq = np.vecdot(v, v)
-        drift_scale = batch.drift_scale + np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
-        off = v_bar - direction
-        drift = np.sqrt(np.vecdot(off, off))
-        suspect = drift > _DRIFT_TOL * drift_scale
-        if suspect.any():
-            largest = np.sqrt(v_sq.max(axis=-1))
-            drifted = suspect & (drift > _DRIFT_TOL * (batch.k + 1) * largest)
-            if drifted.any():
-                raise InvariantError(
-                    f"aggregate shift drifted from direct average by {np.extract(drifted, drift)[0]:.3e} "
-                    f"at step {batch.k}"
-                )
-        gap = grads - v
-        shift_sq = np.add.reduce(np.vecdot(gap, gap), axis=-1) / n
-        batch.v, batch.v_bar, batch.drift_scale = v, v_bar, drift_scale
-    else:
-        if cfg.method == "gd":
-            clipped, active = grads, np.zeros(lead + (n,), dtype=bool)
-        else:
-            clipped, active = clip_rows(grads, cfg.tau)
-        direction = node_mean(clipped)
-        if cfg.method == "dp_clip_gd":
-            direction = direction + batch.noise()
-        shift_sq = np.zeros(lead)
-    gbar = node_mean(grads)
-    batch.x = batch.x - batch.gamma * direction
-    batch.active = active
-    batch.k += 1
-    return f, np.vecdot(gbar, gbar), shift_sq, np.sqrt(np.vecdot(direction, direction)), active
+    (f, grad_sq, shift_sq, _, v_norm), _, _ = _settle(batch, *_advance(batch, 1)[:-1])
+    return f[0], grad_sq[0], shift_sq[0], v_norm[0], batch.active
 
 
 def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
@@ -362,14 +444,29 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     iterate x_k of the run named by its run field; trace.f is a column,
     trace[0].f a value. lyapunov_coeffs[r] is the shift weight A of run r
     in phi = f - f_inf + (A/n) sum_i ||grad_i - v^i||^2; omitted, every
-    weight is zero, plain suboptimality telemetry. A batch step's time is
-    split evenly over its runs' wall_micros. An InvariantError in any run
-    stops the whole batch.
+    weight is zero, plain suboptimality telemetry. An InvariantError in
+    any run stops the whole batch.
+
+    The batch advances one chunk of steps at a time, _CHUNK_BUDGET
+    elements of buffers over the runs still present: a step of the
+    chunk does only the method's arithmetic, and one pass at the chunk's
+    end forms the telemetry, the running aggregates and the checks,
+    vectorised over its steps. The chunk ends exactly as its steps would
+    one at a time. At step k, the runs whose x_k is not finite leave
+    first, with no row for step k; then the shift-drift check runs over
+    the runs still present and raises on the first drifted run in row
+    order; then the runs whose f or ||grad f||^2 is not finite leave,
+    without that row either. A run's steps after it leaves still run to
+    the chunk's end, but they never reach the drift check or the trace,
+    and the others' numbers do not depend on them; so a chunk's length
+    moves no bits. wall_micros is each step's own time plus an even share
+    of the end-of-chunk pass, split evenly over the runs that record a row
+    at that step, so a run's values sum to its share of the run's time.
 
     The trace is allocated at iters * R rows before the first step, and
-    each step writes its runs' values into its own R rows. After the loop,
-    whole-column operations fill k, run and gamma and form lyapunov from
-    the shift terms the steps stored there, elementwise as a step's
+    each chunk writes its runs' values into its rows by slice. After the
+    loop, whole-column operations fill k, run and gamma and form lyapunov
+    from the shift terms the steps stored there, elementwise as a step's
     scalars would be. The rows a run did not reach, from the step where it
     left, are then dropped; so when no run left, row k * R + r is run r's
     step k.
@@ -394,42 +491,36 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     names = ("f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "wall_micros")
     columns = [grid[name] if batch.lead else trace[name] for name in names]
     where = slice(None)  # the grid columns of the runs still in the batch
-
-    def leave(stay, message, k):
-        # the runs where the mask stay is False end here, with their rows so far
-        nonlocal where
-        stay = np.reshape(stay, -1)
-        gone = batch.ids[~stay]
-        for r in gone.tolist():
-            finals[r] = DivergenceError(message, step=k)
-        recorded[gone] = k
-        batch.keep(stay)
-        where = batch.ids
+    per_run = 4 * problem.d + 3 * problem.n + 1  # buffer elements a run fills a step
 
     # blowups surface as inf through the finiteness checks, so numpy's
     # overflow warnings would only add noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iters):
-            started = time.perf_counter_ns()
-            if not np.isfinite(batch.x).all():
-                leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {k}", k)
-                if not batch.ids.size:
-                    break
-            f, grad_sq, shift_sq, v_norm, active = step(batch)
-            wall = (time.perf_counter_ns() - started) // (1000 * batch.ids.size)
-            if batch.lead:  # one row write per column
-                for column, value in zip(columns, (f, grad_sq, shift_sq, active.sum(axis=-1), v_norm, wall)):
-                    column[k, where] = value
-            else:  # one item write per column
-                for column, value in zip(columns, (f, grad_sq, shift_sq, np.count_nonzero(active), v_norm, wall)):
-                    column[k] = value
-            stay = np.isfinite(f) & np.isfinite(grad_sq)
+        while batch.k < iters:
+            k0 = batch.k
+            steps = max(1, min(_CHUNK_BUDGET // (batch.ids.size * per_run), iters - k0))
+            *buffers, stamps = _advance(batch, steps)
+            values, bad_x, bad_f = _settle(batch, *buffers)
+            left = np.minimum(bad_x, bad_f)  # the step each run leaves at, steps + 1 if it stays
+            recording = np.maximum((np.arange(steps)[:, None] < left).sum(axis=1), 1)
+            spent = np.diff(stamps) * steps + (time.perf_counter_ns() - stamps[-1])
+            wall = spent // (1000 * steps * recording)
+            rows = (slice(k0, k0 + steps), where) if batch.lead else slice(k0, k0 + steps)
+            for column, value in zip(columns, values + ((wall[:, None] if batch.lead else wall),)):
+                column[rows] = value
+            del buffers, values  # the next chunk's buffers replace them
+            stay = left > steps
             if not stay.all():
-                leave(stay, f"non-finite objective at iteration {k}", k)
+                # each run that leaves keeps its rows before the step it left at
+                for row in np.flatnonzero(~stay).tolist():
+                    r, k = batch.ids[row], k0 + int(left[row])
+                    what = "iterate" if bad_x[row] <= bad_f[row] else "objective"
+                    finals[r] = DivergenceError(f"non-finite {what} at iteration {k}", step=k)
+                    recorded[r] = k
+                batch.keep(stay)
+                where = batch.ids
                 if not batch.ids.size:
                     break
-        if batch.ids.size and not np.isfinite(batch.x).all():
-            leave(np.isfinite(batch.x).all(axis=-1), f"non-finite iterate at iteration {iters}", iters)
         for row, r in enumerate(batch.ids.tolist()):
             finals[r] = batch.state(row)
         # (f - f_inf) + A * shift term with the three roundings a step's scalars

@@ -140,6 +140,14 @@ class Problem:
         x = check_vector(x, stack=True)
         if x.shape[-1] != self.d:
             raise ConfigurationError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
+        value, grads = self._evaluate(x)
+        return (float(value) if x.ndim == 1 else value), grads
+
+    def _evaluate(self, x: np.ndarray):
+        """evaluate's arithmetic on an x it trusts: a float64 (d,) point or
+        (R, d) stack. Values that are not finite propagate instead of
+        raising, so the step kernel calls it once a step without a check.
+        The value of one point is a numpy float64."""
         if self.kind == "quad_counterexample":  # the mean of its two local values
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence
@@ -154,7 +162,7 @@ class Problem:
                 value = value + self.lam * _reg_value(self.reg, x)
             grads = np.matmul(slope[..., None, :], self._A)[..., 0, :] / self._m[:, None]
             grads += self.lam * _reg_grad(self.reg, x)[..., None, :]
-        return (float(value) if x.ndim == 1 else value), grads
+        return value, grads
 
     def smoothness(self) -> SmoothnessInfo:
         """Per-node Lipschitz constants and the aggregate bounds.

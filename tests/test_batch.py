@@ -218,11 +218,13 @@ _DP = dict(tau=0.24, nu=0.04)
         # the aggregate slot draws one row a step: 16384 // 20 = 819
         ("dp_clip_gd", 1000, [(0.02, 7)], [819, 181]),
         # a sigma sweep on one seed shares one unit chunk; sigma 0 draws
-        # nothing, and the three noisy runs split the budget: 16384 // 600 = 27
-        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [27, 27, 27, 19]),
+        # nothing, but its column is held, so the four columns split the
+        # budget: 16384 // 800 = 20
+        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [20, 20, 20, 20, 20]),
         # two seed groups, one unit chunk each, at the three runs' 27 steps
         ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27, 27, 27, 27, 27, 27, 9, 9]),
-        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [300, 300]),
+        # two seed groups over three columns: 16384 // 60 = 273
+        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [273, 273, 27, 27]),
         # a zero sigma is exact zeros without a draw, lone or batched
         ("dp_clip21_gd", 30, [(0.0, 3)], []),
         ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], []),
@@ -240,12 +242,24 @@ def test_chunked_noise_matches_per_step_draws(
     assert lengths == chunks
 
 
-@pytest.mark.parametrize("method", ["dp_clip21_gd", "dp_clip_gd"])
-def test_noise_chunk_peak_stays_near_the_budget(logistic_problem, logistic_x0, method):
-    # a 50-run sigma sweep on one seed: the budget counts the noisy runs,
-    # so the chunk holds about 16384 elements, not 50 times that; the
-    # trace's 10 000 rows take 0.69 MiB of the peak
-    cfgs = [MethodConfig(method, 0.1, 200, sigma=0.0008 * (r + 1), seed=3, **_DP) for r in range(50)]
+@pytest.mark.parametrize(
+    "method, noisy",
+    [
+        pytest.param("dp_clip21_gd", 50, id="dp_clip21_gd"),
+        pytest.param("dp_clip_gd", 50, id="dp_clip_gd"),
+        # the columns of the runs at sigma 0 count too, and with no noisy
+        # run there is no chunk at all
+        pytest.param("dp_clip21_gd", 1, id="dp_clip21_gd-one-noisy"),
+        pytest.param("dp_clip21_gd", 0, id="dp_clip21_gd-none-noisy"),
+    ],
+)
+def test_noise_chunk_peak_stays_near_the_budget(logistic_problem, logistic_x0, method, noisy):
+    # a 50-run sigma sweep on one seed, its first runs noisy: the budget
+    # counts the columns the chunk holds, so it holds about 16384
+    # elements, not 50 times that; the trace's 10 000 rows take 0.69 MiB
+    # of the peak
+    sigmas = [0.0008 * (r + 1) if r < noisy else 0.0 for r in range(50)]
+    cfgs = [MethodConfig(method, 0.1, 200, sigma=sigma, seed=3, **_DP) for sigma in sigmas]
     tracemalloc.start()
     try:
         run(cfgs, logistic_problem, logistic_x0)
@@ -290,3 +304,208 @@ def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem,
     for final, ref in zip(finals, ref_finals):
         if not isinstance(ref, DivergenceError):
             assert final.x.tobytes() == ref.x.tobytes()
+
+
+def _stepwise(cfgs, problem, x0, v0=None, f_inf=0.1):
+    """run's outcome from a loop of one-step chunks: step() once a step,
+    with the runs leaving in run's order. At step k the runs whose x_k is
+    not finite leave first, then step() runs its drift check over the
+    others, then the runs whose f or ||grad f||^2 is not finite leave
+    without a row for step k. Returns the finals, as run gives them, and
+    the trace rows (k, run, f, grad_norm_sq, lyapunov at weight 1,
+    active_nodes, v_norm) in run's order."""
+    batch = Batch(cfgs, problem, x0, v0)
+    finals, rows = [None] * len(cfgs), []
+
+    def leave(stay, what, k):
+        stay = np.reshape(stay, -1)
+        for r in batch.ids[~stay].tolist():
+            finals[r] = DivergenceError(f"non-finite {what} at iteration {k}", step=k)
+        batch.keep(stay)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(batch.cfg.iters):
+            if not np.isfinite(batch.x).all():
+                leave(np.isfinite(batch.x).all(axis=-1), "iterate", k)
+                if not batch.ids.size:
+                    break
+            f, grad_sq, shift_sq, v_norm, active = (np.reshape(a, (batch.ids.size, -1)) for a in step(batch))
+            stay = (np.isfinite(f) & np.isfinite(grad_sq))[:, 0]
+            for row in np.flatnonzero(stay).tolist():
+                lyapunov = shift_sq[row, 0] * 1.0 + (f[row, 0] - f_inf)
+                values = (f[row, 0], grad_sq[row, 0], lyapunov, np.count_nonzero(active[row]), v_norm[row, 0])
+                rows.append((k, int(batch.ids[row])) + tuple(float(v) for v in values))
+            if not stay.all():
+                leave(stay, "objective", k)
+                if not batch.ids.size:
+                    break
+        if batch.ids.size and not np.isfinite(batch.x).all():
+            leave(np.isfinite(batch.x).all(axis=-1), "iterate", batch.cfg.iters)
+    for row, r in enumerate(batch.ids.tolist()):
+        finals[r] = batch.state(row)
+    return finals, rows
+
+
+def _assert_run_matches_stepwise(cfgs, problem, x0, v0=None):
+    """run and _stepwise agree bit for bit on every row and final; returns
+    the outcome of each run: "ok", or the message and step it left at."""
+    finals, trace = run(cfgs, problem, x0, v0=v0, f_inf=0.1, lyapunov_coeffs=[1.0] * len(cfgs))
+    ref_finals, ref_rows = _stepwise(cfgs, problem, x0, v0)
+    fields = ["k", "run", "f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm"]
+    assert [tuple(row) for row in trace[fields].tolist()] == ref_rows
+    outcomes = []
+    for final, ref in zip(finals, ref_finals):
+        if isinstance(ref, DivergenceError):
+            assert isinstance(final, DivergenceError)
+            assert (str(final), final.step) == (str(ref), ref.step)
+            outcomes.append((str(final), final.step))
+        else:
+            assert final.k == ref.k
+            for name in ("x", "v", "v_bar", "active"):
+                assert getattr(final, name).tobytes() == getattr(ref, name).tobytes(), name
+            outcomes.append("ok")
+    return outcomes
+
+
+_ALL = {
+    "gd": {},
+    "clip_gd": dict(tau=0.05),
+    "clip21_avg": dict(tau=0.05),
+    "clip21_gd": dict(tau=0.05),
+    "dp_clip_gd": dict(tau=0.24, nu=0.04, sigma=0.02),
+    "dp_clip21_gd": dict(tau=0.24, nu=0.04, sigma=0.02),
+    "press_clip21_gd": dict(tau=0.05, compressor=Compressor("top_k", 3)),
+}
+
+
+def _configs(method, gammas, iters, lone, **overrides):
+    kwargs = {**_ALL[method], **overrides}
+    gammas = [0.0] * len(gammas) if method == "clip21_avg" else gammas
+    cfgs = [MethodConfig(method, gamma, iters, seed=1 + r % 2, **kwargs) for r, gamma in enumerate(gammas)]
+    return cfgs[:1] if lone else cfgs
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize("method", _ALL)
+def test_run_matches_a_loop_of_one_step_chunks(logistic_problem, logistic_x0, method, lone):
+    # 200 steps: chunks of 73 steps for a lone run at this shape, 24 for three
+    L = logistic_problem.smoothness().L
+    cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 200, lone)
+    assert _assert_run_matches_stepwise(cfgs, logistic_problem, logistic_x0) == ["ok"] * len(cfgs)
+
+
+def _line(a):
+    """Two nodes of two rows in d = 1, every feature a or a/2, so every
+    margin is at most |a x|: for a <= 1 the objective stays finite
+    wherever x does."""
+    features = [np.array([[a], [a]]), np.array([[a], [a / 2]])]
+    return Problem("logistic", stack([(rows, np.array([1.0, -1.0])) for rows in features]))
+
+
+# shifts of 1e150 move x by about gamma * 1e150 a step, past the largest
+# float after about 1.8e158 / gamma steps, so the shifted runs leave well
+# inside a chunk (744 steps for a lone run at this shape, 248 for three)
+_FAR_SHIFTS = np.full((2, 1), 1e150)
+_UNSHIFTED = ("gd", "clip_gd", "dp_clip_gd")
+_LEAVES = {
+    # a <= 1: the shifted runs' x overflows first; the unshifted runs at
+    # a = 8, from x0 = -10, move by 4 gamma, past the largest float at
+    # gamma 1e308, and past the last finite margin at 2e307
+    "iterate": {
+        "shifted": (1.0, (1e157, 1e154, 2.5e156), [("iterate", 18), "ok", ("iterate", 72)]),
+        "unshifted": (8.0, (1e308, 0.1, 2e307), [("iterate", 1), "ok", ("objective", 1)]),
+    },
+    # a = 8: the margin 8 x overflows before x does
+    "objective": {
+        "shifted": (8.0, (1e157, 1e154, 2.5e156), [("objective", 3), "ok", ("objective", 9)]),
+        "unshifted": (8.0, (2e307, 0.1, 1e308), [("objective", 1), "ok", ("iterate", 1)]),
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize("method", [m for m in _ALL if m != "clip21_avg"])  # its x never moves
+@pytest.mark.parametrize("what", _LEAVES)
+def test_run_that_leaves_mid_chunk_matches_one_step_chunks(method, lone, what):
+    a, gammas, expected = _LEAVES[what]["unshifted" if method in _UNSHIFTED else "shifted"]
+    one_feature = dict(compressor=Compressor("top_k", 1)) if method == "press_clip21_gd" else {}
+    cfgs = _configs(method, gammas, 300, lone, tau=5.0, **one_feature)
+    outcomes = _assert_run_matches_stepwise(cfgs, _line(a), np.array([-10.0]), v0=_FAR_SHIFTS)
+    expected = [o if o == "ok" else (f"non-finite {o[0]} at iteration {o[1]}", o[1]) for o in expected]
+    assert outcomes == expected[: len(cfgs)]
+
+
+@pytest.mark.parametrize("iters, budget", [(18, None), (40, 18 * 11)], ids=["last-iterate", "chunk-end"])
+def test_iterate_that_overflows_at_a_chunk_end_leaves_at_its_step(monkeypatch, iters, budget):
+    # x_18 is the run's last iterate, or (18 steps of 11 buffer elements a
+    # chunk) the last iterate of the first chunk, checked at that chunk's end
+    if budget:
+        monkeypatch.setattr(optimizers, "_CHUNK_BUDGET", budget)
+    cfgs = _configs("clip21_gd", (1e157,), iters, True, tau=5.0)
+    outcomes = _assert_run_matches_stepwise(cfgs, _line(1.0), np.array([-10.0]), v0=_FAR_SHIFTS)
+    assert outcomes == [("non-finite iterate at iteration 18", 18)]
+
+
+def test_gd_that_leaves_mid_chunk_on_the_counterexample_matches_one_step_chunks(quad_problem):
+    # f overflows at steps 324 and 256, inside the second 248-step chunk
+    cfgs = [MethodConfig("gd", gamma, 400) for gamma in (8.0, 2.0, 10.0)]
+    outcomes = _assert_run_matches_stepwise(cfgs, quad_problem, np.array([1.0]))
+    assert [o if o == "ok" else o[1] for o in outcomes] == [324, "ok", 256]
+
+
+def _corrupt_shifts_at(monkeypatch, at):
+    """Make the shift update at its call at move the first node's shift of
+    every run without its message reaching the aggregate."""
+    real, calls = optimizers._shift_update, []
+
+    def corrupted(targets, v, tau, transmit=None):
+        v, messages, active = real(targets, v, tau, transmit)
+        if len(calls) == at:
+            v[..., 0, :] += 1e-3 * np.maximum(np.abs(v[..., 0, :]), 1.0)
+        calls.append(at)
+        return v, messages, active
+
+    monkeypatch.setattr(optimizers, "_shift_update", corrupted)
+    return calls
+
+
+def _drift_message(call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except InvariantError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize("method", ["clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
+def test_drift_inside_a_chunk_raises_as_one_step_chunks_do(logistic_problem, logistic_x0, monkeypatch, method, lone):
+    # step 30 lies inside the first chunk of a lone run and the second of three
+    L = logistic_problem.smoothness().L
+    cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 100, lone)
+    calls = _corrupt_shifts_at(monkeypatch, 30)
+    message = _drift_message(run, cfgs, logistic_problem, logistic_x0)
+    calls.clear()
+    assert message == _drift_message(_stepwise, cfgs, logistic_problem, logistic_x0)
+    assert message.startswith("aggregate shift drifted from direct average by ") and message.endswith(" at step 30")
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize(
+    "a, at, checked",
+    # run 0's x_18 is not finite (a = 1), so it leaves before step 18's
+    # check; its f at step 3 is not (a = 8), and it leaves after step 3's
+    [(1.0, 17, True), (1.0, 18, False), (8.0, 3, True), (8.0, 4, False)],
+)
+def test_drift_check_skips_only_the_runs_that_have_left(monkeypatch, lone, a, at, checked):
+    cfgs = _configs("clip21_gd", (1e157, 1e154, 2.5e156), 300, lone, tau=5.0)
+    problem, x0 = _line(a), np.array([-10.0])
+    calls = _corrupt_shifts_at(monkeypatch, at)
+    message = _drift_message(run, cfgs, problem, x0, v0=_FAR_SHIFTS)
+    calls.clear()
+    assert message == _drift_message(_stepwise, cfgs, problem, x0, v0=_FAR_SHIFTS)
+    # in the batch the other two runs are still there to raise
+    assert message is None if lone and not checked else message.endswith(f" at step {at}")

@@ -193,9 +193,10 @@ def kinds(files: dict) -> list:
          + ["--gamma", "grid"]),
         ("press-identity-grid", base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "identity"]
          + ["--gamma", "grid"]),
-        # noise is drawn in chunks of 16384 // (seed groups * elements a step) steps: 819 for
-        # dp-clip21-gd's 4 x 5 block, 3276 for dp-clip-gd's one row of 5, so these runs cross
-        # a chunk boundary and end mid-chunk; a grid's six children share one seed group
+        # noise is drawn in chunks of 16384 // (runs * elements a step) steps: 819 for
+        # dp-clip21-gd's 4 x 5 block, 3276 for dp-clip-gd's one row of 5 (136 and 546 for a
+        # grid's six children, which share one seed), so these runs cross a chunk boundary
+        # and end mid-chunk
         ("dp-clip21-gd-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
          + ["--gamma", "0.1", "--iters", "1000"]),
         ("dp-clip-gd-chunks", base + ["--method", "dp-clip-gd", "--tau", "0.5"] + noise
@@ -217,6 +218,18 @@ def kinds(files: dict) -> list:
         ("quad-f-overflows-mid-run", ["--method", "gd", "--gamma", "5", "--iters", "900"]),
         ("quad-iterate-overflows", ["--method", "gd", "--gamma", "5", "--iters", "2000"]),
         ("quad-grid-diverging-child", ["--method", "gd", "--gamma", "grid", "--iters", "400"]),
+        # the shifted kernels with a child that leaves inside a chunk: at tau 1e300 no
+        # message clips, so the gamma-8 child's f overflows at step 324, inside the
+        # third 124-step chunk of six runs on the counterexample
+        ("quad-dp-clip21-gd-grid-diverging-child", ["--method", "dp-clip21-gd", "--tau", "1e300", "--sigma", "0.05"]
+         + ["--nu", "0.1", "--gamma", "grid", "--iters", "400"]),
+        ("quad-press-clip21-gd-grid-diverging-child", ["--method", "press-clip21-gd", "--tau", "1e300"]
+         + ["--compressor", "identity", "--gamma", "grid", "--iters", "400"]),
+        # curvatures 2e-300 and 1e-300 keep f finite up to |x| = 1.3e304, while gamma 4e304
+        # multiplies x by -2e4 a step: at step 5 gamma times the direction overflows, so
+        # x_6 is the first non-finite value, with f(x_5) finite
+        ("quad-clip21-gd-iterate-overflows-mid-run", ["--method", "clip21-gd", "--beta-q", "2e-300"]
+         + ["--alpha-q", "1e-300", "--tau", "1e300", "--gamma", "4e304", "--x0", "3.1e282", "--iters", "20"]),
         ("quad-clip21-gd-x0-1.7", ["--method", "clip21-gd", "--tau", "0.3", "--gamma", "0.1", "--x0", "1.7"]
          + ["--iters", "400"]),
         ("quad-clip-gd-stuck", ["--method", "clip-gd", "--tau", "1", "--gamma", "0.3", "--iters", "50"]),
