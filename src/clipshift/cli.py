@@ -27,7 +27,7 @@ from dataclasses import make_dataclass
 
 import numpy as np
 
-from .data import node_block, read_libsvm
+from .data import node_block
 from .errors import ConfigurationError, DataFormatError, DivergenceError, InvariantError
 from .ops import Compressor, check_count, check_real, node_mean
 from .optimizers import METHODS, MethodConfig, run
@@ -229,11 +229,11 @@ def build_problem(cfg: RunConfig) -> Problem:
         return Problem("quad_counterexample", quad_params=tuple(curvatures))
     try:
         with open(cfg.data, encoding="utf-8") as handle:
-            entries = read_libsvm(handle)
+            block = node_block(handle, cfg.nodes)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read data file {cfg.data}: {exc}") from exc
     # the problem adopts the sorted, scaled block: the one dense copy of the data
-    return Problem(cfg.problem, block=node_block(entries, cfg.nodes), reg=cfg.reg, lam=cfg.lam)
+    return Problem(cfg.problem, block=block, reg=cfg.reg, lam=cfg.lam)
 
 
 def resolve_x0(cfg: RunConfig, problem: Problem) -> np.ndarray:

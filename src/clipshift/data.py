@@ -2,12 +2,11 @@
 label sort, contiguous equal split across nodes, per-shard
 standardization.
 
-read_libsvm checks the text and returns its entries as arrays, and
-node_block places each sample straight into its shard's slab of one
-padded block, dense float64 however sparse the input file is (target
-problems are desk-scale), and scales it there. stack builds the same
-kind of block from (features, labels) pairs already in memory. A Problem
-is built from such a NodeBlock only.
+node_block reads LibSVM text twice, into one padded block of dense
+float64 however sparse the file is (target problems are desk-scale), and
+scales each shard where it lies. stack builds the same kind of block from
+(features, labels) pairs already in memory. A Problem is built from such
+a NodeBlock only.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, DataFormatError
 from .ops import check_count
 
-__all__ = ["Dataset", "Entries", "NodeBlock", "read_libsvm", "node_block", "stack", "write_libsvm"]
+__all__ = ["Dataset", "NodeBlock", "node_block", "stack", "write_libsvm"]
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,9 @@ def _parse_label(token: str, line_number: int) -> float:
     raise DataFormatError(f"unrecognized label {token!r}", line_number)
 
 
-def _iter_lines(source):
-    if isinstance(source, str):
-        return source.splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
-    return (line.rstrip("\r\n") for line in source)
-
-
-def _parse_entries(tokens, line_number: int, indices: list, values: list) -> int:
+def _parse_entries(tokens, line_number: int, indices: list, values: list) -> None:
     """Check one line's idx:val tokens in order and append their indices
-    and values; returns the line's last index, 0 when it has none."""
+    and values."""
     prev_index = 0
     for token in tokens:
         idx_text, sep, val_text = token.partition(":")
@@ -100,18 +91,6 @@ def _parse_entries(tokens, line_number: int, indices: list, values: list) -> int
         indices.append(index)
         values.append(value)
         prev_index = index
-    return prev_index
-
-
-class Entries(NamedTuple):
-    """The samples of a LibSVM text in file order: a label and an entry
-    count per line, and the entries in blocks of whole lines, each block
-    (first line, end line, 0-based feature indices, float64 values)."""
-
-    labels: np.ndarray  # (m,) float64, each +1 or -1
-    counts: np.ndarray  # (m,) entries on each line
-    blocks: list
-    d: int  # the largest index seen anywhere
 
 
 class NodeBlock(NamedTuple):
@@ -123,78 +102,25 @@ class NodeBlock(NamedTuple):
     sizes: np.ndarray  # (n,) rows of each shard
 
 
-# entries held as Python objects before they move to a block of arrays
+# entries held as Python objects before they are placed in the block
 _BLOCK_ENTRIES = 16384
 
 
-def read_libsvm(source) -> Entries:
-    """Read LibSVM text: one `<label> <idx>:<val> ...` sample per line.
-
-    Indices are 1-based and must be strictly ascending within a line; the
-    feature count is the largest index seen anywhere. Accepts a string,
-    bytes, or an iterable of lines such as an open file, which is read one
-    line at a time (CRLF input is fine). A malformed line raises
-    DataFormatError with its line number. Once _BLOCK_ENTRIES values are
-    held as Python objects, the lines since the last block move to a new
-    block of arrays, so the blocks are never joined into one copy.
-    """
-    labels, counts, blocks = [], [], []
-    indices, values = [], []  # the entries of the lines since the last block
-    max_index = 0
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            raise DataFormatError("blank line", line_number)
-        tokens = line.split()
-        labels.append(_parse_label(tokens[0], line_number))
-        max_index = max(max_index, _parse_entries(tokens[1:], line_number, indices, values))
-        counts.append(len(tokens) - 1)
-        if len(values) >= _BLOCK_ENTRIES:
-            _close_block(blocks, counts, indices, values)
-    if not labels:
-        raise DataFormatError("empty input", 1)
-    if max_index == 0:
-        raise DataFormatError("no feature indices found", 1)
-    _close_block(blocks, counts, indices, values)
-    return Entries(np.array(labels), np.array(counts, dtype=np.intp), blocks, max_index)
-
-
-def _line_number(counts, first: int, position: int) -> int:
-    """The 1-based number of the line that holds entry position of the
-    entries of the lines from first on, whose entry counts are counts."""
-    return first + int(np.searchsorted(np.cumsum(counts[first:]), position, side="right")) + 1
-
-
-def _close_block(blocks: list, counts: list, indices: list, values: list) -> None:
-    """Move the held entries, those of the lines since the last block, to a
-    new block. An index too large for an array index is a DataFormatError."""
-    first = blocks[-1][1] if blocks else 0
+def _place(features, rows, end: int, counts: list, indices: list, values: list) -> None:
+    """Put the held entries, those of the lines up to line end whose entry
+    counts are counts, in their rows of the block features (if any), and
+    clear them. An index too large for an array index is a DataFormatError."""
+    first = end - len(counts)
     try:
         columns = np.array(indices, dtype=np.intp) - 1
     except OverflowError:
         position, index = next((p, i) for p, i in enumerate(indices) if i > np.iinfo(np.intp).max)
-        raise DataFormatError(f"feature index {index} is too large", _line_number(counts, first, position)) from None
-    blocks.append((first, len(counts), columns, np.array(values, dtype=np.float64)))
-    indices.clear()
-    values.clear()
-
-
-def _dense(entries: Entries, rows: np.ndarray, total: int) -> np.ndarray:
-    """A zero (total, d) matrix with the entries of line l in row rows[l].
-    A matrix too large to allocate is a DataFormatError naming the line
-    where the largest index, d, first appears."""
-    try:
-        features = np.zeros((total, entries.d))
-    except (MemoryError, ValueError):
-        first, _, columns, _ = next(b for b in entries.blocks if (b[2] == entries.d - 1).any())
-        line = _line_number(entries.counts, first, int(np.argmax(columns == entries.d - 1)))
-        raise DataFormatError(
-            f"feature index {entries.d} is too large: {total} dense rows of {entries.d} values do not fit in memory",
-            line,
-        ) from None
-    for first, end, columns, values in entries.blocks:
-        features[np.repeat(rows[first:end], entries.counts[first:end]), columns] = values
-    return features
+        line = first + int(np.searchsorted(np.cumsum(counts), position, side="right")) + 1
+        raise DataFormatError(f"feature index {index} is too large", line) from None
+    if features is not None:
+        features.reshape(-1, features.shape[2])[np.repeat(rows[first:end], counts), columns] = values
+    for held in (counts, indices, values):
+        held.clear()
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -215,36 +141,89 @@ def write_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def node_block(entries: Entries, n: int) -> NodeBlock:
-    """The samples of entries split across n nodes and standardized per
-    node, built in place in one padded block.
+def node_block(source, n: int) -> NodeBlock:
+    """The samples of LibSVM text, one `<label> <idx>:<val> ...` a line,
+    split across n nodes and standardized per node in one padded block.
 
-    A stable label-ascending order puts the -1 block before the +1 block,
-    which is what makes the shards heterogeneous, and is cut into n
-    contiguous shards whose sizes differ by at most one: the first
-    (m mod n) take the extra sample. Each line's entries go straight to
-    its row of the block, and each shard is scaled where it lies: every
-    column loses its mean and is divided by its population standard
-    deviation (divisor m_i, not m_i - 1). Zero-variance columns are set
-    to zero; no division happens for them.
+    Indices are 1-based and strictly ascending within a line; d is the
+    largest index anywhere. source is a string, bytes or an iterable of
+    lines such as an open file (CRLF is fine). A lenient first read takes
+    each line's label and last index, which fix the block; the second
+    checks each line and places each _BLOCK_ENTRIES entries in their rows.
+    A file that can seek is read again from where it stood, and any other
+    source keeps its lines in a list. A malformed line raises
+    DataFormatError with its number, ahead of any fault in n or in the size.
+
+    The stable label-ascending order (the -1 samples first, which makes
+    the shards heterogeneous) is cut into n contiguous shards whose sizes
+    differ by at most one, the first m mod n taking the extra sample. Each
+    shard is scaled where it lies: every column loses its mean and is
+    divided by its population standard deviation (divisor m_i); a
+    zero-variance column is set to zero, with no division.
     """
-    n = check_count("node count", n)
-    m = len(entries.labels)
-    if n > m:
-        raise ConfigurationError(f"cannot split {m} samples across {n} nodes")
-    base, extra = divmod(m, n)
-    sizes = np.full(n, base)
-    sizes[:extra] += 1
-    order = np.argsort(entries.labels, kind="stable")
-    m_max = int(sizes[0])
-    # the k-th sample in label order is row k - start_i of shard i
-    node = np.repeat(np.arange(n), sizes)
-    starts = np.cumsum(sizes) - sizes
-    rows = np.empty_like(order)
-    rows[order] = node * m_max + np.arange(m) - starts[node]
-    features = _dense(entries, rows, n * m_max).reshape(n, m_max, entries.d)
-    labels = np.zeros(n * m_max)
-    labels[rows] = entries.labels
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        source = source.splitlines()
+    seekable = getattr(source, "seekable", lambda: False)()
+    start = source.tell() if seekable else 0
+    kept, error = [], None  # the lines of a source that cannot be read again
+    positive, d, line_of_d = bytearray(), 0, 0  # label classes, 1 for +1
+    try:
+        for line_number, line in enumerate(source, start=1):
+            if not seekable:
+                kept.append(line)
+            head = line.split(None, 1)
+            positive.append(bool(head) and head[0] in ("+1", "1"))
+            try:
+                last = int(head[1].rsplit(None, 1)[-1].partition(":")[0]) if len(head) > 1 else 0
+            except ValueError:  # the second read reports it
+                continue
+            if last > d:
+                d, line_of_d = last, line_number
+    except (OSError, UnicodeDecodeError) as exc:
+        error = exc  # raised after the lines before it have been checked
+    features = rows = late = None  # late: raised once every line has been checked
+    try:
+        n, m = check_count("node count", n), len(positive)
+        if n > m:
+            raise ConfigurationError(f"cannot split {m} samples across {n} nodes")
+        sizes = np.full(n, m // n)
+        sizes[: m % n] += 1
+        rows = np.empty(m, dtype=np.intp)
+        # the k-th sample in label order takes the k-th row that a shard fills
+        rows[np.argsort(positive, kind="stable")] = np.flatnonzero(np.arange(sizes[0]) < sizes[:, None])
+        try:
+            features = np.zeros((n, sizes[0], d))
+        except (MemoryError, ValueError):
+            message = f"feature index {d} is too large: {n * sizes[0]} dense rows of {d} values do not fit in memory"
+            late = DataFormatError(message, line_of_d)
+    except ConfigurationError as exc:
+        late = exc
+    if seekable:
+        source.seek(start)
+    counts, indices, values = [], [], []
+    for line_number, raw in enumerate(source if seekable else kept, start=1):
+        line = raw.strip()
+        if not line:
+            raise DataFormatError("blank line", line_number)
+        tokens = line.split()
+        _parse_label(tokens[0], line_number)
+        _parse_entries(tokens[1:], line_number, indices, values)
+        counts.append(len(tokens) - 1)
+        if len(values) >= _BLOCK_ENTRIES:
+            _place(features, rows, line_number, counts, indices, values)
+    if error is not None:
+        raise error
+    if not positive:
+        raise DataFormatError("empty input", 1)
+    if d == 0:
+        raise DataFormatError("no feature indices found", 1)
+    _place(features, rows, len(positive), counts, indices, values)
+    if late is not None:
+        raise late
+    labels = np.zeros(features.shape[:2])
+    labels.flat[rows] = np.where(positive, 1.0, -1.0)
     for slab, size in zip(features, sizes.tolist()):
         shard = slab[:size]
         std = shard.std(axis=0)
@@ -252,7 +231,7 @@ def node_block(entries: Entries, n: int) -> NodeBlock:
         nonzero = std > 0.0
         shard[:, nonzero] /= std[nonzero]
         shard[:, ~nonzero] = 0.0
-    return NodeBlock(features, labels.reshape(n, m_max), sizes)
+    return NodeBlock(features, labels, sizes)
 
 
 def stack(pairs) -> NodeBlock:

@@ -211,7 +211,9 @@ class Batch:
         self.v = np.tile(v0, self.lead + (1, 1))
         self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
-        self.drift_scale = np.full(self.lead, np.sqrt(np.add.reduce(np.vecdot(v0, v0)) / n))
+        with np.errstate(over="ignore"):  # rows past 1.3e154 take _rms's scaled route
+            sq = np.vecdot(v0, v0)
+            self.drift_scale = np.full(self.lead, _rms(_rms(v0, sq), np.add.reduce(sq), n))
         self.chunk_start, self.chunk = 0, np.empty((0,) + self.lead)  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
@@ -303,9 +305,9 @@ def _advance(batch: Batch, steps: int):
     Returns the chunk's buffers, whose leading axis is the step in the
     chunk: xs holds x_k to x_{k+steps}, fs the values, means the message
     mean (the increment of v_bar), the direction and the mean gradient,
-    norms the squared rows of [v, grads - v] and masks the clip masks;
-    and the perf_counter_ns stamps at the chunk's start and after each
-    step.
+    norms the squared rows of [v, grads - v], masks the clip masks and
+    wide the shift row norms of the steps where those squares overflowed;
+    and the perf_counter_ns stamps at the chunk's start and after each step.
     """
     cfg, problem, lead = batch.cfg, batch.problem, batch.lead
     xs = np.empty((steps + 1,) + lead + (problem.d,))
@@ -319,7 +321,7 @@ def _advance(batch: Batch, steps: int):
         transmit = lambda clipped: clipped + batch.noise()
     elif cfg.method == "press_clip21_gd":
         transmit = partial(compress_rows, cfg.compressor)
-    v = batch.v
+    v, wide = batch.v, {}  # step: the shift row norms
     stamps = [time.perf_counter_ns()]
     for i in range(steps):
         fs[i], grads = problem._evaluate(xs[i])
@@ -329,6 +331,8 @@ def _advance(batch: Batch, steps: int):
             means[i] = node_mean(work)
             np.subtract(grads, v, out=work[2])
             np.vecdot(work[1:], work[1:], out=norms[i])
+            if np.isinf(norms[i, 0]).any():
+                wide[i] = _rms(v, norms[i, 0])
             del messages, work
         else:
             sent = grads
@@ -342,10 +346,21 @@ def _advance(batch: Batch, steps: int):
         stamps.append(time.perf_counter_ns())
         del grads  # a step's temporaries go before the next step's evaluate
     batch.x, batch.v = xs[steps].copy(), v
-    return xs, fs, means, norms, masks, stamps
+    return xs, fs, means, norms, masks, wide, stamps
 
 
-def _settle(batch: Batch, xs, fs, means, norms, masks):
+def _rms(rows, sq, n=1):
+    """sqrt(sq / n), sq the plain sums of squares of rows along the last
+    axis; where that is not finite on finite rows, it is formed from the
+    rows scaled by their largest entry, so no finite row overflows it."""
+    out = np.sqrt(sq / n, out=np.empty(np.shape(sq)))
+    redo = ~np.isfinite(out) & np.isfinite(rows).all(axis=-1)
+    top = np.abs(rows[redo]).max(axis=-1, keepdims=True)
+    out[redo] = top[..., 0] * np.sqrt(np.vecdot(rows[redo] / top, rows[redo] / top) / n)
+    return out
+
+
+def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     """The end-of-chunk pass over _advance's buffers, vectorised over the
     chunk's steps.
 
@@ -380,12 +395,15 @@ def _settle(batch: Batch, xs, fs, means, norms, masks):
         v_sq = norms[:, 0]
         v_bar = np.add.accumulate(np.concatenate((batch.v_bar[None], means[:, 0])))[1:]
         terms = np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
+        largest = np.sqrt(v_sq.max(axis=-1))
+        for i, rows in wide.items():
+            terms[i], largest[i] = _rms(rows, np.add.reduce(v_sq[i], axis=-1), n), rows.max(axis=-1)
         drift_scale = np.add.accumulate(np.concatenate((batch.drift_scale[None], terms)))[1:]
         off = v_bar - direction
-        drift = np.sqrt(np.vecdot(off, off))
+        drift = _rms(off, np.vecdot(off, off))
         suspect = (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * drift_scale)
         if suspect.any():
-            drifted = suspect & (drift > _DRIFT_TOL * (k0 + at + 1) * np.sqrt(v_sq.max(axis=-1)))
+            drifted = suspect & (drift > _DRIFT_TOL * (k0 + at + 1) * largest)
             if drifted.any():
                 i = int(np.reshape(drifted, (steps, -1)).any(axis=1).argmax())
                 raise InvariantError(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from clipshift import Problem, estimate_f_inf
-from clipshift.data import Dataset, node_block, read_libsvm, write_libsvm
+from clipshift.data import Dataset, node_block, write_libsvm
 from clipshift.rng import gaussian_sample
 from reference_chain import scale, split
 
@@ -62,7 +62,7 @@ def make_wide_sparse_text() -> str:
 def make_logistic_problem() -> Problem:
     """The instance as the CLI loads it: written to LibSVM text at full
     precision, read back and split into one block."""
-    block = node_block(read_libsvm(write_libsvm(make_logistic_dataset())), LOGISTIC_NODES)
+    block = node_block(write_libsvm(make_logistic_dataset()), LOGISTIC_NODES)
     return Problem("logistic", block, reg="l2", lam=1e-4)
 
 

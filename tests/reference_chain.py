@@ -8,18 +8,24 @@ stacks what these passes give, so the two can be compared bit for bit.
 
 import numpy as np
 
-from clipshift.data import read_libsvm, stack
+from clipshift.data import stack
 
 
 def parse(source):
-    """The dense (m, d) features and the (m,) labels of LibSVM text, one
-    row a line in file order."""
-    entries = read_libsvm(source)
-    m = len(entries.labels)
-    features = np.zeros((m, entries.d))
-    for first, end, columns, values in entries.blocks:
-        features[np.repeat(np.arange(first, end), entries.counts[first:end]), columns] = values
-    return features, entries.labels
+    """The dense (m, d) features and the (m,) labels of well-formed LibSVM
+    text (a string, bytes or an iterable of lines), one row a line in file
+    order. It checks nothing: a reference for node_block on valid input."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    lines = source.splitlines() if isinstance(source, str) else [line.rstrip("\r\n") for line in source]
+    tokens = [line.split() for line in lines]
+    labels = np.array([1.0 if t[0] in ("+1", "1") else -1.0 for t in tokens])
+    entries = [[(int(i) - 1, float(v)) for i, _, v in (e.partition(":") for e in t[1:])] for t in tokens]
+    features = np.zeros((len(lines), max(j for row in entries for j, _ in row) + 1))
+    for row, pairs in zip(features, entries):
+        for j, value in pairs:
+            row[j] = value
+    return features, labels
 
 
 def split(features, labels, n):

@@ -1,6 +1,7 @@
 """A batch of runs steps as one: each run is bit-identical to its solo run."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from clipshift import (
     optimizers,
     run,
 )
-from clipshift.data import node_block, read_libsvm, stack
+from clipshift.data import node_block, stack
 from clipshift.ops import clip_rows
 from clipshift.optimizers import Batch, step
 from clipshift.problems import Problem
 from clipshift.rng import stream_slot
 from conftest import WIDE_NODES, make_wide_sparse_text
+from fixed_targets import targets_problem
 
 
 def _solo(cfg, problem, x0, coeff=0.0):
@@ -70,7 +72,7 @@ def test_gamma_grid_batch_is_bit_identical_to_solo_runs(logistic_problem, logist
 def test_grid_batch_is_bit_identical_to_solo_runs_above_the_blas_cutoff():
     # the flattened losses and shift blocks hold 12 000 values each, above
     # OpenBLAS's threading cutoff for a dot; each node's row holds 60
-    problem = Problem("logistic", block=node_block(read_libsvm(make_wide_sparse_text()), WIDE_NODES), lam=1e-4)
+    problem = Problem("logistic", block=node_block(make_wide_sparse_text(), WIDE_NODES), lam=1e-4)
     x0 = gaussian_sample(515, problem.n + 1, 0, problem.d, 1.0)
     L = problem.smoothness().L
     cfgs = [MethodConfig("clip21_gd", m / L, 12, tau=0.05) for m in _GRID[1:4]]
@@ -509,3 +511,41 @@ def test_drift_check_skips_only_the_runs_that_have_left(monkeypatch, lone, a, at
     assert message == _drift_message(_stepwise, cfgs, problem, x0, v0=_FAR_SHIFTS)
     # in the batch the other two runs are still there to raise
     assert message is None if lone and not checked else message.endswith(f" at step {at}")
+
+
+# shift rows whose squares overflow: mean 0 on the counterexample, so x
+# stays where it is until a row moves without its message
+_HUGE_SHIFTS = np.array([[1e307], [-1e307]])
+
+
+def test_start_shifts_whose_squares_overflow_warn_nothing(quad_problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = Batch([MethodConfig("clip21_gd", 0.1, 10, tau=1.0)], quad_problem, np.array([1.0]), -_HUGE_SHIFTS)
+    assert batch.drift_scale == 1e307
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+def test_drift_of_shift_rows_whose_squares_overflow_raises(quad_problem, monkeypatch, lone):
+    # the first node's shift moves by 1e304 at step 3 and x by about 5e302,
+    # so f overflows from step 4 on
+    cfgs = _configs("clip21_gd", (0.1, 0.2), 40, lone, tau=1.0)
+    calls = _corrupt_shifts_at(monkeypatch, 3)
+    message = _drift_message(run, cfgs, quad_problem, np.array([1.0]), v0=_HUGE_SHIFTS)
+    calls.clear()
+    assert message == _drift_message(_stepwise, cfgs, quad_problem, np.array([1.0]), v0=_HUGE_SHIFTS)
+    assert message == "aggregate shift drifted from direct average by 5.000e+303 at step 3"
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+def test_rounding_of_shift_rows_whose_squares_overflow_passes_the_drift_check(lone):
+    # targets of norm near 1e158 that cancel in the mean, so ||grad f||^2
+    # stays finite, and start shifts 1e150 off them: clip21_avg moves each
+    # shift by 1e149 a step, rounding at 1e158 until it lands
+    rng = np.random.default_rng(158)
+    half = 1e158 * rng.standard_normal((2, 3))
+    a = np.vstack([half, -half])
+    cfgs = _configs("clip21_avg", (0.0, 0.0), 60, lone, tau=1e149)
+    finals, trace = run(cfgs, targets_problem(a), np.zeros(3), v0=a + 1e150 * rng.standard_normal((4, 3)))
+    assert len(trace) == 60 * len(cfgs)
+    assert all(np.array_equal(final.v, a) for final in finals)

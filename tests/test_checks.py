@@ -26,14 +26,14 @@ from clipshift import (
     run,
     sigma_min,
 )
-from clipshift.data import Dataset, node_block, read_libsvm, stack, write_libsvm
+from clipshift.data import Dataset, node_block, stack, write_libsvm
 from clipshift.ops import check_count, check_real
 from fixed_targets import avg_config, targets_problem
 
 _INPUTS = dict(L=1.0, L_max=2.0, tau=0.5, grad0_norms=(1.0, 2.0), F0=1.0)
 _FEATURES = np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0], [1.0, 1.0]])
 _LABELS = np.array([1.0, -1.0, 1.0, -1.0])
-_ENTRIES = read_libsvm(write_libsvm(Dataset(_FEATURES, _LABELS)))
+_TEXT = write_libsvm(Dataset(_FEATURES, _LABELS))
 # split by label: the -1 rows 1 and 3 make node 0, the +1 rows node 1
 _PAIRS = [(_FEATURES[[1, 3]], _LABELS[[1, 3]]), (_FEATURES[[0, 2]], _LABELS[[0, 2]])]
 
@@ -133,7 +133,7 @@ CALLS = {
         ("beta_q", "alpha_q"),
         (),
     ),
-    "node_block": (lambda **kw: node_block(_ENTRIES, **kw), dict(n=2), (), ("n",)),
+    "node_block": (lambda **kw: node_block(_TEXT, **kw), dict(n=2), (), ("n",)),
     "clip": (lambda **kw: clip(np.ones(2), **kw), dict(tau=0.5), ("tau",), ()),
     "Compressor": (lambda **kw: Compressor("top_k", **kw), dict(k=1), (), ("k",)),
 }

@@ -1,7 +1,10 @@
 """Reading LibSVM text, the one-block loader that splits and scales it
 across the nodes, and the writer."""
 
+import contextlib
 import importlib
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,14 +13,14 @@ import pytest
 
 from clipshift import ConfigurationError, DataFormatError, Dataset, Problem, write_libsvm
 from clipshift import cli, data
-from clipshift.data import node_block, read_libsvm, stack
+from clipshift.data import node_block, stack
 from conftest import LOGISTIC_NODES, make_logistic_dataset, make_logistic_problem
 from reference_chain import chain_block, parse, scale, split
 
 
 def _block(text, nodes=1):
     """node_block of LibSVM text, as the library builds it."""
-    return node_block(read_libsvm(text), nodes)
+    return node_block(text, nodes)
 
 
 def test_parse_basic_example():
@@ -28,18 +31,18 @@ def test_parse_basic_example():
 
 
 def test_label_spellings():
-    entries = read_libsvm("1 1:1\n0 1:2\n+1 1:3\n-1 1:4\n")
-    assert np.array_equal(entries.labels, [1.0, -1.0, 1.0, -1.0])
+    block = _block("1 1:1\n0 1:2\n+1 1:3\n-1 1:4\n")
+    # the -1 lines 2 and 4, then the +1 lines 1 and 3
+    assert np.array_equal(block.labels[0], [-1.0, -1.0, 1.0, 1.0])
+    assert np.array_equal(block.features[0], scale(np.array([[2.0], [4.0], [1.0], [3.0]])))
 
 
-def test_parse_accepts_bytes_and_iterables():
-    text = "+1 1:1 2:2\n-1 1:3\n"
-    a = parse(text)
-    b = parse(text.encode())
-    c = parse(text.splitlines())
-    for other in (b, c):
-        assert np.array_equal(a[0], other[0])
-        assert np.array_equal(a[1], other[1])
+def test_loader_accepts_bytes_and_iterables():
+    text = "+1 1:1 2:2\n-1 1:3\n+1 2:5\n"
+    expected = _block(text).features.tobytes()
+    # a generator of lines can be read only once, so its lines are kept
+    for source in (text.encode(), text.splitlines(), iter(text.splitlines(keepends=True))):
+        assert _block(source).features.tobytes() == expected
 
 
 def _line_of(exc_info):
@@ -127,10 +130,12 @@ def test_round_trip_preserves_everything():
         features[rng.random((m, d)) < zero_share] = 0.0
         labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
         ds = Dataset(features, labels)
-        back, back_labels = parse(write_libsvm(ds))
+        text = write_libsvm(ds)
+        back, back_labels = parse(text)
         assert back.shape[1] == ds.d
         assert np.array_equal(back, ds.features)
         assert np.array_equal(back_labels, ds.labels)
+        assert _block(text, 3).features.tobytes() == chain_block(text, 3).features.tobytes()
 
 
 def test_round_trip_with_zero_first_row_keeps_dimension():
@@ -138,7 +143,7 @@ def test_round_trip_with_zero_first_row_keeps_dimension():
     # column cannot silently shrink the feature space
     features = np.array([[0.0, 0.0], [1.0, 0.0]])
     ds = Dataset(features, np.array([1.0, -1.0]))
-    assert read_libsvm(write_libsvm(ds)).d == 2
+    assert _block(write_libsvm(ds)).features.shape == (1, 2, 2)
     assert np.array_equal(parse(write_libsvm(ds))[0], features)
 
 
@@ -214,6 +219,8 @@ def test_benchmark_writes_data_the_reader_reads_back(tmp_path, monkeypatch):
         back_features, back_labels = parse(handle)
     assert back_features.tobytes() == features.tobytes()
     assert back_labels.tobytes() == labels.tobytes()
+    with open(path, encoding="utf-8") as handle:
+        assert node_block(handle, 2).features.tobytes() == chain_block(path.read_text(), 2).features.tobytes()
 
 
 def _load(path, nodes, *flags):
@@ -242,6 +249,63 @@ def test_cli_loader_rejects_more_nodes_than_rows(tmp_path, capsys):
         _load(path, 3)
     assert cli.main(["--method", "gd", "--data", str(path), "--nodes", "3", "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: cannot split 2 samples across 3 nodes\n"
+
+
+@contextlib.contextmanager
+def _fifo_of(tmp_path, payload: bytes):
+    """The path of a FIFO that a thread fills with payload once a reader opens it."""
+    path = tmp_path / "pipe.svm"
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):
+            with open(path, "wb") as pipe:
+                pipe.write(payload)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+# id: (file bytes, node count, error) where a second read of the file could
+# change which error wins
+ERROR_ORDER = {
+    "malformed-line-after-an-unallocatable-d": (
+        b"+1 1:1\n-1 2:1 1000000000000000:1\n+1 1:1 x:2\n", 1, "line 3: bad feature index 'x'"
+    ),
+    "malformed-line-before-more-nodes-than-rows": (b"+1 1:1\n-1 junk\n", 5, "line 2: expected idx:val, got 'junk'"),
+    # a text file decodes 8 KB at a time, so line 2 is checked before the
+    # chunk that holds the undecodable byte is read
+    "malformed-line-before-a-late-undecodable-byte": (
+        b"+1 1:1\n+7 1:1\n" + b"-1 1:1 2:1\n" * 1000 + b"\xff\n", 1, "line 2: unrecognized label '+7'"
+    ),
+}
+
+
+@pytest.mark.parametrize("through", ["file", "fifo"])
+@pytest.mark.parametrize("payload, nodes, message", ERROR_ORDER.values(), ids=ERROR_ORDER)
+def test_cli_loader_reports_the_first_malformed_line(tmp_path, capsys, through, payload, nodes, message):
+    args = ["--method", "gd", "--nodes", str(nodes), "--out", str(tmp_path / "x.csv")]
+    if through == "fifo":
+        with _fifo_of(tmp_path, payload) as path:
+            code = cli.main(["--data", str(path), *args])
+    else:
+        path = tmp_path / "bad.svm"
+        path.write_bytes(payload)
+        code = cli.main(["--data", str(path), *args])
+    assert (code, capsys.readouterr().err) == (3, f"error: {message}\n")
+
+
+def test_cli_loader_reads_a_fifo_as_it_reads_a_file(tmp_path):
+    # the fixture's 500 lines are about 230 KB: more than a pipe holds at once
+    text = write_libsvm(make_logistic_dataset())
+    path = tmp_path / "fixture.svm"
+    path.write_text(text)
+    with _fifo_of(tmp_path, text.encode()) as fifo:
+        piped = _load(fifo, LOGISTIC_NODES)
+    _assert_same_arrays(piped, _load(path, LOGISTIC_NODES))
 
 
 def _assert_same_arrays(problem, other):
@@ -299,36 +363,25 @@ def test_block_matches_the_library_chain_on_an_uneven_split(tmp_path, line_end, 
         problem = _load(path, nodes, "--problem", "linreg" if kind == "linreg_nonconvex" else "logistic")
     else:
         source = {"str": text, "bytes": text.encode(), "lines": text.splitlines(keepends=True)}[form]
-        problem = Problem(kind, block=node_block(read_libsvm(source), nodes))
+        problem = Problem(kind, block=node_block(source, nodes))
     _assert_same_arrays(problem, expected)
 
 
-def test_reader_returns_arrays_in_file_order():
-    entries = read_libsvm("+1 1:0.5 3:-2\n-1\n0 2:1 5:4\n")
-    assert np.array_equal(entries.labels, [1.0, -1.0, -1.0])
-    assert np.array_equal(entries.counts, [2, 0, 2])
-    [(first, end, columns, values)] = entries.blocks
-    assert (first, end) == (0, 3)
-    assert np.array_equal(columns, [0, 2, 1, 4])
-    assert values.dtype == np.float64 and np.array_equal(values, [0.5, -2.0, 1.0, 4.0])
-    assert entries.d == 5
+def test_loader_places_each_line_in_its_label_order_row():
+    block = _block("+1 1:0.5 3:-2\n-1\n0 2:1 5:4\n")
+    # a line with no entries is a zero row, and d is the largest index anywhere
+    raw = np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 4.0], [0.5, 0.0, -2.0, 0.0, 0.0]])
+    assert np.array_equal(block.labels[0], [-1.0, -1.0, 1.0])
+    assert block.features[0].tobytes() == scale(raw).tobytes()
 
 
-def test_reader_blocks_hold_whole_lines(monkeypatch):
+def test_block_does_not_depend_on_the_entries_held(monkeypatch):
     text = _uneven_text()
-    whole = read_libsvm(text)
-    monkeypatch.setattr(data, "_BLOCK_ENTRIES", 4)
-    entries = read_libsvm(text)
-    assert len(entries.blocks) > 3
-    ends = [0] + [end for _, end, _, _ in entries.blocks]
-    assert [first for first, _, _, _ in entries.blocks] == ends[:-1] and ends[-1] == 23
-    for first, end, columns, values in entries.blocks:
-        assert len(columns) == len(values) == entries.counts[first:end].sum()
-    [(_, _, columns, values)] = whole.blocks
-    assert np.array_equal(np.concatenate([b[2] for b in entries.blocks]), columns)
-    assert np.array_equal(np.concatenate([b[3] for b in entries.blocks]), values)
     nodes = 5
-    assert node_block(entries, nodes).features.tobytes() == node_block(whole, nodes).features.tobytes()
+    whole = _block(text, nodes)
+    monkeypatch.setattr(data, "_BLOCK_ENTRIES", 4)
+    assert _block(text, nodes).features.tobytes() == whole.features.tobytes()
+    assert _block(text, nodes).labels.tobytes() == whole.labels.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -349,14 +402,25 @@ def test_huge_index_names_its_line_in_a_later_block(monkeypatch, index, message)
     assert err.value.line_number == 7
 
 
-def test_cli_loader_peak_memory_stays_near_one_block(tmp_path):
-    # 4003 x 50 at 30% density over 7 nodes: slabs of 572 rows, one of them
-    # padded; numpy reports its buffers to tracemalloc. Parsing to a Dataset,
-    # sorting a copy and scaling per shard peaked at about 3.4 blocks
-    rng = np.random.default_rng(4003)
-    features = np.round(rng.standard_normal((4003, 50)), 6)
-    features[rng.random((4003, 50)) >= 0.3] = 0.0
-    labels = np.where(rng.random(4003) < 0.4, 1.0, -1.0)
+@pytest.mark.parametrize(
+    "rows, slab, bound",
+    [
+        # slabs of 572 rows, one of them padded; parsing to a Dataset, sorting
+        # a copy and scaling per shard peaked at about 3.4 blocks
+        (4003, 572, 2.5),
+        # about 300 000 entries: holding them all beside the block, as arrays
+        # built in blocks, peaked at 1.90 blocks
+        (20000, 2858, 1.5),
+    ],
+    ids=["4003-rows", "20000-rows"],
+)
+def test_cli_loader_peak_memory_stays_near_one_block(tmp_path, rows, slab, bound):
+    # rows x 50 at 30% density over 7 nodes; numpy reports its buffers to
+    # tracemalloc
+    rng = np.random.default_rng(rows)
+    features = np.round(rng.standard_normal((rows, 50)), 6)
+    features[rng.random((rows, 50)) >= 0.3] = 0.0
+    labels = np.where(rng.random(rows) < 0.4, 1.0, -1.0)
     path = tmp_path / "wide.svm"
     path.write_text(write_libsvm(Dataset(features, labels)))
     tracemalloc.start()
@@ -365,5 +429,5 @@ def test_cli_loader_peak_memory_stays_near_one_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert problem._A.shape == (7, 572, 50)
-    assert peak < 2.5 * problem._A.nbytes
+    assert problem._A.shape == (7, slab, 50)
+    assert peak < bound * problem._A.nbytes

@@ -111,6 +111,18 @@ def write_inputs(where: Path) -> dict:
         paths[name].write_text(text)
     paths["bad_data"] = where / "bad_data.txt"
     paths["bad_data"].write_bytes(b"+1 1:0.5\n\xff\xfe 2:1\n")
+    # malformed sets whose first error a second read of the file must keep:
+    # a descending index; a malformed line after an index too large to
+    # allocate; a malformed line 2, then an undecodable byte past the first
+    # 8 KB a text file decodes at once
+    malformed = {
+        "bad_descending": b"+1 1:1\n-1 3:1 2:5\n",
+        "bad_huge_then_malformed": b"+1 1:1\n-1 2:1 1000000000000000:1\n+1 1:1 x:2\n",
+        "bad_late_byte": b"+1 1:1\n+7 1:1\n" + b"-1 1:1 2:1\n" * 1000 + b"\xff\n",
+    }
+    for name, payload in malformed.items():
+        paths[name] = where / f"{name}.txt"
+        paths[name].write_bytes(payload)
     paths["bad_cfg"] = where / "bad_cfg.txt"
     paths["bad_cfg"].write_bytes(b"method = gd\n\xff = 1\n")
     paths["missing"] = where / "missing.txt"
@@ -278,6 +290,10 @@ def kinds(files: dict) -> list:
         "v-init-gaussian-nan": base + ["--method", "clip21-avg", "--tau", "0.5", "--v-init", "gaussian:nan"],
         "data-missing": ["--method", "gd", "--data", files["missing"]],
         "data-not-utf8": ["--method", "gd", "--data", files["bad_data"]],
+        "data-descending-index": ["--method", "gd", "--data", files["bad_descending"]],
+        "data-unallocatable-index-then-malformed": ["--method", "gd", "--data", files["bad_huge_then_malformed"]],
+        "data-more-nodes-than-rows": ["--method", "gd", "--data", files["toy"], "--nodes", "61"],
+        "data-malformed-before-late-undecodable-byte": ["--method", "gd", "--data", files["bad_late_byte"]],
         "config-not-utf8": ["--config", files["bad_cfg"]],
         "config-unknown-key": ["--config", files["cfg_unknown"]],
         # a divisor of the certificate rounds to 0: the shift gap at eta = 5e-18, and
