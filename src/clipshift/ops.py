@@ -23,6 +23,7 @@ __all__ = [
     "compress",
     "compress_rows",
     "node_mean",
+    "rms_rows",
 ]
 
 
@@ -87,9 +88,22 @@ def clip_rows(rows: np.ndarray, tau: float):
     shape, so a row clips to the same bits alone or in a stack. tau is
     trusted here: finite and positive.
     """
-    norms = np.sqrt(np.einsum("...j,...j->...", rows, rows))
+    sq = np.einsum("...j,...j->...", rows, rows)
+    # a finite row past about 1.3e154 overflows its square
+    norms = rms_rows(rows, sq) if np.isinf(sq).any() else np.sqrt(sq)
     scale = tau / np.maximum(norms, tau)
     return rows * scale[..., None], norms > tau
+
+
+def rms_rows(rows, sq, n=1):
+    """sqrt(sq / n), sq the plain sums of squares of rows along the last
+    axis; where that is not finite on finite rows, it is formed from the
+    rows scaled by their largest entry, so no finite row overflows it."""
+    out = np.sqrt(sq / n, out=np.empty(np.shape(sq)))
+    redo = ~np.isfinite(out) & np.isfinite(rows).all(axis=-1)
+    top = np.abs(rows[redo]).max(axis=-1, keepdims=True)
+    out[redo] = top[..., 0] * np.sqrt(np.vecdot(rows[redo] / top, rows[redo] / top) / n)
+    return out
 
 
 @dataclass(frozen=True)

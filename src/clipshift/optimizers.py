@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InvariantError
-from .ops import Compressor, check_count, check_real, check_vector, clip_rows, compress_rows, node_mean
+from .ops import Compressor, check_count, check_real, check_vector, clip_rows, compress_rows, node_mean, rms_rows
 from .rng import gaussian_block, gaussian_sample, stream_slot
 
 __all__ = [
@@ -162,9 +162,11 @@ class Batch:
     one row per run, along a leading axis of length R: x (R, d), the
     shifts v (R, n, d) (row i of a run's block is node i's shift), their
     running aggregates v_bar (R, d), the clip masks active (R, n) and
-    drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
-    the config ids[r], and so does column r of the noise chunk (steps,
-    R, ...), the clipped noise of the steps from chunk_start on. Every
+    drift_scale (R,), and the stepsizes gamma (R, 1); work (3, R, n, d)
+    holds a step's stacked [messages, v, grads], rewritten every step
+    instead of allocated. Row r belongs to the config ids[r], and so does
+    column r of the noise chunk (steps, R, ...), the clipped noise of the
+    steps from chunk_start on. Every
     run starts at x0 with the shifts v0, zeros when omitted. A lone run
     (R = 1) keeps the shapes of an unbatched one, without the leading
     axis (gamma is (1,)): numpy calls on one-row arrays cost more, and a
@@ -211,9 +213,10 @@ class Batch:
         self.v = np.tile(v0, self.lead + (1, 1))
         self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
-        with np.errstate(over="ignore"):  # rows past 1.3e154 take _rms's scaled route
+        self.work = np.empty((3,) + self.lead + (n, d))
+        with np.errstate(over="ignore"):  # rows past 1.3e154 take rms_rows's scaled route
             sq = np.vecdot(v0, v0)
-            self.drift_scale = np.full(self.lead, _rms(_rms(v0, sq), np.add.reduce(sq), n))
+            self.drift_scale = np.full(self.lead, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
         self.chunk_start, self.chunk = 0, np.empty((0,) + self.lead)  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
@@ -224,7 +227,7 @@ class Batch:
         if self.lead:
             for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
                 setattr(self, name, getattr(self, name)[rows])
-            self.chunk = self.chunk[:, rows]
+            self.chunk, self.work = self.chunk[:, rows], self.work[:, rows]
             self.lead = (self.ids.size,)
 
     def state(self, row: int) -> OptimizerState:
@@ -321,24 +324,24 @@ def _advance(batch: Batch, steps: int):
         transmit = lambda clipped: clipped + batch.noise()
     elif cfg.method == "press_clip21_gd":
         transmit = partial(compress_rows, cfg.compressor)
-    v, wide = batch.v, {}  # step: the shift row norms
+    v, work, wide = batch.v, batch.work, {}  # wide maps a step to its shift row norms
     stamps = [time.perf_counter_ns()]
     for i in range(steps):
         fs[i], grads = problem._evaluate(xs[i])
         if cfg.method in _SHIFTED:
-            v, messages, masks[i] = _shift_update(grads, v, cfg.tau, transmit)
-            work = np.array((messages, v, grads))
+            v, work[0], masks[i] = _shift_update(grads, v, cfg.tau, transmit)
+            work[1], work[2] = v, grads
             means[i] = node_mean(work)
             np.subtract(grads, v, out=work[2])
             np.vecdot(work[1:], work[1:], out=norms[i])
             if np.isinf(norms[i, 0]).any():
-                wide[i] = _rms(v, norms[i, 0])
-            del messages, work
+                wide[i] = rms_rows(v, norms[i, 0])
         else:
             sent = grads
             if cfg.method != "gd":
                 sent, masks[i] = clip_rows(grads, cfg.tau)
-            means[i, 1:] = node_mean(np.array((sent, grads)))
+            work[1], work[2] = sent, grads
+            means[i, 1:] = node_mean(work[1:])
             if cfg.method == "dp_clip_gd":
                 means[i, 1] += batch.noise()
         np.subtract(xs[i], batch.gamma * means[i, 1], out=xs[i + 1])
@@ -347,17 +350,6 @@ def _advance(batch: Batch, steps: int):
         del grads  # a step's temporaries go before the next step's evaluate
     batch.x, batch.v = xs[steps].copy(), v
     return xs, fs, means, norms, masks, wide, stamps
-
-
-def _rms(rows, sq, n=1):
-    """sqrt(sq / n), sq the plain sums of squares of rows along the last
-    axis; where that is not finite on finite rows, it is formed from the
-    rows scaled by their largest entry, so no finite row overflows it."""
-    out = np.sqrt(sq / n, out=np.empty(np.shape(sq)))
-    redo = ~np.isfinite(out) & np.isfinite(rows).all(axis=-1)
-    top = np.abs(rows[redo]).max(axis=-1, keepdims=True)
-    out[redo] = top[..., 0] * np.sqrt(np.vecdot(rows[redo] / top, rows[redo] / top) / n)
-    return out
 
 
 def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
@@ -397,10 +389,10 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
         terms = np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
         largest = np.sqrt(v_sq.max(axis=-1))
         for i, rows in wide.items():
-            terms[i], largest[i] = _rms(rows, np.add.reduce(v_sq[i], axis=-1), n), rows.max(axis=-1)
+            terms[i], largest[i] = rms_rows(rows, np.add.reduce(v_sq[i], axis=-1), n), rows.max(axis=-1)
         drift_scale = np.add.accumulate(np.concatenate((batch.drift_scale[None], terms)))[1:]
         off = v_bar - direction
-        drift = _rms(off, np.vecdot(off, off))
+        drift = rms_rows(off, np.vecdot(off, off))
         suspect = (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * drift_scale)
         if suspect.any():
             drifted = suspect & (drift > _DRIFT_TOL * (k0 + at + 1) * largest)

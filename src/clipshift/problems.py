@@ -64,6 +64,11 @@ class Problem:
     from one product A @ x and one batched product of the row slopes with
     A. data.node_block builds the block straight from LibSVM text,
     data.stack from (features, labels) pairs in memory.
+
+    The row arrays of an evaluation, (..., n, m_max) each, are written into
+    buffers the Problem keeps and reuses from call to call (see _buffers),
+    so a step allocates nothing of the block's row count. That makes a
+    Problem unsafe to share between threads that evaluate at once.
     """
 
     def __init__(self, kind, block=None, reg="l2", lam=0.0, quad_params=None):
@@ -100,25 +105,45 @@ class Problem:
             # 1/(n m_i) on each row, 0 on padding: a row sum becomes the node
             # mean, and the sum of the node means over the nodes is f
             self._w = (np.arange(m_max) < sizes[:, None]) / (self.n * self._m[:, None])
+        self._row_buffers = None  # made at the first evaluate
         self.kind = kind
         self.reg = reg
         self.lam = lam
 
+    def _buffers(self, lead: tuple):
+        """The row buffers at the leading shape lead, () for one point or (R,)
+        for a stack of R: four float64 (*lead, n, m_max) arrays, for the
+        margins, e, the slopes and 1 + e, and a bool one for t >= 0.
+
+        All shapes share one set, sized for the largest stack evaluated so
+        far, and each view starts at its buffer's first element. The set is
+        replaced only when a larger stack comes.
+        """
+        rows = lead[0] if lead else 1
+        if self._row_buffers is None or len(self._row_buffers[0]) < rows:
+            shape = (rows,) + self._w.shape
+            self._row_buffers = (*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
+        return tuple(a[:rows] if lead else a[0] for a in self._row_buffers)
+
     def _rows(self, z: np.ndarray):
         """Each row's loss and its slope, the loss's derivative with respect
-        to the row's margin z = a.x."""
+        to the row's margin z = a.x. The losses overwrite z and the slopes
+        go to a row buffer, so both last until the next evaluation."""
+        _, e, slope, denom, nonneg = self._buffers(z.shape[:-2])
         if self.kind == "logistic":
             # stable softplus of t = -b z: max(t, 0) + log1p(e) with e = exp(-|t|)
             # never overflows; its slope -b sigmoid(t) reuses e, as -b e / (1 + e)
             # for t < 0 and -b / (1 + e) otherwise, so padding rows (b = 0) get 0.
             # Since e <= 1, max(e, [t >= 0]) picks that numerator; np.where
             # would branch per element, slow on a random sign pattern
-            t = self._neg_b * z
-            e = np.exp(-np.abs(t))
-            slope = self._neg_b * np.maximum(e, t >= 0) / (1.0 + e)
-            return np.maximum(t, 0.0) + np.log1p(e), slope
-        resid = z - self._b
-        return resid * resid, 2.0 * resid
+            t = np.multiply(self._neg_b, z, out=z)
+            np.exp(np.negative(np.abs(t, out=e), out=e), out=e)
+            np.multiply(self._neg_b, np.maximum(e, np.greater_equal(t, 0, out=nonneg), out=slope), out=slope)
+            np.divide(slope, np.add(1.0, e, out=denom), out=slope)
+            return np.add(np.maximum(t, 0.0, out=t), np.log1p(e, out=e), out=t), slope
+        resid = np.subtract(z, self._b, out=z)
+        np.multiply(2.0, resid, out=slope)
+        return np.multiply(resid, resid, out=resid), slope
 
     def evaluate(self, x):
         """f(x) and the (n, d) local gradients, both from one product A @ x.
@@ -156,11 +181,13 @@ class Problem:
             grads = self._coeffs[:, None] * x[..., None, :]
         else:
             # one matrix-vector product per point and node, (..., n, m_max)
-            loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None])[..., 0])
+            z = self._buffers(x.shape[:-1])[0]
+            loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None], out=z[..., None])[..., 0])
             value = np.add.reduce(np.vecdot(loss, self._w), axis=-1)
             if self.lam:  # 0 * r(x) would be nan where r(x) overflows
                 value = value + self.lam * _reg_value(self.reg, x)
-            grads = np.matmul(slope[..., None, :], self._A)[..., 0, :] / self._m[:, None]
+            grads = np.matmul(slope[..., None, :], self._A)[..., 0, :]
+            grads /= self._m[:, None]
             grads += self.lam * _reg_grad(self.reg, x)[..., None, :]
         return value, grads
 
@@ -174,16 +201,8 @@ class Problem:
             beta_q, alpha_q = self.quad_params
             return SmoothnessInfo(L_i=(beta_q, alpha_q), L=beta_q - alpha_q, L_max=beta_q)
         # top eigenvalue of the smaller Gram of each slab (A_i^T A_i or A_i A_i^T,
-        # unchanged by zero padding rows), 16 nodes at a time: at the a9a shape
-        # freeing their 1.9 MB lifts glibc's dynamic mmap and trim thresholds, so
-        # evaluate's temporaries (1.75 MB a call) come from the heap, fault-free
-        spec_sq = []
-        for start in range(0, self.n, 16):
-            block = self._A[start : start + 16]
-            block_t = block.swapaxes(1, 2)
-            gram = block @ block_t if block.shape[1] < self.d else block_t @ block
-            spec_sq.append(np.linalg.eigvalsh(gram)[:, -1])
-        spec_sq = np.concatenate(spec_sq)
+        # unchanged by zero padding rows), one node at a time
+        spec_sq = np.array([np.linalg.eigvalsh(a @ a.T if len(a) < self.d else a.T @ a)[-1] for a in self._A])
         if self.kind == "logistic":
             c_reg = 1.0 if self.reg == "l2" else 2.0
             L_i = spec_sq / (4.0 * self._m) + self.lam * c_reg

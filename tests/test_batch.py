@@ -112,6 +112,18 @@ def test_diverging_run_leaves_the_batch_with_its_partial_trace(quad_problem):
     assert rows == sorted(rows)
 
 
+def test_grid_whose_runs_leave_mid_run_matches_solo_runs(logistic_problem, logistic_x0):
+    # the runs at 4e155, 1e156 and 1.5e156 overflow f at steps 96, 10 and 7,
+    # so the batch goes from 6 runs to 3, and the stacked evaluate and the
+    # batch's stacked messages, shifts and gradients shrink with it
+    L = logistic_problem.smoothness().L
+    gammas = (0.5 / L, 4e155, 1.0 / L, 1e156, 2.0 / L, 1.5e156)
+    cfgs = [MethodConfig("clip21_gd", g, 120, tau=0.01) for g in gammas]
+    finals, _ = _assert_batch_matches_solo(cfgs, logistic_problem, logistic_x0, coeffs=[0.5] * 6)
+    steps = [f.step if isinstance(f, DivergenceError) else None for f in finals]
+    assert steps == [None, 96, None, 10, None, 7]
+
+
 @pytest.mark.parametrize(
     "gammas, iters",
     [((0.5, 1.0, 2.0), 400), ((0.5, 8.0, 2.0, 10.0), 400), ((8.0, 10.0), 400), ((10.0,), 400), ((1.0,), 1)],

@@ -185,6 +185,19 @@ def test_row_forms_match_a_per_row_loop():
         assert np.array_equal(kept[i], expect)
 
 
+def test_clip_rows_scales_a_row_whose_square_overflows():
+    # the row's plain sum of squares overflows to inf, but its norm is 5e200;
+    # the ordinary row beside it keeps the bits of the plain route
+    rows = np.array([[3e200, 4e200], [3.0, 4.0], [0.3, 0.4]])
+    clipped, active = clip_rows(rows, 1.0)
+    assert clipped[0] == pytest.approx([0.6, 0.8], rel=1e-15)
+    assert active.tolist() == [True, True, False]
+    assert clipped[1].tobytes() == (rows[1] * (1.0 / np.sqrt(25.0))).tobytes()
+    assert clipped[2].tobytes() == rows[2].tobytes()
+    # alone or in a stack, the same bits
+    assert clip_rows(rows[:1], 1.0)[0].tobytes() == clipped[:1].tobytes()
+
+
 def _stable_sort_top_k(row, k):
     # the reference: a stable sort on -|x| ranks ties by index
     keep = np.argsort(-np.abs(row), kind="stable")[:k]

@@ -1,6 +1,7 @@
 """Objective values, gradients, and smoothness constants."""
 
 import gc
+import tracemalloc
 import weakref
 
 import mpmath
@@ -179,6 +180,66 @@ def test_evaluate_stacks_gradients_in_node_order():
     assert stacked.shape == (3, 4)
     for i in range(3):
         assert np.array_equal(stacked[i], Problem("logistic", stack([shards[i]])).evaluate(x)[1][0])
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linreg_nonconvex"])
+def test_evaluate_returns_arrays_no_later_evaluation_writes(kind):
+    rng = np.random.default_rng(31)
+    p = Problem(kind, stack(_random_shards(rng, 4, 5, 7, regression=kind != "logistic")), lam=0.1)
+    x1, x2 = rng.standard_normal((2, 5))
+    g1 = p.evaluate(x1)[1]
+    f3, g3 = p.evaluate(np.stack([x1, x2, x1]))
+    held = g1.copy(), f3.copy(), g3.copy()
+    p.evaluate(x2)
+    p.evaluate(np.stack([x2, x1, x2]))
+    for array, copy in zip((g1, f3, g3), held):
+        assert array.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linreg_nonconvex"])
+def test_stacks_that_shrink_evaluate_each_point_as_alone(kind):
+    # one problem evaluates stacks of 6 points, then 3, then one point; each
+    # point's numbers match a problem that only ever saw lone points
+    rng = np.random.default_rng(32)
+    shards = _random_shards(rng, 4, 5, 7, regression=kind != "logistic")
+    p, fresh = (Problem(kind, stack(shards), reg="nonconvex", lam=0.1) for _ in range(2))
+    x = 3.0 * rng.standard_normal((6, 5))
+    alone = [fresh.evaluate(point) for point in x]
+    for rows in (6, 3):
+        f, grads = p.evaluate(x[:rows])
+        for r in range(rows):
+            assert f[r].tobytes() == np.float64(alone[r][0]).tobytes(), (rows, r)
+            assert grads[r].tobytes() == alone[r][1].tobytes(), (rows, r)
+    f, grads = p.evaluate(x[4])
+    assert (f, grads.tobytes()) == (alone[4][0], alone[4][1].tobytes())
+
+
+def test_evaluate_and_smoothness_make_no_row_sized_temporaries():
+    # 40 nodes of 600 rows in d = 60: each (n, m_max) row array is 188 KiB,
+    # past glibc's default 128 KiB mmap threshold, so a temporary that size
+    # would be mapped and faulted in afresh at each call. A warm evaluate
+    # writes its rows into the problem's buffers, and smoothness holds one
+    # node's 60 x 60 Gram at a time
+    rng = np.random.default_rng(40)
+    p = Problem("logistic", stack(_random_shards(rng, 40, 60, 600)), lam=0.1)
+    row_array = 40 * 600 * 8
+    gram = 60 * 60 * 8
+    x = rng.standard_normal((3, 60))
+    p._evaluate(x)  # the first call makes the row buffers
+    tracemalloc.start()
+    try:
+        peaks = []
+        for point in (x, x[:2], x[0]):
+            tracemalloc.reset_peak()
+            p._evaluate(point)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        p.smoothness()
+        smoothness_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < row_array, peaks
+    assert smoothness_peak < 3 * gram, smoothness_peak
 
 
 def test_unequal_shards_match_per_shard_reference():

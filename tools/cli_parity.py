@@ -183,6 +183,9 @@ def kinds(files: dict) -> list:
             ]
     wide = ["--data", files["wide"], "--nodes", "200", "--seed", "3", "--presolve-iters", "20", "--x0", "gaussian:1.0"]
     out.append(("wide-clip21-gd", wide + ["--iters", "40", "--method", "clip21-gd", "--tau", "0.5", "--gamma", "0.1"]))
+    # six stacked points: 6 x 200 x 60 row values, 563 KB an array of evaluate's
+    out.append(("wide-clip21-gd-grid", wide + ["--iters", "40", "--method", "clip21-gd", "--tau", "0.5"]
+                + ["--gamma", "grid"]))
     no_tau = base + ["--method", "clip21-gd"]
     clip21 = no_tau + ["--tau", "0.5"]
     out += [
@@ -232,7 +235,8 @@ def kinds(files: dict) -> list:
         ("quad-grid-diverging-child", ["--method", "gd", "--gamma", "grid", "--iters", "400"]),
         # the shifted kernels with a child that leaves inside a chunk: at tau 1e300 no
         # message clips, so the gamma-8 child's f overflows at step 324, inside the
-        # third 124-step chunk of six runs on the counterexample
+        # third 124-step chunk of six runs on the counterexample; at step 323 its
+        # residual rows pass 1.3e154, so their norms need the clip's scaled route
         ("quad-dp-clip21-gd-grid-diverging-child", ["--method", "dp-clip21-gd", "--tau", "1e300", "--sigma", "0.05"]
          + ["--nu", "0.1", "--gamma", "grid", "--iters", "400"]),
         ("quad-press-clip21-gd-grid-diverging-child", ["--method", "press-clip21-gd", "--tau", "1e300"]
