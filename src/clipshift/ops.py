@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+_TINY_NORM = math.sqrt(_TINY)  # below it a row's square can fall out of the normal range
+
 __all__ = [
     "check_count",
     "check_real",
@@ -79,20 +82,34 @@ def clip(x, tau) -> np.ndarray:
     return clip_rows(check_vector(x)[None, :], check_real("clip threshold", tau))[0][0]
 
 
-def clip_rows(rows: np.ndarray, tau: float):
+def clip_rows(rows: np.ndarray, tau: float, out=None):
     """clip applied to every row (last axis) of an (..., d) array at once.
 
-    Returns the clipped rows and the mask of rows that were scaled. A row
-    inside the ball is scaled by tau/tau, exactly 1, so it comes back
+    Returns the clipped rows and the mask of rows that were scaled, written
+    into out = (clipped, mask) when given; clipped must not overlap rows. A
+    row inside the ball is scaled by tau/tau, exactly 1, so it comes back
     bit-identical. Each row's norm is the same einsum whatever the leading
     shape, so a row clips to the same bits alone or in a stack. tau is
     trusted here: finite and positive.
     """
-    sq = np.einsum("...j,...j->...", rows, rows)
-    # a finite row past about 1.3e154 overflows its square
-    norms = rms_rows(rows, sq) if np.isinf(sq).any() else np.sqrt(sq)
-    scale = tau / np.maximum(norms, tau)
-    return rows * scale[..., None], norms > tau
+    sq = np.asarray(np.einsum("...j,...j->...", rows, rows))  # an array even for one row
+    if tau < _TINY_NORM:
+        # only so small a tau lets through a nonzero row whose square fell
+        # below the normal range: an inf sum sends it down the scaled route
+        sq[(sq < _TINY) & (rows != 0).any(axis=-1)] = np.inf
+    # a finite row past about 1.3e154 overflows its square; a finite sum of
+    # the squares rules that out in one call
+    if not math.isfinite(np.add.reduce(sq, axis=None)) and np.isinf(sq).any():
+        norms = rms_rows(rows, sq)
+    else:
+        norms = np.sqrt(sq, out=sq)
+    clipped, mask = (np.empty_like(rows), None) if out is None else out
+    mask = np.greater(norms, tau, out=mask)
+    scale = np.divide(tau, np.maximum(norms, tau, out=norms), out=norms)
+    # each row's scale at every entry first: numpy copies a broadcast operand
+    # into a buffer of up to 8 192 elements, allocated and freed every call
+    np.copyto(clipped, scale[..., None])
+    return np.multiply(rows, clipped, out=clipped), mask
 
 
 def rms_rows(rows, sq, n=1):
@@ -100,6 +117,8 @@ def rms_rows(rows, sq, n=1):
     axis; where that is not finite on finite rows, it is formed from the
     rows scaled by their largest entry, so no finite row overflows it."""
     out = np.sqrt(sq / n, out=np.empty(np.shape(sq)))
+    if math.isfinite(np.add.reduce(out, axis=None)):  # no row to redo
+        return out
     redo = ~np.isfinite(out) & np.isfinite(rows).all(axis=-1)
     top = np.abs(rows[redo]).max(axis=-1, keepdims=True)
     out[redo] = top[..., 0] * np.sqrt(np.vecdot(rows[redo] / top, rows[redo] / top) / n)
@@ -145,24 +164,44 @@ def compress(c: Compressor, x) -> np.ndarray:
     return compress_rows(c, arr[None, :])[0]
 
 
-def compress_rows(c: Compressor, rows: np.ndarray) -> np.ndarray:
-    """compress applied to every row (last axis) of an (..., d) array at once.
+def compress_rows(c: Compressor, rows: np.ndarray, out=None) -> np.ndarray:
+    """compress applied to every row (last axis) of an (..., d) array at once,
+    written into out when given, which must not overlap rows.
 
     Top-k selects rather than sorts: a row keeps every entry whose
     magnitude exceeds its k-th largest, then the lowest-index entries tied
     with it until k are kept, exactly what a stable sort on -|x| keeps.
     A NaN would not rank as that sort ranks it, so rows must hold none.
+    The magnitudes, each row's k-th largest and the running count of ties
+    are formed in out, so the only temporaries of the rows' size are
+    boolean, and no call has a broadcast operand (see clip_rows).
     """
+    out = np.empty_like(rows) if out is None else out
     if c.kind == "identity" or c.k >= rows.shape[-1]:
-        return rows.copy()
-    mags = np.abs(rows)
+        np.copyto(out, rows)
+        return out
     kth = rows.shape[-1] - c.k
-    cut = np.partition(mags, kth, axis=-1)[..., kth, None]
-    above = mags > cut
-    tied = mags == cut
-    room = c.k - above.sum(axis=-1, keepdims=True)
-    keep = above | (tied & (np.cumsum(tied, axis=-1) <= room))
-    return np.where(keep, rows, 0.0)
+    np.abs(rows, out=out)
+    out.partition(kth, axis=-1)
+    np.copyto(out, out[..., kth, None].copy())  # each row's k-th largest, cut, at every entry
+    # with cut >= 0, |x| > cut is x > cut or x < -cut, and |x| == cut is x == cut or x == -cut
+    above, tied = np.greater(rows, out), np.equal(rows, out)
+    flip = np.less(rows, np.negative(out, out=out))
+    np.logical_or(above, flip, out=above)
+    np.logical_or(tied, np.equal(rows, out, out=flip), out=tied)
+    # keep = above | (tied & (count of ties so far <= room)), room = k - count
+    # of above. Both counts are whole numbers summed in out (a sum of the
+    # bools would cast them, through a buffer), and the count of ties less the
+    # room is the running sum of the ties with the first term lowered by room
+    np.copyto(out, above)
+    room = c.k - np.add.reduce(out, axis=-1)
+    np.copyto(out, tied)
+    np.subtract(out[..., 0], room, out=out[..., 0])
+    np.less_equal(np.add.accumulate(out, axis=-1, out=out), 0.0, out=flip)
+    dropped = np.logical_not(np.logical_or(above, np.logical_and(tied, flip, out=tied), out=above), out=above)
+    np.copyto(out, rows)
+    np.copyto(out, 0.0, where=dropped)
+    return out
 
 
 def node_mean(rows: np.ndarray) -> np.ndarray:

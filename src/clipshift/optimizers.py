@@ -12,11 +12,12 @@ run is bit-identical to its solo run. The privacy noise of every run is
 drawn once per seed, scaled and clipped one chunk of steps at a time.
 
 The loop also advances the batch one chunk of steps at a time. A step
-does only the method's own arithmetic and writes what it found into
-the chunk's buffers; at the chunk's end one pass, vectorised over its
-steps, forms the telemetry, advances the running aggregate of the shifts
-and runs the checks, with the bits and the order of leaving and raising
-of one step at a time. step is the same kernel on a one-step chunk.
+does only the method's own arithmetic and writes every array into
+buffers the batch keeps and reuses; at the chunk's end one pass,
+vectorised over its steps, forms the telemetry, advances the running
+aggregate of the shifts and runs the checks, with the bits and the
+order of leaving and raising of one step at a time. step is the same
+kernel on a one-step chunk.
 
 Shift semantics: a step observes the iterate x_k, updates the per-node
 shifts v (which become the step-k shifts), records telemetry at x_k with
@@ -63,13 +64,18 @@ _SHIFTED = ("clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd")
 # allowed shift drift per step: 16 ulps of the scale of the shift rows
 _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
+# the power of two a run's drift_scale is carried lower by once its running
+# sum passes the float64 range: 2^64 more steps at the top of the range fit
+_DRIFT_DOWN = 2.0**-64
+
 # noise elements a chunk holds for the noisy runs, about 128 KB: many steps a
 # draw at small shapes, one at shapes where the draw is compute-bound
 _NOISE_BUDGET = 16_384
 
-# elements of the step buffers a chunk of run fills, about 64 KB: 73 steps for
-# a lone 10-node, 20-feature run, 12 for six of them, 10 at 100 x 123
-_CHUNK_BUDGET = 8_192
+# elements of the step buffers a chunk of run fills, about 128 KiB in all, so
+# each buffer stays under 128 KiB, glibc's default mmap threshold: 147 steps
+# for a lone 10-node, 20-feature run, 24 for six of them, 20 at 100 x 123
+_CHUNK_BUDGET = 16_384
 
 
 def _required(method: str, what: str, value) -> float:
@@ -162,12 +168,10 @@ class Batch:
     one row per run, along a leading axis of length R: x (R, d), the
     shifts v (R, n, d) (row i of a run's block is node i's shift), their
     running aggregates v_bar (R, d), the clip masks active (R, n) and
-    drift_scale (R,), and the stepsizes gamma (R, 1); work (3, R, n, d)
-    holds a step's stacked [messages, v, grads], rewritten every step
-    instead of allocated. Row r belongs to the config ids[r], and so does
-    column r of the noise chunk (steps, R, ...), the clipped noise of the
-    steps from chunk_start on. Every
-    run starts at x0 with the shifts v0, zeros when omitted. A lone run
+    drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
+    the config ids[r], and so does column r of the noise chunk (steps, R,
+    ...), the clipped noise of the steps from chunk_start on. Every run
+    starts at x0 with the shifts v0, zeros when omitted. A lone run
     (R = 1) keeps the shapes of an unbatched one, without the leading
     axis (gamma is (1,)): numpy calls on one-row arrays cost more, and a
     one-row axis cost a 10-node, 20-feature dp-clip21-gd run about 11% of
@@ -177,13 +181,25 @@ class Batch:
     the direct average of the shift rows of each step; drift_scale is the
     running sum of the root-mean-square shift row over v0 and the steps
     so far, the scale of the rounding v_bar may have accumulated, each
-    term a sum of per-node squared norms taken in node order. Both advance
-    at the end of each chunk of steps, from the per-step terms the chunk's
-    buffers hold; x and v advance every step. A run that leaves (it
-    diverged) is dropped from every array at the end of its chunk, and
-    the others go on unchanged. The batch holds no telemetry: run writes
-    each chunk's values of the runs in ids into the trace rows of its
-    steps.
+    term a sum of per-node squared norms taken in node order. It is held
+    times drift_unit (R,), 1 until a run's sum passes the float64 range
+    (rows near 1e307 do so in about 18 steps) and a power of two below it
+    from then on, which scales exactly. Both advance at the end of each
+    chunk of steps, from the per-step terms the chunk's buffers hold; x
+    and v advance every step. A run that leaves (it diverged) is dropped
+    from every array at the end of its chunk, and the others go on
+    unchanged. The batch holds no telemetry: run writes each chunk's
+    values of the runs in ids into the trace rows of its steps.
+
+    A step writes every array into buffers the batch keeps. work (4, R,
+    n, d) holds a step's [messages, v, grads, residuals]: the
+    stacked first three are what a step averages over the nodes, and the
+    shifted methods step their shifts in work[1] in place, so between
+    chunks v is a view of it (the unshifted methods keep v as given). The
+    chunk's buffers (chunk_buffers) are made at the first chunk of the
+    runs present and reused by every later chunk. Nothing handed out is a
+    view of them: x and active are copies made at each chunk's end, step
+    replaces v by a copy, and state copies every array it returns.
     """
 
     def __init__(self, cfgs, problem, x0, v0=None):
@@ -213,10 +229,12 @@ class Batch:
         self.v = np.tile(v0, self.lead + (1, 1))
         self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
         self.active = np.zeros(self.lead + (n,), dtype=bool)
-        self.work = np.empty((3,) + self.lead + (n, d))
+        self.work = np.empty((4,) + self.lead + (n, d))
+        self.buffers = None  # the chunk buffers, made at the first chunk
         with np.errstate(over="ignore"):  # rows past 1.3e154 take rms_rows's scaled route
             sq = np.vecdot(v0, v0)
             self.drift_scale = np.full(self.lead, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
+        self.drift_unit = np.ones(self.lead)
         self.chunk_start, self.chunk = 0, np.empty((0,) + self.lead)  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
@@ -225,14 +243,30 @@ class Batch:
         leaves empties the batch."""
         self.ids = self.ids[rows]
         if self.lead:
-            for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale"):
+            for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale", "drift_unit"):
                 setattr(self, name, getattr(self, name)[rows])
             self.chunk, self.work = self.chunk[:, rows], self.work[:, rows]
-            self.lead = (self.ids.size,)
+            self.lead, self.buffers = (self.ids.size,), None
+
+    def chunk_buffers(self, steps: int):
+        """xs (steps + 1, *lead, d), fs (steps, *lead), means (steps, 3, *lead,
+        d), norms (steps, 2, *lead, n) and masks (steps, *lead, n): views of
+        buffers made at the first chunk of the batch's current runs and
+        reused by every later one, whose steps are no more."""
+        if self.buffers is None or len(self.buffers[1]) < steps:
+            n, d = self.problem.n, self.problem.d
+            self.buffers = (
+                np.empty((steps + 1,) + self.lead + (d,)),
+                np.empty((steps,) + self.lead),
+                np.empty((steps, 3) + self.lead + (d,)),
+                np.zeros((steps, 2) + self.lead + (n,)),  # the unshifted methods leave them 0
+                np.zeros((steps,) + self.lead + (n,), dtype=bool),  # and gd these
+            )
+        return tuple(a[: steps + (a is self.buffers[0])] for a in self.buffers)
 
     def state(self, row: int) -> OptimizerState:
         """The final state of the run in row row."""
-        pick = (lambda a: a[row]) if self.lead else (lambda a: a)
+        pick = (lambda a: a[row].copy()) if self.lead else (lambda a: a.copy())
         return OptimizerState(
             k=self.k, x=pick(self.x), v=pick(self.v), v_bar=pick(self.v_bar), active=pick(self.active)
         )
@@ -276,26 +310,32 @@ class Batch:
         return self.chunk[i]
 
 
-def _shift_update(targets, v, tau, transmit=None):
-    """One shifted-clipping round for every node at once.
+def _shift_update(targets, v, tau, transmit=None, *, out):
+    """One shifted-clipping round for every node at once, in place.
 
     Node i sends m^i = transmit(clip(t^i - v^i, tau)) (the clipped
     residual itself when transmit is None) and moves its shift to
     v^i + m^i, except that an inactive clip whose message is exactly the
     raw residual lands the shift on the target bit-for-bit rather than on
     v + (t - v), which can differ in the last ulp. The arrays are (n, d)
-    or (R, n, d). Returns the new shifts, the messages and the
-    clip-activity mask.
+    or (R, n, d). out = (messages, mask, spare) receives the messages and
+    the clip-activity mask; spare, of the shape of v, holds the residuals,
+    or the clipped residuals when there is a transmit, which writes the
+    messages from them as transmit(clipped, out=messages). v becomes the
+    new shifts. Returns v, the messages and the mask.
     """
-    resid = targets - v
-    clipped, active = clip_rows(resid, tau)
-    if transmit is None:
-        # an inactive clip hands the residual back bit-identical
-        messages, landed = clipped, ~active
-    else:
-        messages = transmit(clipped)
-        landed = ~active & (messages == resid).all(axis=-1)
-    return np.where(landed[..., None], targets, v + messages), messages, active
+    messages, active, spare = out
+    # the clip writes into the buffer the residuals are not in
+    resid, clipped = (spare, messages) if transmit is None else (messages, spare)
+    clip_rows(np.subtract(targets, v, out=resid), tau, out=(clipped, active))
+    # an inactive clip hands the residual back bit-identical
+    landed = np.logical_not(active)
+    if transmit is not None:
+        transmit(clipped, out=messages)
+        landed &= np.logical_and.reduce(np.equal(messages, clipped), axis=-1)
+    np.add(v, messages, out=v)
+    np.copyto(v, targets, where=landed[..., None])
+    return v, messages, active
 
 
 def _advance(batch: Batch, steps: int):
@@ -303,7 +343,9 @@ def _advance(batch: Batch, steps: int):
     method's own arithmetic: evaluate at x_k, the shift update or the
     clip, one node mean of the stacked [messages, shifts, gradients] (for
     the unshifted methods [sent gradients, gradients]), one vecdot of the
-    stacked [v, grads - v], and the move of x.
+    stacked [v, grads - v], and the move of x. Every array a step writes
+    is a buffer the batch keeps (work, and the chunk's buffers), so a step
+    allocates no array of the batch's size.
 
     Returns the chunk's buffers, whose leading axis is the step in the
     chunk: xs holds x_k to x_{k+steps}, fs the values, means the message
@@ -312,43 +354,50 @@ def _advance(batch: Batch, steps: int):
     wide the shift row norms of the steps where those squares overflowed;
     and the perf_counter_ns stamps at the chunk's start and after each step.
     """
-    cfg, problem, lead = batch.cfg, batch.problem, batch.lead
-    xs = np.empty((steps + 1,) + lead + (problem.d,))
+    cfg, problem, work = batch.cfg, batch.problem, batch.work
+    xs, fs, means, norms, masks = batch.chunk_buffers(steps)
     xs[0] = batch.x
-    fs = np.empty((steps,) + lead)
-    means = np.empty((steps, 3) + lead + (problem.d,))
-    norms = np.zeros((steps, 2) + lead + (problem.n,))
-    masks = np.zeros((steps,) + lead + (problem.n,), dtype=bool)
+    shifted, n = cfg.method in _SHIFTED, problem.n
+    # with no run at a positive sigma the noise is exact zeros, which add as 0.0 does
+    noise = batch.noise if batch.sigma.any() else (lambda: 0.0)
     transmit = None
     if cfg.method == "dp_clip21_gd":
-        transmit = lambda clipped: clipped + batch.noise()
+        transmit = lambda clipped, out: np.add(clipped, noise(), out=out)
     elif cfg.method == "press_clip21_gd":
         transmit = partial(compress_rows, cfg.compressor)
-    v, work, wide = batch.v, batch.work, {}  # wide maps a step to its shift row norms
+    messages, v, grads, spare = work
+    stacked, pair = work[:3], work[1:3]  # [messages, v, grads] and [v, grads - v]
+    if shifted:  # the shifts step in work[1]; batch.v may have been replaced
+        np.copyto(v, batch.v)
+    wide = {}  # maps a step to its shift row norms
     stamps = [time.perf_counter_ns()]
     for i in range(steps):
-        fs[i], grads = problem._evaluate(xs[i])
-        if cfg.method in _SHIFTED:
-            v, work[0], masks[i] = _shift_update(grads, v, cfg.tau, transmit)
-            work[1], work[2] = v, grads
-            means[i] = node_mean(work)
-            np.subtract(grads, v, out=work[2])
-            np.vecdot(work[1:], work[1:], out=norms[i])
-            if np.isinf(norms[i, 0]).any():
-                wide[i] = rms_rows(v, norms[i, 0])
+        fs[i] = problem._evaluate(xs[i], out=grads)[0]
+        mean = means[i]
+        if shifted:
+            _shift_update(grads, v, cfg.tau, transmit, out=(messages, masks[i], spare))
+            # node_mean's sum then divide, into the chunk's buffer
+            np.divide(np.add.reduce(stacked, axis=-2, out=mean), n, out=mean)
+            np.subtract(grads, v, out=grads)
+            v_sq = np.vecdot(pair, pair, out=norms[i])[0]
+            # a finite sum rules out a shift row whose square overflowed
+            if not math.isfinite(np.add.reduce(v_sq, axis=None)) and np.isinf(v_sq).any():
+                wide[i] = rms_rows(v, v_sq)
         else:
-            sent = grads
-            if cfg.method != "gd":
-                sent, masks[i] = clip_rows(grads, cfg.tau)
-            work[1], work[2] = sent, grads
-            means[i, 1:] = node_mean(work[1:])
+            # the sent gradients take work[1], which holds no shifts here
+            if cfg.method == "gd":
+                np.copyto(work[1], grads)
+            else:
+                clip_rows(grads, cfg.tau, out=(work[1], masks[i]))
+            np.divide(np.add.reduce(pair, axis=-2, out=mean[1:]), n, out=mean[1:])
             if cfg.method == "dp_clip_gd":
-                means[i, 1] += batch.noise()
-        np.subtract(xs[i], batch.gamma * means[i, 1], out=xs[i + 1])
+                np.add(mean[1], noise(), out=mean[1])
+        np.subtract(xs[i], np.multiply(batch.gamma, mean[1], out=xs[i + 1]), out=xs[i + 1])
         batch.k += 1
         stamps.append(time.perf_counter_ns())
-        del grads  # a step's temporaries go before the next step's evaluate
-    batch.x, batch.v = xs[steps].copy(), v
+    batch.x = xs[steps].copy()
+    if shifted:
+        batch.v = v
     return xs, fs, means, norms, masks, wide, stamps
 
 
@@ -359,25 +408,34 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     It forms each step's ||grad f||^2, shift term, v_norm and active node
     count; advances v_bar and drift_scale with np.add.accumulate over
     [carried value, per-step terms], which sums in sequence with the bits
-    of one step at a time; and runs the shift-drift check over the runs
+    of one step at a time (v_bar in place of the message means in
+    means[:, 0]); and runs the shift-drift check over the runs
     still present at each step, in run's order of leaving. Raises
     InvariantError on the first drifted run, in row order, of the first
     step with one. Returns the telemetry columns, (steps,) + lead each,
     and per run the chunk steps of its first non-finite iterate
     (x_{k+steps} included) and of its first non-finite f or ||grad f||^2,
-    steps + 1 where there is none.
+    steps + 1 where there is none. The columns may be views of the chunk's
+    buffers, which the next chunk overwrites.
     """
     steps, n, lead = len(fs), batch.problem.n, batch.lead
     k0 = batch.k - steps  # the chunk's first step
     direction, gbar = means[:, 1], means[:, 2]
     grad_sq = np.vecdot(gbar, gbar)
-    at = np.arange(steps).reshape((steps,) + (1,) * len(lead))  # each step's index in the chunk
 
     def first(bad):  # per run, the first step where bad holds, else steps + 1
         return np.where(bad.any(axis=0), bad.argmax(axis=0), steps + 1)
 
-    bad_x = first(~np.isfinite(xs).all(axis=-1))
-    bad_f = first(~(np.isfinite(fs) & np.isfinite(grad_sq)))
+    def running(carried, terms):  # carried + terms[0], + terms[1], ... in sequence
+        return np.add.accumulate(np.concatenate((carried[None], terms)))[1:]
+
+    # a finite sum over the chunk rules out a non-finite entry in one call
+    bad_x = np.full(lead, steps + 1)
+    if not math.isfinite(np.add.reduce(xs, axis=None)):
+        bad_x = first(~np.isfinite(xs).all(axis=-1))
+    bad_f = np.full(lead, steps + 1)
+    if not math.isfinite(np.add.reduce(fs, axis=None) + np.add.reduce(grad_sq, axis=None)):
+        bad_f = first(~(np.isfinite(fs) & np.isfinite(grad_sq)))
     if batch.cfg.method in _SHIFTED:
         # rounding lets the running aggregate drift by about eps per step at
         # the scale of that step's shift rows, so the allowance grows with the
@@ -385,25 +443,40 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
         # since do not shrink the rounding v_bar already holds. A drift must
         # also exceed the per-step allowance at the largest current row
         v_sq = norms[:, 0]
-        v_bar = np.add.accumulate(np.concatenate((batch.v_bar[None], means[:, 0])))[1:]
+        # the message means become the running v_bar, in sequence from the carried one
+        v_bar = means[:, 0]
+        np.add(batch.v_bar, v_bar[0], out=v_bar[0])
+        np.add.accumulate(v_bar, axis=0, out=v_bar)
         terms = np.sqrt(np.add.reduce(v_sq, axis=-1) / n)
-        largest = np.sqrt(v_sq.max(axis=-1))
         for i, rows in wide.items():
-            terms[i], largest[i] = rms_rows(rows, np.add.reduce(v_sq[i], axis=-1), n), rows.max(axis=-1)
-        drift_scale = np.add.accumulate(np.concatenate((batch.drift_scale[None], terms)))[1:]
+            terms[i] = rms_rows(rows, np.add.reduce(v_sq[i], axis=-1), n)
+        # drift_scale is carried times drift_unit, a power of two
+        unit = batch.drift_unit
+        drift_scale = running(batch.drift_scale, terms * unit)
+        over = np.isinf(drift_scale[-1])
+        if over.any():
+            # the sum of rows near the top of the float64 range passed it:
+            # carry those runs' scale _DRIFT_DOWN lower from here on, exactly
+            down = np.where(over, _DRIFT_DOWN, 1.0)
+            unit = unit * down
+            drift_scale = running(batch.drift_scale * down, terms * unit)
         off = v_bar - direction
         drift = rms_rows(off, np.vecdot(off, off))
-        suspect = (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * drift_scale)
+        suspect = drift * unit > _DRIFT_TOL * drift_scale
         if suspect.any():
-            drifted = suspect & (drift > _DRIFT_TOL * (k0 + at + 1) * largest)
+            at = np.arange(steps).reshape((steps,) + (1,) * len(lead))  # each step's index in the chunk
+            largest = np.sqrt(v_sq.max(axis=-1))
+            for i, rows in wide.items():
+                largest[i] = rows.max(axis=-1)
+            drifted = suspect & (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * (k0 + at + 1) * largest)
             if drifted.any():
                 i = int(np.reshape(drifted, (steps, -1)).any(axis=1).argmax())
                 raise InvariantError(
                     f"aggregate shift drifted from direct average by {np.extract(drifted[i], drift[i])[0]:.3e} "
                     f"at step {k0 + i}"
                 )
-        batch.v_bar, batch.drift_scale = v_bar[-1].copy(), drift_scale[-1].copy()
-    batch.active = masks[-1]
+        batch.v_bar, batch.drift_scale, batch.drift_unit = v_bar[-1].copy(), drift_scale[-1].copy(), unit
+    batch.active = masks[-1].copy()
     shift_sq = np.add.reduce(norms[:, 1], axis=-1) / n
     columns = (fs, grad_sq, shift_sq, masks.sum(axis=-1), np.sqrt(np.vecdot(direction, direction)))
     return columns, np.reshape(bad_x, -1), np.reshape(bad_f, -1)
@@ -437,6 +510,7 @@ def step(batch: Batch):
     nodes that clipped.
     """
     (f, grad_sq, shift_sq, _, v_norm), _, _ = _settle(batch, *_advance(batch, 1)[:-1])
+    batch.v = batch.v.copy()  # the shifts a caller holds stay this step's
     return f[0], grad_sq[0], shift_sq[0], v_norm[0], batch.active
 
 
@@ -459,9 +533,11 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
 
     The batch advances one chunk of steps at a time, _CHUNK_BUDGET
     elements of buffers over the runs still present: a step of the
-    chunk does only the method's arithmetic, and one pass at the chunk's
-    end forms the telemetry, the running aggregates and the checks,
-    vectorised over its steps. The chunk ends exactly as its steps would
+    chunk does only the method's arithmetic, into buffers the batch keeps
+    and every chunk reuses (see Batch), and one pass at the chunk's end
+    forms the telemetry, the running aggregates and the checks,
+    vectorised over its steps. The trace rows and the finals are copied
+    out of those buffers. The chunk ends exactly as its steps would
     one at a time. At step k, the runs whose x_k is not finite leave
     first, with no row for step k; then the shift-drift check runs over
     the runs still present and raises on the first drifted run in row
@@ -518,7 +594,6 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
             rows = (slice(k0, k0 + steps), where) if batch.lead else slice(k0, k0 + steps)
             for column, value in zip(columns, values + ((wall[:, None] if batch.lead else wall),)):
                 column[rows] = value
-            del buffers, values  # the next chunk's buffers replace them
             stay = left > steps
             if not stay.all():
                 # each run that leaves keeps its rows before the step it left at

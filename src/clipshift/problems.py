@@ -105,7 +105,7 @@ class Problem:
             # 1/(n m_i) on each row, 0 on padding: a row sum becomes the node
             # mean, and the sum of the node means over the nodes is f
             self._w = (np.arange(m_max) < sizes[:, None]) / (self.n * self._m[:, None])
-        self._row_buffers = None  # made at the first evaluate
+        self._row_buffers, self._row_views = None, {}  # made at the first evaluate
         self.kind = kind
         self.reg = reg
         self.lam = lam
@@ -113,35 +113,54 @@ class Problem:
     def _buffers(self, lead: tuple):
         """The row buffers at the leading shape lead, () for one point or (R,)
         for a stack of R: four float64 (*lead, n, m_max) arrays, for the
-        margins, e, the slopes and 1 + e, and a bool one for t >= 0.
+        margins, e, the slopes and 1 + e; then two constants at full size,
+        the labels the rows take (-b for logistic, b otherwise) as (*lead,
+        n, m_max) and the row counts m_i as (*lead, n, d); and a float64
+        (*lead, n, d) one for the regularizer's gradient at every node. So
+        no elementwise call broadcasts: numpy copies a broadcast operand
+        into a buffer of up to 8 192 elements, allocated every call, which
+        cost a 6-point fixture stack about 4 us an evaluate on a 2-core
+        Xeon VM.
 
         All shapes share one set, sized for the largest stack evaluated so
-        far, and each view starts at its buffer's first element. The set is
-        replaced only when a larger stack comes.
+        far, and each view starts at its buffer's first element. The views
+        are kept per shape, and the set is replaced only when a larger
+        stack comes.
         """
-        rows = lead[0] if lead else 1
-        if self._row_buffers is None or len(self._row_buffers[0]) < rows:
-            shape = (rows,) + self._w.shape
-            self._row_buffers = (*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
-        return tuple(a[:rows] if lead else a[0] for a in self._row_buffers)
+        views = self._row_views.get(lead)
+        if views is None:
+            rows = lead[0] if lead else 1
+            if self._row_buffers is None or len(self._row_buffers[0]) < rows:
+                shape = (rows,) + self._w.shape
+                labels = self._neg_b if self.kind == "logistic" else self._b
+                self._row_buffers = (
+                    *(np.empty(shape) for _ in range(4)),
+                    np.broadcast_to(labels, shape).copy() if rows > 1 else labels[None],
+                    np.broadcast_to(self._m[:, None], (rows, self.n, self.d)).copy(),
+                    np.empty((rows, self.n, self.d)),
+                )
+                self._row_views.clear()
+            views = self._row_views[lead] = tuple(a[:rows] if lead else a[0] for a in self._row_buffers)
+        return views
 
     def _rows(self, z: np.ndarray):
         """Each row's loss and its slope, the loss's derivative with respect
         to the row's margin z = a.x. The losses overwrite z and the slopes
         go to a row buffer, so both last until the next evaluation."""
-        _, e, slope, denom, nonneg = self._buffers(z.shape[:-2])
+        _, e, slope, denom, labels, *_ = self._buffers(z.shape[:-2])
         if self.kind == "logistic":
             # stable softplus of t = -b z: max(t, 0) + log1p(e) with e = exp(-|t|)
             # never overflows; its slope -b sigmoid(t) reuses e, as -b e / (1 + e)
             # for t < 0 and -b / (1 + e) otherwise, so padding rows (b = 0) get 0.
-            # Since e <= 1, max(e, [t >= 0]) picks that numerator; np.where
-            # would branch per element, slow on a random sign pattern
-            t = np.multiply(self._neg_b, z, out=z)
+            # Since 0 <= e <= 1, and e = 1 at t = 0, max(e, sign(t)) picks that
+            # numerator; np.where would branch per element, slow on a random
+            # sign pattern
+            t = np.multiply(labels, z, out=z)
             np.exp(np.negative(np.abs(t, out=e), out=e), out=e)
-            np.multiply(self._neg_b, np.maximum(e, np.greater_equal(t, 0, out=nonneg), out=slope), out=slope)
+            np.multiply(labels, np.maximum(e, np.sign(t, out=slope), out=slope), out=slope)
             np.divide(slope, np.add(1.0, e, out=denom), out=slope)
             return np.add(np.maximum(t, 0.0, out=t), np.log1p(e, out=e), out=t), slope
-        resid = np.subtract(z, self._b, out=z)
+        resid = np.subtract(z, labels, out=z)
         np.multiply(2.0, resid, out=slope)
         return np.multiply(resid, resid, out=resid), slope
 
@@ -168,27 +187,29 @@ class Problem:
         value, grads = self._evaluate(x)
         return (float(value) if x.ndim == 1 else value), grads
 
-    def _evaluate(self, x: np.ndarray):
+    def _evaluate(self, x: np.ndarray, out=None):
         """evaluate's arithmetic on an x it trusts: a float64 (d,) point or
         (R, d) stack. Values that are not finite propagate instead of
         raising, so the step kernel calls it once a step without a check.
-        The value of one point is a numpy float64."""
+        The value of one point is a numpy float64. The gradients are
+        written into out, an (..., n, d) float64 array, when it is given."""
         if self.kind == "quad_counterexample":  # the mean of its two local values
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence
             x0 = x[..., :1]
             value = (0.5 * self._coeffs * x0 * x0).sum(axis=-1) / self.n
-            grads = self._coeffs[:, None] * x[..., None, :]
+            grads = np.multiply(self._coeffs[:, None], x[..., None, :], out=out)
         else:
             # one matrix-vector product per point and node, (..., n, m_max)
-            z = self._buffers(x.shape[:-1])[0]
+            z, *_, counts, reg = self._buffers(x.shape[:-1])
             loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None], out=z[..., None])[..., 0])
             value = np.add.reduce(np.vecdot(loss, self._w), axis=-1)
             if self.lam:  # 0 * r(x) would be nan where r(x) overflows
                 value = value + self.lam * _reg_value(self.reg, x)
-            grads = np.matmul(slope[..., None, :], self._A)[..., 0, :]
-            grads /= self._m[:, None]
-            grads += self.lam * _reg_grad(self.reg, x)[..., None, :]
+            grads = np.matmul(slope[..., None, :], self._A, out=None if out is None else out[..., None, :])[..., 0, :]
+            grads /= counts
+            np.copyto(reg, (self.lam * _reg_grad(self.reg, x))[..., None, :])
+            grads += reg
         return value, grads
 
     def smoothness(self) -> SmoothnessInfo:

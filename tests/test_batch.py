@@ -474,8 +474,8 @@ def _corrupt_shifts_at(monkeypatch, at):
     every run without its message reaching the aggregate."""
     real, calls = optimizers._shift_update, []
 
-    def corrupted(targets, v, tau, transmit=None):
-        v, messages, active = real(targets, v, tau, transmit)
+    def corrupted(*args, **kwargs):
+        v, messages, active = real(*args, **kwargs)
         if len(calls) == at:
             v[..., 0, :] += 1e-3 * np.maximum(np.abs(v[..., 0, :]), 1.0)
         calls.append(at)
@@ -505,6 +505,37 @@ def test_drift_inside_a_chunk_raises_as_one_step_chunks_do(logistic_problem, log
     calls.clear()
     assert message == _drift_message(_stepwise, cfgs, logistic_problem, logistic_x0)
     assert message.startswith("aggregate shift drifted from direct average by ") and message.endswith(" at step 30")
+
+
+def _chunk_steps(problem, runs):
+    # the steps of run's first chunk, from its budget of buffer elements
+    return optimizers._CHUNK_BUDGET // (runs * (4 * problem.d + 3 * problem.n + 1))
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize("method", ["clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
+def test_drift_in_a_later_chunk_raises_as_one_step_chunks_do(logistic_problem, logistic_x0, monkeypatch, method, lone):
+    # the corrupted step lies 11 steps into the second chunk, whose buffers
+    # the first chunk made
+    L = logistic_problem.smoothness().L
+    cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 400, lone)
+    at = _chunk_steps(logistic_problem, len(cfgs)) + 11
+    calls = _corrupt_shifts_at(monkeypatch, at)
+    message = _drift_message(run, cfgs, logistic_problem, logistic_x0)
+    calls.clear()
+    assert message == _drift_message(_stepwise, cfgs, logistic_problem, logistic_x0)
+    assert message.startswith("aggregate shift drifted from direct average by ") and message.endswith(f" at step {at}")
+
+
+def test_gd_that_leaves_in_a_later_chunk_on_the_counterexample_matches_one_step_chunks(quad_problem):
+    # gd maps x to (1 - gamma/2) x: gamma 5.62 and 5.7 overflow f after about
+    # 600 and 560 steps, inside a chunk after the first of three runs
+    cfgs = [MethodConfig("gd", gamma, 800) for gamma in (5.62, 2.0, 5.7)]
+    outcomes = _assert_run_matches_stepwise(cfgs, quad_problem, np.array([1.0]))
+    chunk = _chunk_steps(quad_problem, len(cfgs))
+    assert outcomes[1] == "ok"
+    assert all(step > chunk for _, step in (outcomes[0], outcomes[2]))
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
@@ -550,6 +581,19 @@ def test_drift_of_shift_rows_whose_squares_overflow_raises(quad_problem, monkeyp
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+def test_drift_of_shift_rows_whose_squares_overflow_raises_late_in_a_run(quad_problem, monkeypatch, lone):
+    # the running sum of 1e307 root-mean-square shift rows passes the float64
+    # range after about 18 steps; the allowance is then carried 2^-64 lower,
+    # so the same move as at step 3 still raises at step 30
+    cfgs = _configs("clip21_gd", (0.1, 0.2), 40, lone, tau=1.0)
+    calls = _corrupt_shifts_at(monkeypatch, 30)
+    message = _drift_message(run, cfgs, quad_problem, np.array([1.0]), v0=_HUGE_SHIFTS)
+    calls.clear()
+    assert message == _drift_message(_stepwise, cfgs, quad_problem, np.array([1.0]), v0=_HUGE_SHIFTS)
+    assert message == "aggregate shift drifted from direct average by 5.000e+303 at step 30"
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
 def test_rounding_of_shift_rows_whose_squares_overflow_passes_the_drift_check(lone):
     # targets of norm near 1e158 that cancel in the mean, so ||grad f||^2
     # stays finite, and start shifts 1e150 off them: clip21_avg moves each
@@ -561,3 +605,52 @@ def test_rounding_of_shift_rows_whose_squares_overflow_passes_the_drift_check(lo
     finals, trace = run(cfgs, targets_problem(a), np.zeros(3), v0=a + 1e150 * rng.standard_normal((4, 3)))
     assert len(trace) == 60 * len(cfgs)
     assert all(np.array_equal(final.v, a) for final in finals)
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+@pytest.mark.parametrize("method", ["clip_gd", "clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
+def test_nothing_handed_out_aliases_a_reused_buffer(logistic_problem, logistic_x0, method, lone):
+    # a step writes into buffers the batch keeps and reuses: the mask step()
+    # returns, batch.x, batch.v and batch.active after it, and a state's
+    # arrays keep their bytes through later steps and chunks
+    L = logistic_problem.smoothness().L
+    batch = Batch(_configs(method, [m / L for m in (0.5, 2.0, 8.0)], 100, lone), logistic_problem, logistic_x0)
+    held, snapshots = [], []
+    for steps in (1, 1, 7, 1, 24, 1):
+        if steps == 1:
+            mask = step(batch)[4]
+            held += [mask, batch.x, batch.v, batch.active]
+        else:
+            optimizers._settle(batch, *optimizers._advance(batch, steps)[:-1])
+        state = batch.state(0)
+        held += [state.x, state.v, state.v_bar, state.active]
+        assert [a.tobytes() for a in held[: len(snapshots)]] == snapshots
+        snapshots = [a.tobytes() for a in held]
+    assert batch.x.tobytes() != held[1].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("method", ["clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
+def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(monkeypatch, method):
+    # 40 nodes of 60 features and 3 runs: one (R, n, d) float64 array is 56 KiB.
+    # After a warm chunk, which makes the chunk buffers, the row buffers and
+    # one noise chunk for both chunks, a chunk of steps writes into buffers
+    # and leaves only small or boolean arrays; a broadcasting or casting
+    # ufunc call would add numpy's own buffer, here as large as one such
+    # array. A step that allocated its arrays peaked at 404 KiB
+    R, n, d = 3, 40, 60
+    rng = np.random.default_rng(4060)
+    shards = [(rng.standard_normal((10, d)), np.where(rng.random(10) < 0.5, 1.0, -1.0)) for _ in range(n)]
+    problem = Problem("logistic", stack(shards), reg="l2", lam=1e-3)
+    steps = _chunk_steps(problem, R)
+    monkeypatch.setattr(optimizers, "_NOISE_BUDGET", 2 * steps * R * n * d)
+    batch = Batch(_configs(method, (0.01, 0.02, 0.04), 2 * steps, False), problem, rng.standard_normal(d))
+    optimizers._settle(batch, *optimizers._advance(batch, steps)[:-1])
+    tracemalloc.start()
+    try:
+        optimizers._advance(batch, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < R * n * d * 8, f"peak {peak / 1024:.1f} KiB"

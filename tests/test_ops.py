@@ -198,6 +198,31 @@ def test_clip_rows_scales_a_row_whose_square_overflows():
     assert clip_rows(rows[:1], 1.0)[0].tobytes() == clipped[:1].tobytes()
 
 
+def test_clip_rows_scales_a_row_whose_square_underflows():
+    # the row's plain sum of squares underflows to 0, but its norm is 5e-170,
+    # five times tau; the zero row and the row inside the ball come back as
+    # they went in
+    rows = np.array([[3e-170, 4e-170], [0.0, 0.0], [3e-171, 4e-171]])
+    clipped, active = clip_rows(rows, 1e-170)
+    assert clipped[0] == pytest.approx([6e-171, 8e-171], rel=1e-15)
+    assert active.tolist() == [True, False, False]
+    assert clipped[1:].tobytes() == rows[1:].tobytes()
+    # at an ordinary tau no such row can pass it
+    assert clip_rows(rows, 1.0)[0].tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-170])
+def test_clip_rows_into_out_gives_the_same_bits(tau):
+    rng = np.random.default_rng(77)
+    rows = rng.standard_normal((3, 4, 5)) * np.array([1e-171, 0.2, 1e200])[:, None, None]
+    before = rows.tobytes()
+    clipped, active = clip_rows(rows, tau)
+    out = (np.empty_like(rows), np.empty(rows.shape[:-1], dtype=bool))
+    assert clip_rows(rows, tau, out=out) == out
+    assert out[0].tobytes() == clipped.tobytes() and np.array_equal(out[1], active)
+    assert rows.tobytes() == before
+
+
 def _stable_sort_top_k(row, k):
     # the reference: a stable sort on -|x| ranks ties by index
     keep = np.argsort(-np.abs(row), kind="stable")[:k]
@@ -223,6 +248,15 @@ def test_top_k_rows_match_a_stable_sort(case):
         for i, row in enumerate(rows):
             # bytes, so that the sign of a kept -0.0 counts
             assert kept[i].tobytes() == _stable_sort_top_k(row, k).tobytes()
+
+
+@pytest.mark.parametrize("c", [Compressor("top_k", 1), Compressor("top_k", 4), Compressor("identity")])
+def test_compress_rows_into_out_gives_the_same_bits(c):
+    rng = np.random.default_rng(78)
+    rows = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, np.inf], size=(3, 7, 9))
+    out = np.full_like(rows, np.nan)
+    assert compress_rows(c, rows, out=out) is out
+    assert out.tobytes() == compress_rows(c, rows).tobytes()
 
 
 def test_node_mean_basics():

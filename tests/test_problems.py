@@ -214,6 +214,23 @@ def test_stacks_that_shrink_evaluate_each_point_as_alone(kind):
     assert (f, grads.tobytes()) == (alone[4][0], alone[4][1].tobytes())
 
 
+@pytest.mark.parametrize("kind", ["logistic", "linreg_nonconvex", "quad_counterexample"])
+def test_evaluate_into_a_buffer_gives_the_gradients_evaluate_returns(kind):
+    # the step kernel has _evaluate write the gradients into a buffer it keeps
+    rng = np.random.default_rng(33)
+    if kind == "quad_counterexample":
+        p = Problem(kind)
+    else:
+        p = Problem(kind, stack(_random_shards(rng, 4, 5, 7, regression=kind != "logistic")), lam=0.1)
+    x = rng.standard_normal((3, p.d))
+    for point in (x, x[0]):
+        f, grads = p.evaluate(point)
+        out = np.full(grads.shape, np.nan)
+        value, written = p._evaluate(point, out=out)
+        assert written.base is out or written is out
+        assert (np.asarray(value).tobytes(), out.tobytes()) == (np.asarray(f).tobytes(), grads.tobytes())
+
+
 def test_evaluate_and_smoothness_make_no_row_sized_temporaries():
     # 40 nodes of 600 rows in d = 60: each (n, m_max) row array is 188 KiB,
     # past glibc's default 128 KiB mmap threshold, so a temporary that size

@@ -251,6 +251,20 @@ def kinds(files: dict) -> list:
         ("quad-clip-gd-stuck", ["--method", "clip-gd", "--tau", "1", "--gamma", "0.3", "--iters", "50"]),
         ("quad-avg", ["--method", "clip21-avg", "--tau", "0.3", "--iters", "20"]),
     ]
+    # residual rows whose squares fall below the normal range, so their norms need the
+    # clip's scaled route: at x 1e-158 the squares are subnormal; at 1e-165 they are 0,
+    # which leaves rows 1e4 times tau unclipped unless the clip takes that route
+    tiny = {
+        "clip21-gd-tau-1e-160": ["--method", "clip21-gd", "--tau", "1e-160", "--gamma", "0.1", "--x0", "1e-158"],
+        "clip21-gd-tau-1e-170": ["--method", "clip21-gd", "--tau", "1e-170", "--gamma", "0.1", "--x0", "1e-165"],
+        "clip-gd-tau-1e-170": ["--method", "clip-gd", "--tau", "1e-170", "--gamma", "0.1", "--x0", "1e-165"],
+        "avg-tau-1e-170": ["--method", "clip21-avg", "--tau", "1e-170", "--x0", "1e-165"],
+        "dp-clip21-gd-tau-1e-170": ["--method", "dp-clip21-gd", "--tau", "1e-170", "--nu", "1e-171"]
+        + ["--sigma", "1e-172", "--gamma", "0.1", "--x0", "1e-165"],
+        "press-clip21-gd-tau-1e-170": ["--method", "press-clip21-gd", "--compressor", "identity"]
+        + ["--tau", "1e-170", "--gamma", "0.1", "--x0", "1e-165"],
+    }
+    out += [(f"quad-{name}", argv + ["--iters", "20"]) for name, argv in tiny.items()]
     overflow = {
         "x0-1e308": ["--x0", "1e308"],
         "x0-1e306-lambda0": ["--x0", "1e306"],
