@@ -171,11 +171,8 @@ class Batch:
     drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
     the config ids[r], and so does column r of the noise chunk (steps, R,
     ...), the clipped noise of the steps from chunk_start on. Every run
-    starts at x0 with the shifts v0, zeros when omitted. A lone run
-    (R = 1) keeps the shapes of an unbatched one, without the leading
-    axis (gamma is (1,)): numpy calls on one-row arrays cost more, and a
-    one-row axis cost a 10-node, 20-feature dp-clip21-gd run about 11% of
-    its steps per second (2-core Xeon VM, OpenBLAS). lead is (R,) or ().
+    starts at x0 with the shifts v0, zeros when omitted. A lone run is a
+    batch of one: its arrays hold one row, x (1, d), v (1, n, d) and so on.
 
     v_bar is maintained incrementally across steps and checked against
     the direct average of the shift rows of each step; drift_scale is the
@@ -199,7 +196,8 @@ class Batch:
     chunk's buffers (chunk_buffers) are made at the first chunk of the
     runs present and reused by every later chunk. Nothing handed out is a
     view of them: x and active are copies made at each chunk's end, step
-    replaces v by a copy, and state copies every array it returns.
+    replaces v by a copy and copies f, and state copies every array it
+    returns.
     """
 
     def __init__(self, cfgs, problem, x0, v0=None):
@@ -217,63 +215,58 @@ class Batch:
             raise ConfigurationError(f"x0 has dimension {x0.shape[0]}, problem has {problem.d}")
         R, n, d = len(cfgs), problem.n, problem.d
         self.cfg, self.problem, self.k = cfg, problem, 0
-        self.lead = (R,) if R > 1 else ()
         self.ids = np.arange(R)
         self.sigma = np.array([c.sigma for c in cfgs])
         self.seed = np.array([c.seed for c in cfgs])
-        self.gamma = np.array([c.gamma for c in cfgs]).reshape(self.lead + (1,))
-        self.x = np.tile(x0, self.lead + (1,))
+        self.gamma = np.array([c.gamma for c in cfgs])[:, None]
+        self.x = np.tile(x0, (R, 1))
         v0 = np.zeros((n, d)) if v0 is None else check_vector(v0, stack=True)
         if v0.shape != (n, d):
             raise ConfigurationError(f"v0 has shape {v0.shape}, problem needs {(n, d)}")
-        self.v = np.tile(v0, self.lead + (1, 1))
-        self.v_bar = np.tile(node_mean(v0), self.lead + (1,))
-        self.active = np.zeros(self.lead + (n,), dtype=bool)
-        self.work = np.empty((4,) + self.lead + (n, d))
+        self.v = np.tile(v0, (R, 1, 1))
+        self.v_bar = np.tile(node_mean(v0), (R, 1))
+        self.active = np.zeros((R, n), dtype=bool)
+        self.work = np.empty((4, R, n, d))
         self.buffers = None  # the chunk buffers, made at the first chunk
         with np.errstate(over="ignore"):  # rows past 1.3e154 take rms_rows's scaled route
             sq = np.vecdot(v0, v0)
-            self.drift_scale = np.full(self.lead, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
-        self.drift_unit = np.ones(self.lead)
-        self.chunk_start, self.chunk = 0, np.empty((0,) + self.lead)  # no noise drawn yet
+            self.drift_scale = np.full(R, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
+        self.drift_unit = np.ones(R)
+        self.chunk_start, self.chunk = 0, np.empty((0, R))  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
-        is True, with their columns of the noise chunk. A lone run that
-        leaves empties the batch."""
+        is True, with their columns of the noise chunk."""
         self.ids = self.ids[rows]
-        if self.lead:
-            for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale", "drift_unit"):
-                setattr(self, name, getattr(self, name)[rows])
-            self.chunk, self.work = self.chunk[:, rows], self.work[:, rows]
-            self.lead, self.buffers = (self.ids.size,), None
+        for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale", "drift_unit"):
+            setattr(self, name, getattr(self, name)[rows])
+        self.chunk, self.work, self.buffers = self.chunk[:, rows], self.work[:, rows], None
 
     def chunk_buffers(self, steps: int):
-        """xs (steps + 1, *lead, d), fs (steps, *lead), means (steps, 3, *lead,
-        d), norms (steps, 2, *lead, n) and masks (steps, *lead, n): views of
-        buffers made at the first chunk of the batch's current runs and
-        reused by every later one, whose steps are no more."""
+        """xs (steps + 1, R, d), fs (steps, R), means (steps, 3, R, d), norms
+        (steps, 2, R, n) and masks (steps, R, n): views of buffers made at
+        the first chunk of the batch's current runs and reused by every
+        later one, whose steps are no more."""
         if self.buffers is None or len(self.buffers[1]) < steps:
-            n, d = self.problem.n, self.problem.d
+            R, n, d = self.ids.size, self.problem.n, self.problem.d
             self.buffers = (
-                np.empty((steps + 1,) + self.lead + (d,)),
-                np.empty((steps,) + self.lead),
-                np.empty((steps, 3) + self.lead + (d,)),
-                np.zeros((steps, 2) + self.lead + (n,)),  # the unshifted methods leave them 0
-                np.zeros((steps,) + self.lead + (n,), dtype=bool),  # and gd these
+                np.empty((steps + 1, R, d)),
+                np.empty((steps, R)),
+                np.empty((steps, 3, R, d)),
+                np.zeros((steps, 2, R, n)),  # the unshifted methods leave them 0
+                np.zeros((steps, R, n), dtype=bool),  # and gd these
             )
         return tuple(a[: steps + (a is self.buffers[0])] for a in self.buffers)
 
     def state(self, row: int) -> OptimizerState:
         """The final state of the run in row row."""
-        pick = (lambda a: a[row].copy()) if self.lead else (lambda a: a.copy())
-        return OptimizerState(
-            k=self.k, x=pick(self.x), v=pick(self.v), v_bar=pick(self.v_bar), active=pick(self.active)
-        )
+        x, v, v_bar, active = (a[row].copy() for a in (self.x, self.v, self.v_bar, self.active))
+        return OptimizerState(k=self.k, x=x, v=v, v_bar=v_bar, active=active)
 
     def noise(self) -> np.ndarray:
-        """This step's clipped privacy noise for every run, stacked along
-        the leading axis: each run's draw at step k, clipped by nu.
+        """This step's clipped privacy noise for every run, (R, n, d) for
+        dp_clip21_gd and (R, d) for dp_clip_gd: each run's draw at step k,
+        clipped by nu.
 
         The steps from k on are drawn as one chunk, ending with the run and
         of about _NOISE_BUDGET elements over the columns it holds, one per
@@ -293,8 +286,8 @@ class Batch:
                 if sigma > 0.0:
                     groups.setdefault(seed, []).append(row)
             if not groups:
-                self.chunk = np.empty((0,) + self.lead)  # frees the spent chunk
-                return np.zeros(self.lead + shape)
+                self.chunk = np.empty((0, self.ids.size))  # frees the spent chunk
+                return np.zeros((self.ids.size,) + shape)
             steps = max(1, min(_NOISE_BUDGET // (self.ids.size * math.prod(shape)), cfg.iters - self.k))
             chunk = self.chunk = np.zeros((steps, self.ids.size) + shape)  # frees the spent chunk
             for seed, rows in groups.items():
@@ -305,7 +298,7 @@ class Batch:
                 )
                 for row in rows:
                     np.multiply(self.sigma[row], unit, out=chunk[:, row])
-            self.chunk = clip_rows(chunk, cfg.nu)[0].reshape((steps,) + self.lead + shape)
+            self.chunk = clip_rows(chunk, cfg.nu)[0]
             self.chunk_start, i = self.k, 0
         return self.chunk[i]
 
@@ -317,8 +310,8 @@ def _shift_update(targets, v, tau, transmit=None, *, out):
     residual itself when transmit is None) and moves its shift to
     v^i + m^i, except that an inactive clip whose message is exactly the
     raw residual lands the shift on the target bit-for-bit rather than on
-    v + (t - v), which can differ in the last ulp. The arrays are (n, d)
-    or (R, n, d). out = (messages, mask, spare) receives the messages and
+    v + (t - v), which can differ in the last ulp. The arrays are (R, n,
+    d). out = (messages, mask, spare) receives the messages and
     the clip-activity mask; spare, of the shape of v, holds the residuals,
     or the clipped residuals when there is a transmit, which writes the
     messages from them as transmit(clipped, out=messages). v becomes the
@@ -412,13 +405,13 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     means[:, 0]); and runs the shift-drift check over the runs
     still present at each step, in run's order of leaving. Raises
     InvariantError on the first drifted run, in row order, of the first
-    step with one. Returns the telemetry columns, (steps,) + lead each,
+    step with one. Returns the telemetry columns, (steps, R) each,
     and per run the chunk steps of its first non-finite iterate
     (x_{k+steps} included) and of its first non-finite f or ||grad f||^2,
     steps + 1 where there is none. The columns may be views of the chunk's
     buffers, which the next chunk overwrites.
     """
-    steps, n, lead = len(fs), batch.problem.n, batch.lead
+    (steps, R), n = fs.shape, batch.problem.n
     k0 = batch.k - steps  # the chunk's first step
     direction, gbar = means[:, 1], means[:, 2]
     grad_sq = np.vecdot(gbar, gbar)
@@ -430,10 +423,10 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
         return np.add.accumulate(np.concatenate((carried[None], terms)))[1:]
 
     # a finite sum over the chunk rules out a non-finite entry in one call
-    bad_x = np.full(lead, steps + 1)
+    bad_x = np.full(R, steps + 1)
     if not math.isfinite(np.add.reduce(xs, axis=None)):
         bad_x = first(~np.isfinite(xs).all(axis=-1))
-    bad_f = np.full(lead, steps + 1)
+    bad_f = np.full(R, steps + 1)
     if not math.isfinite(np.add.reduce(fs, axis=None) + np.add.reduce(grad_sq, axis=None)):
         bad_f = first(~(np.isfinite(fs) & np.isfinite(grad_sq)))
     if batch.cfg.method in _SHIFTED:
@@ -464,13 +457,13 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
         drift = rms_rows(off, np.vecdot(off, off))
         suspect = drift * unit > _DRIFT_TOL * drift_scale
         if suspect.any():
-            at = np.arange(steps).reshape((steps,) + (1,) * len(lead))  # each step's index in the chunk
+            at = np.arange(steps)[:, None]  # each step's index in the chunk
             largest = np.sqrt(v_sq.max(axis=-1))
             for i, rows in wide.items():
                 largest[i] = rows.max(axis=-1)
             drifted = suspect & (at < np.minimum(bad_x, bad_f + 1)) & (drift > _DRIFT_TOL * (k0 + at + 1) * largest)
             if drifted.any():
-                i = int(np.reshape(drifted, (steps, -1)).any(axis=1).argmax())
+                i = int(drifted.any(axis=1).argmax())
                 raise InvariantError(
                     f"aggregate shift drifted from direct average by {np.extract(drifted[i], drift[i])[0]:.3e} "
                     f"at step {k0 + i}"
@@ -479,7 +472,7 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     batch.active = masks[-1].copy()
     shift_sq = np.add.reduce(norms[:, 1], axis=-1) / n
     columns = (fs, grad_sq, shift_sq, masks.sum(axis=-1), np.sqrt(np.vecdot(direction, direction)))
-    return columns, np.reshape(bad_x, -1), np.reshape(bad_f, -1)
+    return columns, bad_x, bad_f
 
 
 def step(batch: Batch):
@@ -504,14 +497,14 @@ def step(batch: Batch):
     values, summed along the node axis in node order, never one dot over
     the flattened (n, d) block, so where BLAS runs threaded (see the package
     docstring) the thread count moves no bits while d <= 10 000.
-    Returns, one entry per run (scalars for a lone run): f and
-    ||grad f||^2 at x_k, the shift term (1/n) sum_i ||grad_i(x_k) -
-    v_k^i||^2, the norm of the pre-gamma direction and the mask of the
-    nodes that clipped.
+    Returns (R,) arrays, one entry per run: f and ||grad f||^2 at x_k,
+    the shift term (1/n) sum_i ||grad_i(x_k) - v_k^i||^2 and the norm of
+    the pre-gamma direction; and the (R, n) mask of the nodes that
+    clipped.
     """
     (f, grad_sq, shift_sq, _, v_norm), _, _ = _settle(batch, *_advance(batch, 1)[:-1])
     batch.v = batch.v.copy()  # the shifts a caller holds stay this step's
-    return f[0], grad_sq[0], shift_sq[0], v_norm[0], batch.active
+    return f[0].copy(), grad_sq[0], shift_sq[0], v_norm[0], batch.active
 
 
 def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
@@ -575,7 +568,7 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     grid = trace.reshape(iters, R)  # row k is step k, column r run r
     # the per-step fields; lyapunov holds the shift term until the loop ends
     names = ("f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "wall_micros")
-    columns = [grid[name] if batch.lead else trace[name] for name in names]
+    columns = [grid[name] for name in names]
     where = slice(None)  # the grid columns of the runs still in the batch
     per_run = 4 * problem.d + 3 * problem.n + 1  # buffer elements a run fills a step
 
@@ -591,9 +584,8 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
             recording = np.maximum((np.arange(steps)[:, None] < left).sum(axis=1), 1)
             spent = np.diff(stamps) * steps + (time.perf_counter_ns() - stamps[-1])
             wall = spent // (1000 * steps * recording)
-            rows = (slice(k0, k0 + steps), where) if batch.lead else slice(k0, k0 + steps)
-            for column, value in zip(columns, values + ((wall[:, None] if batch.lead else wall),)):
-                column[rows] = value
+            for column, value in zip(columns, values + (wall[:, None],)):
+                column[k0 : k0 + steps, where] = value
             stay = left > steps
             if not stay.all():
                 # each run that leaves keeps its rows before the step it left at

@@ -33,7 +33,7 @@ class SmoothnessInfo:
 
 
 def _reg_value(reg: str, x: np.ndarray):
-    """r at x, or at each row of an (R, d) stack of points."""
+    """r at each row of an (R, d) stack of points."""
     if reg == "l2":
         return 0.5 * np.vecdot(x, x)
     sq = x * x
@@ -65,7 +65,7 @@ class Problem:
     A. data.node_block builds the block straight from LibSVM text,
     data.stack from (features, labels) pairs in memory.
 
-    The row arrays of an evaluation, (..., n, m_max) each, are written into
+    The row arrays of an evaluation, (R, n, m_max) each, are written into
     buffers the Problem keeps and reuses from call to call (see _buffers),
     so a step allocates nothing of the block's row count. That makes a
     Problem unsafe to share between threads that evaluate at once.
@@ -110,44 +110,42 @@ class Problem:
         self.reg = reg
         self.lam = lam
 
-    def _buffers(self, lead: tuple):
-        """The row buffers at the leading shape lead, () for one point or (R,)
-        for a stack of R: four float64 (*lead, n, m_max) arrays, for the
-        margins, e, the slopes and 1 + e; then two constants at full size,
-        the labels the rows take (-b for logistic, b otherwise) as (*lead,
-        n, m_max) and the row counts m_i as (*lead, n, d); and a float64
-        (*lead, n, d) one for the regularizer's gradient at every node. So
-        no elementwise call broadcasts: numpy copies a broadcast operand
-        into a buffer of up to 8 192 elements, allocated every call, which
-        cost a 6-point fixture stack about 4 us an evaluate on a 2-core
-        Xeon VM.
+    def _buffers(self, rows: int):
+        """The row buffers for a stack of rows points: four float64 (rows,
+        n, m_max) arrays, for the margins, e, the slopes and 1 + e; then two
+        constants at full size, the labels the rows take (-b for logistic, b
+        otherwise) as (rows, n, m_max) and the row counts m_i as (rows, n,
+        d); and a float64 (rows, n, d) one for the regularizer's gradient at
+        every node. So no elementwise call broadcasts: numpy copies a
+        broadcast operand into a buffer of up to 8 192 elements, allocated
+        every call, which cost a 6-point fixture stack about 4 us an
+        evaluate on a 2-core Xeon VM.
 
-        All shapes share one set, sized for the largest stack evaluated so
-        far, and each view starts at its buffer's first element. The views
-        are kept per shape, and the set is replaced only when a larger
-        stack comes.
+        All row counts share one set, sized for the largest stack evaluated
+        so far, and each view starts at its buffer's first element. The
+        views are kept per row count, and the set is replaced only when a
+        larger stack comes.
         """
-        views = self._row_views.get(lead)
+        views = self._row_views.get(rows)
         if views is None:
-            rows = lead[0] if lead else 1
             if self._row_buffers is None or len(self._row_buffers[0]) < rows:
                 shape = (rows,) + self._w.shape
                 labels = self._neg_b if self.kind == "logistic" else self._b
                 self._row_buffers = (
                     *(np.empty(shape) for _ in range(4)),
-                    np.broadcast_to(labels, shape).copy() if rows > 1 else labels[None],
+                    np.broadcast_to(labels, shape).copy(),
                     np.broadcast_to(self._m[:, None], (rows, self.n, self.d)).copy(),
                     np.empty((rows, self.n, self.d)),
                 )
                 self._row_views.clear()
-            views = self._row_views[lead] = tuple(a[:rows] if lead else a[0] for a in self._row_buffers)
+            views = self._row_views[rows] = tuple(a[:rows] for a in self._row_buffers)
         return views
 
     def _rows(self, z: np.ndarray):
         """Each row's loss and its slope, the loss's derivative with respect
         to the row's margin z = a.x. The losses overwrite z and the slopes
         go to a row buffer, so both last until the next evaluation."""
-        _, e, slope, denom, labels, *_ = self._buffers(z.shape[:-2])
+        _, e, slope, denom, labels, *_ = self._buffers(len(z))
         if self.kind == "logistic":
             # stable softplus of t = -b z: max(t, 0) + log1p(e) with e = exp(-|t|)
             # never overflows; its slope -b sigmoid(t) reuses e, as -b e / (1 + e)
@@ -179,36 +177,39 @@ class Problem:
         and the gradients an (R, n, d) one. Each point gets the BLAS calls
         it gets alone (one matrix-vector product and one dot per node) and
         the same elementwise work and node sums, so its entries are
-        bit-identical to evaluate(x[r]).
+        bit-identical to evaluate(x[r]). A point is evaluated as a stack of
+        one.
         """
         x = check_vector(x, stack=True)
         if x.shape[-1] != self.d:
             raise ConfigurationError(f"x has dimension {x.shape[-1]}, problem has {self.d}")
-        value, grads = self._evaluate(x)
-        return (float(value) if x.ndim == 1 else value), grads
+        if x.ndim == 2:
+            return self._evaluate(x)
+        value, grads = self._evaluate(x[None])
+        return float(value[0]), grads[0]
 
     def _evaluate(self, x: np.ndarray, out=None):
-        """evaluate's arithmetic on an x it trusts: a float64 (d,) point or
-        (R, d) stack. Values that are not finite propagate instead of
-        raising, so the step kernel calls it once a step without a check.
-        The value of one point is a numpy float64. The gradients are
-        written into out, an (..., n, d) float64 array, when it is given."""
+        """evaluate's arithmetic on an (R, d) float64 stack it trusts: the
+        (R,) values and the (R, n, d) gradients. Values that are not finite
+        propagate instead of raising, so the step kernel calls it once a
+        step without a check. The gradients are written into out, an (R, n,
+        d) float64 array, when it is given."""
         if self.kind == "quad_counterexample":  # the mean of its two local values
             # plain multiplication overflows to inf instead of raising,
             # which lets the run loop report divergence
-            x0 = x[..., :1]
+            x0 = x[:, :1]
             value = (0.5 * self._coeffs * x0 * x0).sum(axis=-1) / self.n
-            grads = np.multiply(self._coeffs[:, None], x[..., None, :], out=out)
+            grads = np.multiply(self._coeffs[:, None], x[:, None, :], out=out)
         else:
-            # one matrix-vector product per point and node, (..., n, m_max)
-            z, *_, counts, reg = self._buffers(x.shape[:-1])
-            loss, slope = self._rows(np.matmul(self._A, x[..., None, :, None], out=z[..., None])[..., 0])
+            # one matrix-vector product per point and node, (R, n, m_max)
+            z, *_, counts, reg = self._buffers(len(x))
+            loss, slope = self._rows(np.matmul(self._A, x[:, None, :, None], out=z[..., None])[..., 0])
             value = np.add.reduce(np.vecdot(loss, self._w), axis=-1)
             if self.lam:  # 0 * r(x) would be nan where r(x) overflows
                 value = value + self.lam * _reg_value(self.reg, x)
             grads = np.matmul(slope[..., None, :], self._A, out=None if out is None else out[..., None, :])[..., 0, :]
             grads /= counts
-            np.copyto(reg, (self.lam * _reg_grad(self.reg, x))[..., None, :])
+            np.copyto(reg, (self.lam * _reg_grad(self.reg, x))[:, None, :])
             grads += reg
         return value, grads
 

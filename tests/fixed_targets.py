@@ -32,5 +32,5 @@ def avg_trace(a, tau, iters, v0=None):
     trace = []
     for _ in range(iters):
         active = step(batch)[4]
-        trace.append((batch.v, active))
+        trace.append((batch.v[0], active[0]))
     return trace

@@ -159,9 +159,9 @@ def test_criterion_04_clipping_horizon_certified():
         last_active = [-1] * problem.n
         for k in range(60):
             step(batch)
-            xs.append(batch.x.copy())
+            xs.append(batch.x[0].copy())
             for i in range(problem.n):
-                if batch.active[i]:
+                if batch.active[0, i]:
                     last_active[i] = k
         for i in range(problem.n):
             assert last_active[i] <= horizons[i], (

@@ -201,8 +201,6 @@ def _per_step_noise(batch):
             draw = gaussian_sample(seed, stream_slot(n, "aggregate"), batch.k, d, sigma)
         return clip_rows(draw, cfg.nu)[0]
 
-    if not batch.lead:
-        return one(cfg.seed, cfg.sigma)
     return np.stack([one(seed, sigma) for seed, sigma in zip(batch.seed.tolist(), batch.sigma.tolist())])
 
 
@@ -332,7 +330,6 @@ def _stepwise(cfgs, problem, x0, v0=None, f_inf=0.1):
     finals, rows = [None] * len(cfgs), []
 
     def leave(stay, what, k):
-        stay = np.reshape(stay, -1)
         for r in batch.ids[~stay].tolist():
             finals[r] = DivergenceError(f"non-finite {what} at iteration {k}", step=k)
         batch.keep(stay)
@@ -343,11 +340,11 @@ def _stepwise(cfgs, problem, x0, v0=None, f_inf=0.1):
                 leave(np.isfinite(batch.x).all(axis=-1), "iterate", k)
                 if not batch.ids.size:
                     break
-            f, grad_sq, shift_sq, v_norm, active = (np.reshape(a, (batch.ids.size, -1)) for a in step(batch))
-            stay = (np.isfinite(f) & np.isfinite(grad_sq))[:, 0]
+            f, grad_sq, shift_sq, v_norm, active = step(batch)
+            stay = np.isfinite(f) & np.isfinite(grad_sq)
             for row in np.flatnonzero(stay).tolist():
-                lyapunov = shift_sq[row, 0] * 1.0 + (f[row, 0] - f_inf)
-                values = (f[row, 0], grad_sq[row, 0], lyapunov, np.count_nonzero(active[row]), v_norm[row, 0])
+                lyapunov = shift_sq[row] * 1.0 + (f[row] - f_inf)
+                values = (f[row], grad_sq[row], lyapunov, np.count_nonzero(active[row]), v_norm[row])
                 rows.append((k, int(batch.ids[row])) + tuple(float(v) for v in values))
             if not stay.all():
                 leave(stay, "objective", k)
@@ -403,7 +400,7 @@ def _configs(method, gammas, iters, lone, **overrides):
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
 @pytest.mark.parametrize("method", _ALL)
 def test_run_matches_a_loop_of_one_step_chunks(logistic_problem, logistic_x0, method, lone):
-    # 200 steps: chunks of 73 steps for a lone run at this shape, 24 for three
+    # 200 steps: chunks of 147 steps for a lone run at this shape, 49 for three
     L = logistic_problem.smoothness().L
     cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 200, lone)
     assert _assert_run_matches_stepwise(cfgs, logistic_problem, logistic_x0) == ["ok"] * len(cfgs)
@@ -419,7 +416,7 @@ def _line(a):
 
 # shifts of 1e150 move x by about gamma * 1e150 a step, past the largest
 # float after about 1.8e158 / gamma steps, so the shifted runs leave well
-# inside a chunk (744 steps for a lone run at this shape, 248 for three)
+# inside a chunk (1 489 steps for a lone run at this shape, 496 for three)
 _FAR_SHIFTS = np.full((2, 1), 1e150)
 _UNSHIFTED = ("gd", "clip_gd", "dp_clip_gd")
 _LEAVES = {
@@ -463,7 +460,7 @@ def test_iterate_that_overflows_at_a_chunk_end_leaves_at_its_step(monkeypatch, i
 
 
 def test_gd_that_leaves_mid_chunk_on_the_counterexample_matches_one_step_chunks(quad_problem):
-    # f overflows at steps 324 and 256, inside the second 248-step chunk
+    # f overflows at steps 324 and 256, inside the first 496-step chunk
     cfgs = [MethodConfig("gd", gamma, 400) for gamma in (8.0, 2.0, 10.0)]
     outcomes = _assert_run_matches_stepwise(cfgs, quad_problem, np.array([1.0]))
     assert [o if o == "ok" else o[1] for o in outcomes] == [324, "ok", 256]
@@ -497,7 +494,7 @@ def _drift_message(call, *args, **kwargs):
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
 @pytest.mark.parametrize("method", ["clip21_avg", "clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
 def test_drift_inside_a_chunk_raises_as_one_step_chunks_do(logistic_problem, logistic_x0, monkeypatch, method, lone):
-    # step 30 lies inside the first chunk of a lone run and the second of three
+    # step 30 lies inside the first chunk of a lone run and of three
     L = logistic_problem.smoothness().L
     cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 100, lone)
     calls = _corrupt_shifts_at(monkeypatch, 30)
@@ -631,21 +628,40 @@ def test_nothing_handed_out_aliases_a_reused_buffer(logistic_problem, logistic_x
 
 
 @pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("method", _ALL)
+def test_a_lone_run_is_a_batch_of_one(logistic_problem, logistic_x0, method):
+    # one shape for every run count: a lone batch holds one row of each
+    # array, step returns one entry per run, and state hands out the run's own
+    n, d = logistic_problem.n, logistic_problem.d
+    batch = Batch(_configs(method, [0.1], 10, True), logistic_problem, logistic_x0)
+    assert [a.shape for a in (batch.x, batch.v, batch.v_bar, batch.active, batch.gamma)] == [
+        (1, d), (1, n, d), (1, d), (1, n), (1, 1)
+    ]
+    returned = step(batch)
+    assert [a.shape for a in returned] == [(1,)] * 4 + [(1, n)]
+    assert not any(np.shares_memory(a, buffer) for a in returned for buffer in batch.buffers)
+    state = batch.state(0)
+    assert [a.shape for a in (state.x, state.v, state.v_bar, state.active)] == [(d,), (n, d), (d,), (n,)]
+
+
+@pytest.mark.filterwarnings("ignore:privacy calibration")
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
 @pytest.mark.parametrize("method", ["clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
-def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(monkeypatch, method):
-    # 40 nodes of 60 features and 3 runs: one (R, n, d) float64 array is 56 KiB.
-    # After a warm chunk, which makes the chunk buffers, the row buffers and
-    # one noise chunk for both chunks, a chunk of steps writes into buffers
-    # and leaves only small or boolean arrays; a broadcasting or casting
-    # ufunc call would add numpy's own buffer, here as large as one such
-    # array. A step that allocated its arrays peaked at 404 KiB
-    R, n, d = 3, 40, 60
+def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(monkeypatch, method, lone):
+    # 40 nodes of 60 features and 3 runs, or a lone run: one (R, n, d) float64
+    # array is 56 KiB, or 18.75 KiB. After a warm chunk, which makes the chunk
+    # buffers, the row buffers and one noise chunk for both chunks, a chunk of
+    # steps writes into buffers and leaves only small or boolean arrays; a
+    # broadcasting or casting ufunc call would add numpy's own buffer, here as
+    # large as one such array. A step of 3 runs that allocated its arrays
+    # peaked at 404 KiB
+    R, n, d = 1 if lone else 3, 40, 60
     rng = np.random.default_rng(4060)
     shards = [(rng.standard_normal((10, d)), np.where(rng.random(10) < 0.5, 1.0, -1.0)) for _ in range(n)]
     problem = Problem("logistic", stack(shards), reg="l2", lam=1e-3)
     steps = _chunk_steps(problem, R)
     monkeypatch.setattr(optimizers, "_NOISE_BUDGET", 2 * steps * R * n * d)
-    batch = Batch(_configs(method, (0.01, 0.02, 0.04), 2 * steps, False), problem, rng.standard_normal(d))
+    batch = Batch(_configs(method, (0.01, 0.02, 0.04), 2 * steps, lone), problem, rng.standard_normal(d))
     optimizers._settle(batch, *optimizers._advance(batch, steps)[:-1])
     tracemalloc.start()
     try:

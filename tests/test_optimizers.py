@@ -328,7 +328,7 @@ def test_real_shift_drift_raises_invariant_error():
         batch = Batch([cfg], problem, np.zeros(5))
         step(batch)
         # a shift row changed without its message reaching the aggregate
-        batch.v[2, 0] += 1e-3 * np.abs(batch.v).max()
+        batch.v[0, 2, 0] += 1e-3 * np.abs(batch.v).max()
         with pytest.raises(InvariantError, match="drifted"):
             step(batch)
 

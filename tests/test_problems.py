@@ -226,7 +226,8 @@ def test_evaluate_into_a_buffer_gives_the_gradients_evaluate_returns(kind):
     for point in (x, x[0]):
         f, grads = p.evaluate(point)
         out = np.full(grads.shape, np.nan)
-        value, written = p._evaluate(point, out=out)
+        # _evaluate takes a stack: a point is a stack of one
+        value, written = p._evaluate(np.atleast_2d(point), out=out.reshape((-1,) + out.shape[-2:]))
         assert written.base is out or written is out
         assert (np.asarray(value).tobytes(), out.tobytes()) == (np.asarray(f).tobytes(), grads.tobytes())
 
@@ -248,7 +249,7 @@ def test_evaluate_and_smoothness_make_no_row_sized_temporaries():
         peaks = []
         for point in (x, x[:2], x[0]):
             tracemalloc.reset_peak()
-            p._evaluate(point)
+            p._evaluate(np.atleast_2d(point))  # a point is a stack of one
             peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
         p.smoothness()
@@ -307,7 +308,7 @@ def test_logistic_rows_match_a_50_digit_oracle():
     p = Problem("logistic", stack([(margins[:, None], labels), (np.ones((1, 1)), np.ones(1))]), reg="l2", lam=1.0)
     x = np.ones(1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        loss, slope = p._rows(p._A @ x)
+        loss, slope = (a[0] for a in p._rows((p._A @ x)[None]))  # row 0 of a stack of one
         value, grads = p.evaluate(x)
     assert np.isfinite(value) and np.isfinite(grads).all()
     assert np.all(slope[1, 1:] == 0.0)  # padding rows add nothing to a gradient
