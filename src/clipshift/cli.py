@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import shutil
 import sys
@@ -304,10 +305,12 @@ def _summary_line(method, final_f, final_gsq, inactive_at, gamma, horizon) -> st
 
 
 def _grid_paths(out: str):
-    stem, dot, ext = out.rpartition(".")
+    name = os.path.basename(out)  # the extension is the file name's, not a folder's
+    stem, dot, ext = name.rpartition(".")
     if not dot:
-        stem, ext = out, "csv"
-    return [f"{stem}_grid{i}.{ext}" for i in range(len(GRID_MULTIPLES))]
+        stem, ext = name, "csv"
+    folder = out[: len(out) - len(name)]
+    return [f"{folder}{stem}_grid{i}.{ext}" for i in range(len(GRID_MULTIPLES))]
 
 
 def run_experiment(cfg: RunConfig) -> int:

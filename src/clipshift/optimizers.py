@@ -8,12 +8,12 @@ shifted clipping at gamma = 0: the iterate stays at x0, so the shifts
 track the fixed local gradients there. The loop steps a batch: runs
 that share the problem and the method but differ in gamma, sigma and
 seed (a stepsize grid, a noise sweep) take each step together, and each
-run is bit-identical to its solo run. The privacy noise of every run is
-drawn once per seed, scaled and clipped one chunk of steps at a time.
+run is bit-identical to its solo run.
 
-The loop also advances the batch one chunk of steps at a time. A step
-does only the method's own arithmetic and writes every array into
-buffers the batch keeps and reuses; at the chunk's end one pass,
+The loop advances the batch one chunk of steps at a time. The privacy
+noise of the chunk's steps is drawn with it, once per seed, scaled and
+clipped. A step does only the method's own arithmetic and writes every
+array into buffers the batch keeps and reuses; at the chunk's end one pass,
 vectorised over its steps, forms the telemetry, advances the running
 aggregate of the shifts and runs the checks, with the bits and the
 order of leaving and raising of one step at a time. step is the same
@@ -68,13 +68,11 @@ _DRIFT_TOL = 16.0 * float(np.finfo(np.float64).eps)
 # sum passes the float64 range: 2^64 more steps at the top of the range fit
 _DRIFT_DOWN = 2.0**-64
 
-# noise elements a chunk holds for the noisy runs, about 128 KB: many steps a
-# draw at small shapes, one at shapes where the draw is compute-bound
-_NOISE_BUDGET = 16_384
-
-# elements of the step buffers a chunk of run fills, about 128 KiB in all, so
-# each buffer stays under 128 KiB, glibc's default mmap threshold: 147 steps
-# for a lone 10-node, 20-feature run, 24 for six of them, 20 at 100 x 123
+# elements a chunk buffer holds over the runs, the noise chunk included, at
+# most 128 KiB, glibc's default mmap threshold: a run's step fills 4d + 3n + 1
+# of the step buffers, or its n d (dp_clip21_gd) or d (dp_clip_gd) of noise if
+# more. 147 steps for a lone 10-node, 20-feature run (81 for dp_clip21_gd), 24
+# for six of them, 20 at 100 x 123 (1 for dp_clip21_gd, a compute-bound draw)
 _CHUNK_BUDGET = 16_384
 
 
@@ -169,10 +167,11 @@ class Batch:
     shifts v (R, n, d) (row i of a run's block is node i's shift), their
     running aggregates v_bar (R, d), the clip masks active (R, n) and
     drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
-    the config ids[r], and so does column r of the noise chunk (steps, R,
-    ...), the clipped noise of the steps from chunk_start on. Every run
-    starts at x0 with the shifts v0, zeros when omitted. A lone run is a
-    batch of one: its arrays hold one row, x (1, d), v (1, n, d) and so on.
+    the config ids[r], and so does column r of a noise chunk (steps, R,
+    ...), which the batch draws for a chunk of steps and does not keep
+    (see noise). Every run starts at x0 with the shifts v0, zeros when
+    omitted. A lone run is a batch of one: its arrays hold one row, x (1,
+    d), v (1, n, d) and so on.
 
     v_bar is maintained incrementally across steps and checked against
     the direct average of the shift rows of each step; drift_scale is the
@@ -232,15 +231,14 @@ class Batch:
             sq = np.vecdot(v0, v0)
             self.drift_scale = np.full(R, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
         self.drift_unit = np.ones(R)
-        self.chunk_start, self.chunk = 0, np.empty((0, R))  # no noise drawn yet
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the runs whose entry of the mask rows, one per run,
-        is True, with their columns of the noise chunk."""
+        is True; the next chunk's buffers are made for them."""
         self.ids = self.ids[rows]
         for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale", "drift_unit"):
             setattr(self, name, getattr(self, name)[rows])
-        self.chunk, self.work, self.buffers = self.chunk[:, rows], self.work[:, rows], None
+        self.work, self.buffers = self.work[:, rows], None
 
     def chunk_buffers(self, steps: int):
         """xs (steps + 1, R, d), fs (steps, R), means (steps, 3, R, d), norms
@@ -263,44 +261,34 @@ class Batch:
         x, v, v_bar, active = (a[row].copy() for a in (self.x, self.v, self.v_bar, self.active))
         return OptimizerState(k=self.k, x=x, v=v, v_bar=v_bar, active=active)
 
-    def noise(self) -> np.ndarray:
-        """This step's clipped privacy noise for every run, (R, n, d) for
-        dp_clip21_gd and (R, d) for dp_clip_gd: each run's draw at step k,
-        clipped by nu.
+    def noise(self, steps: int) -> np.ndarray | None:
+        """The clipped privacy noise of steps k to k + steps - 1 for every
+        run, (steps, R, n, d) for dp_clip21_gd and (steps, R, d) for
+        dp_clip_gd: each run's draws at those steps, clipped by nu. None
+        for the other methods and when no run has a positive sigma, which
+        the step adds as the scalar 0.0.
 
-        The steps from k on are drawn as one chunk, ending with the run and
-        of about _NOISE_BUDGET elements over the columns it holds, one per
-        run: one unit draw per seed among the runs with a positive sigma,
-        with the bits of its lone draws. Run r's column is sigma_r * unit,
-        as a solo draw forms it, or exact zeros at sigma_r = 0, and the
-        chunk is clipped once, row-wise and so bit-identical to one step's.
-        Each step returns its row of the chunk. With no run at a positive
-        sigma there is no chunk, and each step gets exact zeros.
+        One unit draw per seed among the runs with a positive sigma, with
+        the bits of its one-step draws, since a draw is a function of
+        (seed, node, step) alone. Run r's column is sigma_r * unit, as a
+        solo draw forms it, or exact zeros at sigma_r = 0, and the chunk is
+        clipped once, row-wise and so bit-identical to one step's. The
+        batch keeps nothing of it.
         """
-        i = self.k - self.chunk_start
-        if i >= len(self.chunk):  # the chunk has run out: draw the next
-            cfg, n, d = self.cfg, self.problem.n, self.problem.d
-            shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
-            groups = {}  # rows of the runs with a positive sigma, by seed
-            for row, (seed, sigma) in enumerate(zip(self.seed.tolist(), self.sigma.tolist())):
-                if sigma > 0.0:
-                    groups.setdefault(seed, []).append(row)
-            if not groups:
-                self.chunk = np.empty((0, self.ids.size))  # frees the spent chunk
-                return np.zeros((self.ids.size,) + shape)
-            steps = max(1, min(_NOISE_BUDGET // (self.ids.size * math.prod(shape)), cfg.iters - self.k))
-            chunk = self.chunk = np.zeros((steps, self.ids.size) + shape)  # frees the spent chunk
-            for seed, rows in groups.items():
-                unit = (
-                    gaussian_block(seed, self.k, n, d, 1.0, steps=steps)
-                    if cfg.method == "dp_clip21_gd"
-                    else gaussian_sample(seed, stream_slot(n, "aggregate"), self.k, d, 1.0, steps=steps)
-                )
-                for row in rows:
-                    np.multiply(self.sigma[row], unit, out=chunk[:, row])
-            self.chunk = clip_rows(chunk, cfg.nu)[0]
-            self.chunk_start, i = self.k, 0
-        return self.chunk[i]
+        cfg, n, d = self.cfg, self.problem.n, self.problem.d
+        if cfg.method not in _DP_METHODS or not self.sigma.any():
+            return None
+        shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
+        chunk, noisy = np.zeros((steps, self.ids.size) + shape), self.sigma > 0.0
+        for seed in dict.fromkeys(self.seed[noisy].tolist()):  # the noisy runs' seeds, in row order
+            unit = (
+                gaussian_block(seed, self.k, n, d, 1.0, steps=steps)
+                if cfg.method == "dp_clip21_gd"
+                else gaussian_sample(seed, stream_slot(n, "aggregate"), self.k, d, 1.0, steps=steps)
+            )
+            for row in np.flatnonzero(noisy & (self.seed == seed)).tolist():
+                np.multiply(self.sigma[row], unit, out=chunk[:, row])
+        return clip_rows(chunk, cfg.nu)[0]
 
 
 def _shift_update(targets, v, tau, transmit=None, *, out):
@@ -331,14 +319,16 @@ def _shift_update(targets, v, tau, transmit=None, *, out):
     return v, messages, active
 
 
-def _advance(batch: Batch, steps: int):
+def _advance(batch: Batch, steps: int, noise):
     """steps steps of every run in the batch, in place, each doing only the
     method's own arithmetic: evaluate at x_k, the shift update or the
-    clip, one node mean of the stacked [messages, shifts, gradients] (for
-    the unshifted methods [sent gradients, gradients]), one vecdot of the
-    stacked [v, grads - v], and the move of x. Every array a step writes
-    is a buffer the batch keeps (work, and the chunk's buffers), so a step
-    allocates no array of the batch's size.
+    clip, with row i of noise (batch.noise(steps)) added to the messages
+    (dp_clip21_gd) or to their mean (dp_clip_gd), one node mean of the
+    stacked [messages, shifts, gradients] (for the unshifted methods [sent
+    gradients, gradients]), one vecdot of the stacked [v, grads - v], and
+    the move of x. Every array a step writes is a buffer the batch keeps
+    (work, and the chunk's buffers), so a step allocates no array of the
+    batch's size.
 
     Returns the chunk's buffers, whose leading axis is the step in the
     chunk: xs holds x_k to x_{k+steps}, fs the values, means the message
@@ -351,11 +341,11 @@ def _advance(batch: Batch, steps: int):
     xs, fs, means, norms, masks = batch.chunk_buffers(steps)
     xs[0] = batch.x
     shifted, n = cfg.method in _SHIFTED, problem.n
-    # with no run at a positive sigma the noise is exact zeros, which add as 0.0 does
-    noise = batch.noise if batch.sigma.any() else (lambda: 0.0)
+    if noise is None:  # 0.0 turns a -0.0 to 0.0, as a noisy batch's zero column does
+        noise = (0.0,) * steps
     transmit = None
-    if cfg.method == "dp_clip21_gd":
-        transmit = lambda clipped, out: np.add(clipped, noise(), out=out)
+    if cfg.method == "dp_clip21_gd":  # adds this step's row z of the noise chunk
+        transmit = lambda clipped, out: np.add(clipped, z, out=out)
     elif cfg.method == "press_clip21_gd":
         transmit = partial(compress_rows, cfg.compressor)
     messages, v, grads, spare = work
@@ -364,7 +354,7 @@ def _advance(batch: Batch, steps: int):
         np.copyto(v, batch.v)
     wide = {}  # maps a step to its shift row norms
     stamps = [time.perf_counter_ns()]
-    for i in range(steps):
+    for i, z in enumerate(noise):
         fs[i] = problem._evaluate(xs[i], out=grads)[0]
         mean = means[i]
         if shifted:
@@ -384,7 +374,7 @@ def _advance(batch: Batch, steps: int):
                 clip_rows(grads, cfg.tau, out=(work[1], masks[i]))
             np.divide(np.add.reduce(pair, axis=-2, out=mean[1:]), n, out=mean[1:])
             if cfg.method == "dp_clip_gd":
-                np.add(mean[1], noise(), out=mean[1])
+                np.add(mean[1], z, out=mean[1])
         np.subtract(xs[i], np.multiply(batch.gamma, mean[1], out=xs[i + 1]), out=xs[i + 1])
         batch.k += 1
         stamps.append(time.perf_counter_ns())
@@ -502,7 +492,7 @@ def step(batch: Batch):
     the pre-gamma direction; and the (R, n) mask of the nodes that
     clipped.
     """
-    (f, grad_sq, shift_sq, _, v_norm), _, _ = _settle(batch, *_advance(batch, 1)[:-1])
+    (f, grad_sq, shift_sq, _, v_norm), _, _ = _settle(batch, *_advance(batch, 1, batch.noise(1))[:-1])
     batch.v = batch.v.copy()  # the shifts a caller holds stay this step's
     return f[0].copy(), grad_sq[0], shift_sq[0], v_norm[0], batch.active
 
@@ -525,11 +515,12 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     any run stops the whole batch.
 
     The batch advances one chunk of steps at a time, _CHUNK_BUDGET
-    elements of buffers over the runs still present: a step of the
-    chunk does only the method's arithmetic, into buffers the batch keeps
-    and every chunk reuses (see Batch), and one pass at the chunk's end
-    forms the telemetry, the running aggregates and the checks,
-    vectorised over its steps. The trace rows and the finals are copied
+    elements of buffers over the runs still present, and draws the
+    chunk's noise with it (Batch.noise): a step of the chunk does only
+    the method's arithmetic, into buffers the batch keeps and every chunk
+    reuses (see Batch), and one pass at the chunk's end forms the
+    telemetry, the running aggregates and the checks, vectorised over its
+    steps. The trace rows and the finals are copied
     out of those buffers. The chunk ends exactly as its steps would
     one at a time. At step k, the runs whose x_k is not finite leave
     first, with no row for step k; then the shift-drift check runs over
@@ -570,7 +561,9 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
     names = ("f", "grad_norm_sq", "lyapunov", "active_nodes", "v_norm", "wall_micros")
     columns = [grid[name] for name in names]
     where = slice(None)  # the grid columns of the runs still in the batch
-    per_run = 4 * problem.d + 3 * problem.n + 1  # buffer elements a run fills a step
+    # elements a run fills a step: of the step buffers, or of noise if more
+    drawn = {"dp_clip21_gd": problem.n * problem.d, "dp_clip_gd": problem.d}.get(batch.cfg.method, 0)
+    per_run = max(4 * problem.d + 3 * problem.n + 1, drawn)
 
     # blowups surface as inf through the finiteness checks, so numpy's
     # overflow warnings would only add noise here
@@ -578,7 +571,7 @@ def run(cfgs, problem, x0, *, v0=None, f_inf=0.0, lyapunov_coeffs=None):
         while batch.k < iters:
             k0 = batch.k
             steps = max(1, min(_CHUNK_BUDGET // (batch.ids.size * per_run), iters - k0))
-            *buffers, stamps = _advance(batch, steps)
+            *buffers, stamps = _advance(batch, steps, batch.noise(steps))
             values, bad_x, bad_f = _settle(batch, *buffers)
             left = np.minimum(bad_x, bad_f)  # the step each run leaves at, steps + 1 if it stays
             recording = np.maximum((np.arange(steps)[:, None] < left).sum(axis=1), 1)

@@ -189,19 +189,21 @@ def test_invariant_failure_in_one_run_stops_the_batch(quad_problem):
         step(batch)
 
 
-def _per_step_noise(batch):
-    """The noise of step batch.k, each run's clipped draw made for that step
-    alone: the reference the chunked draws must match bit for bit."""
+def _per_step_noise(batch, steps):
+    """The noise of the steps from batch.k on, as Batch.noise(steps) lays it
+    out, each run's clipped draw made for each step alone: the reference
+    the chunked draws must match bit for bit."""
     cfg, n, d = batch.cfg, batch.problem.n, batch.problem.d
 
-    def one(seed, sigma):
+    def one(seed, sigma, k):
         if cfg.method == "dp_clip21_gd":
-            draw = gaussian_block(seed, batch.k, n, d, sigma)
+            draw = gaussian_block(seed, k, n, d, sigma)
         else:
-            draw = gaussian_sample(seed, stream_slot(n, "aggregate"), batch.k, d, sigma)
+            draw = gaussian_sample(seed, stream_slot(n, "aggregate"), k, d, sigma)
         return clip_rows(draw, cfg.nu)[0]
 
-    return np.stack([one(seed, sigma) for seed, sigma in zip(batch.seed.tolist(), batch.sigma.tolist())])
+    runs = list(zip(batch.seed.tolist(), batch.sigma.tolist()))
+    return np.stack([np.stack([one(seed, sigma, k) for seed, sigma in runs]) for k in range(batch.k, batch.k + steps)])
 
 
 def _chunk_lengths(monkeypatch):
@@ -224,19 +226,21 @@ _DP = dict(tau=0.24, nu=0.04)
 @pytest.mark.parametrize(
     "method, iters, sigmas_seeds, chunks",
     [
-        # a lone run at the fixture shape: 16384 // 200 = 81 steps a chunk,
-        # and 200 steps end mid-chunk
+        # a lone run at the fixture shape: its 200 noise elements a step
+        # outnumber its 111 of step buffers, so 16384 // 200 = 81 steps a
+        # chunk, and 200 steps end mid-chunk
         ("dp_clip21_gd", 200, [(0.02, 7)], [81, 81, 38]),
-        # the aggregate slot draws one row a step: 16384 // 20 = 819
-        ("dp_clip_gd", 1000, [(0.02, 7)], [819, 181]),
+        # the aggregate slot draws one row of 20 a step, fewer than the step
+        # buffers' 111: 16384 // 111 = 147
+        ("dp_clip_gd", 1000, [(0.02, 7)], [147] * 6 + [118]),
         # a sigma sweep on one seed shares one unit chunk; sigma 0 draws
         # nothing, but its column is held, so the four columns split the
         # budget: 16384 // 800 = 20
-        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [20, 20, 20, 20, 20]),
+        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [20] * 5),
         # two seed groups, one unit chunk each, at the three runs' 27 steps
-        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27, 27, 27, 27, 27, 27, 9, 9]),
-        # two seed groups over three columns: 16384 // 60 = 273
-        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [273, 273, 27, 27]),
+        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27] * 6 + [9, 9]),
+        # two seed groups over three runs: 16384 // 333 = 49
+        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [49] * 12 + [6, 6]),
         # a zero sigma is exact zeros without a draw, lone or batched
         ("dp_clip21_gd", 30, [(0.0, 3)], []),
         ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], []),
@@ -245,12 +249,23 @@ _DP = dict(tau=0.24, nu=0.04)
 def test_chunked_noise_matches_per_step_draws(
     logistic_problem, logistic_x0, monkeypatch, method, iters, sigmas_seeds, chunks
 ):
-    lengths = _chunk_lengths(monkeypatch)
+    # run draws each chunk's noise as it steps it; every step's must be
+    # the one drawn for that step alone
+    lengths, real, checked = _chunk_lengths(monkeypatch), Batch.noise, []
+
+    def noise(batch, steps):
+        chunk, reference = real(batch, steps), _per_step_noise(batch, steps)
+        if chunk is None:  # no noisy run: each step adds 0.0
+            assert not reference.any(), batch.k
+        else:
+            assert np.array_equal(chunk, reference), batch.k
+        checked.append(steps)
+        return chunk
+
+    monkeypatch.setattr(Batch, "noise", noise)
     cfgs = [MethodConfig(method, 0.1, iters, sigma=sigma, seed=seed, **_DP) for sigma, seed in sigmas_seeds]
-    batch = Batch(cfgs, logistic_problem, logistic_x0)
-    for _ in range(iters):
-        assert np.array_equal(batch.noise(), _per_step_noise(batch)), batch.k
-        step(batch)
+    run(cfgs, logistic_problem, logistic_x0)
+    assert sum(checked) == iters
     assert lengths == chunks
 
 
@@ -298,8 +313,9 @@ def test_chunk_is_one_step_at_a_large_shape(monkeypatch):
 def test_run_that_leaves_mid_chunk_keeps_the_others_on_their_chunk(quad_problem, monkeypatch, method):
     # gamma 1e300 sends the iterate to about 1e300 after one step, so f
     # overflows and that run leaves at step 1; one chunk of every step
-    # holds each seed group's noise, and the others keep their columns of
-    # it: (steps, R, n, d) for dp_clip21_gd, (steps, R, d) for dp_clip_gd
+    # draws each seed group's noise, (steps, R, n, d) for dp_clip21_gd and
+    # (steps, R, d) for dp_clip_gd, and the others step on through it as
+    # they do on noise drawn a step at a time
     noisy = dict(tau=1.0, nu=0.1, sigma=0.05)
     cfgs = [
         MethodConfig(method, gamma, 300, seed=seed, **noisy)
@@ -504,9 +520,11 @@ def test_drift_inside_a_chunk_raises_as_one_step_chunks_do(logistic_problem, log
     assert message.startswith("aggregate shift drifted from direct average by ") and message.endswith(" at step 30")
 
 
-def _chunk_steps(problem, runs):
-    # the steps of run's first chunk, from its budget of buffer elements
-    return optimizers._CHUNK_BUDGET // (runs * (4 * problem.d + 3 * problem.n + 1))
+def _chunk_steps(problem, runs, method="clip21_gd"):
+    # the steps of run's first chunk, from its budget of elements: a run's
+    # step buffers fill 4d + 3n + 1 a step, its noise n d or d if that is more
+    noise = {"dp_clip21_gd": problem.n * problem.d, "dp_clip_gd": problem.d}.get(method, 0)
+    return optimizers._CHUNK_BUDGET // (runs * max(4 * problem.d + 3 * problem.n + 1, noise))
 
 
 @pytest.mark.filterwarnings("ignore:privacy calibration")
@@ -517,7 +535,7 @@ def test_drift_in_a_later_chunk_raises_as_one_step_chunks_do(logistic_problem, l
     # the first chunk made
     L = logistic_problem.smoothness().L
     cfgs = _configs(method, [m / L for m in (0.5, 2.0, 8.0)], 400, lone)
-    at = _chunk_steps(logistic_problem, len(cfgs)) + 11
+    at = _chunk_steps(logistic_problem, len(cfgs), method) + 11
     calls = _corrupt_shifts_at(monkeypatch, at)
     message = _drift_message(run, cfgs, logistic_problem, logistic_x0)
     calls.clear()
@@ -619,7 +637,7 @@ def test_nothing_handed_out_aliases_a_reused_buffer(logistic_problem, logistic_x
             mask = step(batch)[4]
             held += [mask, batch.x, batch.v, batch.active]
         else:
-            optimizers._settle(batch, *optimizers._advance(batch, steps)[:-1])
+            optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
         state = batch.state(0)
         held += [state.x, state.v, state.v_bar, state.active]
         assert [a.tobytes() for a in held[: len(snapshots)]] == snapshots
@@ -647,25 +665,25 @@ def test_a_lone_run_is_a_batch_of_one(logistic_problem, logistic_x0, method):
 @pytest.mark.filterwarnings("ignore:privacy calibration")
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
 @pytest.mark.parametrize("method", ["clip21_gd", "dp_clip21_gd", "press_clip21_gd"])
-def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(monkeypatch, method, lone):
+def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(method, lone):
     # 40 nodes of 60 features and 3 runs, or a lone run: one (R, n, d) float64
     # array is 56 KiB, or 18.75 KiB. After a warm chunk, which makes the chunk
-    # buffers, the row buffers and one noise chunk for both chunks, a chunk of
-    # steps writes into buffers and leaves only small or boolean arrays; a
-    # broadcasting or casting ufunc call would add numpy's own buffer, here as
-    # large as one such array. A step of 3 runs that allocated its arrays
-    # peaked at 404 KiB
+    # buffers and the row buffers, a chunk of steps on its noise chunk, drawn
+    # before the measurement, writes into buffers and leaves only small or
+    # boolean arrays; a broadcasting or casting ufunc call would add numpy's
+    # own buffer, here as large as one such array. A step of 3 runs that
+    # allocated its arrays peaked at 404 KiB
     R, n, d = 1 if lone else 3, 40, 60
     rng = np.random.default_rng(4060)
     shards = [(rng.standard_normal((10, d)), np.where(rng.random(10) < 0.5, 1.0, -1.0)) for _ in range(n)]
     problem = Problem("logistic", stack(shards), reg="l2", lam=1e-3)
-    steps = _chunk_steps(problem, R)
-    monkeypatch.setattr(optimizers, "_NOISE_BUDGET", 2 * steps * R * n * d)
+    steps = _chunk_steps(problem, R, method)
     batch = Batch(_configs(method, (0.01, 0.02, 0.04), 2 * steps, lone), problem, rng.standard_normal(d))
-    optimizers._settle(batch, *optimizers._advance(batch, steps)[:-1])
+    optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
+    noise = batch.noise(steps)
     tracemalloc.start()
     try:
-        optimizers._advance(batch, steps)
+        optimizers._advance(batch, steps, noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -247,6 +247,25 @@ def test_grid_best_copy_that_cannot_be_written_exits_3(tmp_path, data_file, caps
     assert len(list(tmp_path.glob("taken_grid*.csv"))) == len(GRID_MULTIPLES)
 
 
+@pytest.mark.parametrize(
+    "out, child",
+    [
+        ("run.csv", "run_grid{}.csv"),
+        ("a.b.txt", "a.b_grid{}.txt"),
+        ("trace", "trace_grid{}.csv"),
+        # a dot in a folder's name is not the file's extension
+        ("./trace", "trace_grid{}.csv"),
+        ("out.v1/trace", "out.v1/trace_grid{}.csv"),
+    ],
+)
+def test_grid_child_paths_take_the_extension_from_the_file_name(tmp_path, data_file, monkeypatch, out, child):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.v1").mkdir()
+    assert main(_base_args(data_file, out, **{"--gamma": "grid", "--iters": "5"})) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted([os.path.normpath(out)] + [child.format(i) for i in range(len(GRID_MULTIPLES))])
+
+
 def test_exit_codes(tmp_path, data_file):
     out = str(tmp_path / "x.csv")
     assert main(["--method", "bogus", "--out", out]) == 2

@@ -208,10 +208,11 @@ def kinds(files: dict) -> list:
          + ["--gamma", "grid"]),
         ("press-identity-grid", base + ["--method", "press-clip21-gd", "--tau", "0.5", "--compressor", "identity"]
          + ["--gamma", "grid"]),
-        # noise is drawn in chunks of 16384 // (runs * elements a step) steps: 819 for
-        # dp-clip21-gd's 4 x 5 block, 3276 for dp-clip-gd's one row of 5 (136 and 546 for a
-        # grid's six children, which share one seed), so these runs cross a chunk boundary
-        # and end mid-chunk
+        # the steps and their noise run in chunks of 16384 // (runs * elements a step) steps,
+        # where a step's elements are its 33 of step buffers on 4 nodes of 5 features, more
+        # than dp-clip21-gd's 4 x 5 noise block or dp-clip-gd's row of 5: 496 steps for a lone
+        # run, 82 for a grid's six children (which share one seed), so these runs cross a
+        # chunk boundary and end mid-chunk
         ("dp-clip21-gd-chunks", base + ["--method", "dp-clip21-gd", "--tau", "0.5"] + noise
          + ["--gamma", "0.1", "--iters", "1000"]),
         ("dp-clip-gd-chunks", base + ["--method", "dp-clip-gd", "--tau", "0.5"] + noise
@@ -235,7 +236,7 @@ def kinds(files: dict) -> list:
         ("quad-grid-diverging-child", ["--method", "gd", "--gamma", "grid", "--iters", "400"]),
         # the shifted kernels with a child that leaves inside a chunk: at tau 1e300 no
         # message clips, so the gamma-8 child's f overflows at step 324, inside the
-        # third 124-step chunk of six runs on the counterexample; at step 323 its
+        # second 248-step chunk of six runs on the counterexample; at step 323 its
         # residual rows pass 1.3e154, so their norms need the clip's scaled route
         ("quad-dp-clip21-gd-grid-diverging-child", ["--method", "dp-clip21-gd", "--tau", "1e300", "--sigma", "0.05"]
          + ["--nu", "0.1", "--gamma", "grid", "--iters", "400"]),
