@@ -8,8 +8,8 @@ one-line summary on stdout.
 Each option is one row of OPTIONS (config-file key, default, converter,
 help); its flag is ``--`` plus the key with ``_`` written as ``-``. The
 parser, the defaults, the accepted config-file keys and the fields of
-RunConfig all come from that table. A run is a list of stepsizes, one
-value or the six grid points, stepped together as one batch.
+RunConfig all come from that table. An experiment plans its child runs,
+one stepsize or the six grid points, steps them as one batch and reports.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O or data
 format error, 4 divergence, 5 an internal invariant failed (a bug, not
@@ -296,26 +296,16 @@ def iters_to_all_inactive(trace) -> int:
     return -1 if last == trace.k[-1] else last + 1
 
 
-def _summary_line(method, final_f, final_gsq, inactive_at, gamma, horizon) -> str:
-    return (
-        f"summary method={method} final_f={_fmt(final_f)} "
-        f"final_grad_norm_sq={_fmt(final_gsq)} iters_to_all_inactive={inactive_at} "
-        f"gamma={_fmt(gamma)} k_star={horizon}"
-    )
-
-
-def _grid_paths(out: str):
+def _grid_path(out: str, idx: int) -> str:
     name = os.path.basename(out)  # the extension is the file name's, not a folder's
     stem, dot, ext = name.rpartition(".")
-    if not dot:
-        stem, ext = name, "csv"
-    folder = out[: len(out) - len(name)]
-    return [f"{folder}{stem}_grid{i}.{ext}" for i in range(len(GRID_MULTIPLES))]
+    stem, ext = (stem, ext) if dot else (name, "csv")
+    return f"{out[: len(out) - len(name)]}{stem}_grid{idx}.{ext}"
 
 
-def run_experiment(cfg: RunConfig) -> int:
-    """Execute one configured experiment; returns a process exit code."""
-    problem = build_problem(cfg)
+def _plan(cfg: RunConfig, problem: Problem):
+    """(x0, v0, f_inf, k*, children): the start point and shifts (None for zeros), f_inf,
+    the no-more-clipping horizon and one (MethodConfig, Lyapunov weight) pair per child."""
     x0 = resolve_x0(cfg, problem)
     # one evaluate at x0 gives the norms, F0 and clip21-avg's targets; an
     # overflow there surfaces as inf or nan for the checks, not as warnings
@@ -331,10 +321,9 @@ def run_experiment(cfg: RunConfig) -> int:
             )
         raise ConfigurationError("gradient norms must be finite and non-negative")
     if cfg.method == "clip21_avg":
-        # clip21-gd at gamma 0: x stays at x0, so the shifts track grads; with
-        # f_inf = f(x0) and weight 1 the lyapunov column is the mean squared
-        # tracking error. The horizon comes first, so a tau too small for one
-        # writes no CSV
+        # clip21-gd at gamma 0: x stays at x0, so the shifts track grads; with f_inf = f(x0)
+        # and weight 1 the lyapunov column is the mean squared tracking error. It reads no L,
+        # f_inf, mu, sigma, nu or compressor; its horizon comes first, so a tiny tau writes no CSV
         v0_row = _parse_vector(cfg.v_init, problem, stream_slot(problem.n, "v_init"), "--v-init", cfg.seed)
         v0 = np.tile(v0_row, (problem.n, 1))
         if not np.isfinite(f0):  # f overflows at x0: stop before writing, as the other methods do
@@ -343,65 +332,63 @@ def run_experiment(cfg: RunConfig) -> int:
         steps = max(float(np.linalg.norm(t - v)) for t, v in zip(grads, v0)) / tau - 1.0
         if not math.isfinite(steps):
             raise ConfigurationError(f"no finite no-more-clipping horizon at tau={tau}")
-        horizon, f_inf, grid, paths = max(0, math.ceil(steps)), f0, False, [cfg.out]
-        gammas, coeffs = [0.0], [1.0]
-        method_cfgs = [MethodConfig("clip21_avg", gamma=0.0, iters=cfg.iters, tau=tau, seed=cfg.seed)]
+        child = MethodConfig("clip21_avg", gamma=0.0, iters=cfg.iters, tau=tau, seed=cfg.seed)
+        return x0, v0, f0, max(0, math.ceil(steps)), [(child, 1.0)]
+    if cfg.mu is not None:
+        check_real("mu", cfg.mu, "non-negative")
+    info = problem.smoothness()
+    L = cfg.L_override if cfg.L_override is not None else info.L
+    if L <= 0:
+        raise ConfigurationError(f"need a positive smoothness constant, got {L}")
+    f_inf = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
+    gap = f0 - f_inf
+    if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
+        raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
+    compressor = parse_compressor(cfg.compressor) if cfg.compressor else None
+    # tau is absent for gd; the theory inputs then never reach a clip rule
+    inputs = StepsizeInputs(
+        L=L,
+        L_max=info.L_max,
+        tau=cfg.tau if cfg.tau is not None else 1.0,
+        grad0_norms=norms,
+        F0=max(0.0, gap),
+        alpha_press=compressor.alpha(problem.d) if compressor is not None else None,
+        mu=cfg.mu,
+        nu=cfg.nu,
+    )
+    horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
+    if cfg.gamma == "grid":
+        gammas = [m / L for m in GRID_MULTIPLES]
     else:
-        v0 = None
-        if cfg.mu is not None:
-            check_real("mu", cfg.mu, "non-negative")
-        info = problem.smoothness()
-        L = cfg.L_override if cfg.L_override is not None else info.L
-        if L <= 0:
-            raise ConfigurationError(f"need a positive smoothness constant, got {L}")
-        f_inf = estimate_f_inf(problem, x0, iters=cfg.presolve_iters, L=info.L)
-        gap = f0 - f_inf
-        if not np.isfinite(gap):  # f overflows at x0: any run would diverge at once
-            raise DivergenceError(f"f(x0) - f_inf is {gap} at the start point", step=0)
-        compressor = parse_compressor(cfg.compressor) if cfg.compressor else None
-        alpha = compressor.alpha(problem.d) if compressor is not None else None
-        # tau is absent for gd; the theory inputs then never reach a clip rule
-        inputs = StepsizeInputs(
-            L=L,
-            L_max=info.L_max,
-            tau=cfg.tau if cfg.tau is not None else 1.0,
-            grad0_norms=norms,
-            F0=max(0.0, gap),
-            alpha_press=alpha,
-            mu=cfg.mu,
+        gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
+    # every child's config is checked before any child's weight
+    configs = [
+        MethodConfig(
+            method=cfg.method,
+            gamma=gamma,
+            iters=cfg.iters,
+            tau=cfg.tau,
+            sigma=cfg.sigma,
             nu=cfg.nu,
+            compressor=compressor,
+            seed=cfg.seed,
         )
-        horizon = max(k_star(g, cfg.tau) for g in norms) if cfg.tau is not None else 0
+        for gamma in gammas
+    ]
+    return x0, None, f_inf, horizon, [(c, lyapunov_weight(cfg.method, c.gamma, inputs)) for c in configs]
 
-        # one stepsize writes --out itself; the grid steps its six children as
-        # one batch, writes one trace per child and copies the best child's
-        # to --out
-        grid = cfg.gamma == "grid"
-        if grid:
-            gammas, paths = [m / L for m in GRID_MULTIPLES], _grid_paths(cfg.out)
-        else:
-            gammas = [certified_stepsize(cfg.method, inputs) if cfg.gamma == "auto" else float(cfg.gamma)]
-            paths = [cfg.out]
-        method_cfgs = [
-            MethodConfig(
-                method=cfg.method,
-                gamma=gamma,
-                iters=cfg.iters,
-                tau=cfg.tau,
-                sigma=cfg.sigma,
-                nu=cfg.nu,
-                compressor=compressor,
-                seed=cfg.seed,
-            )
-            for gamma in gammas
-        ]
-        coeffs = [lyapunov_weight(cfg.method, gamma, inputs) for gamma in gammas]
-    finals, trace = run(method_cfgs, problem, x0, v0=v0, f_inf=f_inf, lyapunov_coeffs=coeffs)
-    R = len(gammas)
-    whole = len(trace) == cfg.iters * R  # no run left early: child r's rows are r, r + R, ...
-    finished = []  # (final grad_norm_sq, child index, gamma, final f, rows)
-    for idx, (gamma, path, final) in enumerate(zip(gammas, paths, finals)):
-        rows = trace[idx::R] if whole else trace[trace.run == idx]
+
+def run_experiment(cfg: RunConfig) -> int:
+    """Plan, run and report one configured experiment; returns a process exit code. One
+    child writes --out; a grid's six write one trace each, and the best is copied to --out."""
+    problem = build_problem(cfg)
+    x0, v0, f_inf, horizon, children = _plan(cfg, problem)
+    configs = [child for child, _ in children]
+    finals, trace = run(configs, problem, x0, v0=v0, f_inf=f_inf, lyapunov_coeffs=[w for _, w in children])
+    grid = len(configs) > 1
+    finished = []  # (final grad_norm_sq, child index, final f, iters_to_all_inactive, gamma)
+    for idx, (child, final) in enumerate(zip(configs, finals)):
+        rows, path = trace[trace.run == idx], _grid_path(cfg.out, idx) if grid else cfg.out
         if not isinstance(final, DivergenceError):
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
@@ -410,30 +397,31 @@ def run_experiment(cfg: RunConfig) -> int:
                 final_gsq = float(np.vecdot(gbar, gbar))
             if not (np.isfinite(final_f) and np.isfinite(final_gsq)):
                 final = DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
+        if len(rows):  # a diverged child's partial trace stays behind for inspection
+            write_csv(rows, path)
         if isinstance(final, DivergenceError):
-            # the partial trace stays behind for inspection
-            if len(rows):
-                write_csv(rows, path)
             if not grid:
                 print(f"diverged: {final}", file=sys.stderr)
                 return 4
-            print(f"grid child {idx}: gamma={_fmt(gamma)} diverged ({final})")
+            print(f"grid child {idx}: gamma={_fmt(child.gamma)} diverged ({final})")
             continue
-        write_csv(rows, path)
         if grid:
-            print(f"grid child {idx}: gamma={_fmt(gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-        finished.append((final_gsq, idx, gamma, final_f, rows))
+            print(f"grid child {idx}: gamma={_fmt(child.gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
+        finished.append((final_gsq, idx, final_f, iters_to_all_inactive(rows), child.gamma))
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4
-    final_gsq, idx, gamma, final_f, rows = min(finished, key=lambda r: r[0])
+    final_gsq, idx, final_f, inactive_at, gamma = min(finished, key=lambda r: r[0])
     if grid:
         try:  # the child's trace is already formatted in its own file
-            shutil.copyfile(paths[idx], cfg.out)
+            shutil.copyfile(_grid_path(cfg.out, idx), cfg.out)
         except OSError as exc:
             raise DataFormatError(f"cannot write {cfg.out}: {exc}") from exc
         print(f"grid best: child {idx} (gamma={_fmt(gamma)})")
-    print(_summary_line(cfg.method, final_f, final_gsq, iters_to_all_inactive(rows), gamma, horizon))
+    print(
+        f"summary method={cfg.method} final_f={_fmt(final_f)} final_grad_norm_sq={_fmt(final_gsq)} "
+        f"iters_to_all_inactive={inactive_at} gamma={_fmt(gamma)} k_star={horizon}"
+    )
     return 0
 
 

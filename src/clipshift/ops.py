@@ -208,10 +208,11 @@ def node_mean(rows: np.ndarray) -> np.ndarray:
     """Mean over the node axis of an (n, d) array, or of each (n, d) block
     of a stack of them, such as (R, n, d).
 
-    Every aggregation in the package goes through this one reduction so
-    that objective gradients and optimizer averages agree bitwise. The
-    node axis is summed in order, one row after another, so a block's
-    mean has the same bits alone or in a stack.
+    Every node sum in the package, this one and the step kernel's inline
+    np.add.reduce(..., axis=-2, out=...), runs along the node axis in node
+    order, one row after another, then divides by n, so objective
+    gradients and optimizer averages agree bitwise, and a block's mean has
+    the same bits alone or in a stack.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim < 2:

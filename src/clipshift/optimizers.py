@@ -359,7 +359,7 @@ def _advance(batch: Batch, steps: int, noise):
         mean = means[i]
         if shifted:
             _shift_update(grads, v, cfg.tau, transmit, out=(messages, masks[i], spare))
-            # node_mean's sum then divide, into the chunk's buffer
+            # node_mean's contract: sum along the node axis in node order, then divide, into the chunk's buffer
             np.divide(np.add.reduce(stacked, axis=-2, out=mean), n, out=mean)
             np.subtract(grads, v, out=grads)
             v_sq = np.vecdot(pair, pair, out=norms[i])[0]

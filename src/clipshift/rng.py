@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .ops import check_count, check_real
 
 __all__ = ["gaussian_sample", "gaussian_block", "stream_slot"]
@@ -73,15 +74,22 @@ def stream_slot(n: int, use: str) -> int:
     return n + _SLOT_OFFSETS[use]
 
 
-def _check_draw(seed: int, node: int, step: int, d: int, sigma: float):
-    # plain calls, not a loop: this runs once per chunk of noise
-    return (
+def _check_draw(seed: int, last_node: int, step: int, d: int, sigma: float):
+    # plain calls, not a loop: this runs once per chunk of noise. A seed past
+    # 64 bits would share the stream of its value mod 2^64, and a node is
+    # hashed as the 64-bit word node + 1; step words wrap mod 2^64
+    checked = (
         check_count("seed", seed, 0),
-        check_count("node", node, 0),
+        check_count("node", last_node, 0),
         check_count("step", step, 0),
         check_count("dimension", d),
         check_real("sigma", sigma, "non-negative"),
     )
+    if checked[0] > _MASK:
+        raise ConfigurationError(f"seed must be below 2^64, got {seed}")
+    if checked[1] >= _MASK:
+        raise ConfigurationError(f"node must be below 2^64 - 1, got {last_node}")
+    return checked
 
 
 def _normal_rows(seed: int, first: int, count: int, step: int, d: int, sigma: float, steps) -> np.ndarray:
@@ -130,5 +138,5 @@ def gaussian_block(seed: int, step: int, n: int, d: int, sigma: float, steps: in
     gaussian_sample(seed, i, step, d, sigma). With steps=S, an (S, n, d)
     array whose entry s is the block of step step + s."""
     n = check_count("node count", n)
-    seed, _, step, d, sigma = _check_draw(seed, 0, step, d, sigma)
+    seed, _, step, d, sigma = _check_draw(seed, n - 1, step, d, sigma)
     return _normal_rows(seed, 0, n, step, d, sigma, steps)

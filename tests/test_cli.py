@@ -394,6 +394,25 @@ def test_mu_checks_around_the_shifted_runs(tmp_path, capsys):
     assert "mu must be a positive real, got 0.0" in capsys.readouterr().err
     # clip21-avg runs no stepsize rule and never reads mu
     assert main(["--method", "clip21-avg", "--tau", "1", "--mu", "-1", "--iters", "3", "--out", str(out)]) == 0
+    # nor the grid, the compressor, sigma, nu or L: one child writes --out alone
+    out.unlink()
+    capsys.readouterr()
+    avg = ["--method", "clip21-avg", "--tau", "1", "--iters", "5", "--gamma", "grid", "--compressor", "bogus"]
+    assert main(avg + ["--sigma", "-1", "--nu", "-1", "--L", "-1", "--mu", "-1", "--out", str(out)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+    printed = capsys.readouterr().out
+    assert "grid child" not in printed and printed.startswith("summary method=clip21_avg ")
+    assert len(_read_rows(str(out))) == 5
+
+
+def test_noise_seed_past_64_bits_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["--method", "dp-clip21-gd", "--tau", "1", "--nu", "0.1", "--sigma", "0.05", "--gamma", "0.1"]
+    args += ["--iters", "3", "--out", str(out), "--seed"]
+    assert main(args + [str(2**64)]) == 2
+    assert capsys.readouterr().err == "error: seed must be below 2^64, got 18446744073709551616\n"
+    assert not out.exists()
+    assert main(args + [str(2**64 - 1)]) == 0
 
 
 def test_one_smoothness_pass_per_run(tmp_path, data_file, monkeypatch):

@@ -98,6 +98,23 @@ def test_chunk_step_words_wrap_like_a_lone_step():
     assert np.array_equal(chunk[3], gaussian_block(1, 0, 2, 3, 1.0))
 
 
+def test_seeds_and_node_words_past_64_bits_are_rejected():
+    top = 2**64 - 1
+    # the largest seed still draws, and not seed 0's stream; node id + 1 is hashed
+    assert not np.array_equal(gaussian_sample(top, 0, 0, 4, 1.0), gaussian_sample(0, 0, 0, 4, 1.0))
+    assert np.isfinite(gaussian_sample(0, top - 1, 0, 4, 1.0)).all()
+    with pytest.raises(ConfigurationError, match=r"seed must be below 2\^64, got 18446744073709551616"):
+        gaussian_sample(top + 1, 0, 0, 4, 1.0)
+    with pytest.raises(ConfigurationError, match="seed must be below"):
+        gaussian_block(top + 1, 0, 2, 4, 1.0, steps=3)
+    for node in (top, top + 1):
+        with pytest.raises(ConfigurationError, match=f"node must be below 2\\^64 - 1, got {node}"):
+            gaussian_sample(0, node, 0, 4, 1.0)
+    # a block's last node id is n - 1, checked before any allocation
+    with pytest.raises(ConfigurationError, match=f"node must be below 2\\^64 - 1, got {top}"):
+        gaussian_block(0, 0, top + 1, 4, 1.0)
+
+
 def test_zero_sigma_chunk_is_exact_zeros_without_hashing(monkeypatch):
     def unused(*args):
         raise AssertionError("a zero sigma reached the hash")

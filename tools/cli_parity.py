@@ -194,6 +194,8 @@ def kinds(files: dict) -> list:
         ("avg-lambda", avg + ["--tau", "0.05", "--lambda", "0.01"]),
         ("avg-nonconvex", avg + ["--tau", "0.05", "--reg", "nonconvex", "--lambda", "0.1", "--x0", "0.5"]),
         ("avg-ignores-mu-sigma", avg + ["--tau", "0.5", "--mu", "-1", "--sigma", "-1", "--L", "-1"]),
+        ("avg-ignores-grid-and-compressor", ["--method", "clip21-avg", "--tau", "1", "--iters", "5", "--gamma", "grid"]
+         + ["--compressor", "bogus", "--sigma", "-1", "--nu", "-1", "--L", "-1", "--mu", "-1"]),
         # the single-node rule and the compressed rule with a margin: no other
         # --gamma auto kind reaches them with a finite stepsize
         ("clip21-gd-auto-nodes1", clip21 + ["--gamma", "auto", "--nodes", "1"]),
