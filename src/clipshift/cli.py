@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DataFormatError, DivergenceError, Invari
 from .ops import Compressor, check_count, check_real, node_mean
 from .optimizers import METHODS, MethodConfig, run
 from .problems import Problem
-from .rng import gaussian_sample, stream_slot
+from .rng import check_seed, gaussian_sample, stream_slot
 from .theory import StepsizeInputs, certified_stepsize, estimate_f_inf, k_star, lyapunov_weight
 
 CSV_HEADER = "k,f,grad_norm_sq,lyapunov,active_nodes,v_norm,gamma,wall_micros"
@@ -210,7 +210,7 @@ def parse_config(argv) -> RunConfig:
     if cfg.x0 is None:
         cfg.x0 = "1.0" if cfg.problem == "quad_counterexample" else "zeros"
     check_count("--iters", cfg.iters)
-    check_count("--seed", cfg.seed, 0)
+    check_seed(cfg.seed, "--seed")
     check_count("--presolve-iters", cfg.presolve_iters, 0)
     return cfg
 
@@ -404,10 +404,11 @@ def run_experiment(cfg: RunConfig) -> int:
                 print(f"diverged: {final}", file=sys.stderr)
                 return 4
             print(f"grid child {idx}: gamma={_fmt(child.gamma)} diverged ({final})")
-            continue
-        if grid:
-            print(f"grid child {idx}: gamma={_fmt(child.gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-        finished.append((final_gsq, idx, final_f, iters_to_all_inactive(rows), child.gamma))
+        else:
+            if grid:
+                print(f"grid child {idx}: gamma={_fmt(child.gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
+            finished.append((final_gsq, idx, final_f, iters_to_all_inactive(rows), child.gamma))
+        del rows  # the next child's rows are selected once this child's copy is freed
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4

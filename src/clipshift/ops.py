@@ -82,11 +82,14 @@ def clip(x, tau) -> np.ndarray:
     return clip_rows(check_vector(x)[None, :], check_real("clip threshold", tau))[0][0]
 
 
-def clip_rows(rows: np.ndarray, tau: float, out=None):
+def clip_rows(rows: np.ndarray, tau: float, out=None, spare=None):
     """clip applied to every row (last axis) of an (..., d) array at once.
 
     Returns the clipped rows and the mask of rows that were scaled, written
-    into out = (clipped, mask) when given; clipped must not overlap rows. A
+    into out = (clipped, mask) when given. Each row's scale is spread over
+    spare, an array of rows' shape, or over clipped when spare is omitted;
+    clipped must not overlap rows unless it is rows itself and spare is
+    given, which clips in place. A
     row inside the ball is scaled by tau/tau, exactly 1, so it comes back
     bit-identical. Each row's norm is the same einsum whatever the leading
     shape, so a row clips to the same bits alone or in a stack. tau is
@@ -108,8 +111,9 @@ def clip_rows(rows: np.ndarray, tau: float, out=None):
     scale = np.divide(tau, np.maximum(norms, tau, out=norms), out=norms)
     # each row's scale at every entry first: numpy copies a broadcast operand
     # into a buffer of up to 8 192 elements, allocated and freed every call
-    np.copyto(clipped, scale[..., None])
-    return np.multiply(rows, clipped, out=clipped), mask
+    spare = clipped if spare is None else spare
+    np.copyto(spare, scale[..., None])
+    return np.multiply(rows, spare, out=clipped), mask
 
 
 def rms_rows(rows, sq, n=1):

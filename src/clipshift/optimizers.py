@@ -72,7 +72,10 @@ _DRIFT_DOWN = 2.0**-64
 # most 128 KiB, glibc's default mmap threshold: a run's step fills 4d + 3n + 1
 # of the step buffers, or its n d (dp_clip21_gd) or d (dp_clip_gd) of noise if
 # more. 147 steps for a lone 10-node, 20-feature run (81 for dp_clip21_gd), 24
-# for six of them, 20 at 100 x 123 (1 for dp_clip21_gd, a compute-bound draw)
+# for six of them, 20 at 100 x 123 (1 for dp_clip21_gd, a compute-bound draw).
+# The noise draw's unit and uint64 scratch hold one run's noise: the unit
+# within the budget, the scratch too for even d, and for odd d n (d + 1)
+# words a step (d + 1 for dp_clip_gd), up to (d + 1) / d of the budget
 _CHUNK_BUDGET = 16_384
 
 
@@ -168,8 +171,8 @@ class Batch:
     running aggregates v_bar (R, d), the clip masks active (R, n) and
     drift_scale (R,), and the stepsizes gamma (R, 1). Row r belongs to
     the config ids[r], and so does column r of a noise chunk (steps, R,
-    ...), which the batch draws for a chunk of steps and does not keep
-    (see noise). Every run starts at x0 with the shifts v0, zeros when
+    ...), which the batch draws for a chunk of steps into buffers it
+    keeps (see noise). Every run starts at x0 with the shifts v0, zeros when
     omitted. A lone run is a batch of one: its arrays hold one row, x (1,
     d), v (1, n, d) and so on.
 
@@ -192,11 +195,13 @@ class Batch:
     stacked first three are what a step averages over the nodes, and the
     shifted methods step their shifts in work[1] in place, so between
     chunks v is a view of it (the unshifted methods keep v as given). The
-    chunk's buffers (chunk_buffers) are made at the first chunk of the
-    runs present and reused by every later chunk. Nothing handed out is a
-    view of them: x and active are copies made at each chunk's end, step
+    chunk's buffers (chunk_buffers) and the noise draw's (noise_buffers)
+    are made at the first chunk of the runs present, reused by every later
+    chunk and dropped by keep. Nothing handed out is a view of the chunk's
+    buffers: x and active are copies made at each chunk's end, step
     replaces v by a copy and copies f, and state copies every array it
-    returns.
+    returns. The noise chunk noise returns is a view of the batch's, valid
+    until the next draw.
     """
 
     def __init__(self, cfgs, problem, x0, v0=None):
@@ -226,7 +231,7 @@ class Batch:
         self.v_bar = np.tile(node_mean(v0), (R, 1))
         self.active = np.zeros((R, n), dtype=bool)
         self.work = np.empty((4, R, n, d))
-        self.buffers = None  # the chunk buffers, made at the first chunk
+        self.buffers = self.noise_buffers = None  # the chunk's and the draw's, made at the first
         with np.errstate(over="ignore"):  # rows past 1.3e154 take rms_rows's scaled route
             sq = np.vecdot(v0, v0)
             self.drift_scale = np.full(R, rms_rows(rms_rows(v0, sq), np.add.reduce(sq), n))
@@ -238,7 +243,7 @@ class Batch:
         self.ids = self.ids[rows]
         for name in ("sigma", "seed", "gamma", "x", "v", "v_bar", "active", "drift_scale", "drift_unit"):
             setattr(self, name, getattr(self, name)[rows])
-        self.work, self.buffers = self.work[:, rows], None
+        self.work, self.buffers, self.noise_buffers = self.work[:, rows], None, None
 
     def chunk_buffers(self, steps: int):
         """xs (steps + 1, R, d), fs (steps, R), means (steps, 3, R, d), norms
@@ -272,23 +277,45 @@ class Batch:
         the bits of its one-step draws, since a draw is a function of
         (seed, node, step) alone. Run r's column is sigma_r * unit, as a
         solo draw forms it, or exact zeros at sigma_r = 0, and the chunk is
-        clipped once, row-wise and so bit-identical to one step's. The
-        batch keeps nothing of it.
+        clipped once, row-wise and so bit-identical to one step's.
+
+        Every array of the draw is a buffer the batch keeps
+        (noise_buffers), made at the first draw of its current runs, reused
+        by every later one and dropped by keep: the chunk, the unit draw
+        (steps, n, d) or (steps, d), the draw's uint64 scratch and the
+        clip's mask. Each run's scaled unit is formed in the scratch and
+        copied into its column, and the chunk is clipped in place, in
+        blocks of as many rows as the scratch holds as floats, all of a
+        lone run's in one. So after the first draw only arrays of one value
+        a node and step are allocated. The returned chunk is a view of the
+        kept one, valid until the next draw.
         """
         cfg, n, d = self.cfg, self.problem.n, self.problem.d
         if cfg.method not in _DP_METHODS or not self.sigma.any():
             return None
-        shape = (n, d) if cfg.method == "dp_clip21_gd" else (d,)
-        chunk, noisy = np.zeros((steps, self.ids.size) + shape), self.sigma > 0.0
+        if self.noise_buffers is None or len(self.noise_buffers[0]) < steps:
+            unit = np.empty((steps, n, d) if cfg.method == "dp_clip21_gd" else (steps, d))
+            words = np.empty(unit.size // d * 2 * ((d + 1) // 2), np.uint64)
+            # the columns of the runs at sigma 0 stay zeros
+            chunk = np.zeros((steps, self.ids.size) + unit.shape[1:])
+            self.noise_buffers = (chunk, unit, words, np.empty(words.size // d, bool))
+        chunk, unit, words, mask = self.noise_buffers
+        chunk, unit, noisy = chunk[:steps], unit[:steps], self.sigma > 0.0
+        # every ufunc reads and writes contiguous arrays: numpy buffers a strided operand
+        spare = words.view(np.float64)
+        scaled = spare[: unit.size].reshape(unit.shape)
         for seed in dict.fromkeys(self.seed[noisy].tolist()):  # the noisy runs' seeds, in row order
-            unit = (
-                gaussian_block(seed, self.k, n, d, 1.0, steps=steps)
-                if cfg.method == "dp_clip21_gd"
-                else gaussian_sample(seed, stream_slot(n, "aggregate"), self.k, d, 1.0, steps=steps)
-            )
+            if cfg.method == "dp_clip21_gd":
+                gaussian_block(seed, self.k, n, d, 1.0, steps=steps, out=unit, scratch=words)
+            else:
+                gaussian_sample(seed, stream_slot(n, "aggregate"), self.k, d, 1.0, steps=steps, out=unit, scratch=words)
             for row in np.flatnonzero(noisy & (self.seed == seed)).tolist():
-                np.multiply(self.sigma[row], unit, out=chunk[:, row])
-        return clip_rows(chunk, cfg.nu)[0]
+                np.copyto(chunk[:, row], np.multiply(self.sigma[row], unit, out=scaled))
+        rows = chunk.reshape(-1, d)
+        for start in range(0, len(rows), mask.size):
+            block = rows[start : start + mask.size]
+            clip_rows(block, cfg.nu, out=(block, mask[: len(block)]), spare=spare[: block.size].reshape(block.shape))
+        return chunk
 
 
 def _shift_update(targets, v, tau, transmit=None, *, out):

@@ -224,30 +224,35 @@ _DP = dict(tau=0.24, nu=0.04)
 
 
 @pytest.mark.parametrize(
-    "method, iters, sigmas_seeds, chunks",
+    "method, iters, sigmas_seeds, chunks, d",
     [
         # a lone run at the fixture shape: its 200 noise elements a step
         # outnumber its 111 of step buffers, so 16384 // 200 = 81 steps a
         # chunk, and 200 steps end mid-chunk
-        ("dp_clip21_gd", 200, [(0.02, 7)], [81, 81, 38]),
+        ("dp_clip21_gd", 200, [(0.02, 7)], [81, 81, 38], 20),
         # the aggregate slot draws one row of 20 a step, fewer than the step
         # buffers' 111: 16384 // 111 = 147
-        ("dp_clip_gd", 1000, [(0.02, 7)], [147] * 6 + [118]),
+        ("dp_clip_gd", 1000, [(0.02, 7)], [147] * 6 + [118], 20),
         # a sigma sweep on one seed shares one unit chunk; sigma 0 draws
         # nothing, but its column is held, so the four columns split the
         # budget: 16384 // 800 = 20
-        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [20] * 5),
+        ("dp_clip21_gd", 100, [(0.02, 3), (0.0, 3), (0.01, 3), (0.04, 3)], [20] * 5, 20),
         # two seed groups, one unit chunk each, at the three runs' 27 steps
-        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27] * 6 + [9, 9]),
+        ("dp_clip21_gd", 90, [(0.02, 3), (0.01, 4), (0.03, 3)], [27] * 6 + [9, 9], 20),
         # two seed groups over three runs: 16384 // 333 = 49
-        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [49] * 12 + [6, 6]),
+        ("dp_clip_gd", 300, [(0.02, 3), (0.0, 5), (0.01, 4)], [49] * 12 + [6, 6], 20),
         # a zero sigma is exact zeros without a draw, lone or batched
-        ("dp_clip21_gd", 30, [(0.0, 3)], []),
-        ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], []),
+        ("dp_clip21_gd", 30, [(0.0, 3)], [], 20),
+        ("dp_clip21_gd", 30, [(0.0, 3), (0.0, 4)], [], 20),
+        # odd d on 10 nodes: the last Box-Muller pair of a row keeps its
+        # cosine only, and a draw's scratch holds d + 1 words a node and step;
+        # two seed groups over three runs, 16384 // (3 * 210) = 26 steps
+        ("dp_clip21_gd", 60, [(0.02, 3), (0.01, 4), (0.0, 4)], [26] * 4 + [8, 8], 21),
+        ("dp_clip_gd", 40, [(0.02, 3)], [40], 21),
     ],
 )
 def test_chunked_noise_matches_per_step_draws(
-    logistic_problem, logistic_x0, monkeypatch, method, iters, sigmas_seeds, chunks
+    logistic_problem, logistic_x0, monkeypatch, method, iters, sigmas_seeds, chunks, d
 ):
     # run draws each chunk's noise as it steps it; every step's must be
     # the one drawn for that step alone
@@ -263,8 +268,13 @@ def test_chunked_noise_matches_per_step_draws(
         return chunk
 
     monkeypatch.setattr(Batch, "noise", noise)
+    problem, x0 = logistic_problem, logistic_x0
+    if d != problem.d:
+        rng = np.random.default_rng(d)
+        shards = [(rng.standard_normal((5, d)), np.where(rng.random(5) < 0.5, 1.0, -1.0)) for _ in range(10)]
+        problem, x0 = Problem("logistic", stack(shards), reg="l2", lam=1e-3), rng.standard_normal(d)
     cfgs = [MethodConfig(method, 0.1, iters, sigma=sigma, seed=seed, **_DP) for sigma, seed in sigmas_seeds]
-    run(cfgs, logistic_problem, logistic_x0)
+    run(cfgs, problem, x0)
     assert sum(checked) == iters
     assert lengths == chunks
 
@@ -294,6 +304,34 @@ def test_noise_chunk_peak_stays_near_the_budget(logistic_problem, logistic_x0, m
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize(
+    "method, sigmas",
+    [
+        pytest.param("dp_clip21_gd", [0.02], id="dp_clip21_gd-lone"),
+        pytest.param("dp_clip_gd", [0.02], id="dp_clip_gd-lone"),
+        pytest.param("dp_clip21_gd", [0.02, 0.0, 0.01], id="dp_clip21_gd-sweep"),
+    ],
+)
+def test_a_warm_noise_draw_allocates_no_chunk(logistic_problem, logistic_x0, method, sigmas):
+    # at the fixture shape a chunk of noise holds up to 16 384 values, 128 KiB.
+    # The first draw makes the batch's noise buffers; a later one writes its
+    # hash, Box-Muller pairs, scaled columns and clip into them and allocates
+    # only arrays of one value a node and step (22, 5 and 9 KiB). Draws that
+    # made their arrays peaked at 895 KiB (dp_clip21_gd, 81 steps), 165 KiB
+    # (dp_clip_gd, 147 steps) and 384 KiB (the sweep, 27 steps)
+    cfgs = [MethodConfig(method, 0.1, 1000, sigma=sigma, seed=3, **_DP) for sigma in sigmas]
+    batch = Batch(cfgs, logistic_problem, logistic_x0)
+    steps = _chunk_steps(logistic_problem, len(cfgs), method)
+    optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
+    tracemalloc.start()
+    try:
+        batch.noise(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 1024, f"peak {peak / 1024:.1f} KiB"
 
 
 def test_chunk_is_one_step_at_a_large_shape(monkeypatch):
@@ -668,11 +706,12 @@ def test_a_lone_run_is_a_batch_of_one(logistic_problem, logistic_x0, method):
 def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(method, lone):
     # 40 nodes of 60 features and 3 runs, or a lone run: one (R, n, d) float64
     # array is 56 KiB, or 18.75 KiB. After a warm chunk, which makes the chunk
-    # buffers and the row buffers, a chunk of steps on its noise chunk, drawn
-    # before the measurement, writes into buffers and leaves only small or
-    # boolean arrays; a broadcasting or casting ufunc call would add numpy's
-    # own buffer, here as large as one such array. A step of 3 runs that
-    # allocated its arrays peaked at 404 KiB
+    # buffers, the noise buffers and the row buffers, a chunk's noise draw and
+    # its steps write into buffers and leave only small or boolean arrays; a
+    # broadcasting, casting or strided ufunc call would add numpy's own
+    # buffer, here as large as one such array. A step of 3 runs that
+    # allocated its arrays peaked at 404 KiB; with draws that allocated
+    # theirs, dp_clip21_gd peaked at 378 KiB lone and 792 KiB for 3 runs
     R, n, d = 1 if lone else 3, 40, 60
     rng = np.random.default_rng(4060)
     shards = [(rng.standard_normal((10, d)), np.where(rng.random(10) < 0.5, 1.0, -1.0)) for _ in range(n)]
@@ -680,10 +719,9 @@ def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(method, lone):
     steps = _chunk_steps(problem, R, method)
     batch = Batch(_configs(method, (0.01, 0.02, 0.04), 2 * steps, lone), problem, rng.standard_normal(d))
     optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
-    noise = batch.noise(steps)
     tracemalloc.start()
     try:
-        optimizers._advance(batch, steps, noise)
+        optimizers._advance(batch, steps, batch.noise(steps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -415,6 +416,25 @@ def test_noise_seed_past_64_bits_exits_2(tmp_path, capsys):
     assert main(args + [str(2**64 - 1)]) == 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_seed_past_64_bits_exits_2_before_the_data_is_read(tmp_path, data_file, monkeypatch, capsys, method):
+    # the seed bound is checked as the flags are parsed, for every method:
+    # neither the data file nor the f_inf presolve is reached
+    calls = []
+    for name in ("build_problem", "estimate_f_inf"):
+
+        def counted(*args, real=getattr(cli, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "x.csv"
+    flags = {"--method": method.replace("_", "-"), "--sigma": "0.01", "--nu": "0.05", "--compressor": "identity"}
+    assert main(_base_args(data_file, str(out), **flags, **{"--seed": str(2**64)})) == 2
+    assert capsys.readouterr().err == "error: seed must be below 2^64, got 18446744073709551616\n"
+    assert calls == [] and not out.exists()
+
+
 def test_one_smoothness_pass_per_run(tmp_path, data_file, monkeypatch):
     calls = []
     real = Problem.smoothness
@@ -450,6 +470,27 @@ def test_grid_steps_its_children_in_one_run_call(tmp_path, data_file, monkeypatc
     out = str(tmp_path / "grid.csv")
     assert main(_base_args(data_file, out, **{"--gamma": "grid", "--iters": "5"})) == 0
     assert len(calls) == 1 and len(calls[0]) == 6
+
+
+def test_grid_report_holds_one_childs_rows_at_a_time(tmp_path, data_file, monkeypatch):
+    # after run, the report selects each child's 5 000 rows by a copy of
+    # 352 KiB and formats its CSV 256 rows at a time, about 120 KiB; each
+    # copy is freed before the next child's is made. Holding two at once
+    # peaked at 766 KiB
+    real = cli.run
+
+    def traced(*args, **kwargs):
+        result = real(*args, **kwargs)
+        tracemalloc.start()
+        return result
+
+    monkeypatch.setattr(cli, "run", traced)
+    try:
+        assert main(_base_args(data_file, str(tmp_path / "grid.csv"), **{"--gamma": "grid", "--iters": "5000"})) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5000 * TRACE_DTYPE.itemsize + 160 * 1024, f"peak {peak / 1024:.1f} KiB"
 
 
 def test_grid_child_divergence_keeps_partial_trace(tmp_path, capsys):

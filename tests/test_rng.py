@@ -115,6 +115,37 @@ def test_seeds_and_node_words_past_64_bits_are_rejected():
         gaussian_block(0, 0, top + 1, 4, 1.0)
 
 
+def test_a_draw_into_kept_buffers_gives_the_draws_bits():
+    # out and scratch carry nothing from one draw to the next
+    out, scratch = np.empty((5, 3, 7)), np.empty(5 * 3 * 8, np.uint64)
+    for step, sigma in ((0, 0.3), (5, 0.0), (11, 1.0)):
+        drawn = gaussian_block(2, step, 3, 7, sigma, steps=5, out=out, scratch=scratch)
+        assert drawn is out and np.array_equal(out, gaussian_block(2, step, 3, 7, sigma, steps=5))
+    sample = gaussian_sample(2, 3, 4, 7, 0.3, out=np.empty(7), scratch=scratch)
+    assert np.array_equal(sample, gaussian_sample(2, 3, 4, 7, 0.3))
+    with pytest.raises(ConfigurationError, match="out must be a C-contiguous float64 array of shape"):
+        gaussian_block(2, 0, 3, 7, 0.3, steps=5, out=np.empty((5, 3, 14))[..., ::2], scratch=scratch)
+    with pytest.raises(ConfigurationError, match="scratch must be a C-contiguous uint64 array of 120 words"):
+        gaussian_block(2, 0, 3, 7, 0.3, steps=5, out=out, scratch=scratch[:119])
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: gaussian_block(0, 0, 2**64 - 1, 4, 1.0),
+        lambda: gaussian_block(0, 0, 2**62, 4, 0.0),
+        lambda: gaussian_sample(0, 0, 0, 4, 1.0, steps=2**62),
+        lambda: gaussian_sample(0, 0, 0, 2**62, 1.0),
+    ],
+    ids=["block-nodes", "block-zero-sigma", "sample-steps", "sample-dimension"],
+)
+def test_a_draw_past_the_address_space_raises_a_configuration_error(draw):
+    # each of these draws holds more than 2^64 bytes, so numpy refuses the
+    # array before touching memory
+    with pytest.raises(ConfigurationError, match="noise draw of .* values cannot be allocated"):
+        draw()
+
+
 def test_zero_sigma_chunk_is_exact_zeros_without_hashing(monkeypatch):
     def unused(*args):
         raise AssertionError("a zero sigma reached the hash")
