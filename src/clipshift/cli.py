@@ -270,30 +270,35 @@ _CSV_FIELDS = CSV_HEADER.split(",")
 _CSV_CHUNK = 256
 
 
-def write_csv(trace, path: str) -> None:
-    """Write the rows of a trace, or of a view of one, as CSV: the header,
-    then each row's CSV_HEADER fields with _CSV_ROW, _CSV_CHUNK rows at a
-    time. A float64 formats as the float it holds, so the bytes do not
-    depend on the chunking."""
-    if not len(trace):
+def write_csv(trace, path: str, rows=None) -> None:
+    """Write the rows of a trace, or of a view of one, as CSV: those at the
+    indices rows, in order, or all of them when rows is None. The header
+    comes first, then each row's CSV_HEADER fields with _CSV_ROW, _CSV_CHUNK
+    rows at a time, and only a chunk's rows are ever copied. A float64
+    formats as the float it holds, so the bytes do not depend on the
+    chunking."""
+    rows = np.arange(len(trace)) if rows is None else rows
+    if not len(rows):
         raise ConfigurationError("refusing to write an empty trace")
-    rows = trace[_CSV_FIELDS]
+    fields = trace[_CSV_FIELDS]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(CSV_HEADER + "\n")
             for start in range(0, len(rows), _CSV_CHUNK):
-                handle.write("".join(map(_CSV_ROW.__mod__, rows[start : start + _CSV_CHUNK].tolist())))
+                handle.write("".join(map(_CSV_ROW.__mod__, fields[rows[start : start + _CSV_CHUNK]].tolist())))
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def iters_to_all_inactive(trace) -> int:
-    """First index from which no node clips again; -1 if clipping persists."""
-    clipping = np.flatnonzero(trace.active_nodes)
+def iters_to_all_inactive(trace, rows=None) -> int:
+    """First index from which no node clips again, among the rows of trace
+    at the indices rows (all of them when None); -1 if clipping persists."""
+    rows = np.arange(len(trace)) if rows is None else rows
+    clipping = np.flatnonzero(trace.active_nodes[rows])
     if not clipping.size:
         return 0
-    last = int(trace.k[clipping[-1]])
-    return -1 if last == trace.k[-1] else last + 1
+    last = int(trace.k[rows[clipping[-1]]])
+    return -1 if last == trace.k[rows[-1]] else last + 1
 
 
 def _grid_path(out: str, idx: int) -> str:
@@ -388,7 +393,8 @@ def run_experiment(cfg: RunConfig) -> int:
     grid = len(configs) > 1
     finished = []  # (final grad_norm_sq, child index, final f, iters_to_all_inactive, gamma)
     for idx, (child, final) in enumerate(zip(configs, finals)):
-        rows, path = trace[trace.run == idx], _grid_path(cfg.out, idx) if grid else cfg.out
+        # the child's rows by index, 8 bytes a row, not by a copy of them
+        rows, path = np.flatnonzero(trace.run == idx), _grid_path(cfg.out, idx) if grid else cfg.out
         if not isinstance(final, DivergenceError):
             # x_K is finite, but f or the gradient may still overflow there
             with np.errstate(over="ignore", invalid="ignore"):
@@ -398,7 +404,7 @@ def run_experiment(cfg: RunConfig) -> int:
             if not (np.isfinite(final_f) and np.isfinite(final_gsq)):
                 final = DivergenceError(f"non-finite objective at iteration {cfg.iters}", step=cfg.iters)
         if len(rows):  # a diverged child's partial trace stays behind for inspection
-            write_csv(rows, path)
+            write_csv(trace, path, rows)
         if isinstance(final, DivergenceError):
             if not grid:
                 print(f"diverged: {final}", file=sys.stderr)
@@ -407,8 +413,8 @@ def run_experiment(cfg: RunConfig) -> int:
         else:
             if grid:
                 print(f"grid child {idx}: gamma={_fmt(child.gamma)} final_grad_norm_sq={_fmt(final_gsq)}")
-            finished.append((final_gsq, idx, final_f, iters_to_all_inactive(rows), child.gamma))
-        del rows  # the next child's rows are selected once this child's copy is freed
+            finished.append((final_gsq, idx, final_f, iters_to_all_inactive(trace, rows), child.gamma))
+        del rows  # the next child's index is made once this child's is freed
     if not finished:
         print("diverged: every grid stepsize diverged", file=sys.stderr)
         return 4

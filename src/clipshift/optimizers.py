@@ -420,7 +420,8 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     [carried value, per-step terms], which sums in sequence with the bits
     of one step at a time (v_bar in place of the message means in
     means[:, 0]); and runs the shift-drift check over the runs
-    still present at each step, in run's order of leaving. Raises
+    still present at each step, in run's order of leaving, on v_bar -
+    direction, formed in place of the direction in means[:, 1]. Raises
     InvariantError on the first drifted run, in row order, of the first
     step with one. Returns the telemetry columns, (steps, R) each,
     and per run the chunk steps of its first non-finite iterate
@@ -431,13 +432,14 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
     (steps, R), n = fs.shape, batch.problem.n
     k0 = batch.k - steps  # the chunk's first step
     direction, gbar = means[:, 1], means[:, 2]
-    grad_sq = np.vecdot(gbar, gbar)
+    grad_sq, v_norm = np.vecdot(gbar, gbar), np.sqrt(np.vecdot(direction, direction))
 
     def first(bad):  # per run, the first step where bad holds, else steps + 1
         return np.where(bad.any(axis=0), bad.argmax(axis=0), steps + 1)
 
-    def running(carried, terms):  # carried + terms[0], + terms[1], ... in sequence
-        return np.add.accumulate(np.concatenate((carried[None], terms)))[1:]
+    def running(carried, terms):  # carried + terms[0], + terms[1], ... in sequence, over terms
+        np.add(carried, terms[0], out=terms[0])
+        return np.add.accumulate(terms, axis=0, out=terms)
 
     # a finite sum over the chunk rules out a non-finite entry in one call
     bad_x = np.full(R, steps + 1)
@@ -470,7 +472,9 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
             down = np.where(over, _DRIFT_DOWN, 1.0)
             unit = unit * down
             drift_scale = running(batch.drift_scale * down, terms * unit)
-        off = v_bar - direction
+        # [v_bar, direction] becomes [v_bar, v_bar - direction]: a ufunc given
+        # a strided operand would buffer it, here a copy of the chunk's size
+        off = np.subtract.accumulate(means[:, :2], axis=1, out=means[:, :2])[:, 1]
         drift = rms_rows(off, np.vecdot(off, off))
         suspect = drift * unit > _DRIFT_TOL * drift_scale
         if suspect.any():
@@ -488,7 +492,9 @@ def _settle(batch: Batch, xs, fs, means, norms, masks, wide):
         batch.v_bar, batch.drift_scale, batch.drift_unit = v_bar[-1].copy(), drift_scale[-1].copy(), unit
     batch.active = masks[-1].copy()
     shift_sq = np.add.reduce(norms[:, 1], axis=-1) / n
-    columns = (fs, grad_sq, shift_sq, masks.sum(axis=-1), np.sqrt(np.vecdot(direction, direction)))
+    # counted in the narrowest type that holds n, which is the width of the
+    # copy numpy buffers the bool masks into
+    columns = (fs, grad_sq, shift_sq, masks.sum(axis=-1, dtype=np.min_scalar_type(n)), v_norm)
     return columns, bad_x, bad_f
 
 

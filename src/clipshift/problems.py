@@ -62,7 +62,8 @@ class Problem:
     Data problems take their data as one zero-padded (n, m_max, d)
     NodeBlock A and adopt it without a copy, so all n local gradients come
     from one product A @ x and one batched product of the row slopes with
-    A. data.node_block builds the block straight from LibSVM text,
+    A; of the labels b they keep one array, -b for logistic and b itself
+    otherwise. data.node_block builds the block straight from LibSVM text,
     data.stack from (features, labels) pairs in memory.
 
     The row arrays of an evaluation, (R, n, m_max) each, are written into
@@ -98,9 +99,9 @@ class Problem:
             self.quad_params = None
             # padding rows have zero features, label 0 and weight 0, so their
             # slope is exactly zero and their loss never reaches a sum
-            self._A, self._b, sizes = block
+            self._A, labels, sizes = block
             self.n, m_max, self.d = self._A.shape
-            self._neg_b = -self._b
+            self._labels = -labels if kind == "logistic" else labels
             self._m = sizes.astype(np.float64)
             # 1/(n m_i) on each row, 0 on padding: a row sum becomes the node
             # mean, and the sum of the node means over the nodes is f
@@ -119,7 +120,8 @@ class Problem:
         every node. So no elementwise call broadcasts: numpy copies a
         broadcast operand into a buffer of up to 8 192 elements, allocated
         every call, which cost a 6-point fixture stack about 4 us an
-        evaluate on a 2-core Xeon VM.
+        evaluate on a 2-core Xeon VM. The labels of a set for one point are
+        a view of the Problem's label array; only a larger set copies them.
 
         All row counts share one set, sized for the largest stack evaluated
         so far, and each view starts at its buffer's first element. The
@@ -130,10 +132,9 @@ class Problem:
         if views is None:
             if self._row_buffers is None or len(self._row_buffers[0]) < rows:
                 shape = (rows,) + self._w.shape
-                labels = self._neg_b if self.kind == "logistic" else self._b
                 self._row_buffers = (
                     *(np.empty(shape) for _ in range(4)),
-                    np.broadcast_to(labels, shape).copy(),
+                    self._labels[None] if rows == 1 else np.broadcast_to(self._labels, shape).copy(),
                     np.broadcast_to(self._m[:, None], (rows, self.n, self.d)).copy(),
                     np.empty((rows, self.n, self.d)),
                 )

@@ -709,9 +709,12 @@ def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(method, lone):
     # buffers, the noise buffers and the row buffers, a chunk's noise draw and
     # its steps write into buffers and leave only small or boolean arrays; a
     # broadcasting, casting or strided ufunc call would add numpy's own
-    # buffer, here as large as one such array. A step of 3 runs that
+    # buffer, here as large as one such array. So does the end-of-chunk pass,
+    # _settle, which the window covers too. A step of 3 runs that
     # allocated its arrays peaked at 404 KiB; with draws that allocated
-    # theirs, dp_clip21_gd peaked at 378 KiB lone and 792 KiB for 3 runs
+    # theirs, dp_clip21_gd peaked at 378 KiB lone and 792 KiB for 3 runs; a
+    # _settle that formed v_bar - direction from its strided operands peaked
+    # at 68 to 69 KiB for clip21_gd and press_clip21_gd, lone and for 3 runs
     R, n, d = 1 if lone else 3, 40, 60
     rng = np.random.default_rng(4060)
     shards = [(rng.standard_normal((10, d)), np.where(rng.random(10) < 0.5, 1.0, -1.0)) for _ in range(n)]
@@ -721,7 +724,7 @@ def test_a_chunk_of_steps_allocates_no_array_of_the_batch_size(method, lone):
     optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
     tracemalloc.start()
     try:
-        optimizers._advance(batch, steps, batch.noise(steps))
+        optimizers._settle(batch, *optimizers._advance(batch, steps, batch.noise(steps))[:-1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

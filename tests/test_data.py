@@ -309,7 +309,7 @@ def test_cli_loader_reads_a_fifo_as_it_reads_a_file(tmp_path):
 
 
 def _assert_same_arrays(problem, other):
-    for name in ("_A", "_b", "_w", "_m", "_neg_b"):
+    for name in ("_A", "_labels", "_w", "_m"):
         a, b = getattr(problem, name), getattr(other, name)
         assert (a.shape, a.dtype) == (b.shape, b.dtype), name
         assert a.tobytes() == b.tobytes(), name  # bit for bit, signed zeros too
@@ -382,6 +382,27 @@ def test_block_does_not_depend_on_the_entries_held(monkeypatch):
     monkeypatch.setattr(data, "_BLOCK_ENTRIES", 4)
     assert _block(text, nodes).features.tobytes() == whole.features.tobytes()
     assert _block(text, nodes).labels.tobytes() == whole.labels.tobytes()
+
+
+def test_loader_holds_a_few_thousand_entries_above_the_block(tmp_path):
+    # 2 000 lines of 20 entries over 10 nodes: 40 000 entries, a 328 KiB block.
+    # Each entry the second read holds before placing it costs about 70
+    # bytes as Python objects and the arrays that place it, so 4 096 held
+    # entries peak about 280 KiB above the block; holding 16 384 peaked
+    # 1 060 KiB above it
+    rng = np.random.default_rng(16384)
+    features, labels = rng.standard_normal((2000, 20)), np.where(rng.random(2000) < 0.5, 1.0, -1.0)
+    path = tmp_path / "dense.svm"
+    path.write_text(write_libsvm(Dataset(features, labels)))
+    with open(path, encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            block = node_block(handle, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    above = peak - block.features.nbytes - block.labels.nbytes
+    assert above < 4096 * 96, f"peak {above / 1024:.1f} KiB above the block"
 
 
 @pytest.mark.parametrize(

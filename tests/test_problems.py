@@ -56,11 +56,14 @@ def test_problem_keeps_one_copy_of_the_data():
 def test_problem_adopts_a_block_without_a_copy():
     shards = _random_shards(np.random.default_rng(5), 3, 4, 6)
     stacked = Problem("logistic", stack(shards), reg="l2", lam=0.1)
-    block = NodeBlock(stacked._A.copy(), stacked._b.copy(), np.array([b.size for _, b in shards]))
+    block = NodeBlock(stacked._A.copy(), -stacked._labels, np.array([b.size for _, b in shards]))
     problem = Problem("logistic", block=block, reg="l2", lam=0.1)
-    assert problem._A is block.features and problem._b is block.labels
-    for name in ("_w", "_m", "_neg_b"):
+    assert problem._A is block.features
+    for name in ("_w", "_m", "_labels"):
         assert np.array_equal(getattr(problem, name), getattr(stacked, name))
+    # the one label array: -b for logistic, and the block's own b for linreg
+    assert problem._labels.tobytes() == (-block.labels).tobytes()
+    assert Problem("linreg_nonconvex", block=block)._labels is block.labels
     x = np.linspace(-1.0, 1.0, 4)
     assert problem.evaluate(x)[0] == stacked.evaluate(x)[0]
     with pytest.raises(ConfigurationError, match="takes no block"):
@@ -258,6 +261,31 @@ def test_evaluate_and_smoothness_make_no_row_sized_temporaries():
         tracemalloc.stop()
     assert max(peaks) < row_array, peaks
     assert smoothness_peak < 3 * gram, smoothness_peak
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linreg_nonconvex"])
+def test_a_lone_evaluate_holds_four_row_buffers_and_one_label_array(kind):
+    # 40 nodes of 320 rows in d = 20: each (n, m_max) row array is 100 KiB.
+    # Beside its block a data problem keeps its row weights and one label
+    # array, -b for logistic and the block's b for linreg, and a warm
+    # evaluate at a point adds four row buffers and takes the label array
+    # itself as its labels: six row arrays, plus a few (n, d) ones of 6.25
+    # KiB. With both b and -b kept and a copy of the labels among its row
+    # buffers, a problem held eight
+    n, m, d = 40, 320, 20
+    rng = np.random.default_rng(4032)
+    shards = _random_shards(rng, n, d, m, regression=kind != "logistic")
+    x = rng.standard_normal(d)
+    tracemalloc.start()
+    try:
+        p = Problem(kind, stack(shards), lam=0.1)  # the block is the problem's alone
+        for _ in range(2):  # the first call makes the row buffers
+            p.evaluate(x)
+        held = tracemalloc.get_traced_memory()[0] - p._A.nbytes
+    finally:
+        tracemalloc.stop()
+    row_array = n * m * 8
+    assert held < 6.5 * row_array, f"{held / row_array:.2f} row arrays"
 
 
 def test_unequal_shards_match_per_shard_reference():
